@@ -21,7 +21,7 @@ import numpy as np
 from . import classify, cuboid, dataio, features, sfa, synth
 from . import config as config_module
 from .config import RunConfig
-from .errors import InvalidInput, ParseError, SlowFeatError
+from .errors import EmptyTrainingSet, InvalidInput, ParseError, SlowFeatError
 
 # stage tags for seed derivation
 _TAG_SYNTH = 0
@@ -188,11 +188,7 @@ def _training_cuboids(config, entries, train):
     cuboids = []
     for entry in train:
         diff = _diff_sequence(_load_entry_sequence(config, entry))
-        delta = config.delta
-        if delta is None:
-            delta = cuboid.default_delta(diff)
-        masks = [cuboid.motion_boundary(frame, delta, bbox=box)
-                 for frame, box in zip(diff.frames, diff.boxes)]
+        masks = cuboid.motion_masks(diff, config.delta)
         sampled = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
             rng_seed=_derive_seed(config.seed, _TAG_SAMPLE,
@@ -206,7 +202,10 @@ def _training_cuboids(config, entries, train):
 
 
 def fit_bank_from_cuboids(config, cuboids) -> sfa.ModelBank:
-    minis = [cuboid.reformat(c, config.delta_t) for c in cuboids]
+    if not cuboids:
+        raise EmptyTrainingSet("no training cuboids")
+    minis = cuboid.window_rows(np.stack([c.data for c in cuboids]),
+                               config.delta_t)
     labels = [c.class_label for c in cuboids]
     if config.strategy == "usfa":
         return sfa.fit_usfa(minis, config.pca_dim, config.k_per_class)
@@ -300,20 +299,11 @@ def cmd_fit_classifier(config):
 # evaluation
 
 
-def _class_block_columns(bank):
-    """Feature column indices belonging to each class's models."""
-    columns = {}
-    for offset, model in features._bank_blocks(bank)[0]:
-        columns.setdefault(model.class_label, []).extend(
-            range(offset, offset + model.k))
-    return {label: np.asarray(idx) for label, idx in columns.items()}
-
-
 def _selectivity_from_features(bank, matrix, labels):
     """Per-class ASD block sums -> selectivity, None when inapplicable."""
     if bank.strategy == "usfa":
         return None
-    columns = _class_block_columns(bank)
+    columns = features.class_columns(bank)
     classes = sorted(columns)
     if sorted(set(labels)) != classes:
         return None

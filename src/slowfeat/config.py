@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InvalidInput
-
-STRATEGIES = ("usfa", "ssfa", "dsfa", "sdsfa")
+from .sfa import STRATEGIES
 
 
 @dataclass(frozen=True)

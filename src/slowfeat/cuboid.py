@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSequence,
@@ -100,26 +101,32 @@ def frame_difference(seq: FrameSequence) -> FrameSequence:
     return FrameSequence(frames[1:] - frames[:-1], boxes)
 
 
-def gradient_magnitude(frame: np.ndarray) -> np.ndarray:
-    """3x3 Sobel gradient magnitude, zero on the one-pixel border."""
-    f = np.asarray(frame, dtype=float)
-    if f.ndim != 2:
-        raise InvalidDimension(f"frame must be 2-D, got shape {f.shape}")
+def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
+    """3x3 Sobel gradient magnitude, zero on the one-pixel border.
+
+    Takes one (H, W) frame or a (T, H, W) stack; every frame of a stack
+    gets the same arithmetic as a single-frame call, bit for bit.
+    """
+    f = np.asarray(frames, dtype=float)
+    if f.ndim not in (2, 3):
+        raise InvalidDimension(
+            f"frames must be (H, W) or (T, H, W), got shape {f.shape}")
     out = np.zeros_like(f)
-    if f.shape[0] < 3 or f.shape[1] < 3:
+    height, width = f.shape[-2:]
+    if height < 3 or width < 3:
         return out
-    gx = np.zeros((f.shape[0] - 2, f.shape[1] - 2))
+    gx = np.zeros(f.shape[:-2] + (height - 2, width - 2))
     gy = np.zeros_like(gx)
     for dy in range(3):
         for dx in range(3):
             kx = SOBEL_X[dy, dx]
             ky = SOBEL_X[dx, dy]
-            patch = f[dy:dy + gx.shape[0], dx:dx + gx.shape[1]]
+            patch = f[..., dy:dy + height - 2, dx:dx + width - 2]
             if kx:
                 gx += kx * patch
             if ky:
                 gy += ky * patch
-    out[1:-1, 1:-1] = np.hypot(gx, gy)
+    out[..., 1:-1, 1:-1] = np.hypot(gx, gy)
     return out
 
 
@@ -139,9 +146,13 @@ def motion_boundary(diff_frame: np.ndarray, delta: float,
     pixels, where the kernel does not fit, stay unmarked.  With a
     ``bbox`` of (x, y, w, h), pixels outside the box are cleared.
     """
+    return _threshold(gradient_magnitude(diff_frame), delta, bbox)
+
+
+def _threshold(magnitude, delta, bbox) -> MotionMask:
     if delta < 0:
         raise InvalidInput(f"delta must be >= 0, got {delta}")
-    mask = gradient_magnitude(diff_frame) > delta
+    mask = magnitude > delta
     if bbox is not None:
         bx, by, bw, bh = (int(v) for v in bbox)
         limited = np.zeros_like(mask)
@@ -150,18 +161,36 @@ def motion_boundary(diff_frame: np.ndarray, delta: float,
     return MotionMask(mask, float(delta))
 
 
-def default_delta(diff_seq: FrameSequence) -> float:
+def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
     """Data-relative threshold for a difference sequence.
 
     One tenth of the 99th-percentile interior gradient magnitude over
     all frames, which tracks contrast differences between sequences.
+    ``magnitude``, the sequence's (T, H, W) ``gradient_magnitude`` when
+    the caller already has it, saves computing it again.
     """
-    mags = [gradient_magnitude(f)[1:-1, 1:-1].ravel()
-            for f in np.asarray(diff_seq.frames, dtype=float)]
-    pooled = np.concatenate(mags) if mags else np.zeros(1)
+    if magnitude is None:
+        magnitude = gradient_magnitude(diff_seq.frames)
+    pooled = magnitude[:, 1:-1, 1:-1].ravel()
     if pooled.size == 0:
         pooled = np.zeros(1)
     return DELTA_FRACTION * float(np.percentile(pooled, DELTA_PERCENTILE))
+
+
+def motion_masks(diff_seq: FrameSequence, delta: float | None = None,
+                 use_boxes: bool = True) -> list[MotionMask]:
+    """``motion_boundary`` of every frame from one Sobel pass.
+
+    ``delta = None`` applies ``default_delta``; with ``use_boxes`` each
+    frame's mask is limited to that frame's box, when the sequence has
+    boxes.
+    """
+    magnitude = gradient_magnitude(diff_seq.frames)
+    if delta is None:
+        delta = default_delta(diff_seq, magnitude)
+    boxes = diff_seq.boxes if use_boxes else None
+    return [_threshold(m, delta, None if boxes is None else boxes[t])
+            for t, m in enumerate(magnitude)]
 
 
 @dataclass(frozen=True)
@@ -218,30 +247,80 @@ def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
     if h < 1 or w < 1 or d < 1:
         raise InvalidDimension(f"bad cuboid size {size}")
     frames = np.asarray(seq.frames, dtype=float)
-    t_total, height, width = frames.shape
     rng = np.random.default_rng(rng_seed)
-    out = []
-    last_start = min(len(masks), t_total - d + 1)
+    ts, ys, xs = [], [], []
+    last_start = min(len(masks), frames.shape[0] - d + 1)
     for t in range(max(last_start, 0)):
         mask = _mask_array(masks[t])
-        ys, xs = np.nonzero(mask)
-        if ys.size == 0:
-            continue
-        count = math.ceil(fraction * ys.size)
-        picks = rng.choice(ys.size, size=count, replace=False)
-        for i in picks:
-            y, x = int(ys[i]), int(xs[i])
-            y0, x0 = y - h // 2, x - w // 2
-            if y0 < 0 or x0 < 0 or y0 + h > height or x0 + w > width:
-                continue
-            out.append(Cuboid(
-                x=x, y=y, t=t,
-                data=frames[t:t + d, y0:y0 + h, x0:x0 + w].copy(),
-                class_label=class_label))
-    if max_count is not None and len(out) > max_count:
-        order = rng.permutation(len(out))[:max_count]
-        out = [out[i] for i in order]
-    return out
+        if mask.shape != frames.shape[1:]:
+            raise InvalidDimension(
+                f"mask {t} has shape {mask.shape}, frames are "
+                f"{frames.shape[1:]}")
+        y, x = pick_positions(mask, fraction, (h, w), rng)
+        ts.append(np.full(y.size, t))
+        ys.append(y)
+        xs.append(x)
+    if not ts:
+        return []
+    ts, ys, xs = np.concatenate(ts), np.concatenate(ys), np.concatenate(xs)
+    if max_count is not None and ts.size > max_count:
+        order = rng.permutation(ts.size)[:max_count]
+        ts, ys, xs = ts[order], ys[order], xs[order]
+    block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
+    return [Cuboid(x=int(x), y=int(y), t=int(t), data=data,
+                   class_label=class_label)
+            for t, y, x, data in zip(ts, ys, xs, block)]
+
+
+def pick_positions(mask, fraction: float, patch, rng):
+    """Seeded cuboid centres on one frame's mask.
+
+    Picks ``ceil(fraction * count)`` of the mask's pixels uniformly
+    without replacement (no draw when the mask is empty) and keeps those
+    whose ``patch = (h, w)`` footprint lies inside the frame.  Returns
+    the kept rows ``ys`` and columns ``xs`` in pick order.
+    """
+    h, w = patch
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
+        return ys, xs
+    picks = rng.choice(ys.size, size=math.ceil(fraction * ys.size),
+                       replace=False)
+    ys, xs = ys[picks], xs[picks]
+    y0, x0 = ys - h // 2, xs - w // 2
+    height, width = mask.shape
+    inside = (y0 >= 0) & (x0 >= 0) & (y0 + h <= height) & (x0 + w <= width)
+    return ys[inside], xs[inside]
+
+
+def crop_cuboids(frames: np.ndarray, ts, ys, xs, size) -> np.ndarray:
+    """The (n, d, h, w) data of cuboids with first frames ``ts`` and
+    centres ``(ys, xs)``, cut from ``frames`` in one indexing pass.
+
+    Every cuboid must lie inside the (T, H, W) frame stack.
+    """
+    h, w, d = size
+    ts = np.asarray(ts, dtype=np.intp)
+    if ts.size == 0:
+        return np.zeros((0, d, h, w))
+    windows = sliding_window_view(frames, (d, h, w))
+    return windows[ts, np.asarray(ys) - h // 2, np.asarray(xs) - w // 2]
+
+
+def window_rows(block: np.ndarray, delta_t: int) -> np.ndarray:
+    """``reformat`` of every cuboid of an (n, d, h, w) block at once.
+
+    Returns ``(n, d - delta_t + 1, h * w * delta_t)``.  Row t of a
+    cuboid is its patches t .. t + delta_t - 1, which lie next to each
+    other in memory, so for a C-contiguous block the result is a
+    read-only view that copies nothing.
+    """
+    n, d = block.shape[:2]
+    if not 1 <= delta_t <= d:
+        raise InvalidDelta(f"delta_t must be in [1, {d}], got {delta_t}")
+    flat = block.reshape(n, d, -1)
+    windows = sliding_window_view(flat, delta_t, axis=1)
+    return windows.swapaxes(2, 3).reshape(n, d - delta_t + 1, -1)
 
 
 def reformat(c: Cuboid, delta_t: int) -> np.ndarray:
@@ -252,12 +331,7 @@ def reformat(c: Cuboid, delta_t: int) -> np.ndarray:
     row-major.  With ``delta_t == d`` the single row reproduces the
     cuboid data exactly.
     """
-    if not 1 <= delta_t <= c.d:
-        raise InvalidDelta(
-            f"delta_t must be in [1, {c.d}], got {delta_t}")
-    flat = np.ascontiguousarray(c.data).reshape(c.d, -1)
-    length = c.d - delta_t + 1
-    return np.concatenate([flat[i:length + i] for i in range(delta_t)], axis=1)
+    return window_rows(c.data[None], delta_t)[0]
 
 
 def region_label(pos, bbox, grid) -> int:

@@ -243,7 +243,7 @@ def load_bank(path) -> sfa.ModelBank:
     count = reader.u32()
     n_regions = grid[0] * grid[1]
     if strategy == "sdsfa":
-        if count == 0 or count % n_regions != 0:
+        if n_regions == 0 or count == 0 or count % n_regions != 0:
             raise FormatError(
                 f"{path}: {count} models do not tile a {grid} grid")
         per_region = count // n_regions
@@ -268,16 +268,19 @@ def load_bank(path) -> sfa.ModelBank:
             reader.f64_array(in_dim),
             reader.f64_array(out_dim * in_dim).reshape(out_dim, in_dim),
             reader.f64_array(out_dim))
-        models.append(sfa.SlowFeatureModel(
-            pca=pca,
-            expansion=expansion,
-            h0=reader.f64_array(expanded),
-            w=reader.f64_array(expanded * k).reshape(expanded, k),
-            eigenvalues=reader.f64_array(k),
-            strategy=strategy,
-            class_label=class_label,
-            region_label=region_label,
-            gamma=None if gamma == -1.0 else gamma))
+        try:
+            models.append(sfa.SlowFeatureModel(
+                pca=pca,
+                expansion=expansion,
+                h0=reader.f64_array(expanded),
+                w=reader.f64_array(expanded * k).reshape(expanded, k),
+                eigenvalues=reader.f64_array(k),
+                strategy=strategy,
+                class_label=class_label,
+                region_label=region_label,
+                gamma=None if gamma == -1.0 else gamma))
+        except InvalidInput as exc:
+            raise FormatError(f"{path}: model {index}: {exc}")
     reader.expect_end()
     try:
         return sfa.ModelBank(strategy, tuple(models), grid)
@@ -321,7 +324,10 @@ def load_features(path):
             f"{FEATURES_VERSION}")
     k_total = reader.u32()
     label = _unpack_label(reader.i64())
-    sequence_id = reader.take(reader.u32()).decode("utf-8")
+    try:
+        sequence_id = reader.take(reader.u32()).decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: sequence id is not UTF-8")
     count = reader.u32()
     feats = []
     for _ in range(count):

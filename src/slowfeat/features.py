@@ -9,14 +9,18 @@ cuboids, then L1-normalized.  A function that stays flat on a cuboid
 contributes nearly zero, so small ASD entries mark the class (and
 region) whose functions the motion obeys.
 
+A whole bank is evaluated in one pass: cuboids are held as one
+(n, d, h, w) array, and the models sharing a PCA and expansion (all of
+a fitted bank's models) are reformatted, projected and expanded once,
+with one matrix product against their stacked readouts.
+
 For a region-gridded bank each cuboid contributes only to the block of
 its own region; mirroring a feature permutes those region blocks.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +28,30 @@ from . import sfa
 from .cuboid import (
     Cuboid,
     FrameSequence,
-    default_delta,
-    motion_boundary,
-    reformat,
+    crop_cuboids,
+    motion_masks,
+    pick_positions,
     region_label,
+    window_rows,
 )
 from .errors import EmptySnippet, InvalidDimension, InvalidInput, TooShort
-from .sfa import ModelBank, SlowFeatureModel
+from .sfa import ModelBank, ModelGroup, SlowFeatureModel
 
 
 @dataclass(frozen=True)
 class Snippet:
-    """Cuboids sampled from frames [start_frame, start_frame + d)."""
+    """Cuboids sampled from frames [start_frame, start_frame + d).
+
+    ``cuboids`` is the (n, d, h, w) cuboid data, ``positions`` the
+    (n, 2) centres as (y, x) rows, and ``regions`` each cuboid's grid
+    cell, which ``sdsfa`` banks need (None when unlabeled).
+    """
 
     sequence_id: str
     start_frame: int
-    cuboids: tuple[Cuboid, ...]
+    cuboids: np.ndarray
+    positions: np.ndarray
+    regions: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -55,17 +67,63 @@ class ASDFeature:
     normalized: bool
 
 
-def _window_length(model: SlowFeatureModel, c: Cuboid) -> int:
-    patch = c.h * c.w
-    if model.input_dim % patch != 0:
+def _window_length(input_dim: int, cuboid_shape) -> int:
+    d, h, w = cuboid_shape
+    if input_dim % (h * w) != 0:
         raise InvalidDimension(
-            f"model input dim {model.input_dim} is not a multiple of the "
-            f"cuboid patch size {c.h}x{c.w}")
-    delta_t = model.input_dim // patch
-    if c.d - delta_t < 1:
+            f"model input dim {input_dim} is not a multiple of the "
+            f"cuboid patch size {h}x{w}")
+    delta_t = input_dim // (h * w)
+    if d - delta_t < 1:
         raise TooShort(
-            f"cuboid depth {c.d} leaves no differences for window {delta_t}")
+            f"cuboid depth {d} leaves no differences for window {delta_t}")
     return delta_t
+
+
+def _group_squared_derivatives(block: np.ndarray,
+                               group: ModelGroup) -> np.ndarray:
+    """(n, d, h, w) cuboids -> (n, k) squared derivatives of one group.
+
+    Output j of a model is ``w[:, j] . (h(x) - h0)``, so its forward
+    difference is ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops
+    out: the expanded rows are differenced first, then multiplied by
+    the stacked readouts once.
+    """
+    delta_t = _window_length(group.pca.in_dim, block.shape[1:])
+    rows = window_rows(block, delta_t)
+    n, length, dim = rows.shape
+    expanded = group.expansion.expand(
+        group.pca.transform(rows.reshape(n * length, dim)))
+    dh = np.diff(expanded.reshape(n, length, -1), axis=1)
+    # outputs are a function of the row alone, so bit-equal consecutive
+    # rows must difference to exactly zero (batched BLAS may not)
+    dh[(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0.0
+    dy = (dh.reshape(n * (length - 1), -1) @ group.w).reshape(
+        n, length - 1, -1)
+    return (dy * dy).mean(axis=1)
+
+
+def bank_squared_derivatives(block, bank: ModelBank,
+                             regions=None) -> np.ndarray:
+    """Mean squared derivative of every bank output on every cuboid.
+
+    ``block`` holds n cuboids as (n, d, h, w); the result is (n, k_total)
+    in the bank's feature layout.  For an ``sdsfa`` bank, ``regions``
+    gives each cuboid's grid cell and every column of another region's
+    models is exactly zero.
+    """
+    block = np.asarray(block, dtype=float)
+    out = np.empty((block.shape[0], bank.k_total))
+    for group in bank.groups:
+        out[:, group.columns] = _group_squared_derivatives(block, group)
+    if bank.strategy == "sdsfa":
+        if regions is None:
+            raise InvalidInput("sdsfa features need region-labeled cuboids")
+        column_regions = np.repeat([m.region_label for m in bank.models],
+                                   [m.k for m in bank.models])
+        own = column_regions == np.asarray(regions)[:, None]
+        out = np.where(own, out, 0.0)
+    return out
 
 
 def squared_derivative(c: Cuboid, model: SlowFeatureModel) -> np.ndarray:
@@ -75,29 +133,9 @@ def squared_derivative(c: Cuboid, model: SlowFeatureModel) -> np.ndarray:
     (inferred from its input dimension), producing d - delta_t + 1
     response vectors and d - delta_t differences.
     """
-    delta_t = _window_length(model, c)
-    rows = reformat(c, delta_t)
-    y = sfa.apply(model, rows)
-    dy = np.diff(y, axis=0)
-    # outputs are a function of the row alone, so bit-equal consecutive
-    # rows must difference to exactly zero (batched BLAS may not)
-    dy[(rows[1:] == rows[:-1]).all(axis=1)] = 0.0
-    return (dy * dy).mean(axis=0)
-
-
-def _batch_squared_derivatives(cuboids, model: SlowFeatureModel) -> np.ndarray:
-    """squared_derivative of many same-shaped cuboids in one pass."""
-    delta_t = _window_length(model, cuboids[0])
-    stacked = np.stack([reformat(c, delta_t) for c in cuboids])
-    n, length, dim = stacked.shape
-    y = sfa.apply(model, stacked.reshape(n * length, dim))
-    dy = np.diff(y.reshape(n, length, -1), axis=1)
-    dy[(stacked[:, 1:] == stacked[:, :-1]).all(axis=2)] = 0.0
-    return (dy * dy).mean(axis=1)
-
-
-def _canonical_order(cuboids):
-    return sorted(cuboids, key=lambda c: (c.t, c.y, c.x))
+    group, = sfa.group_models((model,))
+    block = np.asarray(c.data, dtype=float)[None]
+    return _group_squared_derivatives(block, group)[0]
 
 
 def _bank_blocks(bank: ModelBank):
@@ -110,41 +148,32 @@ def _bank_blocks(bank: ModelBank):
     return blocks, offset
 
 
+def class_columns(bank: ModelBank) -> dict:
+    """Feature column indices of each class's models, keyed by class."""
+    columns = {}
+    for offset, model in _bank_blocks(bank)[0]:
+        columns.setdefault(model.class_label, []).extend(
+            range(offset, offset + model.k))
+    return {label: np.asarray(idx) for label, idx in columns.items()}
+
+
 def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
     """Sum per-cuboid squared derivatives into one normalized vector.
 
-    Cuboids are summed in canonical (t, y, x) order, so any input
-    ordering produces a bit-identical result.  For an ``sdsfa`` bank a
-    cuboid contributes only to the models of its own region and every
-    cuboid must be region-labeled.  The vector is L1-normalized unless
-    its sum is zero, in which case it is returned as-is and flagged.
+    Cuboids are summed in canonical (y, x) order, so any input ordering
+    produces a bit-identical result.  For an ``sdsfa`` bank a cuboid
+    contributes only to the models of its own region and every cuboid
+    must be region-labeled.  The vector is L1-normalized unless its sum
+    is zero, in which case it is returned as-is and flagged.
     """
-    if not snippet.cuboids:
+    if len(snippet.cuboids) == 0:
         raise EmptySnippet(
             f"snippet at frame {snippet.start_frame} of "
             f"{snippet.sequence_id!r} has no cuboids")
-    ordered = _canonical_order(snippet.cuboids)
-    blocks, total = _bank_blocks(bank)
-
-    per_cuboid = np.zeros((len(ordered), total))
-    if bank.strategy == "sdsfa":
-        if any(c.region_label is None for c in ordered):
-            raise InvalidInput("sdsfa features need region-labeled cuboids")
-        by_region: dict[int, list[int]] = {}
-        for i, c in enumerate(ordered):
-            by_region.setdefault(c.region_label, []).append(i)
-        for region, idx in by_region.items():
-            group = [ordered[i] for i in idx]
-            for offset, model in blocks:
-                if model.region_label == region:
-                    per_cuboid[idx, offset:offset + model.k] = \
-                        _batch_squared_derivatives(group, model)
-    else:
-        for offset, model in blocks:
-            per_cuboid[:, offset:offset + model.k] = \
-                _batch_squared_derivatives(ordered, model)
-
-    values = per_cuboid.sum(axis=0)
+    order = np.lexsort((snippet.positions[:, 1], snippet.positions[:, 0]))
+    regions = None if snippet.regions is None else snippet.regions[order]
+    values = bank_squared_derivatives(
+        snippet.cuboids[order], bank, regions).sum(axis=0)
     total_mass = float(values.sum())
     span = (snippet.sequence_id, snippet.start_frame)
     if total_mass > 0.0:
@@ -190,50 +219,30 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
         raise TooShort(f"sequence has {n} frames, snippets need {d}")
     if stride < 1:
         raise InvalidInput(f"stride must be >= 1, got {stride}")
-    if delta is None:
-        delta = default_delta(seq)
-    boxes = seq.boxes if use_boxes else None
-    if bank.strategy == "sdsfa" and boxes is None:
+    if bank.strategy == "sdsfa" and (seq.boxes is None or not use_boxes):
         raise InvalidInput("sdsfa featurization needs bounding boxes")
+    masks = motion_masks(seq, delta, use_boxes)
+    frames = np.asarray(seq.frames, dtype=float)
 
     out = []
     for start in range(0, n - d + 1, stride):
-        bbox = None if boxes is None else tuple(int(v) for v in boxes[start])
-        mask = motion_boundary(seq.frames[start], delta, bbox)
-        snippet_seed = np.random.SeedSequence([int(seed), start])
-        cuboids = _sample_snippet_cuboids(seq, mask, start, fraction,
-                                          (h, w, d), snippet_seed)
-        if bank.strategy == "sdsfa":
-            cuboids = [replace(c, region_label=region_label(
-                (c.x, c.y), bbox, bank.grid)) for c in cuboids]
-        if cuboids:
-            out.append(asd_feature(
-                Snippet(sequence_id, start, tuple(cuboids)), bank))
-        else:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(seed), start]))
+        ys, xs = pick_positions(masks[start].mask, fraction, (h, w), rng)
+        if ys.size == 0:
             out.append(ASDFeature(np.zeros(bank.k_total),
                                   (sequence_id, start), False))
-    return out
-
-
-def _sample_snippet_cuboids(seq, mask, start, fraction, size, rng_seed):
-    """Cuboids for one snippet: one mask, one start frame."""
-    h, w, d = size
-    frames = np.asarray(seq.frames, dtype=float)
-    height, width = frames.shape[1], frames.shape[2]
-    ys, xs = np.nonzero(mask.mask)
-    if ys.size == 0:
-        return []
-    rng = np.random.default_rng(rng_seed)
-    count = math.ceil(fraction * ys.size)
-    picks = rng.choice(ys.size, size=count, replace=False)
-    out = []
-    for i in picks:
-        y, x = int(ys[i]), int(xs[i])
-        y0, x0 = y - h // 2, x - w // 2
-        if y0 < 0 or x0 < 0 or y0 + h > height or x0 + w > width:
             continue
-        out.append(Cuboid(x=x, y=y, t=start,
-                          data=frames[start:start + d, y0:y0 + h, x0:x0 + w].copy()))
+        regions = None
+        if bank.strategy == "sdsfa":
+            bbox = tuple(int(v) for v in seq.boxes[start])
+            regions = np.array([region_label((x, y), bbox, bank.grid)
+                                for y, x in zip(ys.tolist(), xs.tolist())])
+        block = crop_cuboids(frames, np.full(ys.size, start), ys, xs,
+                             (h, w, d))
+        out.append(asd_feature(
+            Snippet(sequence_id, start, block, np.column_stack([ys, xs]),
+                    regions), bank))
     return out
 
 
@@ -251,24 +260,18 @@ def block_sum_matrix(cuboids, bank: ModelBank):
         raise InvalidInput("block sums need a class-keyed bank")
     if any(c.class_label is None for c in cuboids):
         raise InvalidInput("block sums need class-labeled cuboids")
-    blocks, _ = _bank_blocks(bank)
+    labels = np.array([c.class_label for c in cuboids])
+    for ci in classes:
+        if not (labels == ci).any():
+            raise InvalidInput(f"no cuboids for class {ci}")
+    region_labels = [c.region_label for c in cuboids]
+    regions = None if None in region_labels else np.array(region_labels)
+    values = bank_squared_derivatives(
+        np.stack([c.data for c in cuboids]), bank, regions)
+    columns = class_columns(bank)
     matrix = np.zeros((len(classes), len(classes)))
     for i, ci in enumerate(classes):
-        own = [c for c in cuboids if c.class_label == ci]
-        if not own:
-            raise InvalidInput(f"no cuboids for class {ci}")
+        own = values[labels == ci]
         for j, cj in enumerate(classes):
-            total = 0.0
-            for offset, model in blocks:
-                if model.class_label != cj:
-                    continue
-                if bank.strategy == "sdsfa":
-                    group = [c for c in own
-                             if c.region_label == model.region_label]
-                    if not group:
-                        continue
-                    total += float(_batch_squared_derivatives(group, model).sum())
-                else:
-                    total += float(_batch_squared_derivatives(own, model).sum())
-            matrix[i, j] = total / len(own)
+            matrix[i, j] = float(own[:, columns[cj]].sum()) / len(own)
     return matrix, classes

@@ -29,6 +29,7 @@ most negative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
     InsufficientClassData,
     InsufficientRank,
     InvalidDimension,
+    InvalidInput,
     TooShort,
 )
 
@@ -111,6 +113,12 @@ class SlowFeatureModel:
     region_label: int | None = None
     gamma: float | None = None
 
+    def __post_init__(self):
+        arrays = (self.pca.mean, self.pca.projection, self.h0, self.w,
+                  self.eigenvalues)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise InvalidInput("model parameters must be finite")
+
     @property
     def k(self) -> int:
         return self.w.shape[1]
@@ -140,6 +148,52 @@ def delta_value(y) -> float:
         raise TooShort("delta_value needs at least 2 samples")
     d = np.diff(y)
     return float(np.mean(d * d))
+
+
+@dataclass(frozen=True)
+class ModelGroup:
+    """Models of a bank that share one PCA and one expansion.
+
+    ``w`` stacks the members' readouts column by column and ``columns``
+    gives the bank feature column of each of its columns.
+    """
+
+    pca: linalg.PcaModel
+    expansion: ExpansionSpec
+    w: np.ndarray
+    columns: np.ndarray
+
+
+def _same_input_map(a: SlowFeatureModel, b: SlowFeatureModel) -> bool:
+    return a.expansion == b.expansion and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.pca.mean, b.pca.mean),
+                     (a.pca.projection, b.pca.projection)))
+
+
+def group_models(models) -> tuple[ModelGroup, ...]:
+    """Group models by bit-equal PCA and expansion, in first-seen order.
+
+    Every fitting strategy fits one PCA for the whole bank, so a fitted
+    bank is a single group; hand-built banks may carry one PCA per
+    model.  Feature columns follow model order, each model's ``k``
+    outputs in turn.
+    """
+    members: list[list] = []
+    offset = 0
+    for m in models:
+        columns = np.arange(offset, offset + m.k)
+        offset += m.k
+        for group in members:
+            if _same_input_map(group[0], m):
+                group[1].append(m.w)
+                group[2].append(columns)
+                break
+        else:
+            members.append([m, [m.w], [columns]])
+    return tuple(ModelGroup(first.pca, first.expansion, np.hstack(ws),
+                            np.concatenate(columns))
+                 for first, ws, columns in members)
 
 
 @dataclass(frozen=True)
@@ -191,6 +245,11 @@ class ModelBank:
     @property
     def k_total(self) -> int:
         return sum(m.k for m in self.models)
+
+    @functools.cached_property
+    def groups(self) -> tuple[ModelGroup, ...]:
+        """``group_models`` of this bank, computed once."""
+        return group_models(self.models)
 
     @property
     def class_labels(self) -> tuple[int, ...]:

@@ -3,13 +3,17 @@
 Everything here is deliberately written the slow, obvious way and kept
 separate from the package code paths: the Jacobi eigensolver below never
 calls LAPACK, the covariance oracle uses explicit Python loops, and the
-Sobel oracle walks pixels one by one.  Tests compare package output
-against these.
+Sobel oracle walks pixels one by one.  The per-model feature oracle is
+the evaluation the package used before banks were evaluated in one
+pass: every model reformats, projects and expands the cuboids itself.
+Tests compare package output against these.
 """
 
 import math
 
 import numpy as np
+
+from slowfeat import cuboid, sfa
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -128,3 +132,70 @@ def loop_quadratic_expand(x):
         for j in range(i, len(x)):
             out.append(x[i] * x[j])
     return np.array(out)
+
+
+def loop_snippet_cuboids(frames, mask, start, fraction, size, rng_seed):
+    """Cuboid objects for one snippet, picked and cut one at a time."""
+    h, w, d = size
+    frames = np.asarray(frames, dtype=float)
+    height, width = frames.shape[1], frames.shape[2]
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
+        return []
+    rng = np.random.default_rng(rng_seed)
+    count = math.ceil(fraction * ys.size)
+    picks = rng.choice(ys.size, size=count, replace=False)
+    out = []
+    for i in picks:
+        y, x = int(ys[i]), int(xs[i])
+        y0, x0 = y - h // 2, x - w // 2
+        if y0 < 0 or x0 < 0 or y0 + h > height or x0 + w > width:
+            continue
+        out.append(cuboid.Cuboid(
+            x=x, y=y, t=start,
+            data=frames[start:start + d, y0:y0 + h, x0:x0 + w].copy()))
+    return out
+
+
+def _model_squared_derivatives(cuboids, model):
+    """One model's mean squared output differences on same-shaped cuboids."""
+    delta_t = model.input_dim // (cuboids[0].h * cuboids[0].w)
+    stacked = np.stack([cuboid.reformat(c, delta_t) for c in cuboids])
+    n, length, dim = stacked.shape
+    y = sfa.apply(model, stacked.reshape(n * length, dim))
+    dy = np.diff(y.reshape(n, length, -1), axis=1)
+    dy[(stacked[:, 1:] == stacked[:, :-1]).all(axis=2)] = 0.0
+    return (dy * dy).mean(axis=1)
+
+
+def per_model_squared_derivatives(cuboids, bank):
+    """(n, k_total) squared derivatives, one model at a time.
+
+    Rows follow the input order.  For an sdsfa bank a cuboid is scored
+    only by the models of its own region; other columns stay zero.
+    """
+    out = np.zeros((len(cuboids), bank.k_total))
+    offset = 0
+    for model in bank.models:
+        idx = [i for i, c in enumerate(cuboids)
+               if bank.strategy != "sdsfa"
+               or c.region_label == model.region_label]
+        if idx:
+            out[idx, offset:offset + model.k] = _model_squared_derivatives(
+                [cuboids[i] for i in idx], model)
+        offset += model.k
+    return out
+
+
+def per_model_asd(cuboids, bank):
+    """ASD values of a snippet as (values, normalized), per model.
+
+    Cuboids are summed in (t, y, x) order; a zero sum stays
+    unnormalized.
+    """
+    ordered = sorted(cuboids, key=lambda c: (c.t, c.y, c.x))
+    values = per_model_squared_derivatives(ordered, bank).sum(axis=0)
+    total = float(values.sum())
+    if total > 0.0:
+        return values / total, True
+    return values, False

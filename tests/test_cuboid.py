@@ -92,6 +92,35 @@ def test_sobel_matches_loop_oracle(seed, h, w):
                        oracles.loop_sobel_magnitude(frame), atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(SEED, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=8))
+def test_sobel_stack_bit_equals_per_frame_calls(seed, t, h, w):
+    frames = np.random.default_rng(seed).normal(size=(t, h, w))
+    stacked = cuboid.gradient_magnitude(frames)
+    per_frame = np.stack([cuboid.gradient_magnitude(f) for f in frames])
+    assert stacked.tobytes() == per_frame.tobytes()
+    # math.hypot and numpy's hypot may round the last bit differently
+    loops = np.stack([oracles.loop_sobel_magnitude(f) for f in frames])
+    assert np.allclose(stacked, loops, atol=1e-12)
+
+
+def test_motion_masks_match_per_frame_boundaries():
+    rng = np.random.default_rng(5)
+    frames = rng.normal(size=(5, 12, 14))
+    boxes = np.array([[1, 2, 9, 8]] * 5)
+    seq = cuboid.FrameSequence(frames, boxes)
+    delta = cuboid.default_delta(seq)
+    for use_boxes in (True, False):
+        masks = cuboid.motion_masks(seq, use_boxes=use_boxes)
+        for t, m in enumerate(masks):
+            one = cuboid.motion_boundary(
+                frames[t], delta, boxes[t] if use_boxes else None)
+            assert m.delta == one.delta
+            assert np.array_equal(m.mask, one.mask)
+
+
 def test_motion_boundary_thresholding():
     mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0).mask
     expected = np.zeros((5, 5), bool)

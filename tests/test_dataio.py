@@ -276,6 +276,34 @@ def test_bank_unknown_strategy_tag(tmp_path):
         dataio.load_bank(path)
 
 
+def test_sdsfa_bank_with_empty_grid_is_a_format_error(tmp_path):
+    _, bank = region_fitted_banks()
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = struct.pack("<I", 0)  # grid (0, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        dataio.load_bank(path)
+
+
+def test_bank_with_nan_readout_is_a_format_error(tmp_path):
+    bank = fitted_bank("usfa")
+    m = bank.models[0]
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    raw = bytearray(path.read_bytes())
+    # header, then label, gamma, four dims, pca mean/projection/
+    # eigenvalues and h0 come before w
+    floats = (m.pca.in_dim + m.pca.projection.size
+              + m.pca.out_dim + m.h0.size)
+    offset = 24 + 8 + 8 + 16 + 8 * floats
+    raw[offset:offset + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        dataio.load_bank(path)
+
+
 # ---------------------------------------------------------------------------
 # feature files
 
@@ -316,6 +344,19 @@ def test_features_corrupt(tmp_path):
     bad.write_bytes(b"ZZZZ" + raw[4:])
     with pytest.raises(FormatError):
         dataio.load_features(bad)
+
+
+def test_features_non_utf8_sequence_id_is_a_format_error(tmp_path):
+    path = tmp_path / "f.sfaf"
+    dataio.save_features(
+        path, "x", [ASDFeature(np.ones(3), ("x", 0), True)], label=1)
+    raw = bytearray(path.read_bytes())
+    # magic, version, width, label, id length, then the id itself
+    assert raw[24:25] == b"x"
+    raw[24:25] = b"\xff"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        dataio.load_features(path)
 
 
 def test_features_mixed_widths_rejected(tmp_path):

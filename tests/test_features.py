@@ -91,7 +91,15 @@ def test_squared_derivative_wrong_patch_size():
 
 
 def snippet_of(cuboids, start=0):
-    return features.Snippet("seq", start, tuple(cuboids))
+    """A snippet of ``Cuboid`` objects; regions only when all are labeled."""
+    if not cuboids:
+        return features.Snippet("seq", start, np.zeros((0, 0, 0, 0)),
+                                np.zeros((0, 2), dtype=int))
+    labels = [c.region_label for c in cuboids]
+    return features.Snippet(
+        "seq", start, np.stack([c.data for c in cuboids]),
+        np.array([(c.y, c.x) for c in cuboids]),
+        None if None in labels else np.array(labels))
 
 
 def test_asd_l1_normalized_and_sized():
@@ -216,6 +224,101 @@ def test_sdsfa_requires_region_labels():
                  for c in cs[:3]]
     with pytest.raises(InvalidInput):
         features.asd_feature(snippet_of(unlabeled), bank)
+
+
+# ---------------------------------------------------------------------------
+# one-pass bank evaluation against the per-model oracle
+
+ORACLE_TOL = 1e-12
+
+
+def bank_and_cuboids(strategy):
+    """A bank fitted on the toy fixtures (4x4 patches, window 3)."""
+    if strategy == "sdsfa":
+        cs = region_cuboids(seed=12)
+        return fit_bank(cs, "sdsfa", grid=(2, 1), k=2), cs
+    cs = toy_cuboids(seed=12)
+    return fit_bank(cs, strategy, k=2), cs
+
+
+def regions_of(cuboids, bank):
+    if bank.strategy != "sdsfa":
+        return None
+    return np.array([c.region_label for c in cuboids])
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_bank_evaluation_matches_per_model_oracle(strategy):
+    bank, cs = bank_and_cuboids(strategy)
+    mixed = cs[::3]  # every class (and region) of the fixture
+    got = features.bank_squared_derivatives(
+        np.stack([c.data for c in mixed]), bank, regions_of(mixed, bank))
+    expected = oracles.per_model_squared_derivatives(mixed, bank)
+    # raw squared derivatives scale with the data (class models reach
+    # 1e5 on other-class cuboids), so the bound is relative above 1
+    assert (np.abs(got - expected)
+            <= ORACLE_TOL * np.maximum(1.0, np.abs(expected))).all()
+
+    f = features.asd_feature(snippet_of(mixed), bank)
+    values, normalized = oracles.per_model_asd(mixed, bank)
+    assert f.normalized == normalized
+    assert np.abs(f.values - values).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_bit_equal_frames_contribute_exactly_zero(strategy):
+    bank, _ = bank_and_cuboids(strategy)
+    pattern = np.random.default_rng(13).normal(size=(4, 4))
+    still = cuboid.Cuboid(x=2, y=2, t=0, data=np.tile(pattern, (7, 1, 1)),
+                          region_label=1 if strategy == "sdsfa" else None)
+    values = features.bank_squared_derivatives(
+        still.data[None], bank, regions_of([still], bank))
+    assert (values == 0.0).all()
+    f = features.asd_feature(snippet_of([still]), bank)
+    assert not f.normalized
+    assert (f.values == 0.0).all()
+
+
+def test_sdsfa_cuboid_scores_exactly_zero_outside_own_region():
+    bank, cs = bank_and_cuboids("sdsfa")
+    mixed = cs[::7]
+    assert {c.region_label for c in mixed} == {0, 1}
+    values = features.bank_squared_derivatives(
+        np.stack([c.data for c in mixed]), bank, regions_of(mixed, bank))
+    block = bank.k_total // 2  # 2 regions x (2 classes x k=2)
+    for row, c in zip(values, mixed):
+        own = np.arange(block * c.region_label, block * (c.region_label + 1))
+        assert (np.delete(row, own) == 0.0).all()
+        assert (row[own] > 0.0).all()
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_featurize_matches_per_model_oracle(strategy):
+    bank, _ = bank_and_cuboids(strategy)
+    diff_seq = diff_of(moving_square_sequence())
+    size = (4, 4, 6)
+    out = features.featurize_sequence(diff_seq, bank, size, fraction=0.5,
+                                      seed=3)
+    delta = cuboid.default_delta(diff_seq)
+    compared = 0
+    for f in out:
+        start = f.snippet_span[1]
+        mask = cuboid.motion_boundary(diff_seq.frames[start], delta,
+                                      diff_seq.boxes[start]).mask
+        cs = oracles.loop_snippet_cuboids(
+            diff_seq.frames, mask, start, 0.5, size,
+            np.random.SeedSequence([3, start]))
+        if not cs:  # the square rests on every other frame
+            assert not f.normalized
+            assert (f.values == 0.0).all()
+            continue
+        if strategy == "sdsfa":
+            cs = cuboid.with_region_labels(cs, diff_seq.boxes, bank.grid)
+        values, normalized = oracles.per_model_asd(cs, bank)
+        assert f.normalized == normalized
+        assert np.abs(f.values - values).max() <= ORACLE_TOL
+        compared += 1
+    assert compared >= 2
 
 
 # ---------------------------------------------------------------------------

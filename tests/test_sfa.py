@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from slowfeat.errors import (
     InsufficientClassData,
     InsufficientRank,
     InvalidDimension,
+    InvalidInput,
     TooShort,
 )
 
@@ -390,6 +393,38 @@ def dummy_model(k, class_label=None, region_label=None, strategy="ssfa"):
         w=np.zeros((spec.output_dim, k)), eigenvalues=np.zeros(k),
         strategy=strategy, class_label=class_label,
         region_label=region_label)
+
+
+def test_model_rejects_non_finite_parameters():
+    model = dummy_model(2)
+    w = model.w.copy()
+    w[1, 0] = np.nan
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(model, w=w)
+    for name in ("h0", "eigenvalues"):
+        bad = getattr(model, name).copy()
+        bad[0] = np.inf
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(model, **{name: bad})
+    for name in ("mean", "projection"):
+        bad = getattr(model.pca, name).copy()
+        bad.flat[0] = -np.inf
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(
+                model, pca=dataclasses.replace(model.pca, **{name: bad}))
+
+
+def test_bank_groups_share_one_input_map():
+    # hand-built models with bit-equal but separate PCA arrays form one
+    # group; a model with its own PCA forms another
+    models = [dummy_model(2, class_label=c) for c in range(3)]
+    shifted = dataclasses.replace(
+        models[1].pca, mean=models[1].pca.mean + 1.0)
+    models[1] = dataclasses.replace(models[1], pca=shifted)
+    groups = sfa.ModelBank("ssfa", tuple(models)).groups
+    assert [g.columns.tolist() for g in groups] == [[0, 1, 4, 5], [2, 3]]
+    assert np.array_equal(groups[0].w,
+                          np.hstack([models[0].w, models[2].w]))
 
 
 def test_bank_k_total_six_classes():
