@@ -1,9 +1,12 @@
 """Linear multiclass classification and evaluation metrics.
 
 The classifier is a one-vs-rest hinge-loss linear model trained by
-seeded stochastic subgradient descent (Pegasos-style step sizes) with
-averaged iterates, which keeps training fully deterministic and
-self-contained.  Evaluation helpers cover majority voting over
+averaged Pegasos (Shalev-Shwartz, Singer, Srebro, ICML 2007): seeded
+stochastic subgradient steps with step size 1/(reg t), the returned
+model being the mean of all iterates, which keeps training fully
+deterministic and self-contained.  ``train_linear`` states the exact
+update and how it is computed in blocks of steps with a few matrix
+products each.  Evaluation helpers cover majority voting over
 per-snippet labels, frame accuracy, confusion matrices, selectivity
 ratios of per-class feature blocks, and Fisher scores.
 """
@@ -26,6 +29,9 @@ from .errors import (
 DEFAULT_REG = 1.0
 DEFAULT_EPOCHS = 50
 _FISHER_EPS = 1e-12
+# Pegasos steps per block: a block costs a few matrix products, a step
+# one vector-matrix product over the block and a threshold
+_BLOCK = 24
 
 
 @dataclass(frozen=True)
@@ -76,41 +82,87 @@ def _check_training_data(features, labels):
 
 def train_linear(features, labels, reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS,
                  seed=0):
-    """Fit a one-vs-rest hinge-loss classifier by averaged SGD.
+    """Fit a one-vs-rest hinge-loss classifier by averaged Pegasos.
 
-    Each sample visit makes one Pegasos step with learning rate
-    1/(reg * t) for every class simultaneously; the returned model is
-    the average of all iterates, which smooths out the SGD noise.
-    Bit-deterministic given seed.
+    Every epoch visits the n samples in a fresh seeded permutation.
+    Visit t = 1..T (T = epochs * n) of a sample x, whose sign vector s
+    is +1 for its class and -1 for every other, makes one step for all
+    C classes at once, with indicator a_c = [s_c (w_c . x + b_c) < 1]
+    taken against the previous iterate:
+
+        w_c <- (1 - 1/t) w_c + a_c s_c x / (reg t)
+        b_c <- b_c + a_c s_c / (reg t)
+
+    from w = b = 0, so step 1 violates every class.  The bias is not
+    shrunk.  The returned model is the mean of all T iterates (w, b).
+
+    The steps are not made one at a time.  The rescaled iterate
+    v_t = t w_t obeys v_t = v_{t-1} + a s x / reg with no shrink, and
+    step t's test reads s (v_{t-1} . x + (t-1) b_{t-1}) < t - 1 (< 1 at
+    t = 1).  Steps go in blocks of ``_BLOCK``: one matrix product gives
+    every block step's margin against the state at block start, one the
+    block's Gram matrix, through which the steps made earlier in the
+    block enter; each step is then one small vector-matrix product and
+    a threshold that records g = a s, and one product per block adds
+    the recorded steps to the state.  The means follow from the
+    recorded steps: step k adds g_k x_k / reg to every later v_t, so
+    sum_t w_t = sum_k g_k x_k / reg * sum_{t=k..T} 1/t and
+    sum_t b_t = sum_k g_k (T - k + 1) / (reg k).  Results match the
+    step-by-step form up to rounding (about 1e-14 relative on benchmark
+    inputs).  Working memory beyond the features is O(``_BLOCK`` * D)
+    plus a few vectors of length T.  Bit-deterministic given seed.
     """
     x, y, classes = _check_training_data(features, labels)
-    if reg <= 0:
-        raise InvalidInput("reg must be positive")
+    if not (np.isfinite(reg) and reg > 0):
+        raise InvalidInput("reg must be positive and finite")
     if epochs < 1:
         raise InvalidInput("epochs must be >= 1")
     n, dim = x.shape
     c = classes.size
     signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)
+    total = n * epochs
+    # sum_{t=k..T} 1/t for every step k, added from the small end
+    tails = np.cumsum(1.0 / np.arange(total, 0.0, -1.0))[::-1]
 
     rng = np.random.default_rng(seed)
-    w = np.zeros((c, dim))
-    b = np.zeros(c)
-    w_sum = np.zeros_like(w)
-    b_sum = np.zeros_like(b)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (reg * t)
-            xi = x[i]
-            viol = signs[i] * (w @ xi + b) < 1.0
-            w *= 1.0 - eta * reg
-            if viol.any():
-                w[viol] += (eta * signs[i, viol])[:, None] * xi
-                b[viol] += eta * signs[i, viol]
-            w_sum += w
-            b_sum += b
-    return LinearClassifier(w_sum / t, b_sum / t, tuple(classes.tolist()))
+    # state, sums and limits all carry a factor reg, which cancels
+    state = np.zeros((c, dim + 1))    # reg * [v | b]
+    w_sum = np.zeros((c, dim + 1))    # reg * sum_t w_t, first dim columns
+    b_sum = np.zeros(c)               # reg * sum_t b_t
+    for epoch in range(epochs):
+        t = np.arange(epoch * n + 1.0, (epoch + 1) * n + 1.0)
+        limits = (reg * np.maximum(t - 1.0, 1.0)).tolist()
+        bias_weights = (total + 1.0 - t) / t
+        epoch_tails = tails[epoch * n:(epoch + 1) * n]
+        order = rng.permutation(n)
+        for lo in range(0, n, _BLOCK):
+            rows = order[lo:lo + _BLOCK]
+            m = rows.size
+            steps = slice(lo, lo + m)
+            probe = np.empty((m, dim + 1))          # [x | t - 1]
+            probe[:, :dim] = x[rows]
+            probe[:, dim] = t[steps] - 1.0
+            update = probe.copy()                   # [x | 1 / t]
+            update[:, dim] = 1.0 / t[steps]
+            # row j of mixed @ z is step j's margin: the Gram row
+            # picks up the block's earlier steps, which z holds in its
+            # first m rows, and the identity its margin at block start
+            mixed = np.empty((m, 2 * m))
+            np.matmul(probe, update.T, out=mixed[:, :m])
+            mixed[:, m:] = np.eye(m)
+            z = np.empty((2 * m, c))
+            z[:m] = 0.0
+            np.matmul(probe, state.T, out=z[m:])
+            g = z[:m]
+            for row, s, limit, gj in zip(mixed, signs[rows], limits[steps],
+                                         g):
+                np.multiply(s, s * (row @ z) < limit, out=gj)
+            state += g.T @ update
+            w_sum += (g * epoch_tails[steps, None]).T @ update
+            b_sum += g.T @ bias_weights[steps]
+    scale = reg * total
+    return LinearClassifier(w_sum[:, :dim] / scale, b_sum / scale,
+                            tuple(classes.tolist()))
 
 
 def hinge_objective(clf: LinearClassifier, features, labels,

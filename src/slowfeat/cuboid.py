@@ -241,8 +241,6 @@ def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
     lies inside the sequence.  ``masks[t]`` gates start frame t.  With
     ``max_count`` set, the pooled list is cut down by a seeded shuffle.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidInput(f"fraction must be in (0, 1], got {fraction}")
     h, w, d = (int(v) for v in size)
     if h < 1 or w < 1 or d < 1:
         raise InvalidDimension(f"bad cuboid size {size}")
@@ -278,8 +276,11 @@ def pick_positions(mask, fraction: float, patch, rng):
     Picks ``ceil(fraction * count)`` of the mask's pixels uniformly
     without replacement (no draw when the mask is empty) and keeps those
     whose ``patch = (h, w)`` footprint lies inside the frame.  Returns
-    the kept rows ``ys`` and columns ``xs`` in pick order.
+    the kept rows ``ys`` and columns ``xs`` in pick order.  Every
+    sampler calls this, so it alone rejects a fraction outside (0, 1].
     """
+    if not 0.0 < fraction <= 1.0:
+        raise InvalidInput(f"fraction must be in (0, 1], got {fraction}")
     h, w = patch
     ys, xs = np.nonzero(mask)
     if ys.size == 0:

@@ -6,6 +6,9 @@ calls LAPACK, the covariance oracle uses explicit Python loops, and the
 Sobel oracle walks pixels one by one.  The per-model feature oracle is
 the evaluation the package used before banks were evaluated in one
 pass: every model reformats, projects and expands the cuboids itself.
+The Pegasos oracle is the classifier loop the package used before steps
+were taken in blocks: one shrink and one update of the (C, D) iterate
+per step, and the iterate added to a running sum at every step.
 Tests compare package output against these.
 """
 
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from slowfeat import cuboid, sfa
+from slowfeat import classify, cuboid, sfa
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -199,3 +202,34 @@ def per_model_asd(cuboids, bank):
     if total > 0.0:
         return values / total, True
     return values, False
+
+
+def per_step_pegasos(features, labels, reg, epochs, seed):
+    """Averaged one-vs-rest Pegasos, one step at a time."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    n, dim = x.shape
+    c = classes.size
+    signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)
+
+    rng = np.random.default_rng(seed)
+    w = np.zeros((c, dim))
+    b = np.zeros(c)
+    w_sum = np.zeros_like(w)
+    b_sum = np.zeros_like(b)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (reg * t)
+            xi = x[i]
+            viol = signs[i] * (w @ xi + b) < 1.0
+            w *= 1.0 - eta * reg
+            if viol.any():
+                w[viol] += (eta * signs[i, viol])[:, None] * xi
+                b[viol] += eta * signs[i, viol]
+            w_sum += w
+            b_sum += b
+    return classify.LinearClassifier(w_sum / t, b_sum / t,
+                                     tuple(classes.tolist()))

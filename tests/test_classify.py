@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from slowfeat.errors import (
     SingleClass,
 )
 
+import oracles
+
 
 def separable_clouds():
     # hand-placed clusters, margin well over 1 after training
@@ -21,6 +25,18 @@ def separable_clouds():
     x = np.vstack([x0, x1])
     y = np.array([0] * 4 + [1] * 4)
     return x, y
+
+
+def four_class_grid():
+    rng = np.random.default_rng(1)
+    centers = np.array([[-6, -6], [-6, 6], [6, -6], [6, 6]], dtype=float)
+    x = np.vstack([c + 0.5 * rng.normal(size=(20, 2)) for c in centers])
+    return x, np.repeat(np.arange(4), 20)
+
+
+def random_three_class():
+    rng = np.random.default_rng(3)
+    return rng.normal(size=(60, 5)), rng.integers(0, 3, size=60)
 
 
 def zero_classifier(dim=3, classes=(0, 1, 2)):
@@ -39,10 +55,7 @@ def test_separable_clouds_train_to_perfection():
 
 
 def test_four_class_grid_trains_to_perfection():
-    rng = np.random.default_rng(1)
-    centers = np.array([[-6, -6], [-6, 6], [6, -6], [6, 6]], dtype=float)
-    x = np.vstack([c + 0.5 * rng.normal(size=(20, 2)) for c in centers])
-    y = np.repeat(np.arange(4), 20)
+    x, y = four_class_grid()
     clf = classify.train_linear(x, y, seed=2)
     assert (classify.predict_many(clf, x) == y).all()
 
@@ -57,9 +70,7 @@ def test_conflicting_labels_survive_training():
 
 
 def test_objective_decreases_over_early_epochs():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(60, 5))
-    y = rng.integers(0, 3, size=60)
+    x, y = random_three_class()
     objs = []
     for epochs in range(1, 11):
         clf = classify.train_linear(x, y, epochs=epochs, seed=7)
@@ -88,6 +99,97 @@ def test_training_input_errors():
         classify.train_linear(np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(InvalidInput):
         classify.train_linear(x, y, reg=0.0)
+    with pytest.raises(InvalidInput):
+        classify.train_linear(x, y, reg=-1.0)
+    with pytest.raises(InvalidInput):
+        classify.train_linear(x, y, reg=float("nan"))
+    with pytest.raises(InvalidInput):
+        classify.train_linear(x, y, epochs=0)
+
+
+def test_train_linear_keeps_its_parameter_names():
+    # the benchmark's step counter reads features and epochs by name
+    params = list(inspect.signature(classify.train_linear).parameters)
+    assert params == ["features", "labels", "reg", "epochs", "seed"]
+
+
+# ---------------------------------------------------------------------------
+# blocked training against the per-step oracle
+
+
+def assert_matches_per_step(x, y, reg=classify.DEFAULT_REG,
+                            epochs=classify.DEFAULT_EPOCHS, seed=0):
+    clf = classify.train_linear(x, y, reg=reg, epochs=epochs, seed=seed)
+    ref = oracles.per_step_pegasos(x, y, reg, epochs, seed)
+    assert clf.class_labels == ref.class_labels
+    # relative to the largest weight; when every weight is zero (all
+    # rows zero) the weights must match exactly and the biases are
+    # measured against the largest bias
+    scale = np.abs(ref.weights).max()
+    assert np.abs(clf.weights - ref.weights).max() <= 1e-10 * scale
+    scale = scale or np.abs(ref.biases).max()
+    assert np.abs(clf.biases - ref.biases).max() <= 1e-10 * scale
+
+
+def l1_normalized(n, dim, classes, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=(n, dim))
+    return x / x.sum(axis=1, keepdims=True), rng.integers(0, classes, n)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6])
+def test_blocked_matches_per_step_on_separable_clouds(seed):
+    assert_matches_per_step(*separable_clouds(), seed=seed)
+
+
+def test_blocked_matches_per_step_on_four_class_grid():
+    assert_matches_per_step(*four_class_grid(), seed=2)
+
+
+@pytest.mark.parametrize("epochs", range(1, 11))
+def test_blocked_matches_per_step_on_random_data(epochs):
+    assert_matches_per_step(*random_three_class(), epochs=epochs, seed=7)
+
+
+def test_blocked_matches_per_step_on_conflicting_labels():
+    x, y = separable_clouds()
+    x = np.vstack([x, x[0], x[0]])
+    y = np.concatenate([y, [0, 1]])
+    assert_matches_per_step(x, y, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_matches_per_step_on_l1_features(seed):
+    # the pipeline's setting: unit-L1 ASD features at reg 1e-3
+    x, y = l1_normalized(90, 12, 4, seed)
+    assert_matches_per_step(x, y, reg=1e-3, epochs=30, seed=seed)
+
+
+def test_blocked_matches_per_step_with_zero_rows():
+    x, y = l1_normalized(40, 6, 3, 8)
+    x[::3] = 0.0
+    assert_matches_per_step(x, y, reg=1e-3, epochs=20, seed=1)
+
+
+def test_all_zero_rows_train_bias_only():
+    x = np.zeros((30, 4))
+    y = np.arange(30) % 3
+    clf = classify.train_linear(x, y, epochs=5, seed=2)
+    assert not clf.weights.any()
+    assert_matches_per_step(x, y, epochs=5, seed=2)
+
+
+@pytest.mark.parametrize("n", [3, classify._BLOCK - 1, classify._BLOCK,
+                               2 * classify._BLOCK + 5])
+def test_blocked_matches_per_step_around_block_size(n):
+    x, y = l1_normalized(n, 7, 3, n)
+    y[:3] = [0, 1, 2]
+    assert_matches_per_step(x, y, reg=1e-2, epochs=9, seed=n)
+
+
+def test_blocked_matches_per_step_in_one_epoch():
+    x, y = l1_normalized(200, 10, 4, 11)
+    assert_matches_per_step(x, y, reg=1e-3, epochs=1, seed=3)
 
 
 # ---------------------------------------------------------------------------

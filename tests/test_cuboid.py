@@ -239,6 +239,15 @@ def test_sample_rejects_bad_fraction():
         cuboid.sample_cuboids(seq, masks, 0.0, (3, 3, 1), rng_seed=0)
 
 
+@pytest.mark.parametrize("fraction", [1.5, 0.0, -1.0, float("nan")])
+def test_pick_positions_rejects_bad_fraction(fraction):
+    rng = np.random.default_rng(0)
+    _, masks = interior_mask_sequence()
+    for mask in (masks[0].mask, np.zeros((20, 20), bool)):
+        with pytest.raises(InvalidInput):
+            cuboid.pick_positions(mask, fraction, (3, 3), rng)
+
+
 # ---------------------------------------------------------------------------
 # reformat
 

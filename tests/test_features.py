@@ -413,6 +413,15 @@ def test_featurize_deterministic():
     assert all(x.values.tobytes() == y.values.tobytes() for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("fraction", [1.5, 0.0, -0.25, float("nan")])
+def test_featurize_rejects_bad_fraction(fraction):
+    diff_seq = diff_of(moving_square_sequence())
+    bank = featurize_bank(diff_seq)
+    with pytest.raises(InvalidInput):
+        features.featurize_sequence(diff_seq, bank, (4, 4, 4), fraction,
+                                    seed=0)
+
+
 def test_featurize_too_short():
     diff_seq = diff_of(moving_square_sequence(frames=4))
     bank = featurize_bank(diff_of(moving_square_sequence()))
