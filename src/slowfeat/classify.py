@@ -177,23 +177,9 @@ def hinge_objective(clf: LinearClassifier, features, labels,
     return float((0.5 * reg * (clf.weights ** 2).sum(axis=1) + hinge).sum())
 
 
-def scores(clf: LinearClassifier, feature) -> np.ndarray:
-    """Per-class decision values for one feature vector."""
-    x = np.asarray(feature, dtype=float)
-    if x.shape != (clf.dim,):
-        raise InvalidDimension(
-            f"classifier expects dim {clf.dim}, got {x.shape}")
-    # per-row dots, not gemv: keeps single-feature scoring bit-equal to
-    # the plain dot-product definition
-    return np.array([np.dot(w, x) for w in clf.weights]) + clf.biases
-
-
-def predict(clf: LinearClassifier, feature):
-    """Label of the highest-scoring class; ties go to the lowest index."""
-    return clf.class_labels[int(np.argmax(scores(clf, feature)))]
-
-
 def predict_many(clf: LinearClassifier, features):
+    """Label of the highest-scoring class for each row of ``features``;
+    ties go to the lowest class index."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != clf.dim:
         raise InvalidDimension(

@@ -50,8 +50,7 @@ def save_manifest(path, entries):
 
 
 def load_manifest(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
+    raw = dataio.read_text(path)
     entries = []
     seen = set()
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -183,30 +182,39 @@ def _entry_index(entries):
 # training
 
 
-def _training_cuboids(config, entries, train):
+TrainingCuboids = namedtuple("TrainingCuboids", ["data", "labels", "regions"])
+
+
+def _training_cuboids(config, entries, train) -> TrainingCuboids:
+    """Sampled training cuboids as one (n, d, h, w) array, with each
+    cuboid's class and, for ``sdsfa``, its grid cell (else None)."""
     index = _entry_index(entries)
-    cuboids = []
+    blocks, labels, regions = [], [], []
     for entry in train:
         diff = _diff_sequence(_load_entry_sequence(config, entry))
         masks = cuboid.motion_masks(diff, config.delta)
-        sampled = cuboid.sample_cuboids(
+        ts, ys, xs = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
             rng_seed=_derive_seed(config.seed, _TAG_SAMPLE,
                                   index[entry.sequence_id]),
-            max_count=config.max_cuboids, class_label=entry.label)
+            max_count=config.max_cuboids).T
+        blocks.append(cuboid.crop_cuboids(diff.frames, ts, ys, xs,
+                                          config.cuboid_size))
+        labels.append(np.full(ts.size, entry.label))
         if config.strategy == "sdsfa":
-            sampled = cuboid.with_region_labels(sampled, diff.boxes,
-                                                config.grid)
-        cuboids.extend(sampled)
-    return cuboids
-
-
-def fit_bank_from_cuboids(config, cuboids) -> sfa.ModelBank:
-    if not cuboids:
+            regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
+                                               config.grid))
+    if not blocks:
         raise EmptyTrainingSet("no training cuboids")
-    minis = cuboid.window_rows(np.stack([c.data for c in cuboids]),
-                               config.delta_t)
-    labels = [c.class_label for c in cuboids]
+    return TrainingCuboids(np.concatenate(blocks), np.concatenate(labels),
+                           np.concatenate(regions) if regions else None)
+
+
+def fit_bank_from_cuboids(config, cuboids: TrainingCuboids) -> sfa.ModelBank:
+    if len(cuboids.data) == 0:
+        raise EmptyTrainingSet("no training cuboids")
+    minis = cuboid.window_rows(cuboids.data, config.delta_t)
+    labels = cuboids.labels
     if config.strategy == "usfa":
         return sfa.fit_usfa(minis, config.pca_dim, config.k_per_class)
     if config.strategy == "ssfa":
@@ -215,8 +223,7 @@ def fit_bank_from_cuboids(config, cuboids) -> sfa.ModelBank:
     if config.strategy == "dsfa":
         return sfa.fit_dsfa(minis, labels, config.pca_dim,
                             config.k_per_class, gamma=config.gamma)
-    regions = [c.region_label for c in cuboids]
-    return sfa.fit_sdsfa(minis, labels, regions, config.grid,
+    return sfa.fit_sdsfa(minis, labels, cuboids.regions, config.grid,
                          config.pca_dim, config.k_per_class,
                          gamma=config.gamma)
 
@@ -227,7 +234,7 @@ def cmd_train(config):
     cuboids = _training_cuboids(config, entries, train)
     bank = fit_bank_from_cuboids(config, cuboids)
     dataio.save_bank(config.model_path, bank)
-    print(f"fitted {config.strategy} bank on {len(cuboids)} cuboids "
+    print(f"fitted {config.strategy} bank on {len(cuboids.data)} cuboids "
           f"from {len(train)} sequences -> {config.model_path}")
     return bank
 
@@ -299,23 +306,6 @@ def cmd_fit_classifier(config):
 # evaluation
 
 
-def _selectivity_from_features(bank, matrix, labels):
-    """Per-class ASD block sums -> selectivity, None when inapplicable."""
-    if bank.strategy == "usfa":
-        return None
-    columns = features.class_columns(bank)
-    classes = sorted(columns)
-    if sorted(set(labels)) != classes:
-        return None
-    sums = np.array([[matrix[labels == i][:, columns[j]].sum()
-                      for j in classes] for i in classes])
-    try:
-        _, average = classify.selectivity_table(sums)
-    except SlowFeatError:
-        return None
-    return average
-
-
 def cmd_evaluate(config):
     entries = load_manifest(os.path.join(config.data_dir, MANIFEST_NAME))
     _, test = split_entries(entries, config)
@@ -347,7 +337,7 @@ def cmd_evaluate(config):
     seq_accuracy = confusion.accuracy
     frm_accuracy = classify.frame_accuracy(frame_pred, frame_true)
     _, fisher_mean = classify.fisher_score(matrix, labels_arr)
-    selectivity = _selectivity_from_features(bank, matrix, labels_arr)
+    selectivity = features.selectivity(bank, matrix, labels_arr)
 
     results = {
         "strategy": bank.strategy,

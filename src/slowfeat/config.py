@@ -1,7 +1,7 @@
 """Run configuration shared by the command-line pipeline.
 
 One flat dataclass holds every tunable of the pipeline.  Defaults are
-the reference operating point: 16x16x7 cuboids, reformat window 3,
+the reference operating point: 16x16x7 cuboids, a window of 3 frames,
 PCA to 50, 200 functions per class, gamma 0.2, a 2x3 region grid and a
 25% sampling fraction.  Desk-scale experiments override via config
 file or command-line flags.
@@ -18,7 +18,7 @@ from .sfa import STRATEGIES
 @dataclass(frozen=True)
 class RunConfig:
     strategy: str = "dsfa"
-    # cuboid geometry and reformat window
+    # cuboid geometry and the frame window (delta_t) of its rows
     cuboid_h: int = 16
     cuboid_w: int = 16
     cuboid_d: int = 7

@@ -4,8 +4,13 @@ The raw representation is a stack of grayscale frames.  A sequence is
 normalized to zero mean and unit variance over all pixels, turned into
 frame differences, and a 3x3 Sobel magnitude over each difference frame
 thresholded at ``delta`` marks motion boundary pixels.  Cuboids of size
-h x w x d are cut around sampled boundary pixels, then reformatted into
+h x w x d are cut around sampled boundary pixels, then read as
 short vector sequences by sliding a window of ``delta_t`` frames.
+
+There are no cuboid objects: the sampler returns the (n, 3) array of
+picked ``(t, y, x)`` origins, ``crop_cuboids`` cuts them into one
+(n, d, h, w) array, ``window_rows`` views that array as minisequences
+and ``region_label`` labels whole arrays of positions at once.
 
 Coordinates follow image convention: ``x`` is the column, ``y`` the
 row.  A cuboid's origin is its spatial center and first frame; its
@@ -16,7 +21,7 @@ spatial extent covers rows ``[y - h//2, y - h//2 + h)`` and columns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -193,81 +198,40 @@ def motion_masks(diff_seq: FrameSequence, delta: float | None = None,
             for t, m in enumerate(magnitude)]
 
 
-@dataclass(frozen=True)
-class Cuboid:
-    """A small space-time block cut around a motion boundary pixel.
-
-    ``data`` has shape (d, h, w), frame-major; ``(x, y)`` is the spatial
-    center and ``t`` the first frame index in the source sequence.
-    """
-
-    x: int
-    y: int
-    t: int
-    data: np.ndarray
-    class_label: int | None = None
-    region_label: int | None = None
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise InvalidDimension(
-                f"cuboid data must be (d, h, w), got {self.data.shape}")
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[2]
-
-
 def _mask_array(mask) -> np.ndarray:
     return mask.mask if isinstance(mask, MotionMask) else np.asarray(mask, bool)
 
 
 def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
-                   rng_seed: int, max_count: int | None = None,
-                   class_label: int | None = None) -> list[Cuboid]:
+                   rng_seed: int, max_count: int | None = None) -> np.ndarray:
     """Sample cuboids at motion boundary pixels, seeded and deterministic.
 
     For every start frame t over which a depth-d cuboid fits, pick
     ``ceil(fraction * count)`` of that frame's masked pixels uniformly
     without replacement, then keep the picks whose full h x w x d block
     lies inside the sequence.  ``masks[t]`` gates start frame t.  With
-    ``max_count`` set, the pooled list is cut down by a seeded shuffle.
+    ``max_count`` set, the pooled picks are cut down by a seeded
+    shuffle.  Returns the (n, 3) int array of ``(t, y, x)`` origins,
+    one row per cuboid, for ``crop_cuboids`` to cut.
     """
     h, w, d = (int(v) for v in size)
     if h < 1 or w < 1 or d < 1:
         raise InvalidDimension(f"bad cuboid size {size}")
-    frames = np.asarray(seq.frames, dtype=float)
+    shape = seq.frames.shape
     rng = np.random.default_rng(rng_seed)
-    ts, ys, xs = [], [], []
-    last_start = min(len(masks), frames.shape[0] - d + 1)
+    picks = [np.zeros((0, 3), dtype=np.intp)]
+    last_start = min(len(masks), shape[0] - d + 1)
     for t in range(max(last_start, 0)):
         mask = _mask_array(masks[t])
-        if mask.shape != frames.shape[1:]:
+        if mask.shape != shape[1:]:
             raise InvalidDimension(
-                f"mask {t} has shape {mask.shape}, frames are "
-                f"{frames.shape[1:]}")
+                f"mask {t} has shape {mask.shape}, frames are {shape[1:]}")
         y, x = pick_positions(mask, fraction, (h, w), rng)
-        ts.append(np.full(y.size, t))
-        ys.append(y)
-        xs.append(x)
-    if not ts:
-        return []
-    ts, ys, xs = np.concatenate(ts), np.concatenate(ys), np.concatenate(xs)
-    if max_count is not None and ts.size > max_count:
-        order = rng.permutation(ts.size)[:max_count]
-        ts, ys, xs = ts[order], ys[order], xs[order]
-    block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
-    return [Cuboid(x=int(x), y=int(y), t=int(t), data=data,
-                   class_label=class_label)
-            for t, y, x, data in zip(ts, ys, xs, block)]
+        picks.append(np.column_stack([np.full(y.size, t), y, x]))
+    picks = np.concatenate(picks)
+    if max_count is not None and len(picks) > max_count:
+        picks = picks[rng.permutation(len(picks))[:max_count]]
+    return picks
 
 
 def pick_positions(mask, fraction: float, patch, rng):
@@ -309,12 +273,14 @@ def crop_cuboids(frames: np.ndarray, ts, ys, xs, size) -> np.ndarray:
 
 
 def window_rows(block: np.ndarray, delta_t: int) -> np.ndarray:
-    """``reformat`` of every cuboid of an (n, d, h, w) block at once.
+    """Slide a window of ``delta_t`` frames over every cuboid of a block.
 
-    Returns ``(n, d - delta_t + 1, h * w * delta_t)``.  Row t of a
-    cuboid is its patches t .. t + delta_t - 1, which lie next to each
-    other in memory, so for a C-contiguous block the result is a
-    read-only view that copies nothing.
+    Takes an (n, d, h, w) block and returns ``(n, d - delta_t + 1,
+    h * w * delta_t)``: row t of a cuboid is the concatenation of its
+    patches t .. t + delta_t - 1, each flattened row-major, so with
+    ``delta_t == d`` the single row is the cuboid data.  Those patches
+    lie next to each other in memory, so for a C-contiguous block the
+    result is a read-only view that copies nothing.
     """
     n, d = block.shape[:2]
     if not 1 <= delta_t <= d:
@@ -324,44 +290,28 @@ def window_rows(block: np.ndarray, delta_t: int) -> np.ndarray:
     return windows.swapaxes(2, 3).reshape(n, d - delta_t + 1, -1)
 
 
-def reformat(c: Cuboid, delta_t: int) -> np.ndarray:
-    """Slide a window of ``delta_t`` frames over a cuboid.
-
-    Returns a ``(d - delta_t + 1, h * w * delta_t)`` array; row t is the
-    concatenation of patches t .. t + delta_t - 1, each flattened
-    row-major.  With ``delta_t == d`` the single row reproduces the
-    cuboid data exactly.
-    """
-    return window_rows(c.data[None], delta_t)[0]
-
-
-def region_label(pos, bbox, grid) -> int:
+def region_label(pos, bbox, grid):
     """Grid cell index of a position inside a bounding box.
 
     The box splits into ``grid = (n_x, n_y)`` cells; the cell column is
     ``floor((x - bx) * n_x / bw)`` clamped to the last column (same for
     rows), and the index is ``row * n_x + column``.  The x-mirror of a
     position maps to the x-mirrored cell whenever ``n_x`` divides the
-    box width.
+    box width.  ``pos = (x, y)`` and the box fields may be scalars,
+    giving an int, or arrays, giving an array of broadcast shape.
     """
-    x, y = pos
-    bx, by, bw, bh = bbox
+    x, y = (np.asarray(v) for v in pos)
+    bx, by, bw, bh = (np.asarray(v) for v in bbox)
     nx, ny = grid
-    if not (bx <= x < bx + bw and by <= y < by + bh):
+    outside = ~((bx <= x) & (x < bx + bw) & (by <= y) & (y < by + bh))
+    if outside.any():
+        i = np.unravel_index(np.argmax(outside), outside.shape)
+        x, y, bx, by, bw, bh = (np.broadcast_to(v, outside.shape)[i]
+                                for v in (x, y, bx, by, bw, bh))
         raise OutsideBoundingBox(
-            f"position {(x, y)} outside box {(bx, by, bw, bh)}")
-    ix = min(int((x - bx) * nx // bw), nx - 1)
-    iy = min(int((y - by) * ny // bh), ny - 1)
-    return iy * nx + ix
-
-
-def with_region_labels(cuboids, boxes, grid) -> list[Cuboid]:
-    """Attach region labels using each cuboid's first-frame box.
-
-    ``boxes[t]`` must be the (x, y, w, h) box of source frame t.  A
-    cuboid whose center lies outside its box raises OutsideBoundingBox.
-    """
-    boxes = np.asarray(boxes)
-    return [replace(c, region_label=region_label(
-        (c.x, c.y), tuple(int(v) for v in boxes[c.t]), grid))
-        for c in cuboids]
+            f"position {(int(x), int(y))} outside box "
+            f"{(int(bx), int(by), int(bw), int(bh))}")
+    ix = np.minimum((x - bx) * nx // bw, nx - 1)
+    iy = np.minimum((y - by) * ny // bh, ny - 1)
+    labels = iy * nx + ix
+    return int(labels) if labels.ndim == 0 else labels

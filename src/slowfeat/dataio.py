@@ -102,6 +102,16 @@ def _read_file(path) -> bytes:
         return handle.read()
 
 
+def read_text(path) -> str:
+    """A text file's contents; a byte that is not UTF-8 is a ParseError."""
+    raw = _read_file(path)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8",
+                         line=raw.count(b"\n", 0, exc.start) + 1)
+
+
 # ---------------------------------------------------------------------------
 # raw video sequences
 
@@ -149,8 +159,7 @@ def load_annotations(path, num_frames: int) -> np.ndarray:
     """Read boxes; frames without their own line inherit the previous box."""
     if num_frames < 1:
         raise InvalidInput("num_frames must be >= 1")
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
+    raw = read_text(path)
     entries = {}
     last_t = -1
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -386,8 +395,7 @@ def _split_assignment(line: str, lineno: int):
 
 def load_config(path) -> RunConfig:
     """Parse a `key = value` config file; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
+    raw = read_text(path)
     known = set(config_module.field_names())
     values = {}
     unknown = []
@@ -439,8 +447,7 @@ def save_results(path, mapping):
 
 def load_results(path) -> dict:
     """Read a results file back as a str -> str mapping."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
+    raw = read_text(path)
     out = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()

@@ -2,7 +2,7 @@
 
 A snippet is the set of cuboids sampled from ``d`` successive frames of
 one sequence.  For every cuboid, each slow feature function contributes
-the mean of its squared forward differences over the reformatted cuboid
+the mean of its squared forward differences over the cuboid's window rows
 (``1/(d - delta_t) * sum_t (y(t+1) - y(t))^2``); per-cuboid vectors are
 laid out in the bank's model order and summed over the snippet's
 cuboids, then L1-normalized.  A function that stays flat on a cuboid
@@ -11,7 +11,7 @@ region) whose functions the motion obeys.
 
 A whole bank is evaluated in one pass: cuboids are held as one
 (n, d, h, w) array, and the models sharing a PCA and expansion (all of
-a fitted bank's models) are reformatted, projected and expanded once,
+a fitted bank's models) are windowed, projected and expanded once,
 with one matrix product against their stacked readouts.
 
 For a region-gridded bank each cuboid contributes only to the block of
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sfa
+from . import classify
 from .cuboid import (
-    Cuboid,
     FrameSequence,
     crop_cuboids,
     motion_masks,
@@ -34,8 +33,14 @@ from .cuboid import (
     region_label,
     window_rows,
 )
-from .errors import EmptySnippet, InvalidDimension, InvalidInput, TooShort
-from .sfa import ModelBank, ModelGroup, SlowFeatureModel
+from .errors import (
+    EmptySnippet,
+    InvalidDimension,
+    InvalidInput,
+    SlowFeatError,
+    TooShort,
+)
+from .sfa import ModelBank, ModelGroup
 
 
 @dataclass(frozen=True)
@@ -126,35 +131,12 @@ def bank_squared_derivatives(block, bank: ModelBank,
     return out
 
 
-def squared_derivative(c: Cuboid, model: SlowFeatureModel) -> np.ndarray:
-    """Mean squared forward difference of each model output on a cuboid.
-
-    The cuboid is reformatted with the model's own window length
-    (inferred from its input dimension), producing d - delta_t + 1
-    response vectors and d - delta_t differences.
-    """
-    group, = sfa.group_models((model,))
-    block = np.asarray(c.data, dtype=float)[None]
-    return _group_squared_derivatives(block, group)[0]
-
-
-def _bank_blocks(bank: ModelBank):
-    """(offset, model) pairs in bank order plus the total width."""
-    blocks = []
-    offset = 0
-    for m in bank.models:
-        blocks.append((offset, m))
-        offset += m.k
-    return blocks, offset
-
-
 def class_columns(bank: ModelBank) -> dict:
-    """Feature column indices of each class's models, keyed by class."""
-    columns = {}
-    for offset, model in _bank_blocks(bank)[0]:
-        columns.setdefault(model.class_label, []).extend(
-            range(offset, offset + model.k))
-    return {label: np.asarray(idx) for label, idx in columns.items()}
+    """Feature column indices of each class's models, keyed by class in
+    bank order."""
+    owners = [m.class_label for m in bank.models for _ in range(m.k)]
+    return {label: np.flatnonzero([o == label for o in owners])
+            for label in dict.fromkeys(owners)}
 
 
 def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
@@ -235,9 +217,7 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
             continue
         regions = None
         if bank.strategy == "sdsfa":
-            bbox = tuple(int(v) for v in seq.boxes[start])
-            regions = np.array([region_label((x, y), bbox, bank.grid)
-                                for y, x in zip(ys.tolist(), xs.tolist())])
+            regions = region_label((xs, ys), seq.boxes[start], bank.grid)
         block = crop_cuboids(frames, np.full(ys.size, start), ys, xs,
                              (h, w, d))
         out.append(asd_feature(
@@ -246,32 +226,41 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     return out
 
 
-def block_sum_matrix(cuboids, bank: ModelBank):
-    """Class-by-class mean block sums, the selectivity table's input.
+def class_block_sums(bank: ModelBank, values, labels) -> np.ndarray:
+    """Class-by-class sums of feature mass, the selectivity table's input.
 
-    Entry (i, j) is the mean over class-i cuboids of the summed
-    squared-derivative block under class-j's functions; for an
-    ``sdsfa`` bank each cuboid is scored by the models of its own
-    region.  Returns (matrix, class label order).  Cuboids must carry
-    class labels (and region labels for ``sdsfa``).
+    ``values`` holds one row per snippet (or cuboid) in the bank's
+    feature layout and ``labels`` its class.  Entry (i, j) is the sum,
+    over the rows of the i-th class, of the columns of the j-th class's
+    functions, classes in ascending order.
     """
-    classes = bank.class_labels
-    if not classes:
-        raise InvalidInput("block sums need a class-keyed bank")
-    if any(c.class_label is None for c in cuboids):
-        raise InvalidInput("block sums need class-labeled cuboids")
-    labels = np.array([c.class_label for c in cuboids])
-    for ci in classes:
-        if not (labels == ci).any():
-            raise InvalidInput(f"no cuboids for class {ci}")
-    region_labels = [c.region_label for c in cuboids]
-    regions = None if None in region_labels else np.array(region_labels)
-    values = bank_squared_derivatives(
-        np.stack([c.data for c in cuboids]), bank, regions)
     columns = class_columns(bank)
-    matrix = np.zeros((len(classes), len(classes)))
-    for i, ci in enumerate(classes):
-        own = values[labels == ci]
-        for j, cj in enumerate(classes):
-            matrix[i, j] = float(own[:, columns[cj]].sum()) / len(own)
-    return matrix, classes
+    classes = sorted(columns)
+    values, labels = np.asarray(values), np.asarray(labels)
+    return np.array([[values[labels == i][:, columns[j]].sum()
+                      for j in classes] for i in classes])
+
+
+def selectivity(bank: ModelBank, values, labels) -> float | None:
+    """Average selectivity of a bank's functions on ASD features.
+
+    This is the selectivity the paper reports for its control
+    experiments: it is read from the ASD features of labeled snippets,
+    the vectors the classifier sees, so it says how much more feature
+    mass each class's slow functions accumulate on other classes'
+    actions than on their own.  ``class_block_sums`` of the features
+    goes through ``classify.selectivity_table``.  Returns None when the
+    measure does not apply: a ``usfa`` bank (no class functions), rows
+    that do not cover exactly the bank's classes, or a class whose own
+    block sum is not positive.
+    """
+    if bank.strategy == "usfa":
+        return None
+    if sorted(set(np.asarray(labels).tolist())) != list(bank.class_labels):
+        return None
+    try:
+        _, average = classify.selectivity_table(
+            class_block_sums(bank, values, labels))
+    except SlowFeatError:
+        return None
+    return average

@@ -1,8 +1,11 @@
 """Dense symmetric linear algebra under the slow-feature pipeline.
 
 All routines operate on float64 numpy arrays.  Matrices passed to the
-eigensolvers must be square, finite and symmetric; covariance
-accumulation produces exactly symmetric output by construction.
+eigensolvers must be square, finite and symmetric.  ``sequence_moments``
+is the one moment routine: it takes stacked minisequences (rows plus
+lengths) and gives their mean, covariance and derivative covariance,
+exactly symmetric by construction; training calls it once per cell and
+pools cells from those moments.
 
 The generalized solver follows the whitening route: eigendecompose the
 constraint matrix, drop near-null directions relative to its largest
@@ -219,75 +222,42 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     )
 
 
-def _as_minisequences(minisequences) -> list[np.ndarray]:
-    seqs = [np.asarray(s, dtype=float) for s in minisequences]
-    if not seqs:
-        raise EmptyTrainingSet("no minisequences given")
-    dims = set()
-    for s in seqs:
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise InvalidMatrix(
-                f"each minisequence must be (length, dim) with length >= 1, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise InvalidMatrix("minisequence has non-finite entries")
-        dims.add(s.shape[1])
-    if len(dims) != 1:
-        raise InvalidDimension(f"mixed minisequence dims: {sorted(dims)}")
-    return seqs
+def sequence_moments(rows, lengths):
+    """Mean plus second-moment matrices of stacked minisequences.
 
-
-def sequence_moments(minisequences):
-    """Global mean plus second-moment matrices of a set of minisequences.
-
-    Returns ``(mean, b, a, count_b, count_a)`` where ``mean`` is taken
-    over all time points of all minisequences, ``b`` is the mean outer
-    product of the centered vectors, and ``a`` is the mean outer product
-    of within-minisequence forward differences (unit time step,
-    differences never cross minisequence boundaries).  Both matrices are
+    ``rows`` is ``(n, dim)``: minisequences of the given ``lengths``
+    (each >= 1, summing to n) stacked in order.  Returns
+    ``(mean, b, a, count_b, count_a)`` where ``mean`` is taken over all
+    rows, ``b`` is the mean outer product of the centered rows, and
+    ``a`` is the mean outer product of within-minisequence forward
+    differences (unit time step, differences never cross minisequence
+    boundaries; ``a`` is zero when there are none).  Both matrices are
     exactly symmetric.
     """
-    seqs = _as_minisequences(minisequences)
-    stacked = np.vstack(seqs)
-    mean = stacked.mean(axis=0)
-    z = stacked - mean
-    count_b = stacked.shape[0]
+    rows = np.asarray(rows, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if rows.ndim != 2:
+        raise InvalidMatrix(f"rows must be (n, dim), got shape {rows.shape}")
+    if rows.shape[0] == 0:
+        raise EmptyTrainingSet("no minisequences given")
+    if lengths.ndim != 1 or (lengths < 1).any() \
+            or lengths.sum() != rows.shape[0]:
+        raise InvalidDimension(
+            f"minisequence lengths must be >= 1 and sum to {rows.shape[0]}")
+    if not np.all(np.isfinite(rows)):
+        raise InvalidMatrix("minisequence has non-finite entries")
+    mean = rows.mean(axis=0)
+    count_b = rows.shape[0]
+    z = rows - mean
     b = _symmetrize(z.T @ z / count_b)
+    del z
 
-    dim = stacked.shape[1]
-    diffs = []
-    offset = 0
-    for s in seqs:
-        n = s.shape[0]
-        if n >= 2:
-            zs = z[offset:offset + n]
-            diffs.append(zs[1:] - zs[:-1])
-        offset += n
-    if diffs:
-        dz = np.vstack(diffs)
-        count_a = dz.shape[0]
+    dz = rows[1:] - rows[:-1]
+    # the difference into the first row of each later minisequence
+    dz[np.cumsum(lengths)[:-1] - 1] = 0.0
+    count_a = count_b - lengths.size
+    if count_a:
         a = _symmetrize(dz.T @ dz / count_a)
     else:
-        count_a = 0
-        a = np.zeros((dim, dim))
+        a = np.zeros((rows.shape[1], rows.shape[1]))
     return mean, b, a, count_b, count_a
-
-
-def accumulate_covariances(minisequences):
-    """Two-pass covariance and derivative-covariance accumulation.
-
-    Parameters
-    ----------
-    minisequences : sequence of array_like
-        Each element is a ``(length, dim)`` array of row vectors; a
-        length-1 minisequence contributes to the covariance only.
-
-    Returns
-    -------
-    (b, a, count_b, count_a)
-        ``b`` is the covariance of all vectors after centering by the
-        global mean; ``a`` is the mean outer product of the
-        within-minisequence forward differences.  ``count_b`` and
-        ``count_a`` are the number of vectors and differences pooled.
-    """
-    _, b, a, count_b, count_a = sequence_moments(minisequences)
-    return b, a, count_b, count_a

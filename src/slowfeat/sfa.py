@@ -19,9 +19,17 @@ enters the objective and the constraints:
 * ``fit_sdsfa`` - ``fit_dsfa`` run independently inside each cell of a
   spatial grid over the bounding box, one model per (class, region).
 
-Minisequences are ``(length, dim)`` arrays; derivatives are forward
-differences with unit time step and never cross minisequence
-boundaries.  Eigenvalues are kept in ascending order, so index 0 is the
+All four are one fit over cells: the whole set (usfa), one class (ssfa,
+dsfa) or one (region, class) pair (sdsfa).  The minisequences are
+stacked once, PCA is fitted on the stacked rows, and the rows are
+projected and expanded in one call each; each cell's mean, covariance
+and derivative covariance come from one ``linalg.sequence_moments``.
+The discriminative constraints of a region (the whole set for dsfa) are
+pooled from its class cells' moments, so dsfa is sdsfa on one region.
+
+Minisequences are ``(length, dim)`` arrays, ragged lists included;
+derivatives are forward differences with unit time step and never
+cross minisequence boundaries.  Eigenvalues are kept in ascending order, so index 0 is the
 slowest direction; for the discriminative objective the matrix is
 indefinite and negative eigenvalues are meaningful, "slowest" means
 most negative.
@@ -60,8 +68,16 @@ def quadratic_expand(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     rows = np.atleast_2d(x)
-    i, j = np.triu_indices(rows.shape[1])
-    out = np.concatenate([rows, rows[:, i] * rows[:, j]], axis=1)
+    n, dim = rows.shape
+    out = np.empty((n, expanded_dim(dim)))
+    out[:, :dim] = rows
+    offset = dim
+    # products of x_i with x_i .. x_I, written in place: no gathered
+    # copies of the inputs
+    for i in range(dim):
+        np.multiply(rows[:, i:i + 1], rows[:, i:],
+                    out=out[:, offset:offset + dim - i])
+        offset += dim - i
     return out[0] if single else out
 
 
@@ -271,21 +287,66 @@ def _validate_minisequences(minisequences):
         if s.ndim != 2 or s.shape[1] != dim:
             raise InvalidDimension(
                 f"minisequences must all be (length, {dim}), got {s.shape}")
-    return seqs, dim
+    return seqs
 
 
-def _expand_all(pca, expansion, seqs):
-    return [expansion.expand(pca.transform(s)) for s in seqs]
+def _per_sequence(values, count, what):
+    """One int per minisequence; None gives zeros."""
+    if values is None:
+        return np.zeros(count, dtype=np.int64)
+    values = np.array([int(v) for v in values], dtype=np.int64)
+    if len(values) != count:
+        raise InvalidDimension(
+            f"{count} minisequences but {len(values)} {what}")
+    return values
 
 
-def _diff_covariance(h_seqs):
-    """Mean outer product of within-minisequence forward differences."""
-    diffs = [s[1:] - s[:-1] for s in h_seqs if s.shape[0] >= 2]
-    dim = h_seqs[0].shape[1]
-    if not diffs:
-        return np.zeros((dim, dim)), 0
-    d = np.vstack(diffs)
-    return linalg._symmetrize(d.T @ d / d.shape[0]), d.shape[0]
+def _expand(seqs, pca_dim, expansion):
+    """Stack the minisequences once, fit PCA on the stacked rows, then
+    project and expand them in one call each.
+
+    Returns the PCA, the expansion, the (n, expanded_dim) rows and the
+    minisequence lengths.
+    """
+    rows = np.concatenate(seqs)
+    lengths = np.array([s.shape[0] for s in seqs])
+    pca = linalg.pca_fit(rows, pca_dim)
+    spec = ExpansionSpec(expansion, pca_dim)
+    if (lengths == lengths[0]).all():
+        # equal lengths project as a batch of one small product per
+        # minisequence: bit-equal to projecting each alone, and without
+        # the large buffers of one threaded tall-matrix product
+        rows = rows.reshape(len(seqs), lengths[0], -1)
+    projected = pca.transform(rows).reshape(-1, pca_dim)
+    return pca, spec, spec.expand(projected), lengths
+
+
+def _cell_moments(h, lengths, cells, n_cells):
+    """``linalg.sequence_moments`` of each cell's expanded minisequences.
+
+    ``cells[i]`` is the cell of minisequence i; a cell's rows keep
+    their order, and differences never cross minisequence boundaries.
+    """
+    row_cells = np.repeat(cells, lengths)
+    return [linalg.sequence_moments(h[row_cells == c], lengths[cells == c])
+            for c in range(n_cells)]
+
+
+def _pool(moments):
+    """Mean and covariance of the union of cells, from the cell moments.
+
+    The union covariance is the count-weighted mean over cells of each
+    cell's covariance plus the outer product of its mean's offset from
+    the union mean, so no union of rows is ever built.
+    """
+    weights = np.array([m[3] for m in moments], dtype=float)
+    weights /= weights.sum()
+    means = np.array([m[0] for m in moments])
+    mean = weights @ means
+    offsets = means - mean
+    b = sum(w * (m[1] + np.outer(d, d))
+            for w, m, d in zip(weights, moments, offsets))
+    return mean, b
 
 
 def _solve_model(objective, constraint, h0, pca, expansion, k, rel_cutoff,
@@ -314,9 +375,81 @@ def _solve_model(objective, constraint, h0, pca, expansion, k, rel_cutoff,
     )
 
 
-def _check_k(k):
+def _check_cells(counts, classes, by_region):
+    """Every cell (class, or region x class) needs two minisequences."""
+    for cell, count in enumerate(counts):
+        if count < 2:
+            r, c = divmod(cell, len(classes))
+            where = f", region {r}" if by_region else ""
+            raise InsufficientClassData(
+                f"class {classes[c]}{where} has {count} minisequences, "
+                "need at least 2")
+
+
+def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
+         gamma, rel_cutoff, expansion):
+    """The four strategies as one fit over cells.
+
+    A cell is the whole set for usfa, one class for ssfa and dsfa, and
+    one (region, class) pair for sdsfa; its mean, covariance B and
+    derivative covariance A come from one ``linalg.sequence_moments``.
+    usfa and ssfa solve each cell's A against its own B.  In each
+    region, the discriminative fits give class c the objective A_c
+    minus ``gamma`` times the mean of the other classes' A (each
+    normalized by its own difference count, so classes pool with equal
+    weight), against the B and the mean of the region's union, pooled
+    from its cells' moments.
+    """
     if k < 1:
         raise InvalidDimension(f"k must be >= 1, got {k}")
+    discriminative = strategy in ("dsfa", "sdsfa")
+    if discriminative and gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    seqs = _validate_minisequences(minisequences)
+    labels = _per_sequence(labels, len(seqs), "labels")
+    regions = _per_sequence(regions, len(seqs), "regions")
+    outside = (regions < 0) | (regions >= n_regions)
+    if outside.any():
+        raise InvalidDimension(f"region index {regions[outside][0]} "
+                               f"outside a grid of {n_regions} regions")
+    classes, class_of = np.unique(labels, return_inverse=True)
+    if discriminative and len(classes) < 2:
+        raise InsufficientClassData(
+            f"{strategy} needs at least 2 classes, got {len(classes)}")
+    n_classes = len(classes)
+    cells = regions * n_classes + class_of
+    if strategy != "usfa":
+        _check_cells(np.bincount(cells, minlength=n_regions * n_classes),
+                     classes, strategy == "sdsfa")
+
+    pca, spec, h, lengths = _expand(seqs, pca_dim, expansion)
+    moments = _cell_moments(h, lengths, cells, n_regions * n_classes)
+    models = []
+    for r in range(n_regions):
+        region = moments[r * n_classes:(r + 1) * n_classes]
+        where = f", region {r}" if strategy == "sdsfa" else ""
+        if discriminative:
+            for c, m in zip(classes, region):
+                if m[4] == 0:
+                    raise InsufficientClassData(
+                        f"class {c}{where} has no within-minisequence "
+                        "differences")
+            h0, b = _pool(region)
+        for i, c in enumerate(classes):
+            if discriminative:
+                others = [m[2] for j, m in enumerate(region) if j != i]
+                pooled = sum(others) / len(others)
+                objective = linalg._symmetrize(region[i][2] - gamma * pooled)
+            else:
+                h0, b, objective = region[i][:3]
+            models.append(_solve_model(
+                objective, b, h0, pca, spec, k, rel_cutoff, strategy,
+                class_label=None if strategy == "usfa" else int(c),
+                region_label=r if strategy == "sdsfa" else None,
+                gamma=gamma if discriminative else None,
+                what="training set" if strategy == "usfa"
+                else f"class {c}{where}"))
+    return tuple(models)
 
 
 def fit_usfa(minisequences, pca_dim: int, k: int,
@@ -331,25 +464,9 @@ def fit_usfa(minisequences, pca_dim: int, k: int,
     become the model; each eigenvalue equals the mean squared derivative
     of its output on the training data.
     """
-    _check_k(k)
-    seqs, _ = _validate_minisequences(minisequences)
-    pca = linalg.pca_fit(np.vstack(seqs), pca_dim)
-    spec = ExpansionSpec(expansion, pca_dim)
-    h_seqs = _expand_all(pca, spec, seqs)
-    h0, b, a, _, _ = linalg.sequence_moments(h_seqs)
-    model = _solve_model(a, b, h0, pca, spec, k, rel_cutoff, "usfa")
-    return ModelBank("usfa", (model,))
-
-
-def _group_by_class(seqs, labels):
-    labels = [int(l) for l in labels]
-    if len(labels) != len(seqs):
-        raise InvalidDimension(
-            f"{len(seqs)} minisequences but {len(labels)} labels")
-    groups: dict[int, list] = {}
-    for s, l in zip(seqs, labels):
-        groups.setdefault(l, []).append(s)
-    return {c: groups[c] for c in sorted(groups)}
+    return ModelBank("usfa", _fit(
+        "usfa", minisequences, None, None, 1, pca_dim, k, None, rel_cutoff,
+        expansion))
 
 
 def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
@@ -363,58 +480,9 @@ def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
     class's own training data.  With a single class this reduces to
     ``fit_usfa`` on that class.
     """
-    _check_k(k_per_class)
-    seqs, _ = _validate_minisequences(minisequences)
-    groups = _group_by_class(seqs, labels)
-    for c, group in groups.items():
-        if len(group) < 2:
-            raise InsufficientClassData(
-                f"class {c} has {len(group)} minisequences, need at least 2")
-    pca = linalg.pca_fit(np.vstack(seqs), pca_dim)
-    spec = ExpansionSpec(expansion, pca_dim)
-    models = []
-    for c, group in groups.items():
-        h_seqs = _expand_all(pca, spec, group)
-        h0, b, a, _, _ = linalg.sequence_moments(h_seqs)
-        models.append(_solve_model(
-            a, b, h0, pca, spec, k_per_class, rel_cutoff,
-            "ssfa", class_label=c, what=f"class {c}"))
-    return ModelBank("ssfa", tuple(models))
-
-
-def _fit_discriminative(groups, pca, spec, k_per_class, gamma, rel_cutoff,
-                        strategy, region_label=None, cell=""):
-    """Shared core of the discriminative fits.
-
-    For each class c the objective is A_c - gamma * mean of the other
-    classes' derivative covariances (each class's covariance already
-    normalized by its own difference count, so classes pool with equal
-    weight).  Centering and the constraint covariance come from the
-    union of all classes.
-    """
-    h_by_class = {c: _expand_all(pca, spec, g) for c, g in groups.items()}
-    all_h = [s for g in h_by_class.values() for s in g]
-    h0, b, _, _, _ = linalg.sequence_moments(all_h)
-
-    diff_cov = {}
-    for c, h_seqs in h_by_class.items():
-        a_c, count = _diff_covariance(h_seqs)
-        if count == 0:
-            raise InsufficientClassData(
-                f"class {c}{cell} has no within-minisequence differences")
-        diff_cov[c] = a_c
-
-    classes = sorted(groups)
-    models = []
-    for c in classes:
-        others = [diff_cov[o] for o in classes if o != c]
-        pooled = sum(others) / len(others)
-        objective = linalg._symmetrize(diff_cov[c] - gamma * pooled)
-        models.append(_solve_model(
-            objective, b, h0, pca, spec, k_per_class, rel_cutoff,
-            strategy, class_label=c, region_label=region_label, gamma=gamma,
-            what=f"class {c}{cell}"))
-    return models
+    return ModelBank("ssfa", _fit(
+        "ssfa", minisequences, labels, None, 1, pca_dim, k_per_class, None,
+        rel_cutoff, expansion))
 
 
 def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
@@ -430,23 +498,9 @@ def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
     and sort first.  ``gamma = 0`` reduces to per-class slowness with
     union constraints.
     """
-    _check_k(k_per_class)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    seqs, _ = _validate_minisequences(minisequences)
-    groups = _group_by_class(seqs, labels)
-    if len(groups) < 2:
-        raise InsufficientClassData(
-            f"dsfa needs at least 2 classes, got {len(groups)}")
-    for c, group in groups.items():
-        if len(group) < 2:
-            raise InsufficientClassData(
-                f"class {c} has {len(group)} minisequences, need at least 2")
-    pca = linalg.pca_fit(np.vstack(seqs), pca_dim)
-    spec = ExpansionSpec(expansion, pca_dim)
-    models = _fit_discriminative(
-        groups, pca, spec, k_per_class, gamma, rel_cutoff, "dsfa")
-    return ModelBank("dsfa", tuple(models))
+    return ModelBank("dsfa", _fit(
+        "dsfa", minisequences, labels, None, 1, pca_dim, k_per_class, gamma,
+        rel_cutoff, expansion))
 
 
 def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
@@ -461,42 +515,9 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
     fit once on the union of everything.  With a (1, 1) grid this is
     exactly ``fit_dsfa``.
     """
-    _check_k(k_per_class)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
     gx, gy = int(grid[0]), int(grid[1])
     if gx < 1 or gy < 1:
         raise InvalidDimension(f"bad grid {grid}")
-    n_regions = gx * gy
-    seqs, _ = _validate_minisequences(minisequences)
-    labels = [int(l) for l in labels]
-    regions = [int(r) for r in regions]
-    if len(labels) != len(seqs) or len(regions) != len(seqs):
-        raise InvalidDimension("labels and regions must match minisequences")
-    for r in regions:
-        if not 0 <= r < n_regions:
-            raise InvalidDimension(f"region index {r} outside grid {grid}")
-
-    classes = sorted(set(labels))
-    if len(classes) < 2:
-        raise InsufficientClassData(
-            f"sdsfa needs at least 2 classes, got {len(classes)}")
-    cells: dict[tuple[int, int], list] = {}
-    for s, c, r in zip(seqs, labels, regions):
-        cells.setdefault((r, c), []).append(s)
-    for r in range(n_regions):
-        for c in classes:
-            if len(cells.get((r, c), ())) < 2:
-                raise InsufficientClassData(
-                    f"cell (class {c}, region {r}) has "
-                    f"{len(cells.get((r, c), ()))} minisequences, need at least 2")
-
-    pca = linalg.pca_fit(np.vstack(seqs), pca_dim)
-    spec = ExpansionSpec(expansion, pca_dim)
-    models = []
-    for r in range(n_regions):
-        groups = {c: cells[(r, c)] for c in classes}
-        models.extend(_fit_discriminative(
-            groups, pca, spec, k_per_class, gamma, rel_cutoff,
-            "sdsfa", region_label=r, cell=f", region {r}"))
-    return ModelBank("sdsfa", tuple(models), grid=(gx, gy))
+    return ModelBank("sdsfa", _fit(
+        "sdsfa", minisequences, labels, regions, gx * gy, pca_dim,
+        k_per_class, gamma, rel_cutoff, expansion), grid=(gx, gy))

@@ -5,7 +5,9 @@ separate from the package code paths: the Jacobi eigensolver below never
 calls LAPACK, the covariance oracle uses explicit Python loops, and the
 Sobel oracle walks pixels one by one.  The per-model feature oracle is
 the evaluation the package used before banks were evaluated in one
-pass: every model reformats, projects and expands the cuboids itself.
+pass: every model reformats, projects and expands the cuboids itself,
+one cuboid at a time.  ``scores``/``predict`` are the per-row dot
+products the package's classifier once exposed for single features.
 The Pegasos oracle is the classifier loop the package used before steps
 were taken in blocks: one shrink and one update of the (C, D) iterate
 per step, and the iterate added to a running sum at every step.
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from slowfeat import classify, cuboid, sfa
+from slowfeat import classify, sfa
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -138,32 +140,41 @@ def loop_quadratic_expand(x):
 
 
 def loop_snippet_cuboids(frames, mask, start, fraction, size, rng_seed):
-    """Cuboid objects for one snippet, picked and cut one at a time."""
+    """One snippet's cuboids, picked and cut one at a time.
+
+    Returns the (n, 3) ``(t, y, x)`` origins and the (n, d, h, w) data.
+    """
     h, w, d = size
     frames = np.asarray(frames, dtype=float)
     height, width = frames.shape[1], frames.shape[2]
+    positions, data = [], []
     ys, xs = np.nonzero(mask)
-    if ys.size == 0:
-        return []
-    rng = np.random.default_rng(rng_seed)
-    count = math.ceil(fraction * ys.size)
-    picks = rng.choice(ys.size, size=count, replace=False)
-    out = []
-    for i in picks:
-        y, x = int(ys[i]), int(xs[i])
-        y0, x0 = y - h // 2, x - w // 2
-        if y0 < 0 or x0 < 0 or y0 + h > height or x0 + w > width:
-            continue
-        out.append(cuboid.Cuboid(
-            x=x, y=y, t=start,
-            data=frames[start:start + d, y0:y0 + h, x0:x0 + w].copy()))
-    return out
+    if ys.size:
+        rng = np.random.default_rng(rng_seed)
+        count = math.ceil(fraction * ys.size)
+        for i in rng.choice(ys.size, size=count, replace=False):
+            y, x = int(ys[i]), int(xs[i])
+            y0, x0 = y - h // 2, x - w // 2
+            if y0 < 0 or x0 < 0 or y0 + h > height or x0 + w > width:
+                continue
+            positions.append((start, y, x))
+            data.append(frames[start:start + d, y0:y0 + h, x0:x0 + w].copy())
+    return (np.array(positions, dtype=int).reshape(-1, 3),
+            np.array(data).reshape(-1, d, h, w))
 
 
-def _model_squared_derivatives(cuboids, model):
-    """One model's mean squared output differences on same-shaped cuboids."""
-    delta_t = model.input_dim // (cuboids[0].h * cuboids[0].w)
-    stacked = np.stack([cuboid.reformat(c, delta_t) for c in cuboids])
+def loop_reformat(data, delta_t):
+    """Rows of one (d, h, w) cuboid: patches t .. t + delta_t - 1, each
+    flattened row-major, concatenated for every t."""
+    flat = [patch.ravel() for patch in np.asarray(data, float)]
+    return np.array([np.concatenate(flat[t:t + delta_t])
+                     for t in range(len(flat) - delta_t + 1)])
+
+
+def _model_squared_derivatives(block, model):
+    """One model's mean squared output differences on (n, d, h, w) cuboids."""
+    delta_t = model.input_dim // (block.shape[2] * block.shape[3])
+    stacked = np.stack([loop_reformat(c, delta_t) for c in block])
     n, length, dim = stacked.shape
     y = sfa.apply(model, stacked.reshape(n * length, dim))
     dy = np.diff(y.reshape(n, length, -1), axis=1)
@@ -171,37 +182,52 @@ def _model_squared_derivatives(cuboids, model):
     return (dy * dy).mean(axis=1)
 
 
-def per_model_squared_derivatives(cuboids, bank):
-    """(n, k_total) squared derivatives, one model at a time.
+def per_model_squared_derivatives(block, bank, regions=None):
+    """(n, k_total) squared derivatives of (n, d, h, w) cuboids, one
+    model at a time.
 
     Rows follow the input order.  For an sdsfa bank a cuboid is scored
-    only by the models of its own region; other columns stay zero.
+    only by the models of its own region (``regions``); other columns
+    stay zero.
     """
-    out = np.zeros((len(cuboids), bank.k_total))
+    out = np.zeros((len(block), bank.k_total))
     offset = 0
     for model in bank.models:
-        idx = [i for i, c in enumerate(cuboids)
+        idx = [i for i in range(len(block))
                if bank.strategy != "sdsfa"
-               or c.region_label == model.region_label]
+               or regions[i] == model.region_label]
         if idx:
             out[idx, offset:offset + model.k] = _model_squared_derivatives(
-                [cuboids[i] for i in idx], model)
+                block[idx], model)
         offset += model.k
     return out
 
 
-def per_model_asd(cuboids, bank):
+def per_model_asd(block, positions, bank, regions=None):
     """ASD values of a snippet as (values, normalized), per model.
 
-    Cuboids are summed in (t, y, x) order; a zero sum stays
-    unnormalized.
+    Cuboids are summed in the order of their ``(t, y, x)`` positions;
+    a zero sum stays unnormalized.
     """
-    ordered = sorted(cuboids, key=lambda c: (c.t, c.y, c.x))
-    values = per_model_squared_derivatives(ordered, bank).sum(axis=0)
+    order = sorted(range(len(block)), key=lambda i: tuple(positions[i]))
+    values = per_model_squared_derivatives(
+        block[order], bank,
+        None if regions is None else np.asarray(regions)[order]).sum(axis=0)
     total = float(values.sum())
     if total > 0.0:
         return values / total, True
     return values, False
+
+
+def scores(clf, feature):
+    """Per-class decision values for one feature vector, one dot each."""
+    x = np.asarray(feature, dtype=float)
+    return np.array([np.dot(w, x) for w in clf.weights]) + clf.biases
+
+
+def predict(clf, feature):
+    """Label of the highest-scoring class; ties go to the lowest index."""
+    return clf.class_labels[int(np.argmax(scores(clf, feature)))]
 
 
 def per_step_pegasos(features, labels, reg, epochs, seed):

@@ -66,9 +66,8 @@ def constraint_data(tmp_path_factory):
     cli.cmd_synth(cfg)
     entries = cli.load_manifest(os.path.join(cfg.data_dir, cli.MANIFEST_NAME))
     cuboids = cli._training_cuboids(cfg, entries, entries)
-    minis = [cuboid.reformat(c, cfg.delta_t) for c in cuboids]
-    labels = [c.class_label for c in cuboids]
-    regions = [c.region_label for c in cuboids]
+    minis = cuboid.window_rows(cuboids.data, cfg.delta_t)
+    labels, regions = cuboids.labels, cuboids.regions
     banks = {
         "usfa": sfa.fit_usfa(minis, cfg.pca_dim, cfg.k_per_class),
         "ssfa": sfa.fit_ssfa(minis, labels, cfg.pca_dim, cfg.k_per_class),
@@ -112,10 +111,8 @@ def _constraint_rows(model, cuboids, minis, all_rows):
     if model.strategy in ("usfa", "dsfa"):
         return all_rows
     if model.strategy == "ssfa":
-        return np.vstack([m for c, m in zip(cuboids, minis)
-                          if c.class_label == model.class_label])
-    return np.vstack([m for c, m in zip(cuboids, minis)
-                      if c.region_label == model.region_label])
+        return np.vstack(minis[cuboids.labels == model.class_label])
+    return np.vstack(minis[cuboids.regions == model.region_label])
 
 
 def test_criterion_1_constraint_suite(constraint_data, capsys):
@@ -136,11 +133,11 @@ def test_criterion_1_constraint_suite(constraint_data, capsys):
             off = corr - np.diag(np.diag(corr))
             worst_corr = max(worst_corr, np.abs(off).max())
     seconds = constraint_data["fit_seconds"] + time.perf_counter() - start
-    ok = (len(cuboids) >= 2000 and worst_mean < MEAN_TOL
+    ok = (len(cuboids.data) >= 2000 and worst_mean < MEAN_TOL
           and worst_var < VAR_TOL and worst_corr < CORR_TOL
           and seconds < 60.0)
     emit(capsys, 1, "constraint suite", ok,
-         f"{len(cuboids)} cuboids, |mean| {worst_mean:.2e}, "
+         f"{len(cuboids.data)} cuboids, |mean| {worst_mean:.2e}, "
          f"|var-1| {worst_var:.2e}, |corr| {worst_corr:.2e}, "
          f"{seconds:.1f}s < 60s")
 

@@ -198,14 +198,14 @@ def test_blocked_matches_per_step_in_one_epoch():
 
 def test_all_zero_classifier_predicts_lowest_class():
     clf = zero_classifier()
-    assert classify.predict(clf, np.ones(3)) == 0
+    assert classify.predict_many(clf, np.ones((1, 3)))[0] == 0
 
 
 def test_bias_only_scores_pick_middle_class():
     clf = classify.LinearClassifier(
         np.zeros((3, 2)), np.array([1.0, 3.0, 2.0]), (0, 1, 2))
-    assert classify.predict(clf, np.zeros(2)) == 1
-    assert np.array_equal(classify.scores(clf, np.zeros(2)), [1.0, 3.0, 2.0])
+    assert classify.predict_many(clf, np.zeros((1, 2)))[0] == 1
+    assert np.array_equal(oracles.scores(clf, np.zeros(2)), [1.0, 3.0, 2.0])
 
 
 def test_scores_match_naive_dot_products_exactly():
@@ -216,8 +216,8 @@ def test_scores_match_naive_dot_products_exactly():
         x = rng.normal(size=6)
         naive = np.array([np.dot(w, x) + b
                           for w, b in zip(clf.weights, clf.biases)])
-        assert np.array_equal(classify.scores(clf, x), naive)
-        assert classify.predict(clf, x) == int(np.argmax(naive))
+        assert np.array_equal(oracles.scores(clf, x), naive)
+        assert classify.predict_many(clf, x[None])[0] == int(np.argmax(naive))
 
 
 def test_predict_invariant_under_positive_scaling():
@@ -227,14 +227,15 @@ def test_predict_invariant_under_positive_scaling():
     scaled = classify.LinearClassifier(
         2.5 * clf.weights, 2.5 * clf.biases, clf.class_labels)
     for _ in range(20):
-        x = rng.normal(size=4)
-        assert classify.predict(clf, x) == classify.predict(scaled, x)
+        x = rng.normal(size=(1, 4))
+        assert classify.predict_many(clf, x)[0] == \
+            classify.predict_many(scaled, x)[0]
 
 
 def test_predict_rejects_wrong_dim():
     clf = zero_classifier(dim=3)
     with pytest.raises(InvalidDimension):
-        classify.predict(clf, np.zeros(4))
+        classify.predict_many(clf, np.zeros(4))
     with pytest.raises(InvalidDimension):
         classify.predict_many(clf, np.zeros((2, 4)))
 

@@ -63,6 +63,14 @@ def test_manifest_parse_errors(tmp_path):
     expect("", 1)
 
 
+def test_manifest_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"a 0 a.sfv a.ann\nb 1 b\xe9.sfv b.ann\n")
+    with pytest.raises(ParseError) as err:
+        cli.load_manifest(path)
+    assert err.value.line == 2
+
+
 def test_split_is_seeded_and_disjoint(tmp_path):
     entries = [cli.Entry(f"c{c}s{i}", c, "v", "a")
                for c in range(2) for i in range(6)]
@@ -187,18 +195,18 @@ def test_pipeline_sdsfa_with_mirror(tmp_path):
 def constraint_pool(model, cuboids):
     """The cuboids a model's zero-mean/unit-variance constraints cover."""
     if model.strategy in ("usfa", "dsfa"):
-        return cuboids
+        return cuboids.data
     if model.strategy == "ssfa":
-        return [c for c in cuboids if c.class_label == model.class_label]
-    return [c for c in cuboids if c.region_label == model.region_label]
+        return cuboids.data[cuboids.labels == model.class_label]
+    return cuboids.data[cuboids.regions == model.region_label]
 
 
 def assert_bank_constraints(bank, cuboids, delta_t):
     from slowfeat import cuboid as cuboid_mod
     for model in bank.models:
         pool = constraint_pool(model, cuboids)
-        outs = np.vstack([sfa.apply(model, cuboid_mod.reformat(c, delta_t))
-                          for c in pool])
+        outs = np.vstack([sfa.apply(model, rows)
+                          for rows in cuboid_mod.window_rows(pool, delta_t)])
         assert np.abs(outs.mean(axis=0)).max() < 1e-6
         cov = np.cov(outs.T, bias=True)
         assert np.abs(np.diag(cov) - 1.0).max() < 1e-4

@@ -180,7 +180,7 @@ def test_sample_full_fraction_takes_every_fitting_pixel():
     out = cuboid.sample_cuboids(seq, masks, fraction=1.0, size=(3, 3, 1),
                                 rng_seed=1)
     assert len(out) == 100
-    positions = {(c.t, c.y, c.x) for c in out}
+    positions = {tuple(p) for p in out.tolist()}
     assert len(positions) == 100  # without replacement
 
 
@@ -197,9 +197,10 @@ def test_sample_cuboid_data_matches_source():
     out = cuboid.sample_cuboids(seq, masks, fraction=0.1, size=(3, 5, 1),
                                 rng_seed=3)
     frames = seq.frames
-    for c in out:
-        y0, x0 = c.y - 1, c.x - 2
-        assert np.array_equal(c.data, frames[c.t:c.t + 1, y0:y0 + 3, x0:x0 + 5])
+    data = cuboid.crop_cuboids(frames, *out.T, (3, 5, 1))
+    for (t, y, x), block in zip(out, data):
+        y0, x0 = y - 1, x - 2
+        assert np.array_equal(block, frames[t:t + 1, y0:y0 + 3, x0:x0 + 5])
 
 
 def test_sample_deterministic_and_seed_sensitive():
@@ -207,9 +208,10 @@ def test_sample_deterministic_and_seed_sensitive():
     a = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=7)
     b = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=7)
     c = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=8)
-    assert [(q.t, q.y, q.x) for q in a] == [(q.t, q.y, q.x) for q in b]
-    assert all(np.array_equal(p.data, q.data) for p, q in zip(a, b))
-    assert [(q.t, q.y, q.x) for q in a] != [(q.t, q.y, q.x) for q in c]
+    assert a.tolist() == b.tolist()
+    assert np.array_equal(cuboid.crop_cuboids(seq.frames, *a.T, (3, 3, 1)),
+                          cuboid.crop_cuboids(seq.frames, *b.T, (3, 3, 1)))
+    assert a.tolist() != c.tolist()
 
 
 def test_sample_max_count_truncates_by_seeded_shuffle():
@@ -218,8 +220,8 @@ def test_sample_max_count_truncates_by_seeded_shuffle():
     cut = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 1), rng_seed=5,
                                 max_count=10)
     assert len(cut) == 10
-    full_positions = {(q.t, q.y, q.x) for q in full}
-    assert all((q.t, q.y, q.x) in full_positions for q in cut)
+    full_positions = {tuple(p) for p in full.tolist()}
+    assert all(tuple(p) in full_positions for p in cut.tolist())
 
 
 def test_sample_multi_frame_start_times():
@@ -230,7 +232,7 @@ def test_sample_multi_frame_start_times():
     masks = [cuboid.MotionMask(mask, 0.5)] * 6
     out = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 4), rng_seed=0)
     # depth-4 cuboids fit at start frames 0..2 only
-    assert sorted(c.t for c in out) == [0, 1, 2]
+    assert sorted(out[:, 0]) == [0, 1, 2]
 
 
 def test_sample_rejects_bad_fraction():
@@ -252,40 +254,52 @@ def test_pick_positions_rejects_bad_fraction(fraction):
 # reformat
 
 
-def make_cuboid(d=7, h=2, w=3):
-    data = np.arange(d * h * w, dtype=float).reshape(d, h, w)
-    return cuboid.Cuboid(x=1, y=1, t=0, data=data)
+def make_block(d=7, h=2, w=3):
+    """One (d, h, w) cuboid as a (1, d, h, w) block."""
+    return np.arange(d * h * w, dtype=float).reshape(1, d, h, w)
 
 
 def test_reformat_shapes_and_content():
-    c = make_cuboid()
-    out = cuboid.reformat(c, delta_t=3)
+    block = make_block()
+    out = cuboid.window_rows(block, delta_t=3)[0]
     assert out.shape == (5, 2 * 3 * 3)
-    flat = c.data.reshape(7, -1)
+    flat = block[0].reshape(7, -1)
     for t in range(5):
         expected = np.concatenate([flat[t], flat[t + 1], flat[t + 2]])
         assert np.array_equal(out[t], expected)
 
 
 def test_reformat_full_depth_round_trip():
-    c = make_cuboid(d=4)
-    out = cuboid.reformat(c, delta_t=4)
-    assert out.shape == (1, c.data.size)
-    assert np.array_equal(out[0], c.data.ravel())
+    block = make_block(d=4)
+    out = cuboid.window_rows(block, delta_t=4)[0]
+    assert out.shape == (1, block.size)
+    assert np.array_equal(out[0], block.ravel())
 
 
 def test_reformat_window_one():
-    c = make_cuboid(d=3)
-    out = cuboid.reformat(c, delta_t=1)
+    block = make_block(d=3)
+    out = cuboid.window_rows(block, delta_t=1)[0]
     assert out.shape == (3, 6)
-    assert np.array_equal(out, c.data.reshape(3, -1))
+    assert np.array_equal(out, block[0].reshape(3, -1))
 
 
 def test_reformat_rejects_bad_delta():
-    c = make_cuboid(d=4)
+    block = make_block(d=4)
     for bad in (0, 5, -1):
         with pytest.raises(InvalidDelta):
-            cuboid.reformat(c, bad)
+            cuboid.window_rows(block, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6),
+       SEED)
+def test_window_rows_match_loop_reformat(n, d, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(n, d, 3, 2))
+    delta_t = int(rng.integers(1, d + 1))
+    rows = cuboid.window_rows(block, delta_t)
+    for c, got in zip(block, rows):
+        assert np.array_equal(got, oracles.loop_reformat(c, delta_t))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +349,23 @@ def test_region_mirror_property(nx, ny, cell_w, bh, seed):
     assert mirrored == iy * nx + (nx - 1 - ix)
 
 
-def test_with_region_labels():
-    data = np.zeros((2, 3, 3))
-    cuboids = [cuboid.Cuboid(x=4, y=4, t=0, data=data),
-               cuboid.Cuboid(x=14, y=4, t=1, data=data)]
+def test_region_labels_of_arrays():
+    # each position against its own first-frame box
     boxes = np.array([[0, 0, 20, 10], [0, 0, 20, 10]])
-    labeled = cuboid.with_region_labels(cuboids, boxes, (2, 1))
-    assert [c.region_label for c in labeled] == [0, 1]
+    labels = cuboid.region_label((np.array([4, 14]), np.array([4, 4])),
+                                 boxes.T, (2, 1))
+    assert labels.tolist() == [0, 1]
+
+
+def test_region_labels_of_arrays_match_scalar_calls():
+    rng = np.random.default_rng(3)
+    bbox = (10, 20, 80, 90)
+    xs = rng.integers(10, 90, size=50)
+    ys = rng.integers(20, 110, size=50)
+    labels = cuboid.region_label((xs, ys), bbox, (3, 2))
+    assert labels.tolist() == [cuboid.region_label((int(x), int(y)), bbox,
+                                                   (3, 2))
+                               for x, y in zip(xs, ys)]
+    with pytest.raises(OutsideBoundingBox):
+        cuboid.region_label((np.append(xs, 95), np.append(ys, 30)), bbox,
+                            (3, 2))

@@ -3,13 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from slowfeat import classify, cuboid, dataio, sfa
+from slowfeat import classify, dataio, sfa
 from slowfeat.config import RunConfig
 from slowfeat.errors import (
     FormatError,
     InvalidInput,
     ParseError,
+    SlowFeatError,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -496,3 +499,106 @@ def test_results_duplicate_key_rejected(tmp_path):
     path.write_text("a = 1\na = 2\n")
     with pytest.raises(ParseError):
         dataio.load_results(path)
+
+
+# ---------------------------------------------------------------------------
+# the error contract: readers raise SlowFeatError subclasses only
+
+
+def test_annotations_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "a.ann"
+    path.write_bytes(b"0 1 1 2 2\n1 1 1 \xff 2\n")
+    with pytest.raises(ParseError, match="line 2"):
+        dataio.load_annotations(path, 3)
+
+
+def test_config_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 3\nstrategy = \xc3(\n")
+    with pytest.raises(ParseError, match="line 2"):
+        dataio.load_config(path)
+
+
+def test_results_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "results.txt"
+    path.write_bytes(b"\x80accuracy = 1.0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        dataio.load_results(path)
+
+
+def reader_cases(root):
+    """(reader, path of a valid file) for every reader of the package."""
+    from slowfeat import cli
+
+    rng = np.random.default_rng(0)
+    cases = {}
+
+    def add(name, reader, save, *payload):
+        path = root / name
+        save(path, *payload)
+        cases[name] = (reader, path)
+
+    add("sequence", dataio.load_sequence, dataio.save_sequence,
+        random_video(rng))
+    add("annotations", lambda p: dataio.load_annotations(p, 6),
+        dataio.save_annotations, [[0, 0, 4, 5]] * 3 + [[1, 1, 3, 4]] * 3)
+    for strategy in ("usfa", "ssfa", "dsfa"):
+        add(f"bank-{strategy}", dataio.load_bank, dataio.save_bank,
+            fitted_bank(strategy))
+    minis = [rng.normal(size=(5, 4)) for _ in range(16)]
+    add("bank-sdsfa", dataio.load_bank, dataio.save_bank,
+        sfa.fit_sdsfa(minis, [i % 2 for i in range(16)],
+                      [i // 2 % 2 for i in range(16)], (2, 1), pca_dim=3,
+                      k_per_class=1))
+    add("features", dataio.load_features, dataio.save_features, "seq-1",
+        [ASDFeature(rng.random(4), ("seq-1", t), True) for t in range(3)],
+        1)
+    add("classifier", dataio.load_classifier, dataio.save_classifier,
+        classify.LinearClassifier(rng.normal(size=(3, 4)), rng.normal(size=3),
+                                  (0, 1, 2)))
+    add("config", dataio.load_config, dataio.save_config,
+        RunConfig(strategy="sdsfa", seed=4))
+    add("results", dataio.load_results, dataio.save_results,
+        {"strategy": "dsfa", "sequence_accuracy": 0.75})
+    add("manifest", cli.load_manifest, cli.save_manifest,
+        [cli.Entry(f"c{i}", i % 2, f"c{i}.sfv", f"c{i}.ann")
+         for i in range(4)])
+    return cases
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    return reader_cases(tmp_path_factory.mktemp("valid"))
+
+
+def mutate(data, raw, kind):
+    """Truncate, extend or flip bytes of ``raw`` as hypothesis draws."""
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, max(len(raw) - 1, 0)))]
+    if kind == "extend":
+        return raw + data.draw(st.binary(min_size=1, max_size=16))
+    flipped = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        flipped[at] ^= data.draw(st.integers(1, 255))
+    return bytes(flipped)
+
+
+READERS = ("sequence", "annotations", "bank-usfa", "bank-ssfa", "bank-dsfa",
+           "bank-sdsfa", "features", "classifier", "config", "results",
+           "manifest")
+
+
+@pytest.mark.parametrize("name", READERS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(["truncate", "extend", "flip"]))
+def test_mutated_files_raise_only_slowfeat_errors(valid_files, tmp_path,
+                                                  name, data, kind):
+    reader, path = valid_files[name]
+    mutated = tmp_path / path.name
+    mutated.write_bytes(mutate(data, path.read_bytes(), kind))
+    try:
+        reader(mutated)
+    except SlowFeatError:
+        pass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowfeat import cuboid, features, sfa
+from slowfeat import classify, cuboid, features, sfa
 from slowfeat.errors import (
     EmptySnippet,
     InvalidDimension,
@@ -15,97 +15,97 @@ L1_TOL = 1e-10
 
 
 def toy_cuboids(seed=0, per_class=30, d=7, h=4, w=4, omegas=(0.3, 2.2)):
-    """Two classes of cuboids, same spatial footprint, different tempo."""
+    """Two classes of cuboids, same spatial footprint, different tempo.
+
+    Returns the (n, d, h, w) cuboids and their class labels.
+    """
     rng = np.random.default_rng(seed)
     patterns = [rng.normal(size=(h, w)) for _ in omegas]
-    out = []
+    data, labels = [], []
     t = np.arange(d)
     for label, (omega, pattern) in enumerate(zip(omegas, patterns)):
         for _ in range(per_class):
             phase = rng.uniform(0, 2 * np.pi)
             wave = np.sin(omega * t + phase)
-            data = wave[:, None, None] * pattern + \
-                0.05 * rng.normal(size=(d, h, w))
-            out.append(cuboid.Cuboid(x=2, y=2, t=0, data=data,
-                                     class_label=label))
-    return out
+            data.append(wave[:, None, None] * pattern
+                        + 0.05 * rng.normal(size=(d, h, w)))
+            labels.append(label)
+    return np.array(data), np.array(labels)
 
 
-def fit_bank(cuboids, strategy="dsfa", delta_t=3, pca_dim=6, k=2, **kw):
-    minis = [cuboid.reformat(c, delta_t) for c in cuboids]
-    labels = [c.class_label for c in cuboids]
+def fit_bank(block, labels, strategy="dsfa", delta_t=3, pca_dim=6, k=2,
+             regions=None, **kw):
+    minis = cuboid.window_rows(block, delta_t)
     if strategy == "usfa":
         return sfa.fit_usfa(minis, pca_dim, k, **kw)
     if strategy == "ssfa":
         return sfa.fit_ssfa(minis, labels, pca_dim, k, **kw)
     if strategy == "dsfa":
         return sfa.fit_dsfa(minis, labels, pca_dim, k, **kw)
-    regions = [c.region_label for c in cuboids]
     return sfa.fit_sdsfa(minis, labels, regions, pca_dim=pca_dim,
                          k_per_class=k, **kw)
 
 
+def squared_derivatives(block, model):
+    """One model's squared derivatives through the bank evaluation."""
+    bank = sfa.ModelBank("usfa", (model,))
+    return features.bank_squared_derivatives(block, bank)
+
+
 # ---------------------------------------------------------------------------
-# squared_derivative
+# squared derivatives of single cuboids
 
 
 def test_squared_derivative_constant_cuboid_is_zero():
-    cs = toy_cuboids(seed=1)
-    bank = fit_bank(cs, "usfa")
-    flat = cuboid.Cuboid(x=2, y=2, t=0, data=np.full((7, 4, 4), 0.37))
-    v = features.squared_derivative(flat, bank.models[0])
+    bank = fit_bank(*toy_cuboids(seed=1), "usfa")
+    flat = np.full((1, 7, 4, 4), 0.37)
+    v = squared_derivatives(flat, bank.models[0])[0]
     assert v.shape == (2,)
     assert np.abs(v).max() < 1e-20
 
 
 def test_squared_derivative_matches_per_column_delta():
-    cs = toy_cuboids(seed=2)
-    bank = fit_bank(cs, "usfa")
+    block, labels = toy_cuboids(seed=2)
+    bank = fit_bank(block, labels, "usfa")
     model = bank.models[0]
-    c = cs[0]
-    v = features.squared_derivative(c, model)
-    y = sfa.apply(model, cuboid.reformat(c, 3))
+    c = block[:1]
+    v = squared_derivatives(c, model)[0]
+    y = sfa.apply(model, oracles.loop_reformat(c[0], 3))
     assert y.shape[0] == 5  # d=7, window 3 -> 5 response vectors
     expected = [oracles.loop_delta(y[:, j]) for j in range(y.shape[1])]
     assert np.allclose(v, expected, atol=1e-12)
 
 
 def test_squared_derivative_depth_too_small():
-    cs = toy_cuboids(seed=3)
-    bank = fit_bank(cs, "usfa")
-    shallow = cuboid.Cuboid(x=0, y=0, t=0, data=np.zeros((3, 4, 4)))
+    bank = fit_bank(*toy_cuboids(seed=3), "usfa")
+    shallow = np.zeros((1, 3, 4, 4))
     with pytest.raises(TooShort):
-        features.squared_derivative(shallow, bank.models[0])
+        squared_derivatives(shallow, bank.models[0])
 
 
 def test_squared_derivative_wrong_patch_size():
-    cs = toy_cuboids(seed=4)
-    bank = fit_bank(cs, "usfa")
-    wrong = cuboid.Cuboid(x=0, y=0, t=0, data=np.zeros((7, 5, 5)))
+    bank = fit_bank(*toy_cuboids(seed=4), "usfa")
+    wrong = np.zeros((1, 7, 5, 5))
     with pytest.raises(InvalidDimension):
-        features.squared_derivative(wrong, bank.models[0])
+        squared_derivatives(wrong, bank.models[0])
 
 
 # ---------------------------------------------------------------------------
 # asd_feature
 
 
-def snippet_of(cuboids, start=0):
-    """A snippet of ``Cuboid`` objects; regions only when all are labeled."""
-    if not cuboids:
-        return features.Snippet("seq", start, np.zeros((0, 0, 0, 0)),
-                                np.zeros((0, 2), dtype=int))
-    labels = [c.region_label for c in cuboids]
-    return features.Snippet(
-        "seq", start, np.stack([c.data for c in cuboids]),
-        np.array([(c.y, c.x) for c in cuboids]),
-        None if None in labels else np.array(labels))
+def snippet_of(block, positions=None, regions=None, start=0):
+    """A snippet of (n, d, h, w) cuboids; positions default to (2, 2)."""
+    if positions is None:
+        positions = np.full((len(block), 2), 2)
+    return features.Snippet("seq", start, block, np.asarray(positions),
+                            regions)
 
 
 def test_asd_l1_normalized_and_sized():
-    cs = toy_cuboids(seed=5)
-    bank = fit_bank(cs, "dsfa")
-    f = features.asd_feature(snippet_of(cs[:10]), bank)
+    block, labels = toy_cuboids(seed=5)
+    bank = fit_bank(block, labels, "dsfa")
+    f = features.asd_feature(snippet_of(block[:10]), bank)
     assert f.values.shape == (bank.k_total,)
     assert f.normalized
     assert abs(f.values.sum() - 1.0) < L1_TOL
@@ -113,58 +113,82 @@ def test_asd_l1_normalized_and_sized():
 
 
 def test_asd_order_invariance_is_bit_exact():
-    cs = toy_cuboids(seed=6)
+    block, labels = toy_cuboids(seed=6)
     # give cuboids distinct positions so the canonical sort is total
-    cs = [cuboid.Cuboid(x=i % 5, y=i // 5, t=0, data=c.data,
-                        class_label=c.class_label)
-          for i, c in enumerate(cs)]
-    bank = fit_bank(cs, "dsfa")
+    positions = np.array([(i // 5, i % 5) for i in range(len(block))])
+    bank = fit_bank(block, labels, "dsfa")
     rng = np.random.default_rng(0)
-    chosen = cs[:12]
-    shuffled = [chosen[i] for i in rng.permutation(12)]
-    f1 = features.asd_feature(snippet_of(chosen), bank)
-    f2 = features.asd_feature(snippet_of(shuffled), bank)
+    shuffled = rng.permutation(12)
+    f1 = features.asd_feature(snippet_of(block[:12], positions[:12]), bank)
+    f2 = features.asd_feature(
+        snippet_of(block[shuffled], positions[shuffled]), bank)
     assert f1.values.tobytes() == f2.values.tobytes()
 
 
 def test_asd_zero_snippet_stays_unnormalized():
-    cs = toy_cuboids(seed=7)
-    bank = fit_bank(cs, "usfa")
-    flat = [cuboid.Cuboid(x=3, y=3, t=0, data=np.zeros((7, 4, 4)))]
+    bank = fit_bank(*toy_cuboids(seed=7), "usfa")
+    flat = np.zeros((1, 7, 4, 4))
     f = features.asd_feature(snippet_of(flat), bank)
     assert not f.normalized
     assert np.abs(f.values).max() == 0.0
 
 
 def test_asd_empty_snippet_rejected():
-    cs = toy_cuboids(seed=8)
-    bank = fit_bank(cs, "usfa")
+    bank = fit_bank(*toy_cuboids(seed=8), "usfa")
     with pytest.raises(EmptySnippet):
-        features.asd_feature(snippet_of([]), bank)
+        features.asd_feature(snippet_of(np.zeros((0, 7, 4, 4))), bank)
 
 
 def test_asd_own_class_block_is_smallest():
     # cuboids moving at a class's own tempo leave its functions nearly
     # flat, so the matching block carries the least mass
-    cs = toy_cuboids(seed=9, per_class=40)
-    bank = fit_bank(cs, "dsfa", k=2)
+    block, labels = toy_cuboids(seed=9, per_class=40)
+    bank = fit_bank(block, labels, "dsfa", k=2)
     for label in (0, 1):
-        own = [c for c in cs if c.class_label == label][:15]
+        own = block[labels == label][:15]
         f = features.asd_feature(snippet_of(own), bank)
-        block = {m.class_label: f.values[i * 2:(i + 1) * 2].sum()
-                 for i, m in enumerate(bank.models)}
+        sums = {m.class_label: f.values[i * 2:(i + 1) * 2].sum()
+                for i, m in enumerate(bank.models)}
         other = 1 - label
-        assert block[label] < block[other]
+        assert sums[label] < sums[other]
 
 
 def test_ssfa_asd_lower_on_own_class():
-    cs = toy_cuboids(seed=10, per_class=40)
-    bank = fit_bank(cs, "ssfa", k=2)
-    matrix, classes = features.block_sum_matrix(cs, bank)
-    assert classes == (0, 1)
+    block, labels = toy_cuboids(seed=10, per_class=40)
+    bank = fit_bank(block, labels, "ssfa", k=2)
+    # one row per cuboid; both classes have 40, so sums order as means
+    values = features.bank_squared_derivatives(block, bank)
+    matrix = features.class_block_sums(bank, values, labels)
+    assert bank.class_labels == (0, 1)
     # columns are the scoring class: own class sits on the diagonal
     assert matrix[0, 0] < matrix[1, 0]
     assert matrix[1, 1] < matrix[0, 1]
+    assert features.selectivity(bank, values, labels) > 1.0
+
+
+def test_selectivity_is_the_table_of_class_block_sums():
+    block, labels = toy_cuboids(seed=10, per_class=40)
+    bank = fit_bank(block, labels, "dsfa", k=2)
+    values = features.bank_squared_derivatives(block, bank)
+    matrix = features.class_block_sums(bank, values, labels)
+    own = [values[labels == c].sum(axis=0) for c in (0, 1)]
+    assert np.allclose(matrix, [[o[:2].sum(), o[2:].sum()] for o in own],
+                       rtol=1e-14, atol=0)
+    _, average = classify.selectivity_table(matrix)
+    assert features.selectivity(bank, values, labels) == average
+
+
+def test_selectivity_does_not_apply():
+    block, labels = toy_cuboids(seed=10, per_class=40)
+    values = np.ones((len(block), 4))
+    assert features.selectivity(fit_bank(block, labels, "usfa", k=4),
+                                values, labels) is None
+    bank = fit_bank(block, labels, "dsfa", k=2)
+    # rows of one class only, and a class whose own block is zero
+    assert features.selectivity(bank, values[labels == 0],
+                                labels[labels == 0]) is None
+    values[labels == 1, 2:] = 0.0
+    assert features.selectivity(bank, values, labels) is None
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +196,12 @@ def test_ssfa_asd_lower_on_own_class():
 
 
 def region_cuboids(seed=0, per_cell=20):
-    """Two classes x two regions; tempo depends on class and region."""
+    """Two classes x two regions; tempo depends on class and region.
+
+    Returns the (n, 7, 4, 4) cuboids, their class labels and regions.
+    """
     rng = np.random.default_rng(seed)
-    out = []
+    data, labels, regions = [], [], []
     t = np.arange(7)
     for region in (0, 1):
         pattern = rng.normal(size=(4, 4))
@@ -182,34 +209,40 @@ def region_cuboids(seed=0, per_cell=20):
             omega = 0.3 + 1.8 * label + 0.2 * region
             for _ in range(per_cell):
                 phase = rng.uniform(0, 2 * np.pi)
-                data = np.sin(omega * t + phase)[:, None, None] * pattern \
-                    + 0.05 * rng.normal(size=(7, 4, 4))
-                out.append(cuboid.Cuboid(x=2, y=2, t=0, data=data,
-                                         class_label=label,
-                                         region_label=region))
-    return out
+                data.append(np.sin(omega * t + phase)[:, None, None] * pattern
+                            + 0.05 * rng.normal(size=(7, 4, 4)))
+                labels.append(label)
+                regions.append(region)
+    return np.array(data), np.array(labels), np.array(regions)
+
+
+def fit_region_bank(block, labels, regions, **kw):
+    return fit_bank(block, labels, "sdsfa", regions=regions, grid=(2, 1),
+                    **kw)
 
 
 def test_sdsfa_feature_confined_to_own_region_block():
-    cs = region_cuboids()
-    bank = fit_bank(cs, "sdsfa", grid=(2, 1), k=2)
+    block, labels, regions = region_cuboids()
+    bank = fit_region_bank(block, labels, regions, k=2)
     assert bank.k_total == 8  # 2 regions x 2 classes x k=2
-    one = [c for c in cs if c.region_label == 1][:6]
-    f = features.asd_feature(snippet_of(one), bank)
+    one = regions == 1
+    f = features.asd_feature(
+        snippet_of(block[one][:6], regions=regions[one][:6]), bank)
     # region 0 occupies the first two blocks, region 1 the last two
     assert np.abs(f.values[:4]).max() == 0.0
     assert f.values[4:].sum() > 0
 
 
 def test_sdsfa_matching_cell_block_smallest():
-    cs = region_cuboids(seed=3, per_cell=30)
-    bank = fit_bank(cs, "sdsfa", grid=(2, 1), k=2)
-    blocks, _ = features._bank_blocks(bank)
+    block, labels, regions = region_cuboids(seed=3, per_cell=30)
+    bank = fit_region_bank(block, labels, regions, k=2)
+    offsets = np.cumsum([0] + [m.k for m in bank.models])
+    blocks = list(zip(offsets, bank.models))
     for region in (0, 1):
         for label in (0, 1):
-            own = [c for c in cs
-                   if c.class_label == label and c.region_label == region][:10]
-            f = features.asd_feature(snippet_of(own), bank)
+            own = (labels == label) & (regions == region)
+            f = features.asd_feature(
+                snippet_of(block[own][:10], regions=regions[own][:10]), bank)
             sums = {}
             for offset, m in blocks:
                 if m.region_label == region:
@@ -218,12 +251,10 @@ def test_sdsfa_matching_cell_block_smallest():
 
 
 def test_sdsfa_requires_region_labels():
-    cs = region_cuboids()
-    bank = fit_bank(cs, "sdsfa", grid=(2, 1), k=1)
-    unlabeled = [cuboid.Cuboid(c.x, c.y, c.t, c.data, c.class_label, None)
-                 for c in cs[:3]]
+    block, labels, regions = region_cuboids()
+    bank = fit_region_bank(block, labels, regions, k=1)
     with pytest.raises(InvalidInput):
-        features.asd_feature(snippet_of(unlabeled), bank)
+        features.asd_feature(snippet_of(block[:3]), bank)
 
 
 # ---------------------------------------------------------------------------
@@ -233,68 +264,66 @@ ORACLE_TOL = 1e-12
 
 
 def bank_and_cuboids(strategy):
-    """A bank fitted on the toy fixtures (4x4 patches, window 3)."""
+    """A bank fitted on the toy fixtures (4x4 patches, window 3), with
+    the cuboids and (for sdsfa) their regions."""
     if strategy == "sdsfa":
-        cs = region_cuboids(seed=12)
-        return fit_bank(cs, "sdsfa", grid=(2, 1), k=2), cs
-    cs = toy_cuboids(seed=12)
-    return fit_bank(cs, strategy, k=2), cs
-
-
-def regions_of(cuboids, bank):
-    if bank.strategy != "sdsfa":
-        return None
-    return np.array([c.region_label for c in cuboids])
+        block, labels, regions = region_cuboids(seed=12)
+        return fit_region_bank(block, labels, regions, k=2), block, regions
+    block, labels = toy_cuboids(seed=12)
+    return fit_bank(block, labels, strategy, k=2), block, None
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_bank_evaluation_matches_per_model_oracle(strategy):
-    bank, cs = bank_and_cuboids(strategy)
-    mixed = cs[::3]  # every class (and region) of the fixture
-    got = features.bank_squared_derivatives(
-        np.stack([c.data for c in mixed]), bank, regions_of(mixed, bank))
-    expected = oracles.per_model_squared_derivatives(mixed, bank)
+    bank, block, regions = bank_and_cuboids(strategy)
+    # every class (and region) of the fixture
+    mixed = block[::3]
+    mixed_regions = None if regions is None else regions[::3]
+    got = features.bank_squared_derivatives(mixed, bank, mixed_regions)
+    expected = oracles.per_model_squared_derivatives(mixed, bank,
+                                                     mixed_regions)
     # raw squared derivatives scale with the data (class models reach
     # 1e5 on other-class cuboids), so the bound is relative above 1
     assert (np.abs(got - expected)
             <= ORACLE_TOL * np.maximum(1.0, np.abs(expected))).all()
 
-    f = features.asd_feature(snippet_of(mixed), bank)
-    values, normalized = oracles.per_model_asd(mixed, bank)
+    positions = np.zeros((len(mixed), 3), dtype=int)
+    positions[:, 1:] = 2
+    f = features.asd_feature(snippet_of(mixed, regions=mixed_regions), bank)
+    values, normalized = oracles.per_model_asd(mixed, positions, bank,
+                                               mixed_regions)
     assert f.normalized == normalized
     assert np.abs(f.values - values).max() <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_bit_equal_frames_contribute_exactly_zero(strategy):
-    bank, _ = bank_and_cuboids(strategy)
+    bank, _, _ = bank_and_cuboids(strategy)
     pattern = np.random.default_rng(13).normal(size=(4, 4))
-    still = cuboid.Cuboid(x=2, y=2, t=0, data=np.tile(pattern, (7, 1, 1)),
-                          region_label=1 if strategy == "sdsfa" else None)
-    values = features.bank_squared_derivatives(
-        still.data[None], bank, regions_of([still], bank))
+    still = np.tile(pattern, (1, 7, 1, 1))
+    regions = np.array([1]) if strategy == "sdsfa" else None
+    values = features.bank_squared_derivatives(still, bank, regions)
     assert (values == 0.0).all()
-    f = features.asd_feature(snippet_of([still]), bank)
+    f = features.asd_feature(snippet_of(still, regions=regions), bank)
     assert not f.normalized
     assert (f.values == 0.0).all()
 
 
 def test_sdsfa_cuboid_scores_exactly_zero_outside_own_region():
-    bank, cs = bank_and_cuboids("sdsfa")
-    mixed = cs[::7]
-    assert {c.region_label for c in mixed} == {0, 1}
-    values = features.bank_squared_derivatives(
-        np.stack([c.data for c in mixed]), bank, regions_of(mixed, bank))
-    block = bank.k_total // 2  # 2 regions x (2 classes x k=2)
-    for row, c in zip(values, mixed):
-        own = np.arange(block * c.region_label, block * (c.region_label + 1))
+    bank, block, regions = bank_and_cuboids("sdsfa")
+    mixed, mixed_regions = block[::7], regions[::7]
+    assert set(mixed_regions.tolist()) == {0, 1}
+    values = features.bank_squared_derivatives(mixed, bank, mixed_regions)
+    width = bank.k_total // 2  # 2 regions x (2 classes x k=2)
+    for row, region in zip(values, mixed_regions):
+        own = np.arange(width * region, width * (region + 1))
         assert (np.delete(row, own) == 0.0).all()
         assert (row[own] > 0.0).all()
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_featurize_matches_per_model_oracle(strategy):
-    bank, _ = bank_and_cuboids(strategy)
+    bank, _, _ = bank_and_cuboids(strategy)
     diff_seq = diff_of(moving_square_sequence())
     size = (4, 4, 6)
     out = features.featurize_sequence(diff_seq, bank, size, fraction=0.5,
@@ -305,16 +334,20 @@ def test_featurize_matches_per_model_oracle(strategy):
         start = f.snippet_span[1]
         mask = cuboid.motion_boundary(diff_seq.frames[start], delta,
                                       diff_seq.boxes[start]).mask
-        cs = oracles.loop_snippet_cuboids(
+        positions, block = oracles.loop_snippet_cuboids(
             diff_seq.frames, mask, start, 0.5, size,
             np.random.SeedSequence([3, start]))
-        if not cs:  # the square rests on every other frame
+        if not len(block):  # the square rests on every other frame
             assert not f.normalized
             assert (f.values == 0.0).all()
             continue
+        regions = None
         if strategy == "sdsfa":
-            cs = cuboid.with_region_labels(cs, diff_seq.boxes, bank.grid)
-        values, normalized = oracles.per_model_asd(cs, bank)
+            regions = [cuboid.region_label((x, y), diff_seq.boxes[t],
+                                           bank.grid)
+                       for t, y, x in positions.tolist()]
+        values, normalized = oracles.per_model_asd(block, positions, bank,
+                                                   regions)
         assert f.normalized == normalized
         assert np.abs(f.values - values).max() <= ORACLE_TOL
         compared += 1
@@ -379,9 +412,9 @@ def diff_of(seq):
 def featurize_bank(diff_seq, size=(4, 4, 4), delta_t=2):
     masks = [cuboid.motion_boundary(f, cuboid.default_delta(diff_seq))
              for f in diff_seq.frames]
-    cs = cuboid.sample_cuboids(diff_seq, masks, 0.5, size, rng_seed=0)
-    minis = [cuboid.reformat(c, delta_t) for c in cs]
-    return sfa.fit_usfa(minis, pca_dim=6, k=2)
+    picks = cuboid.sample_cuboids(diff_seq, masks, 0.5, size, rng_seed=0)
+    block = cuboid.crop_cuboids(diff_seq.frames, *picks.T, size)
+    return sfa.fit_usfa(cuboid.window_rows(block, delta_t), pca_dim=6, k=2)
 
 
 def test_featurize_one_feature_per_snippet():

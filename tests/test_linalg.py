@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfeat import linalg
+from slowfeat import linalg, sfa
 from slowfeat.errors import (
     DegenerateCovariance,
     EmptyTrainingSet,
@@ -240,13 +240,21 @@ def test_pca_rejects_too_few_samples():
 
 
 # ---------------------------------------------------------------------------
-# accumulate_covariances
+# sequence_moments
+
+
+def accumulate(seqs):
+    """(b, a, count_b, count_a) of a list of minisequences."""
+    seqs = [np.asarray(q, dtype=float) for q in seqs]
+    _, b, a, count_b, count_a = linalg.sequence_moments(
+        np.concatenate(seqs), [len(q) for q in seqs])
+    return b, a, count_b, count_a
 
 
 def test_accumulate_hand_case():
     # two 1-D minisequences [0, 2] and [0, -2]:
     # global mean 0, B = mean of squares = 2, A = mean of {4, 4} = 4
-    b, a, count_b, count_a = linalg.accumulate_covariances(
+    b, a, count_b, count_a = accumulate(
         [np.array([[0.0], [2.0]]), np.array([[0.0], [-2.0]])])
     assert np.allclose(b, [[2.0]], atol=0)
     assert np.allclose(a, [[4.0]], atol=0)
@@ -257,7 +265,7 @@ def test_accumulate_hand_case():
 def test_accumulate_exact_symmetry_and_psd():
     rng = np.random.default_rng(5)
     seqs = [rng.normal(size=(rng.integers(2, 9), 6)) for _ in range(7)]
-    b, a, _, _ = linalg.accumulate_covariances(seqs)
+    b, a, _, _ = accumulate(seqs)
     assert np.abs(b - b.T).max() == 0.0
     assert np.abs(a - a.T).max() == 0.0
     assert np.linalg.eigvalsh(b).min() > -1e-10
@@ -266,7 +274,7 @@ def test_accumulate_exact_symmetry_and_psd():
 
 def test_accumulate_constant_minisequence_gives_zero_a():
     seq = np.ones((5, 3)) * 2.5
-    b, a, count_b, count_a = linalg.accumulate_covariances([seq])
+    b, a, count_b, count_a = accumulate([seq])
     assert np.abs(a).max() == 0.0
     assert np.abs(b).max() < 1e-28
     assert count_b == 5
@@ -278,8 +286,8 @@ def test_accumulate_boundaries_not_crossed():
     # A loses exactly the difference across the split point
     rng = np.random.default_rng(9)
     data = rng.normal(size=(10, 3))
-    b1, _, _, na1 = linalg.accumulate_covariances([data])
-    b2, _, _, na2 = linalg.accumulate_covariances([data[:6], data[6:]])
+    b1, _, _, na1 = accumulate([data])
+    b2, _, _, na2 = accumulate([data[:6], data[6:]])
     assert np.allclose(b1, b2, atol=1e-15)
     assert na1 == 9 and na2 == 8
 
@@ -289,7 +297,7 @@ def test_accumulate_boundaries_not_crossed():
 def test_accumulate_matches_loop_oracle(seed, n_seqs):
     rng = np.random.default_rng(seed)
     seqs = [rng.normal(size=(int(rng.integers(1, 7)), 3)) for _ in range(n_seqs)]
-    b, a, count_b, count_a = linalg.accumulate_covariances(seqs)
+    b, a, count_b, count_a = accumulate(seqs)
     _, rb, ra, rn, rna = oracles.loop_moments(seqs)
     assert count_b == rn
     assert count_a == rna
@@ -299,9 +307,23 @@ def test_accumulate_matches_loop_oracle(seed, n_seqs):
 
 def test_accumulate_rejects_empty():
     with pytest.raises(EmptyTrainingSet):
-        linalg.accumulate_covariances([])
+        linalg.sequence_moments(np.zeros((0, 3)), [])
 
 
 def test_accumulate_rejects_mixed_dims():
+    # minisequences are stacked by the fitting layer, which checks dims
     with pytest.raises(InvalidDimension):
-        linalg.accumulate_covariances([np.zeros((3, 2)), np.zeros((3, 4))])
+        sfa.fit_usfa([np.zeros((3, 2)), np.zeros((3, 4))], pca_dim=1, k=1)
+
+
+@pytest.mark.parametrize("lengths", [[2, 2], [3, 0, 2], [6], [[5]]])
+def test_moments_reject_lengths_that_do_not_tile_the_rows(lengths):
+    with pytest.raises(InvalidDimension):
+        linalg.sequence_moments(np.zeros((5, 3)), lengths)
+
+
+def test_moments_reject_non_finite_rows():
+    rows = np.zeros((4, 2))
+    rows[2, 1] = np.nan
+    with pytest.raises(InvalidMatrix):
+        linalg.sequence_moments(rows, [2, 2])

@@ -1,11 +1,12 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfeat import linalg, sfa
+from slowfeat import cuboid, linalg, sfa
 from slowfeat.errors import (
     EmptyTrainingSet,
     InsufficientClassData,
@@ -249,7 +250,8 @@ def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
     pca = bank.models[0].pca
     spec = bank.models[0].expansion
     h_all = [spec.expand(pca.transform(s)) for s in seqs]
-    _, b_union, _, _, _ = linalg.sequence_moments(h_all)
+    _, b_union, _, _, _ = linalg.sequence_moments(
+        np.vstack(h_all), [len(h) for h in h_all])
     for model in bank.models:
         h_own = [h for h, l in zip(h_all, labels) if l == model.class_label]
         diffs = np.vstack([h[1:] - h[:-1] for h in h_own])
@@ -363,6 +365,99 @@ def test_sdsfa_empty_cell_error_names_the_cell():
 
 
 # ---------------------------------------------------------------------------
+# every strategy against loop moments of its own pools
+
+POOL_RTOL = 1e-12
+
+
+def relative_gap(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+def expanded(model, seqs):
+    return [model.expansion.expand(model.pca.transform(s)) for s in seqs]
+
+
+def assert_solves(model, objective, constraint):
+    """The model is the k slowest pairs of (objective, constraint)."""
+    ref = linalg.gen_eig_sym(linalg._symmetrize(objective), constraint)
+    k = model.k
+    assert np.abs(model.eigenvalues - ref.eigenvalues[:k]).max() <= 1e-8
+    assert np.allclose(np.abs(model.w), np.abs(ref.eigenvectors[:, :k]))
+
+
+def pools_of(model, seqs, labels, regions):
+    """(constraint pool, objective pools by class) a model is fitted on;
+    the objective pools are None where the constraint pool is also the
+    objective's."""
+    def where(c=None, g=None):
+        return [s for s, l, r in zip(seqs, labels, regions)
+                if (c is None or l == c) and (g is None or r == g)]
+    if model.strategy == "usfa":
+        return seqs, None
+    if model.strategy == "ssfa":
+        return where(c=model.class_label), None
+    g = model.region_label  # None for dsfa: one region
+    return where(g=g), {c: where(c=c, g=g) for c in sorted(set(labels))}
+
+
+def fit(strategy, seqs, labels, regions, gamma):
+    if strategy == "usfa":
+        return sfa.fit_usfa(seqs, pca_dim=3, k=2)
+    if strategy == "ssfa":
+        return sfa.fit_ssfa(seqs, labels, pca_dim=3, k_per_class=2)
+    if strategy == "dsfa":
+        return sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2,
+                            gamma=gamma)
+    return sfa.fit_sdsfa(seqs, labels, regions, grid=(2, 2), pca_dim=3,
+                         k_per_class=2, gamma=gamma)
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_fit_matches_loop_moments_of_its_pools(strategy):
+    seqs, labels, regions = region_spread_data(seed=4)
+    # ragged lengths and uneven cells: pooling must weight cells by rows
+    kept = [i for i in range(len(seqs)) if i % 7]
+    seqs = [seqs[i][:3 + i % 4] for i in kept]
+    labels = [labels[i] for i in kept]
+    regions = [regions[i] for i in kept]
+    gamma = 0.3
+    for m in fit(strategy, seqs, labels, regions, gamma).models:
+        constraint_pool, by_class = pools_of(m, seqs, labels, regions)
+        mean, b, a, _, _ = oracles.loop_moments(expanded(m, constraint_pool))
+        assert relative_gap(m.h0, mean) <= POOL_RTOL
+        if by_class is None:
+            assert_solves(m, a, b)
+            continue
+        h_cells = {c: expanded(m, p) for c, p in by_class.items()}
+        # the constraints pooled from the class cells' moments are the
+        # moments of the union, computed directly
+        h0, b_pooled = sfa._pool([
+            linalg.sequence_moments(np.vstack(h), [len(q) for q in h])
+            for h in h_cells.values()])
+        assert relative_gap(h0, mean) <= POOL_RTOL
+        assert relative_gap(b_pooled, b) <= POOL_RTOL
+        a_by_class = {c: oracles.loop_moments(h)[2]
+                      for c, h in h_cells.items()}
+        others = [a_c for c, a_c in a_by_class.items() if c != m.class_label]
+        assert_solves(m, a_by_class[m.class_label]
+                      - gamma * sum(others) / len(others), b)
+
+
+def test_ragged_minisequences_keep_their_boundaries():
+    # lengths 2..7: differences must stay inside each minisequence
+    rng = np.random.default_rng(8)
+    seqs = [np.cumsum(rng.normal(size=(2 + i % 6, 4)), axis=0)
+            for i in range(30)]
+    model = sfa.fit_usfa(seqs, pca_dim=4, k=3).models[0]
+    mean, b, a, _, _ = oracles.loop_moments(expanded(model, seqs))
+    assert relative_gap(model.h0, mean) <= POOL_RTOL
+    assert_solves(model, a, b)
+    assert np.abs(pooled_delta(model, seqs) - model.eigenvalues).max() \
+        < LAMBDA_DELTA_TOL
+
+
+# ---------------------------------------------------------------------------
 # apply / model bank
 
 
@@ -445,3 +540,22 @@ def test_bank_layout_validation():
              dummy_model(1, 1, 0, "sdsfa"), dummy_model(1, 1, 1, "sdsfa"))
     with pytest.raises(ValueError):
         sfa.ModelBank("sdsfa", wrong, grid=(2, 1))
+
+
+def test_training_keeps_the_names_the_benchmark_reads():
+    # the benchmark's per-layer counters find these by name: cuboids
+    # cut and kept are len() of sample_cuboids' result, re-sampled
+    # with max_count=None; moment time is linalg.sequence_moments;
+    # fit time and expanded dim come from the ModelBank of sfa.fit_*
+    params = inspect.signature(cuboid.sample_cuboids).parameters
+    assert params["max_count"].default is None
+    mask = np.zeros((9, 9), bool)
+    mask[3:6, 3:6] = True
+    args = dict(seq=cuboid.FrameSequence(np.zeros((4, 9, 9))),
+                masks=[mask] * 4, fraction=1.0, size=(3, 3, 2), rng_seed=0)
+    assert len(cuboid.sample_cuboids(**args, max_count=None)) == 27
+    assert len(cuboid.sample_cuboids(**args, max_count=5)) == 5
+    assert callable(linalg.sequence_moments)
+    for name in ("fit_usfa", "fit_ssfa", "fit_dsfa", "fit_sdsfa"):
+        assert inspect.signature(getattr(sfa, name)).return_annotation \
+            == "ModelBank"
