@@ -264,12 +264,18 @@ def cmd_featurize(config):
     return total
 
 
-def _load_entry_features(config, entry):
+def _load_entry_features(config, entry, bank):
+    """The entry's features, which must come from a bank of this layout."""
     path = os.path.join(config.features_dir, entry.sequence_id + ".sfaf")
     sequence_id, feats, label = dataio.load_features(path)
     if sequence_id != entry.sequence_id or label != entry.label:
         raise InvalidInput(
             f"{path} does not match manifest entry {entry.sequence_id}")
+    if feats and feats[0].values.shape[0] != bank.k_total:
+        raise InvalidInput(
+            f"{path} holds {feats[0].values.shape[0]}-d features, but the "
+            f"{bank.strategy} bank {config.model_path} has {bank.k_total} "
+            "outputs")
     return feats
 
 
@@ -285,7 +291,7 @@ def cmd_fit_classifier(config):
     mirror = config.mirror and bank.strategy == "sdsfa"
     block_dim = bank.k_total // (bank.grid[0] * bank.grid[1])
     for entry in train:
-        for f in _load_entry_features(config, entry):
+        for f in _load_entry_features(config, entry, bank):
             rows.append(f.values)
             labels.append(entry.label)
             if mirror:
@@ -316,7 +322,7 @@ def cmd_evaluate(config):
     seq_pred, seq_true, per_sequence = [], [], []
     feature_rows, feature_labels = [], []
     for entry in test:
-        feats = _load_entry_features(config, entry)
+        feats = _load_entry_features(config, entry, bank)
         if not feats:
             raise InvalidInput(f"{entry.sequence_id} has no features")
         values = np.stack([f.values for f in feats])

@@ -35,11 +35,9 @@ SEQUENCE_MAGIC = b"SFV1"
 BANK_MAGIC = b"SFAM"
 FEATURES_MAGIC = b"SFAF"
 CLASSIFIER_MAGIC = b"SFAC"
-BANK_VERSION = 1
+BANK_VERSION = 2
 FEATURES_VERSION = 1
 CLASSIFIER_VERSION = 1
-
-_EXPANSION_KINDS = ("identity", "quadratic")
 
 
 def _atomic_write_bytes(path, data: bytes):
@@ -208,24 +206,29 @@ def _pack_array(arr) -> bytes:
 
 
 def save_bank(path, bank: sfa.ModelBank):
-    """Serialize a model bank; load_bank(save_bank(b)) is bit-identical."""
+    """Serialize a model bank; load_bank(save_bank(b)) is bit-identical.
+
+    Version 2 layout: magic, version, strategy tag, grid and model
+    count; the bank's one PCA (in and out dims, mean, projection,
+    explained eigenvalues); then per model its class label, gamma, k,
+    h0, w and eigenvalues.
+    """
+    pca = bank.pca
     parts = [BANK_MAGIC,
              struct.pack("<II", BANK_VERSION, sfa.STRATEGIES.index(
                  bank.strategy)),
              struct.pack("<III", bank.grid[0], bank.grid[1],
-                         len(bank.models))]
+                         len(bank.models)),
+             struct.pack("<II", pca.in_dim, pca.out_dim),
+             _pack_array(pca.mean),
+             _pack_array(pca.projection),
+             _pack_array(pca.explained_eigenvalues)]
     for m in bank.models:
         # region labels are not stored: model order is region-major, so
         # they are reconstructed at load time
         gamma = -1.0 if m.gamma is None else float(m.gamma)
         parts.append(_pack_label(m.class_label))
-        parts.append(struct.pack("<d", gamma))
-        parts.append(struct.pack(
-            "<IIII", _EXPANSION_KINDS.index(m.expansion.kind),
-            m.pca.in_dim, m.pca.out_dim, m.k))
-        parts.append(_pack_array(m.pca.mean))
-        parts.append(_pack_array(m.pca.projection))
-        parts.append(_pack_array(m.pca.explained_eigenvalues))
+        parts.append(struct.pack("<dI", gamma, m.k))
         parts.append(_pack_array(m.h0))
         parts.append(_pack_array(m.w))
         parts.append(_pack_array(m.eigenvalues))
@@ -237,6 +240,7 @@ def _unpack_label(value: int):
 
 
 def load_bank(path) -> sfa.ModelBank:
+    """Read a version-2 bank; any other version is UnsupportedVersion."""
     reader = _Reader(_read_file(path), path)
     if reader.take(4) != BANK_MAGIC:
         raise FormatError(f"{path}: bad magic, not a model bank")
@@ -256,31 +260,25 @@ def load_bank(path) -> sfa.ModelBank:
             raise FormatError(
                 f"{path}: {count} models do not tile a {grid} grid")
         per_region = count // n_regions
+    in_dim, out_dim = reader.u32(), reader.u32()
+    if in_dim == 0 or out_dim == 0 or out_dim > in_dim:
+        raise FormatError(f"{path}: inconsistent PCA dims {in_dim}/{out_dim}")
+    pca = linalg.PcaModel(
+        reader.f64_array(in_dim),
+        reader.f64_array(out_dim * in_dim).reshape(out_dim, in_dim),
+        reader.f64_array(out_dim))
+    expanded = sfa.expanded_dim(out_dim)
     models = []
     for index in range(count):
         class_label = _unpack_label(reader.i64())
         region_label = index // per_region if strategy == "sdsfa" else None
-        gamma = reader.f64()
-        kind_index = reader.u32()
-        if kind_index >= len(_EXPANSION_KINDS):
-            raise FormatError(f"{path}: unknown expansion tag {kind_index}")
-        kind = _EXPANSION_KINDS[kind_index]
-        in_dim, out_dim, k = reader.u32(), reader.u32(), reader.u32()
-        if in_dim == 0 or out_dim == 0 or k == 0 or out_dim > in_dim:
-            raise FormatError(f"{path}: inconsistent model dims "
-                              f"{in_dim}/{out_dim}/{k}")
-        expansion = sfa.ExpansionSpec(kind, out_dim)
-        expanded = expansion.output_dim
-        if k > expanded:
-            raise FormatError(f"{path}: {k} outputs from {expanded} dims")
-        pca = linalg.PcaModel(
-            reader.f64_array(in_dim),
-            reader.f64_array(out_dim * in_dim).reshape(out_dim, in_dim),
-            reader.f64_array(out_dim))
+        gamma, k = reader.f64(), reader.u32()
+        if k == 0 or k > expanded:
+            raise FormatError(f"{path}: model {index}: {k} outputs from "
+                              f"{expanded} dims")
         try:
             models.append(sfa.SlowFeatureModel(
                 pca=pca,
-                expansion=expansion,
                 h0=reader.f64_array(expanded),
                 w=reader.f64_array(expanded * k).reshape(expanded, k),
                 eigenvalues=reader.f64_array(k),

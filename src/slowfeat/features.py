@@ -10,9 +10,9 @@ contributes nearly zero, so small ASD entries mark the class (and
 region) whose functions the motion obeys.
 
 A whole bank is evaluated in one pass: cuboids are held as one
-(n, d, h, w) array, and the models sharing a PCA and expansion (all of
-a fitted bank's models) are windowed, projected and expanded once,
-with one matrix product against their stacked readouts.
+(n, d, h, w) array, windowed, projected through the bank's one PCA and
+expanded once, with one matrix product against the bank's stacked
+readouts.
 
 For a region-gridded bank each cuboid contributes only to the block of
 its own region; mirroring a feature permutes those region blocks.
@@ -40,7 +40,7 @@ from .errors import (
     SlowFeatError,
     TooShort,
 )
-from .sfa import ModelBank, ModelGroup
+from .sfa import ModelBank, quadratic_expand
 
 
 @dataclass(frozen=True)
@@ -85,42 +85,32 @@ def _window_length(input_dim: int, cuboid_shape) -> int:
     return delta_t
 
 
-def _group_squared_derivatives(block: np.ndarray,
-                               group: ModelGroup) -> np.ndarray:
-    """(n, d, h, w) cuboids -> (n, k) squared derivatives of one group.
-
-    Output j of a model is ``w[:, j] . (h(x) - h0)``, so its forward
-    difference is ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops
-    out: the expanded rows are differenced first, then multiplied by
-    the stacked readouts once.
-    """
-    delta_t = _window_length(group.pca.in_dim, block.shape[1:])
-    rows = window_rows(block, delta_t)
-    n, length, dim = rows.shape
-    expanded = group.expansion.expand(
-        group.pca.transform(rows.reshape(n * length, dim)))
-    dh = np.diff(expanded.reshape(n, length, -1), axis=1)
-    # outputs are a function of the row alone, so bit-equal consecutive
-    # rows must difference to exactly zero (batched BLAS may not)
-    dh[(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0.0
-    dy = (dh.reshape(n * (length - 1), -1) @ group.w).reshape(
-        n, length - 1, -1)
-    return (dy * dy).mean(axis=1)
-
-
 def bank_squared_derivatives(block, bank: ModelBank,
                              regions=None) -> np.ndarray:
     """Mean squared derivative of every bank output on every cuboid.
 
     ``block`` holds n cuboids as (n, d, h, w); the result is (n, k_total)
-    in the bank's feature layout.  For an ``sdsfa`` bank, ``regions``
-    gives each cuboid's grid cell and every column of another region's
-    models is exactly zero.
+    in the bank's feature layout.  Output j of a model is
+    ``w[:, j] . (h(x) - h0)``, so its forward difference is
+    ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: the
+    expanded rows are differenced first, then multiplied by the bank's
+    stacked readouts once.  For an ``sdsfa`` bank, ``regions`` gives
+    each cuboid's grid cell and every column of another region's models
+    is exactly zero.
     """
     block = np.asarray(block, dtype=float)
-    out = np.empty((block.shape[0], bank.k_total))
-    for group in bank.groups:
-        out[:, group.columns] = _group_squared_derivatives(block, group)
+    delta_t = _window_length(bank.pca.in_dim, block.shape[1:])
+    rows = window_rows(block, delta_t)
+    n, length, dim = rows.shape
+    expanded = quadratic_expand(
+        bank.pca.transform(rows.reshape(n * length, dim)))
+    dh = np.diff(expanded.reshape(n, length, -1), axis=1)
+    # outputs are a function of the row alone, so bit-equal consecutive
+    # rows must difference to exactly zero (batched BLAS may not)
+    dh[(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0.0
+    dy = (dh.reshape(n * (length - 1), -1) @ bank.w).reshape(
+        n, length - 1, -1)
+    out = (dy * dy).mean(axis=1)
     if bank.strategy == "sdsfa":
         if regions is None:
             raise InvalidInput("sdsfa features need region-labeled cuboids")

@@ -210,13 +210,14 @@ def pca_fit(data, out_dim: int) -> PcaModel:
         raise InvalidDimension(
             f"out_dim must be in [1, {in_dim}], got {out_dim}")
 
-    centered = data - data.mean(axis=0)
+    mean = data.mean(axis=0)
+    centered = data - mean
     cov = _symmetrize(centered.T @ centered / (n - 1))
     res = sym_eig(cov)
     # sym_eig sorts ascending; take the top out_dim, largest first.
     idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
     return PcaModel(
-        mean=data.mean(axis=0),
+        mean=mean,
         projection=res.eigenvectors[:, idx].T.copy(),
         explained_eigenvalues=res.eigenvalues[idx].copy(),
     )

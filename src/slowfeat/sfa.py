@@ -1,7 +1,7 @@
 """Slow feature learning: expansion, fitting strategies, learned transform.
 
-A slow feature model maps a raw input vector x through PCA, a fixed
-nonlinear expansion h, centering by the training mean h0, and a linear
+A slow feature model maps a raw input vector x through PCA, the fixed
+quadratic expansion h, centering by the training mean h0, and a linear
 readout W whose columns solve a generalized eigenproblem:
 
     minimize   <(dy/dt)^2>        (temporal variation of each output)
@@ -26,6 +26,9 @@ projected and expanded in one call each; each cell's mean, covariance
 and derivative covariance come from one ``linalg.sequence_moments``.
 The discriminative constraints of a region (the whole set for dsfa) are
 pooled from its class cells' moments, so dsfa is sdsfa on one region.
+
+A bank therefore has one PCA, shared by all of its models, and
+``ModelBank`` holds to that: its models' PCAs must be bit-equal.
 
 Minisequences are ``(length, dim)`` arrays, ragged lists included;
 derivatives are forward differences with unit time step and never
@@ -81,33 +84,9 @@ def quadratic_expand(x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def expanded_dim(input_dim: int, kind: str = "quadratic") -> int:
-    if kind == "identity":
-        return input_dim
+def expanded_dim(input_dim: int) -> int:
+    """Output dimension of ``quadratic_expand`` on ``input_dim`` inputs."""
     return input_dim + input_dim * (input_dim + 1) // 2
-
-
-@dataclass(frozen=True)
-class ExpansionSpec:
-    """Which fixed nonlinear expansion a model applies after PCA."""
-
-    kind: str
-    input_dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "quadratic"):
-            raise ValueError(f"unknown expansion kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
-
-    @property
-    def output_dim(self) -> int:
-        return expanded_dim(self.input_dim, self.kind)
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(x, dtype=float)
-        return quadratic_expand(x)
 
 
 @dataclass(frozen=True)
@@ -115,12 +94,12 @@ class SlowFeatureModel:
     """One fitted set of slow feature functions.
 
     ``w`` has shape (expanded_dim, k); output j of the model is
-    ``w[:, j] . (h(pca(x)) - h0)`` and ``eigenvalues[j]`` equals its
-    mean squared derivative on the training data.
+    ``w[:, j] . (h(pca(x)) - h0)``, with h the quadratic expansion,
+    and ``eigenvalues[j]`` equals its mean squared derivative on the
+    training data.
     """
 
     pca: linalg.PcaModel
-    expansion: ExpansionSpec
     h0: np.ndarray
     w: np.ndarray
     eigenvalues: np.ndarray
@@ -153,7 +132,7 @@ def apply(model: SlowFeatureModel, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != model.input_dim:
         raise InvalidDimension(
             f"model expects input dim {model.input_dim}, got {x.shape[-1]}")
-    h = model.expansion.expand(model.pca.transform(x))
+    h = quadratic_expand(model.pca.transform(x))
     return (h - model.h0) @ model.w
 
 
@@ -167,59 +146,14 @@ def delta_value(y) -> float:
 
 
 @dataclass(frozen=True)
-class ModelGroup:
-    """Models of a bank that share one PCA and one expansion.
-
-    ``w`` stacks the members' readouts column by column and ``columns``
-    gives the bank feature column of each of its columns.
-    """
-
-    pca: linalg.PcaModel
-    expansion: ExpansionSpec
-    w: np.ndarray
-    columns: np.ndarray
-
-
-def _same_input_map(a: SlowFeatureModel, b: SlowFeatureModel) -> bool:
-    return a.expansion == b.expansion and all(
-        x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in ((a.pca.mean, b.pca.mean),
-                     (a.pca.projection, b.pca.projection)))
-
-
-def group_models(models) -> tuple[ModelGroup, ...]:
-    """Group models by bit-equal PCA and expansion, in first-seen order.
-
-    Every fitting strategy fits one PCA for the whole bank, so a fitted
-    bank is a single group; hand-built banks may carry one PCA per
-    model.  Feature columns follow model order, each model's ``k``
-    outputs in turn.
-    """
-    members: list[list] = []
-    offset = 0
-    for m in models:
-        columns = np.arange(offset, offset + m.k)
-        offset += m.k
-        for group in members:
-            if _same_input_map(group[0], m):
-                group[1].append(m.w)
-                group[2].append(columns)
-                break
-        else:
-            members.append([m, [m.w], [columns]])
-    return tuple(ModelGroup(first.pca, first.expansion, np.hstack(ws),
-                            np.concatenate(columns))
-                 for first, ws, columns in members)
-
-
-@dataclass(frozen=True)
 class ModelBank:
     """An ordered collection of fitted models for one strategy.
 
     Ordering defines the feature layout downstream: a single model for
     ``usfa``; one per class in ascending class order for ``ssfa`` and
     ``dsfa``; region-major, class-minor for ``sdsfa`` (region index runs
-    over the grid row by row).
+    over the grid row by row).  All models share one PCA: every model's
+    ``pca`` must be bit-equal to the first model's.
     """
 
     strategy: str
@@ -257,15 +191,29 @@ class ModelBank:
                 raise ValueError(
                     "sdsfa bank must hold one model per (region, class), "
                     "region-major and class-minor")
+        pca = self.pca
+        arrays = (pca.mean, pca.projection, pca.explained_eigenvalues)
+        for m in self.models[1:]:
+            if m.pca is not pca and not all(
+                    a.shape == b.shape and a.tobytes() == b.tobytes()
+                    for a, b in zip(arrays, (m.pca.mean, m.pca.projection,
+                                             m.pca.explained_eigenvalues))):
+                raise ValueError("the models of a bank must share one PCA")
 
     @property
     def k_total(self) -> int:
         return sum(m.k for m in self.models)
 
+    @property
+    def pca(self) -> linalg.PcaModel:
+        """The one PCA of the bank, shared by all of its models."""
+        return self.models[0].pca
+
     @functools.cached_property
-    def groups(self) -> tuple[ModelGroup, ...]:
-        """``group_models`` of this bank, computed once."""
-        return group_models(self.models)
+    def w(self) -> np.ndarray:
+        """The models' readouts stacked column by column in feature
+        order, computed once."""
+        return np.hstack([m.w for m in self.models])
 
     @property
     def class_labels(self) -> tuple[int, ...]:
@@ -301,24 +249,23 @@ def _per_sequence(values, count, what):
     return values
 
 
-def _expand(seqs, pca_dim, expansion):
+def _expand(seqs, pca_dim):
     """Stack the minisequences once, fit PCA on the stacked rows, then
     project and expand them in one call each.
 
-    Returns the PCA, the expansion, the (n, expanded_dim) rows and the
-    minisequence lengths.
+    Returns the PCA, the (n, expanded_dim) rows and the minisequence
+    lengths.
     """
     rows = np.concatenate(seqs)
     lengths = np.array([s.shape[0] for s in seqs])
     pca = linalg.pca_fit(rows, pca_dim)
-    spec = ExpansionSpec(expansion, pca_dim)
     if (lengths == lengths[0]).all():
         # equal lengths project as a batch of one small product per
         # minisequence: bit-equal to projecting each alone, and without
         # the large buffers of one threaded tall-matrix product
         rows = rows.reshape(len(seqs), lengths[0], -1)
     projected = pca.transform(rows).reshape(-1, pca_dim)
-    return pca, spec, spec.expand(projected), lengths
+    return pca, quadratic_expand(projected), lengths
 
 
 def _cell_moments(h, lengths, cells, n_cells):
@@ -349,7 +296,7 @@ def _pool(moments):
     return mean, b
 
 
-def _solve_model(objective, constraint, h0, pca, expansion, k, rel_cutoff,
+def _solve_model(objective, constraint, h0, pca, k, rel_cutoff,
                  strategy, class_label=None, region_label=None, gamma=None,
                  what="training set"):
     if np.abs(objective).max() == 0.0:
@@ -364,7 +311,6 @@ def _solve_model(objective, constraint, h0, pca, expansion, k, rel_cutoff,
             "directions survive the rank cutoff")
     return SlowFeatureModel(
         pca=pca,
-        expansion=expansion,
         h0=h0,
         w=eig.eigenvectors[:, :k].copy(),
         eigenvalues=eig.eigenvalues[:k].copy(),
@@ -387,7 +333,7 @@ def _check_cells(counts, classes, by_region):
 
 
 def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
-         gamma, rel_cutoff, expansion):
+         gamma, rel_cutoff):
     """The four strategies as one fit over cells.
 
     A cell is the whole set for usfa, one class for ssfa and dsfa, and
@@ -422,7 +368,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
         _check_cells(np.bincount(cells, minlength=n_regions * n_classes),
                      classes, strategy == "sdsfa")
 
-    pca, spec, h, lengths = _expand(seqs, pca_dim, expansion)
+    pca, h, lengths = _expand(seqs, pca_dim)
     moments = _cell_moments(h, lengths, cells, n_regions * n_classes)
     models = []
     for r in range(n_regions):
@@ -443,7 +389,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
             else:
                 h0, b, objective = region[i][:3]
             models.append(_solve_model(
-                objective, b, h0, pca, spec, k, rel_cutoff, strategy,
+                objective, b, h0, pca, k, rel_cutoff, strategy,
                 class_label=None if strategy == "usfa" else int(c),
                 region_label=r if strategy == "sdsfa" else None,
                 gamma=gamma if discriminative else None,
@@ -453,8 +399,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
 
 
 def fit_usfa(minisequences, pca_dim: int, k: int,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF,
-             expansion: str = "quadratic") -> ModelBank:
+             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
     """Fit one unsupervised slow feature model on all minisequences.
 
     Pipeline: PCA to ``pca_dim`` on the union of all vectors, expand,
@@ -465,13 +410,11 @@ def fit_usfa(minisequences, pca_dim: int, k: int,
     of its output on the training data.
     """
     return ModelBank("usfa", _fit(
-        "usfa", minisequences, None, None, 1, pca_dim, k, None, rel_cutoff,
-        expansion))
+        "usfa", minisequences, None, None, 1, pca_dim, k, None, rel_cutoff))
 
 
 def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF,
-             expansion: str = "quadratic") -> ModelBank:
+             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
     """Fit one slow feature model per class on that class's data alone.
 
     PCA is shared (fit on the union of all classes); the expanded mean,
@@ -482,13 +425,12 @@ def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
     """
     return ModelBank("ssfa", _fit(
         "ssfa", minisequences, labels, None, 1, pca_dim, k_per_class, None,
-        rel_cutoff, expansion))
+        rel_cutoff))
 
 
 def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
              gamma: float = DEFAULT_GAMMA,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF,
-             expansion: str = "quadratic") -> ModelBank:
+             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
     """Fit one discriminative slow feature model per class.
 
     Class c minimizes its own mean squared derivative while maximizing
@@ -500,13 +442,12 @@ def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
     """
     return ModelBank("dsfa", _fit(
         "dsfa", minisequences, labels, None, 1, pca_dim, k_per_class, gamma,
-        rel_cutoff, expansion))
+        rel_cutoff))
 
 
 def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
               k_per_class: int, gamma: float = DEFAULT_GAMMA,
-              rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF,
-              expansion: str = "quadratic") -> ModelBank:
+              rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
     """Fit discriminative models independently inside each spatial region.
 
     ``regions`` assigns each minisequence a region index in
@@ -520,4 +461,4 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
         raise InvalidDimension(f"bad grid {grid}")
     return ModelBank("sdsfa", _fit(
         "sdsfa", minisequences, labels, regions, gx * gy, pca_dim,
-        k_per_class, gamma, rel_cutoff, expansion), grid=(gx, gy))
+        k_per_class, gamma, rel_cutoff), grid=(gx, gy))

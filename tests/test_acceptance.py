@@ -319,20 +319,21 @@ def test_criterion_8_mirror_symmetry(capsys):
 # 9. format round trips
 
 
-def _random_model(rng, strategy, class_label=None, region_label=None,
-                  gamma=None):
+def _random_pca(rng):
     in_dim = int(rng.integers(2, 7))
     pca_dim = int(rng.integers(1, in_dim + 1))
-    kind = "quadratic" if rng.random() < 0.7 else "identity"
-    expansion = sfa.ExpansionSpec(kind, pca_dim)
-    expanded = expansion.output_dim
+    return linalg.PcaModel(mean=rng.normal(size=in_dim),
+                           projection=rng.normal(size=(pca_dim, in_dim)),
+                           explained_eigenvalues=np.sort(
+                               np.abs(rng.normal(size=pca_dim)))[::-1].copy())
+
+
+def _random_model(rng, pca, strategy, class_label=None, region_label=None,
+                  gamma=None):
+    expanded = sfa.expanded_dim(pca.out_dim)
     k = int(rng.integers(1, expanded + 1))
-    pca = linalg.PcaModel(mean=rng.normal(size=in_dim),
-                          projection=rng.normal(size=(pca_dim, in_dim)),
-                          explained_eigenvalues=np.sort(
-                              np.abs(rng.normal(size=pca_dim)))[::-1].copy())
     return sfa.SlowFeatureModel(
-        pca=pca, expansion=expansion, h0=rng.normal(size=expanded),
+        pca=pca, h0=rng.normal(size=expanded),
         w=rng.normal(size=(expanded, k)),
         eigenvalues=np.sort(np.abs(rng.normal(size=k))),
         strategy=strategy, class_label=class_label,
@@ -341,17 +342,18 @@ def _random_model(rng, strategy, class_label=None, region_label=None,
 
 def _random_bank(rng):
     strategy = str(rng.choice(sfa.STRATEGIES))
+    pca = _random_pca(rng)
     if strategy == "usfa":
-        return sfa.ModelBank(strategy, (_random_model(rng, strategy),))
+        return sfa.ModelBank(strategy, (_random_model(rng, pca, strategy),))
     classes = list(range(int(rng.integers(2, 5))))
     gamma = float(rng.uniform(0.0, 1.0)) if strategy != "ssfa" else None
     if strategy in ("ssfa", "dsfa"):
         return sfa.ModelBank(strategy, tuple(
-            _random_model(rng, strategy, class_label=c, gamma=gamma)
+            _random_model(rng, pca, strategy, class_label=c, gamma=gamma)
             for c in classes))
     grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
     models = tuple(
-        _random_model(rng, strategy, class_label=c, region_label=r,
+        _random_model(rng, pca, strategy, class_label=c, region_label=r,
                       gamma=gamma)
         for r in range(grid[0] * grid[1]) for c in classes)
     return sfa.ModelBank(strategy, models, grid)
@@ -362,7 +364,6 @@ def _models_equal(a, b):
             and np.array_equal(a.pca.projection, b.pca.projection)
             and np.array_equal(a.pca.explained_eigenvalues,
                                b.pca.explained_eigenvalues)
-            and a.expansion == b.expansion
             and np.array_equal(a.h0, b.h0)
             and np.array_equal(a.w, b.w)
             and np.array_equal(a.eigenvalues, b.eigenvalues)

@@ -1,10 +1,12 @@
 import dataclasses
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from slowfeat import cli, dataio, sfa
+from slowfeat import benchmark, cli, dataio, sfa
 from slowfeat.config import RunConfig
 from slowfeat.errors import InvalidInput, ParseError
 
@@ -274,3 +276,111 @@ def test_main_runs_synth(tmp_path):
                      "--train-per-class", "1", "--data-dir", data_dir])
     assert code == 0
     assert os.path.exists(os.path.join(data_dir, "manifest.txt"))
+
+
+# ---------------------------------------------------------------------------
+# fault injection: each case exits 1 with one line on stderr
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Configs of a dsfa and a 2x1-grid sdsfa run on one dataset, each
+    taken through evaluate and saved as ``run.cfg`` next to its bank; a
+    dsfa feature row is 8 wide, an sdsfa row 16."""
+    root = tmp_path_factory.mktemp("runs")
+    configs = {}
+    for strategy in ("dsfa", "sdsfa"):
+        run = root / strategy
+        run.mkdir()
+        cfg = desk_config(run, strategy=strategy, grid_nx=2, grid_ny=1,
+                          classes=2, sequences_per_class=4, train_per_class=2,
+                          k_per_class=4, max_cuboids=60,
+                          data_dir=str(root / "data"))
+        if strategy == "dsfa":
+            cli.cmd_synth(cfg)
+        benchmark.run_strategy(cfg)
+        dataio.save_config(run / "run.cfg", cfg)
+        configs[strategy] = cfg
+    return configs
+
+
+OUTPUTS = {"featurize": ["features_dir"],
+           "fit-classifier": ["classifier_path"],
+           "evaluate": ["report_path", "results_path"]}
+
+
+def fails_with_one_line(capsys, command, config, tmp_path, **flags):
+    """Run ``command`` on ``config`` with ``flags`` overriding its paths
+    and its outputs moved into an empty directory; expect exit 1, one
+    line on stderr and the directory still empty."""
+    out = tmp_path / "out"
+    out.mkdir()
+    moved = {name: out / name for name in OUTPUTS[command]}
+    argv = [command, "--config",
+            os.path.join(os.path.dirname(config.model_path), "run.cfg")]
+    for name, value in {**moved, **flags}.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+    assert not os.listdir(out)
+    return err
+
+
+@pytest.mark.parametrize("own,other", [("dsfa", "sdsfa"),
+                                       ("sdsfa", "dsfa")])
+@pytest.mark.parametrize("command,swapped", [
+    ("fit-classifier", "model_path"), ("fit-classifier", "features_dir"),
+    ("evaluate", "model_path"), ("evaluate", "features_dir"),
+    ("evaluate", "classifier_path")])
+def test_files_from_another_strategys_run_fail_cleanly(
+        two_runs, tmp_path, capsys, command, swapped, own, other):
+    err = fails_with_one_line(capsys, command, two_runs[own], tmp_path,
+                              **{swapped: getattr(two_runs[other], swapped)})
+    if swapped != "classifier_path":
+        # e.g. an sdsfa bank's class columns would run past a dsfa row
+        widths = {"dsfa": 8, "sdsfa": 16}
+        bank, feats = (other, own) if swapped == "model_path" else (own, other)
+        assert f"{widths[feats]}-d features" in err
+        assert f"{widths[bank]} outputs" in err
+
+
+@pytest.mark.parametrize("command", ["featurize", "fit-classifier",
+                                     "evaluate"])
+def test_missing_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
+    fails_with_one_line(capsys, command, two_runs["dsfa"], tmp_path,
+                        model_path=tmp_path / "none.sfam")
+
+
+def test_missing_classifier_fails_cleanly(two_runs, tmp_path, capsys):
+    fails_with_one_line(capsys, "evaluate", two_runs["dsfa"], tmp_path,
+                        classifier_path=tmp_path / "none.sfac")
+
+
+@pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
+def test_missing_feature_file_fails_cleanly(two_runs, tmp_path, capsys,
+                                            command):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    train, test = cli.split_entries(entries, cfg)
+    gone = (train if command == "fit-classifier" else test)[0]
+    features_dir = tmp_path / "features"
+    shutil.copytree(cfg.features_dir, features_dir)
+    os.remove(features_dir / (gone.sequence_id + ".sfaf"))
+    err = fails_with_one_line(capsys, command, cfg, tmp_path,
+                              features_dir=features_dir)
+    assert gone.sequence_id in err
+
+
+@pytest.mark.parametrize("command", ["featurize", "fit-classifier",
+                                     "evaluate"])
+def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
+    cfg = two_runs["dsfa"]
+    raw = bytearray(open(cfg.model_path, "rb").read())
+    raw[4:8] = struct.pack("<I", 1)
+    old = tmp_path / "old.sfam"
+    old.write_bytes(bytes(raw))
+    err = fails_with_one_line(capsys, command, cfg, tmp_path, model_path=old)
+    assert "bank version 1" in err

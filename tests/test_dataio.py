@@ -51,8 +51,6 @@ def banks_equal(a, b):
         if (m.class_label, m.region_label, m.gamma, m.strategy) != \
                 (n.class_label, n.region_label, n.gamma, n.strategy):
             return False
-        if m.expansion != n.expansion:
-            return False
         pairs = [(m.pca.mean, n.pca.mean),
                  (m.pca.projection, n.pca.projection),
                  (m.pca.explained_eigenvalues, n.pca.explained_eigenvalues),
@@ -245,6 +243,34 @@ def test_bank_bad_magic_and_version(tmp_path):
         dataio.load_bank(newer)
 
 
+def test_bank_version_1_is_unsupported(tmp_path):
+    bank = fitted_bank("dsfa")
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    raw = bytearray(path.read_bytes())
+    assert raw[4:8] == struct.pack("<I", 2)
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UnsupportedVersion, match="version 1"):
+        dataio.load_bank(path)
+
+
+@pytest.mark.parametrize("strategy", ["usfa", "dsfa", "sdsfa"])
+def test_bank_stores_the_pca_once(tmp_path, strategy):
+    bank = (region_fitted_banks()[1] if strategy == "sdsfa"
+            else fitted_bank(strategy))
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    pca = bank.pca
+    pca_floats = pca.in_dim + pca.projection.size + pca.out_dim
+    # per model: label, gamma and k, then h0, w and eigenvalues
+    model_bytes = sum(8 + 8 + 4 + 8 * (m.h0.size + m.w.size + m.k)
+                      for m in bank.models)
+    assert path.stat().st_size == 24 + 8 + 8 * pca_floats + model_bytes
+    again = dataio.load_bank(path)
+    assert all(m.pca is again.pca for m in again.models)
+
+
 def test_bank_truncation(tmp_path):
     bank = fitted_bank("dsfa")
     path = tmp_path / "bank.sfam"
@@ -296,11 +322,12 @@ def test_bank_with_nan_readout_is_a_format_error(tmp_path):
     path = tmp_path / "bank.sfam"
     dataio.save_bank(path, bank)
     raw = bytearray(path.read_bytes())
-    # header, then label, gamma, four dims, pca mean/projection/
-    # eigenvalues and h0 come before w
+    # header and PCA dims, the PCA's mean/projection/eigenvalues, then
+    # the model's label, gamma, k and h0 come before w
     floats = (m.pca.in_dim + m.pca.projection.size
               + m.pca.out_dim + m.h0.size)
-    offset = 24 + 8 + 8 + 16 + 8 * floats
+    offset = 24 + 8 + 8 * floats + 8 + 8 + 4
+    assert raw[offset:offset + 8] == struct.pack("<d", m.w[0, 0])
     raw[offset:offset + 8] = struct.pack("<d", float("nan"))
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfeat import cuboid, linalg, sfa
+from slowfeat import cuboid, dataio, linalg, sfa
 from slowfeat.errors import (
     EmptyTrainingSet,
     InsufficientClassData,
@@ -248,8 +248,7 @@ def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
     seqs, labels = labeled_three_class_data(seed=12)
     bank = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=0.0)
     pca = bank.models[0].pca
-    spec = bank.models[0].expansion
-    h_all = [spec.expand(pca.transform(s)) for s in seqs]
+    h_all = [sfa.quadratic_expand(pca.transform(s)) for s in seqs]
     _, b_union, _, _, _ = linalg.sequence_moments(
         np.vstack(h_all), [len(h) for h in h_all])
     for model in bank.models:
@@ -281,10 +280,9 @@ def test_dsfa_gamma_objective_monotonicity():
     bank1 = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=gamma1)
     bank2 = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=gamma2)
     pca = bank1.models[0].pca
-    spec = bank1.models[0].expansion
     h_all = {l: [] for l in set(labels)}
     for s, l in zip(seqs, labels):
-        h_all[l].append(spec.expand(pca.transform(s)))
+        h_all[l].append(sfa.quadratic_expand(pca.transform(s)))
 
     def diff_cov(h_seqs):
         d = np.vstack([h[1:] - h[:-1] for h in h_seqs])
@@ -375,7 +373,7 @@ def relative_gap(got, expected):
 
 
 def expanded(model, seqs):
-    return [model.expansion.expand(model.pca.transform(s)) for s in seqs]
+    return [sfa.quadratic_expand(model.pca.transform(s)) for s in seqs]
 
 
 def assert_solves(model, objective, constraint):
@@ -482,10 +480,10 @@ def test_apply_rejects_wrong_dim():
 
 def dummy_model(k, class_label=None, region_label=None, strategy="ssfa"):
     pca = linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(3))
-    spec = sfa.ExpansionSpec("quadratic", 3)
+    dim = sfa.expanded_dim(3)
     return sfa.SlowFeatureModel(
-        pca=pca, expansion=spec, h0=np.zeros(spec.output_dim),
-        w=np.zeros((spec.output_dim, k)), eigenvalues=np.zeros(k),
+        pca=pca, h0=np.zeros(dim), w=np.zeros((dim, k)),
+        eigenvalues=np.zeros(k),
         strategy=strategy, class_label=class_label,
         region_label=region_label)
 
@@ -509,17 +507,29 @@ def test_model_rejects_non_finite_parameters():
                 model, pca=dataclasses.replace(model.pca, **{name: bad}))
 
 
-def test_bank_groups_share_one_input_map():
-    # hand-built models with bit-equal but separate PCA arrays form one
-    # group; a model with its own PCA forms another
-    models = [dummy_model(2, class_label=c) for c in range(3)]
-    shifted = dataclasses.replace(
-        models[1].pca, mean=models[1].pca.mean + 1.0)
-    models[1] = dataclasses.replace(models[1], pca=shifted)
-    groups = sfa.ModelBank("ssfa", tuple(models)).groups
-    assert [g.columns.tolist() for g in groups] == [[0, 1, 4, 5], [2, 3]]
-    assert np.array_equal(groups[0].w,
-                          np.hstack([models[0].w, models[2].w]))
+def test_bank_rejects_models_with_different_pcas():
+    # hand-built models with bit-equal but separate PCA arrays share the
+    # bank's one PCA; a model whose PCA differs in any array, even by
+    # the sign of a zero, is rejected
+    rng = np.random.default_rng(8)
+    models = [dataclasses.replace(dummy_model(2, class_label=c),
+                                  w=rng.normal(size=(9, 2)))
+              for c in range(3)]
+    bank = sfa.ModelBank("ssfa", tuple(models))
+    assert bank.pca is models[0].pca
+    assert models[1].pca is not models[0].pca
+    assert bank.w.tobytes() == np.hstack([m.w for m in models]).tobytes()
+    assert bank.w is bank.w
+    pca = models[1].pca
+    for changed in (dataclasses.replace(pca, mean=pca.mean + 1.0),
+                    dataclasses.replace(pca, mean=-pca.mean),
+                    dataclasses.replace(pca, projection=pca.projection[::-1]),
+                    dataclasses.replace(pca, explained_eigenvalues=pca
+                                        .explained_eigenvalues * 2.0)):
+        other = list(models)
+        other[1] = dataclasses.replace(models[1], pca=changed)
+        with pytest.raises(ValueError, match="share one PCA"):
+            sfa.ModelBank("ssfa", tuple(other))
 
 
 def test_bank_k_total_six_classes():
@@ -559,3 +569,23 @@ def test_training_keeps_the_names_the_benchmark_reads():
     for name in ("fit_usfa", "fit_ssfa", "fit_dsfa", "fit_sdsfa"):
         assert inspect.signature(getattr(sfa, name)).return_annotation \
             == "ModelBank"
+
+
+def test_loaded_banks_keep_the_names_the_benchmark_reads(tmp_path):
+    # the benchmark's output check loads the bank and compares every
+    # model's pca.in_dim and w.shape against sfa.expanded_dim(pca_dim),
+    # called with one argument
+    assert list(inspect.signature(sfa.expanded_dim).parameters) \
+        == ["input_dim"]
+    rng = np.random.default_rng(21)
+    minis = [rng.normal(size=(5, 6)) for _ in range(16)]
+    bank = sfa.fit_sdsfa(minis, [i % 2 for i in range(16)],
+                         [i // 2 % 2 for i in range(16)], (2, 1),
+                         pca_dim=3, k_per_class=2)
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    loaded = dataio.load_bank(path)
+    assert len(loaded.models) == 4
+    for m in loaded.models:
+        assert m.pca.in_dim == 6
+        assert m.w.shape == (sfa.expanded_dim(3), 2)
