@@ -54,10 +54,6 @@ class LinearClassifier:
             raise InvalidInput("classifier parameters must be finite")
 
     @property
-    def num_classes(self):
-        return self.weights.shape[0]
-
-    @property
     def dim(self):
         return self.weights.shape[1]
 

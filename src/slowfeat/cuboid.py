@@ -7,8 +7,9 @@ thresholded at ``delta`` marks motion boundary pixels.  Cuboids of size
 h x w x d are cut around sampled boundary pixels, then read as
 short vector sequences by sliding a window of ``delta_t`` frames.
 
-There are no cuboid objects: the sampler returns the (n, 3) array of
-picked ``(t, y, x)`` origins, ``crop_cuboids`` cuts them into one
+There are no cuboid or mask objects: ``motion_masks`` returns one
+(T, H, W) bool array, the sampler returns the (n, 3) array of picked
+``(t, y, x)`` origins, ``crop_cuboids`` cuts them into one
 (n, d, h, w) array, ``window_rows`` views that array as minisequences
 and ``region_label`` labels whole arrays of positions at once.
 
@@ -75,10 +76,6 @@ class FrameSequence:
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self.frames.shape[1], self.frames.shape[2]
-
 
 def normalize_sequence(seq: FrameSequence) -> FrameSequence:
     """Scale the whole sequence to zero mean and unit variance.
@@ -135,35 +132,31 @@ def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MotionMask:
-    """Boolean motion-boundary mask plus the threshold that made it."""
-
-    mask: np.ndarray
-    delta: float
-
-
 def motion_boundary(diff_frame: np.ndarray, delta: float,
-                    bbox=None) -> MotionMask:
+                    bbox=None) -> np.ndarray:
     """Threshold the Sobel magnitude of one difference frame.
 
-    Pixels with magnitude strictly above ``delta`` are marked.  Border
-    pixels, where the kernel does not fit, stay unmarked.  With a
-    ``bbox`` of (x, y, w, h), pixels outside the box are cleared.
+    Returns the (H, W) bool mask of the pixels with magnitude strictly
+    above ``delta``.  Border pixels, where the kernel does not fit, stay
+    unmarked.  With a ``bbox`` of (x, y, w, h), pixels outside the box
+    are cleared.
     """
-    return _threshold(gradient_magnitude(diff_frame), delta, bbox)
+    boxes = None if bbox is None else [bbox]
+    return _threshold(gradient_magnitude(diff_frame)[None], delta, boxes)[0]
 
 
-def _threshold(magnitude, delta, bbox) -> MotionMask:
+def _threshold(magnitude, delta, boxes) -> np.ndarray:
+    """``magnitude > delta`` over a (T, H, W) stack, each frame cleared
+    outside its (x, y, w, h) box when ``boxes`` are given."""
     if delta < 0:
         raise InvalidInput(f"delta must be >= 0, got {delta}")
     mask = magnitude > delta
-    if bbox is not None:
-        bx, by, bw, bh = (int(v) for v in bbox)
-        limited = np.zeros_like(mask)
-        limited[by:by + bh, bx:bx + bw] = mask[by:by + bh, bx:bx + bw]
-        mask = limited
-    return MotionMask(mask, float(delta))
+    if boxes is not None:
+        inside = np.zeros_like(mask)
+        for t, (bx, by, bw, bh) in enumerate(np.asarray(boxes, dtype=int)):
+            inside[t, by:by + bh, bx:bx + bw] = True
+        mask &= inside
+    return mask
 
 
 def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
@@ -182,24 +175,18 @@ def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
     return DELTA_FRACTION * float(np.percentile(pooled, DELTA_PERCENTILE))
 
 
-def motion_masks(diff_seq: FrameSequence, delta: float | None = None,
-                 use_boxes: bool = True) -> list[MotionMask]:
+def motion_masks(diff_seq: FrameSequence,
+                 delta: float | None = None) -> np.ndarray:
     """``motion_boundary`` of every frame from one Sobel pass.
 
-    ``delta = None`` applies ``default_delta``; with ``use_boxes`` each
-    frame's mask is limited to that frame's box, when the sequence has
-    boxes.
+    Returns the (T, H, W) bool masks.  ``delta = None`` applies
+    ``default_delta``; each frame's mask is limited to that frame's box
+    when the sequence has boxes.
     """
     magnitude = gradient_magnitude(diff_seq.frames)
     if delta is None:
         delta = default_delta(diff_seq, magnitude)
-    boxes = diff_seq.boxes if use_boxes else None
-    return [_threshold(m, delta, None if boxes is None else boxes[t])
-            for t, m in enumerate(magnitude)]
-
-
-def _mask_array(mask) -> np.ndarray:
-    return mask.mask if isinstance(mask, MotionMask) else np.asarray(mask, bool)
+    return _threshold(magnitude, delta, diff_seq.boxes)
 
 
 def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
@@ -222,7 +209,7 @@ def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
     picks = [np.zeros((0, 3), dtype=np.intp)]
     last_start = min(len(masks), shape[0] - d + 1)
     for t in range(max(last_start, 0)):
-        mask = _mask_array(masks[t])
+        mask = np.asarray(masks[t], dtype=bool)
         if mask.shape != shape[1:]:
             raise InvalidDimension(
                 f"mask {t} has shape {mask.shape}, frames are {shape[1:]}")

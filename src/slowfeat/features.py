@@ -173,8 +173,8 @@ def mirror_feature(f: ASDFeature, grid, per_region_block_dim: int) -> ASDFeature
 
 def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
                        fraction: float, seed: int, delta: float | None = None,
-                       stride: int = 1, sequence_id: str = "seq",
-                       use_boxes: bool = True) -> list[ASDFeature]:
+                       stride: int = 1,
+                       sequence_id: str = "seq") -> list[ASDFeature]:
     """One ASD feature per snippet of ``d`` successive frames.
 
     ``seq`` is the (already differenced) sequence that cuboids are cut
@@ -191,16 +191,16 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
         raise TooShort(f"sequence has {n} frames, snippets need {d}")
     if stride < 1:
         raise InvalidInput(f"stride must be >= 1, got {stride}")
-    if bank.strategy == "sdsfa" and (seq.boxes is None or not use_boxes):
+    if bank.strategy == "sdsfa" and seq.boxes is None:
         raise InvalidInput("sdsfa featurization needs bounding boxes")
-    masks = motion_masks(seq, delta, use_boxes)
+    masks = motion_masks(seq, delta)
     frames = np.asarray(seq.frames, dtype=float)
 
     out = []
     for start in range(0, n - d + 1, stride):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), start]))
-        ys, xs = pick_positions(masks[start].mask, fraction, (h, w), rng)
+        ys, xs = pick_positions(masks[start], fraction, (h, w), rng)
         if ys.size == 0:
             out.append(ASDFeature(np.zeros(bank.k_total),
                                   (sequence_id, start), False))

@@ -2,10 +2,10 @@
 
 All routines operate on float64 numpy arrays.  Matrices passed to the
 eigensolvers must be square, finite and symmetric.  ``sequence_moments``
-is the one moment routine: it takes stacked minisequences (rows plus
-lengths) and gives their mean, covariance and derivative covariance,
-exactly symmetric by construction; training calls it once per cell and
-pools cells from those moments.
+is the one moment routine: it takes one ``(n, length, dim)`` array of
+minisequences and gives their mean, covariance and derivative
+covariance, exactly symmetric by construction; training calls it once
+per cell and pools cells from those moments.
 
 The generalized solver follows the whitening route: eigendecompose the
 constraint matrix, drop near-null directions relative to its largest
@@ -223,42 +223,52 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     )
 
 
-def sequence_moments(rows, lengths):
-    """Mean plus second-moment matrices of stacked minisequences.
+def as_minisequences(minisequences) -> np.ndarray:
+    """Minisequences as one ``(n, length, dim)`` float array.
 
-    ``rows`` is ``(n, dim)``: minisequences of the given ``lengths``
-    (each >= 1, summing to n) stacked in order.  Returns
-    ``(mean, b, a, count_b, count_a)`` where ``mean`` is taken over all
-    rows, ``b`` is the mean outer product of the centered rows, and
-    ``a`` is the mean outer product of within-minisequence forward
-    differences (unit time step, differences never cross minisequence
-    boundaries; ``a`` is zero when there are none).  Both matrices are
-    exactly symmetric.
+    Minisequences of different lengths or dimensions do not form one
+    array and are rejected, as is anything that is not 3-D.
     """
-    rows = np.asarray(rows, dtype=float)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if rows.ndim != 2:
-        raise InvalidMatrix(f"rows must be (n, dim), got shape {rows.shape}")
-    if rows.shape[0] == 0:
-        raise EmptyTrainingSet("no minisequences given")
-    if lengths.ndim != 1 or (lengths < 1).any() \
-            or lengths.sum() != rows.shape[0]:
+    try:
+        x = np.asarray(minisequences, dtype=float)
+    except ValueError:
         raise InvalidDimension(
-            f"minisequence lengths must be >= 1 and sum to {rows.shape[0]}")
-    if not np.all(np.isfinite(rows)):
+            "minisequences must form one (n, length, dim) float array"
+        ) from None
+    if x.size == 0:
+        raise EmptyTrainingSet("no minisequences given")
+    if x.ndim != 3:
+        raise InvalidDimension(
+            f"minisequences must be (n, length, dim), got shape {x.shape}")
+    return x
+
+
+def sequence_moments(minisequences):
+    """Mean plus second-moment matrices of equal-length minisequences.
+
+    ``minisequences`` is one ``(n, length, dim)`` array.  Returns
+    ``(mean, b, a, count_b, count_a)`` where ``mean`` is taken over all
+    ``count_b = n * length`` rows, ``b`` is the mean outer product of
+    the centered rows, and ``a`` is the mean outer product of the
+    ``count_a = n * (length - 1)`` forward differences inside each
+    minisequence (unit time step; ``a`` is zero when length is 1).
+    Both matrices are exactly symmetric.
+    """
+    x = as_minisequences(minisequences)
+    if not np.all(np.isfinite(x)):
         raise InvalidMatrix("minisequence has non-finite entries")
+    n, length, dim = x.shape
+    rows = x.reshape(-1, dim)
     mean = rows.mean(axis=0)
-    count_b = rows.shape[0]
+    count_b = n * length
     z = rows - mean
     b = _symmetrize(z.T @ z / count_b)
     del z
 
-    dz = rows[1:] - rows[:-1]
-    # the difference into the first row of each later minisequence
-    dz[np.cumsum(lengths)[:-1] - 1] = 0.0
-    count_a = count_b - lengths.size
+    dz = np.diff(x, axis=1).reshape(-1, dim)
+    count_a = n * (length - 1)
     if count_a:
         a = _symmetrize(dz.T @ dz / count_a)
     else:
-        a = np.zeros((rows.shape[1], rows.shape[1]))
+        a = np.zeros((dim, dim))
     return mean, b, a, count_b, count_a

@@ -20,19 +20,20 @@ enters the objective and the constraints:
   spatial grid over the bounding box, one model per (class, region).
 
 All four are one fit over cells: the whole set (usfa), one class (ssfa,
-dsfa) or one (region, class) pair (sdsfa).  The minisequences are
-stacked once, PCA is fitted on the stacked rows, and the rows are
-projected and expanded in one call each; each cell's mean, covariance
-and derivative covariance come from one ``linalg.sequence_moments``.
+dsfa) or one (region, class) pair (sdsfa).  PCA is fitted on every row
+of the minisequences, the rows are projected and expanded in one call
+each, and each cell's mean, covariance and derivative covariance come
+from one ``linalg.sequence_moments``.
 The discriminative constraints of a region (the whole set for dsfa) are
 pooled from its class cells' moments, so dsfa is sdsfa on one region.
 
 A bank therefore has one PCA, shared by all of its models, and
 ``ModelBank`` holds to that: its models' PCAs must be bit-equal.
 
-Minisequences are ``(length, dim)`` arrays, ragged lists included;
-derivatives are forward differences with unit time step and never
-cross minisequence boundaries.  Eigenvalues are kept in ascending order, so index 0 is the
+The minisequences are one ``(n, length, dim)`` array, so all have the
+same length, which must be at least 2; derivatives are forward
+differences with unit time step and never cross minisequence
+boundaries.  Eigenvalues are kept in ascending order, so index 0 is the
 slowest direction; for the discriminative objective the matrix is
 indefinite and negative eigenvalues are meaningful, "slowest" means
 most negative.
@@ -47,7 +48,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    EmptyTrainingSet,
     InsufficientClassData,
     InsufficientRank,
     InvalidDimension,
@@ -226,18 +226,6 @@ class ModelBank:
 # fitting
 
 
-def _validate_minisequences(minisequences):
-    seqs = [np.asarray(s, dtype=float) for s in minisequences]
-    if not seqs:
-        raise EmptyTrainingSet("no training minisequences")
-    dim = seqs[0].shape[-1]
-    for s in seqs:
-        if s.ndim != 2 or s.shape[1] != dim:
-            raise InvalidDimension(
-                f"minisequences must all be (length, {dim}), got {s.shape}")
-    return seqs
-
-
 def _per_sequence(values, count, what):
     """One int per minisequence; None gives zeros."""
     if values is None:
@@ -249,34 +237,17 @@ def _per_sequence(values, count, what):
     return values
 
 
-def _expand(seqs, pca_dim):
-    """Stack the minisequences once, fit PCA on the stacked rows, then
-    project and expand them in one call each.
-
-    Returns the PCA, the (n, expanded_dim) rows and the minisequence
-    lengths.
-    """
-    rows = np.concatenate(seqs)
-    lengths = np.array([s.shape[0] for s in seqs])
-    pca = linalg.pca_fit(rows, pca_dim)
-    if (lengths == lengths[0]).all():
-        # equal lengths project as a batch of one small product per
-        # minisequence: bit-equal to projecting each alone, and without
-        # the large buffers of one threaded tall-matrix product
-        rows = rows.reshape(len(seqs), lengths[0], -1)
-    projected = pca.transform(rows).reshape(-1, pca_dim)
-    return pca, quadratic_expand(projected), lengths
-
-
-def _cell_moments(h, lengths, cells, n_cells):
-    """``linalg.sequence_moments`` of each cell's expanded minisequences.
-
-    ``cells[i]`` is the cell of minisequence i; a cell's rows keep
-    their order, and differences never cross minisequence boundaries.
-    """
-    row_cells = np.repeat(cells, lengths)
-    return [linalg.sequence_moments(h[row_cells == c], lengths[cells == c])
-            for c in range(n_cells)]
+def _expand(x, pca_dim):
+    """Fit PCA on every row of the (n, length, dim) minisequences, then
+    project and expand them; returns the PCA and the (n, length,
+    expanded_dim) rows."""
+    n, length, dim = x.shape
+    pca = linalg.pca_fit(x.reshape(-1, dim), pca_dim)
+    # projected as a batch of one small product per minisequence:
+    # bit-equal to projecting each alone, and without the large buffers
+    # of one threaded tall-matrix product
+    projected = pca.transform(x).reshape(-1, pca_dim)
+    return pca, quadratic_expand(projected).reshape(n, length, -1)
 
 
 def _pool(moments):
@@ -351,9 +322,12 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
     discriminative = strategy in ("dsfa", "sdsfa")
     if discriminative and gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    seqs = _validate_minisequences(minisequences)
-    labels = _per_sequence(labels, len(seqs), "labels")
-    regions = _per_sequence(regions, len(seqs), "regions")
+    x = linalg.as_minisequences(minisequences)
+    if x.shape[1] < 2:
+        raise TooShort(f"minisequences have {x.shape[1]} vectors, "
+                       "need at least 2 for a derivative")
+    labels = _per_sequence(labels, len(x), "labels")
+    regions = _per_sequence(regions, len(x), "regions")
     outside = (regions < 0) | (regions >= n_regions)
     if outside.any():
         raise InvalidDimension(f"region index {regions[outside][0]} "
@@ -368,18 +342,14 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
         _check_cells(np.bincount(cells, minlength=n_regions * n_classes),
                      classes, strategy == "sdsfa")
 
-    pca, h, lengths = _expand(seqs, pca_dim)
-    moments = _cell_moments(h, lengths, cells, n_regions * n_classes)
+    pca, h = _expand(x, pca_dim)
+    moments = [linalg.sequence_moments(h[cells == c])
+               for c in range(n_regions * n_classes)]
     models = []
     for r in range(n_regions):
         region = moments[r * n_classes:(r + 1) * n_classes]
         where = f", region {r}" if strategy == "sdsfa" else ""
         if discriminative:
-            for c, m in zip(classes, region):
-                if m[4] == 0:
-                    raise InsufficientClassData(
-                        f"class {c}{where} has no within-minisequence "
-                        "differences")
             h0, b = _pool(region)
         for i, c in enumerate(classes):
             if discriminative:

@@ -304,7 +304,8 @@ def two_runs(tmp_path_factory):
     return configs
 
 
-OUTPUTS = {"featurize": ["features_dir"],
+OUTPUTS = {"train": ["model_path"],
+           "featurize": ["features_dir"],
            "fit-classifier": ["classifier_path"],
            "evaluate": ["report_path", "results_path"]}
 
@@ -345,6 +346,15 @@ def test_files_from_another_strategys_run_fail_cleanly(
         bank, feats = (other, own) if swapped == "model_path" else (own, other)
         assert f"{widths[feats]}-d features" in err
         assert f"{widths[bank]} outputs" in err
+
+
+def test_cuboids_windowed_to_one_row_fail_cleanly(two_runs, tmp_path,
+                                                  capsys):
+    # delta_t == cuboid_d leaves one row per minisequence: no derivative
+    cfg = two_runs["dsfa"]
+    err = fails_with_one_line(capsys, "train", cfg, tmp_path,
+                              delta_t=cfg.cuboid_d)
+    assert "at least 2" in err
 
 
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",

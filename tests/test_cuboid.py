@@ -109,31 +109,32 @@ def test_sobel_stack_bit_equals_per_frame_calls(seed, t, h, w):
 def test_motion_masks_match_per_frame_boundaries():
     rng = np.random.default_rng(5)
     frames = rng.normal(size=(5, 12, 14))
-    boxes = np.array([[1, 2, 9, 8]] * 5)
-    seq = cuboid.FrameSequence(frames, boxes)
-    delta = cuboid.default_delta(seq)
-    for use_boxes in (True, False):
-        masks = cuboid.motion_masks(seq, use_boxes=use_boxes)
+    boxes = np.array([[1 + t, 2, 9 - t, 8] for t in range(5)])
+    for seq_boxes in (boxes, None):
+        seq = cuboid.FrameSequence(frames, seq_boxes)
+        delta = cuboid.default_delta(seq)
+        masks = cuboid.motion_masks(seq)
+        assert masks.shape == frames.shape and masks.dtype == bool
         for t, m in enumerate(masks):
             one = cuboid.motion_boundary(
-                frames[t], delta, boxes[t] if use_boxes else None)
-            assert m.delta == one.delta
-            assert np.array_equal(m.mask, one.mask)
+                frames[t], delta, None if seq_boxes is None else boxes[t])
+            assert np.array_equal(m, one)
 
 
 def test_motion_boundary_thresholding():
-    mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0).mask
+    mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0)
     expected = np.zeros((5, 5), bool)
     expected[1:4, 1:3] = True
+    assert mask.dtype == bool
     assert np.array_equal(mask, expected)
     # an infinite threshold marks nothing
-    none = cuboid.motion_boundary(step_edge_frame(), delta=np.inf).mask
+    none = cuboid.motion_boundary(step_edge_frame(), delta=np.inf)
     assert not none.any()
 
 
 def test_motion_boundary_bbox_restriction():
     mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0,
-                                  bbox=(1, 1, 2, 2)).mask
+                                  bbox=(1, 1, 2, 2))
     expected = np.zeros((5, 5), bool)
     expected[1:3, 1:3] = True
     assert np.array_equal(mask, expected)
@@ -164,7 +165,7 @@ def interior_mask_sequence(n_pixels_side=10, frame=20, depth=1):
     mask = np.zeros((frame, frame), bool)
     lo = (frame - n_pixels_side) // 2
     mask[lo:lo + n_pixels_side, lo:lo + n_pixels_side] = True
-    return seq, [cuboid.MotionMask(mask, 1.0)] * depth
+    return seq, [mask] * depth
 
 
 def test_sample_quarter_fraction_exact_count():
@@ -229,7 +230,7 @@ def test_sample_multi_frame_start_times():
     seq = cuboid.FrameSequence(frames)
     mask = np.zeros((12, 12), bool)
     mask[6, 6] = True
-    masks = [cuboid.MotionMask(mask, 0.5)] * 6
+    masks = [mask] * 6
     out = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 4), rng_seed=0)
     # depth-4 cuboids fit at start frames 0..2 only
     assert sorted(out[:, 0]) == [0, 1, 2]
@@ -245,7 +246,7 @@ def test_sample_rejects_bad_fraction():
 def test_pick_positions_rejects_bad_fraction(fraction):
     rng = np.random.default_rng(0)
     _, masks = interior_mask_sequence()
-    for mask in (masks[0].mask, np.zeros((20, 20), bool)):
+    for mask in (masks[0], np.zeros((20, 20), bool)):
         with pytest.raises(InvalidInput):
             cuboid.pick_positions(mask, fraction, (3, 3), rng)
 

@@ -333,7 +333,7 @@ def test_featurize_matches_per_model_oracle(strategy):
     for f in out:
         start = f.snippet_span[1]
         mask = cuboid.motion_boundary(diff_seq.frames[start], delta,
-                                      diff_seq.boxes[start]).mask
+                                      diff_seq.boxes[start])
         positions, block = oracles.loop_snippet_cuboids(
             diff_seq.frames, mask, start, 0.5, size,
             np.random.SeedSequence([3, start]))

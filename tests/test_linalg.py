@@ -244,10 +244,8 @@ def test_pca_rejects_too_few_samples():
 
 
 def accumulate(seqs):
-    """(b, a, count_b, count_a) of a list of minisequences."""
-    seqs = [np.asarray(q, dtype=float) for q in seqs]
-    _, b, a, count_b, count_a = linalg.sequence_moments(
-        np.concatenate(seqs), [len(q) for q in seqs])
+    """(b, a, count_b, count_a) of equal-length minisequences."""
+    _, b, a, count_b, count_a = linalg.sequence_moments(seqs)
     return b, a, count_b, count_a
 
 
@@ -264,8 +262,7 @@ def test_accumulate_hand_case():
 
 def test_accumulate_exact_symmetry_and_psd():
     rng = np.random.default_rng(5)
-    seqs = [rng.normal(size=(rng.integers(2, 9), 6)) for _ in range(7)]
-    b, a, _, _ = accumulate(seqs)
+    b, a, _, _ = accumulate(rng.normal(size=(7, rng.integers(2, 9), 6)))
     assert np.abs(b - b.T).max() == 0.0
     assert np.abs(a - a.T).max() == 0.0
     assert np.linalg.eigvalsh(b).min() > -1e-10
@@ -287,16 +284,18 @@ def test_accumulate_boundaries_not_crossed():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(10, 3))
     b1, _, _, na1 = accumulate([data])
-    b2, _, _, na2 = accumulate([data[:6], data[6:]])
+    b2, a2, _, na2 = accumulate(data.reshape(2, 5, 3))
     assert np.allclose(b1, b2, atol=1e-15)
     assert na1 == 9 and na2 == 8
+    assert np.allclose(a2, oracles.loop_moments([data[:5], data[5:]])[2],
+                       atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEED, st.integers(min_value=1, max_value=5))
 def test_accumulate_matches_loop_oracle(seed, n_seqs):
     rng = np.random.default_rng(seed)
-    seqs = [rng.normal(size=(int(rng.integers(1, 7)), 3)) for _ in range(n_seqs)]
+    seqs = rng.normal(size=(n_seqs, int(rng.integers(1, 7)), 3))
     b, a, count_b, count_a = accumulate(seqs)
     _, rb, ra, rn, rna = oracles.loop_moments(seqs)
     assert count_b == rn
@@ -307,23 +306,37 @@ def test_accumulate_matches_loop_oracle(seed, n_seqs):
 
 def test_accumulate_rejects_empty():
     with pytest.raises(EmptyTrainingSet):
-        linalg.sequence_moments(np.zeros((0, 3)), [])
+        linalg.sequence_moments(np.zeros((0, 4, 3)))
+    with pytest.raises(EmptyTrainingSet):
+        linalg.sequence_moments([])
 
 
 def test_accumulate_rejects_mixed_dims():
-    # minisequences are stacked by the fitting layer, which checks dims
     with pytest.raises(InvalidDimension):
         sfa.fit_usfa([np.zeros((3, 2)), np.zeros((3, 4))], pca_dim=1, k=1)
-
-
-@pytest.mark.parametrize("lengths", [[2, 2], [3, 0, 2], [6], [[5]]])
-def test_moments_reject_lengths_that_do_not_tile_the_rows(lengths):
     with pytest.raises(InvalidDimension):
-        linalg.sequence_moments(np.zeros((5, 3)), lengths)
+        linalg.sequence_moments([np.zeros((3, 2)), np.zeros((3, 4))])
+
+
+def test_moments_reject_ragged_minisequences():
+    # minisequences of different lengths do not form one array
+    ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
+    with pytest.raises(InvalidDimension):
+        linalg.sequence_moments(ragged)
+    for fit in (lambda m: sfa.fit_usfa(m, pca_dim=1, k=1),
+                lambda m: sfa.fit_ssfa(m, [0, 0], pca_dim=1, k_per_class=1),
+                lambda m: sfa.fit_dsfa(m, [0, 1], pca_dim=1, k_per_class=1),
+                lambda m: sfa.fit_sdsfa(m, [0, 1], [0, 0], (1, 1), pca_dim=1,
+                                        k_per_class=1)):
+        with pytest.raises(InvalidDimension):
+            fit(ragged)
+    # nor does a flat (n, dim) stack of rows
+    with pytest.raises(InvalidDimension):
+        linalg.sequence_moments(np.zeros((5, 3)))
 
 
 def test_moments_reject_non_finite_rows():
-    rows = np.zeros((4, 2))
-    rows[2, 1] = np.nan
+    minis = np.zeros((2, 2, 2))
+    minis[1, 0, 1] = np.nan
     with pytest.raises(InvalidMatrix):
-        linalg.sequence_moments(rows, [2, 2])
+        linalg.sequence_moments(minis)

@@ -249,8 +249,7 @@ def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
     bank = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=0.0)
     pca = bank.models[0].pca
     h_all = [sfa.quadratic_expand(pca.transform(s)) for s in seqs]
-    _, b_union, _, _, _ = linalg.sequence_moments(
-        np.vstack(h_all), [len(h) for h in h_all])
+    _, b_union, _, _, _ = linalg.sequence_moments(h_all)
     for model in bank.models:
         h_own = [h for h, l in zip(h_all, labels) if l == model.class_label]
         diffs = np.vstack([h[1:] - h[:-1] for h in h_own])
@@ -414,9 +413,9 @@ def fit(strategy, seqs, labels, regions, gamma):
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_fit_matches_loop_moments_of_its_pools(strategy):
     seqs, labels, regions = region_spread_data(seed=4)
-    # ragged lengths and uneven cells: pooling must weight cells by rows
+    # uneven cells: pooling must weight cells by rows
     kept = [i for i in range(len(seqs)) if i % 7]
-    seqs = [seqs[i][:3 + i % 4] for i in kept]
+    seqs = [seqs[i] for i in kept]
     labels = [labels[i] for i in kept]
     regions = [regions[i] for i in kept]
     gamma = 0.3
@@ -430,9 +429,8 @@ def test_fit_matches_loop_moments_of_its_pools(strategy):
         h_cells = {c: expanded(m, p) for c, p in by_class.items()}
         # the constraints pooled from the class cells' moments are the
         # moments of the union, computed directly
-        h0, b_pooled = sfa._pool([
-            linalg.sequence_moments(np.vstack(h), [len(q) for q in h])
-            for h in h_cells.values()])
+        h0, b_pooled = sfa._pool([linalg.sequence_moments(h)
+                                  for h in h_cells.values()])
         assert relative_gap(h0, mean) <= POOL_RTOL
         assert relative_gap(b_pooled, b) <= POOL_RTOL
         a_by_class = {c: oracles.loop_moments(h)[2]
@@ -442,17 +440,30 @@ def test_fit_matches_loop_moments_of_its_pools(strategy):
                       - gamma * sum(others) / len(others), b)
 
 
-def test_ragged_minisequences_keep_their_boundaries():
-    # lengths 2..7: differences must stay inside each minisequence
+def test_minisequences_keep_their_boundaries():
+    # independent random walks jump between one minisequence's end and
+    # the next one's start: differences must stay inside each
     rng = np.random.default_rng(8)
-    seqs = [np.cumsum(rng.normal(size=(2 + i % 6, 4)), axis=0)
-            for i in range(30)]
+    seqs = np.cumsum(rng.normal(size=(30, 5, 4)), axis=1)
     model = sfa.fit_usfa(seqs, pca_dim=4, k=3).models[0]
     mean, b, a, _, _ = oracles.loop_moments(expanded(model, seqs))
     assert relative_gap(model.h0, mean) <= POOL_RTOL
     assert_solves(model, a, b)
     assert np.abs(pooled_delta(model, seqs) - model.eigenvalues).max() \
         < LAMBDA_DELTA_TOL
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_minisequences_of_one_vector_are_too_short(strategy):
+    # delta_t == cuboid_d windows each cuboid into a single row, which
+    # has no derivative
+    block = np.random.default_rng(3).normal(size=(16, 4, 2, 2))
+    minis = cuboid.window_rows(block, delta_t=4)
+    assert minis.shape == (16, 1, 16)
+    labels = [i % 2 for i in range(16)]
+    regions = [i // 2 % 4 for i in range(16)]
+    with pytest.raises(TooShort):
+        fit(strategy, minis, labels, regions, 0.2)
 
 
 # ---------------------------------------------------------------------------
