@@ -9,13 +9,18 @@ cuboids, then L1-normalized.  A function that stays flat on a cuboid
 contributes nearly zero, so small ASD entries mark the class (and
 region) whose functions the motion obeys.
 
-A whole bank is evaluated in one pass: cuboids are held as one
+A sequence is featurized in batches of whole snippets: each snippet's
+cuboids are put in canonical (y, x) order and snippets are gathered
+until a batch holds ``_BATCH_CUBOIDS`` cuboids or more.  A batch is one
 (n, d, h, w) array, windowed, projected through the bank's one PCA and
 expanded once, with one matrix product against the bank's stacked
-readouts.
+readouts; each snippet's rows are then summed in order.
+``asd_feature`` is the same evaluation on one snippet.
 
-For a region-gridded bank each cuboid contributes only to the block of
-its own region; mirroring a feature permutes those region blocks.
+For a region-gridded (``sdsfa``) bank each cuboid contributes only to
+the block of its own region: the product is taken once per region,
+that region's cuboids against its own readout columns.  Mirroring a
+feature permutes those region blocks.
 """
 
 from __future__ import annotations
@@ -72,6 +77,12 @@ class ASDFeature:
     normalized: bool
 
 
+# Cuboids per batch in featurize_sequence: whole snippets are gathered
+# until a batch holds at least this many, so one batch is one crop, one
+# projection, one expansion and one product per region.
+_BATCH_CUBOIDS = 1024
+
+
 def _window_length(input_dim: int, cuboid_shape) -> int:
     d, h, w = cuboid_shape
     if input_dim % (h * w) != 0:
@@ -85,6 +96,22 @@ def _window_length(input_dim: int, cuboid_shape) -> int:
     return delta_t
 
 
+def _region_labels(regions, n: int, bank: ModelBank) -> np.ndarray:
+    """Each cuboid's grid cell, checked against an ``sdsfa`` bank's grid."""
+    if regions is None:
+        raise InvalidInput("sdsfa features need region-labeled cuboids")
+    labels = np.asarray(regions)
+    n_regions = bank.grid[0] * bank.grid[1]
+    if labels.shape != (n,):
+        raise InvalidInput(
+            f"{n} cuboids need {n} region labels, got shape {labels.shape}")
+    if labels.dtype.kind not in "iuf" or not (
+            (labels % 1 == 0) & (labels >= 0) & (labels < n_regions)).all():
+        raise InvalidInput(
+            f"region labels must be integers in [0, {n_regions})")
+    return labels.astype(np.intp)
+
+
 def bank_squared_derivatives(block, bank: ModelBank,
                              regions=None) -> np.ndarray:
     """Mean squared derivative of every bank output on every cuboid.
@@ -94,30 +121,57 @@ def bank_squared_derivatives(block, bank: ModelBank,
     ``w[:, j] . (h(x) - h0)``, so its forward difference is
     ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: the
     expanded rows are differenced first, then multiplied by the bank's
-    stacked readouts once.  For an ``sdsfa`` bank, ``regions`` gives
-    each cuboid's grid cell and every column of another region's models
-    is exactly zero.
+    stacked readouts.  For an ``sdsfa`` bank, ``regions`` gives each
+    cuboid's grid cell; a region's cuboids meet only the contiguous
+    columns of that region's models (banks are region-major), and every
+    other column of theirs is exactly zero.
     """
     block = np.asarray(block, dtype=float)
+    n = len(block)
     delta_t = _window_length(bank.pca.in_dim, block.shape[1:])
+    groups = [(slice(None), slice(None))]
+    if bank.strategy == "sdsfa":
+        labels = _region_labels(regions, n, bank)
+        edges = np.cumsum([0] + [m.k for m in bank.models])
+        edges = edges[::len(bank.models) // (bank.grid[0] * bank.grid[1])]
+        groups = [(labels == r, slice(lo, hi))
+                  for r, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     rows = window_rows(block, delta_t)
-    n, length, dim = rows.shape
+    _, length, dim = rows.shape
     expanded = quadratic_expand(
         bank.pca.transform(rows.reshape(n * length, dim)))
     dh = np.diff(expanded.reshape(n, length, -1), axis=1)
     # outputs are a function of the row alone, so bit-equal consecutive
     # rows must difference to exactly zero (batched BLAS may not)
     dh[(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0.0
-    dy = (dh.reshape(n * (length - 1), -1) @ bank.w).reshape(
-        n, length - 1, -1)
-    out = (dy * dy).mean(axis=1)
-    if bank.strategy == "sdsfa":
-        if regions is None:
-            raise InvalidInput("sdsfa features need region-labeled cuboids")
-        column_regions = np.repeat([m.region_label for m in bank.models],
-                                   [m.k for m in bank.models])
-        own = column_regions == np.asarray(regions)[:, None]
-        out = np.where(own, out, 0.0)
+    out = np.zeros((n, bank.k_total))
+    for own, columns in groups:
+        part = dh[own]
+        dy = part.reshape(-1, part.shape[2]) @ bank.w[:, columns]
+        out[own, columns] = (dy * dy).reshape(
+            len(part), length - 1, dy.shape[1]).mean(axis=1)
+    return out
+
+
+def _features(block, regions, bank: ModelBank, spans,
+              sizes) -> list[ASDFeature]:
+    """ASD features of snippets whose cuboids lie one after another in
+    ``block``, ``sizes[i]`` cuboids for ``spans[i]``.
+
+    Each snippet's rows are summed in block order: ``sum`` along the
+    first axis adds row after row, as one snippet alone would be summed
+    (``np.add.reduceat`` groups its adds differently).  The vector is
+    L1-normalized unless its sum is zero, in which case it is returned
+    as-is and flagged.
+    """
+    values = bank_squared_derivatives(block, bank, regions)
+    out = []
+    for span, part in zip(spans, np.split(values, np.cumsum(sizes)[:-1])):
+        v = part.sum(axis=0)
+        total_mass = float(v.sum())
+        normalized = total_mass > 0.0
+        out.append(ASDFeature(v / total_mass if normalized else v, span,
+                              normalized))
     return out
 
 
@@ -138,19 +192,20 @@ def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
     must be region-labeled.  The vector is L1-normalized unless its sum
     is zero, in which case it is returned as-is and flagged.
     """
-    if len(snippet.cuboids) == 0:
+    n = len(snippet.cuboids)
+    if n == 0:
         raise EmptySnippet(
             f"snippet at frame {snippet.start_frame} of "
             f"{snippet.sequence_id!r} has no cuboids")
+    if len(snippet.positions) != n:
+        raise InvalidInput(
+            f"{n} cuboids need {n} positions, got {len(snippet.positions)}")
     order = np.lexsort((snippet.positions[:, 1], snippet.positions[:, 0]))
-    regions = None if snippet.regions is None else snippet.regions[order]
-    values = bank_squared_derivatives(
-        snippet.cuboids[order], bank, regions).sum(axis=0)
-    total_mass = float(values.sum())
+    regions = None
+    if bank.strategy == "sdsfa":
+        regions = _region_labels(snippet.regions, n, bank)[order]
     span = (snippet.sequence_id, snippet.start_frame)
-    if total_mass > 0.0:
-        return ASDFeature(values / total_mass, span, True)
-    return ASDFeature(values, span, False)
+    return _features(snippet.cuboids[order], regions, bank, [span], [n])[0]
 
 
 def mirror_feature(f: ASDFeature, grid, per_region_block_dim: int) -> ASDFeature:
@@ -183,7 +238,9 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     its own first frame, seeded per snippet so results do not depend on
     processing order.  ``delta = None`` applies the data-relative
     default.  A snippet with no cuboids yields an all-zero, unnormalized
-    feature.
+    feature.  Snippets are evaluated in batches of ``_BATCH_CUBOIDS``
+    cuboids or more; the batch a snippet shares can change only the last
+    bits of its feature.
     """
     h, w, d = (int(v) for v in size)
     n = seq.num_frames
@@ -196,24 +253,36 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     masks = motion_masks(seq, delta)
     frames = np.asarray(seq.frames, dtype=float)
 
-    out = []
-    for start in range(0, n - d + 1, stride):
+    starts = range(0, n - d + 1, stride)
+    picked = []  # (start, ys, xs) of each snippet with cuboids
+    for start in starts:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), start]))
         ys, xs = pick_positions(masks[start], fraction, (h, w), rng)
-        if ys.size == 0:
-            out.append(ASDFeature(np.zeros(bank.k_total),
-                                  (sequence_id, start), False))
-            continue
+        order = np.lexsort((xs, ys))
+        if ys.size:
+            picked.append((start, ys[order], xs[order]))
+    scored = {}
+    while picked:
+        # whole snippets, until the batch holds _BATCH_CUBOIDS cuboids
+        held = np.cumsum([ys.size for _, ys, _ in picked])
+        take = int(np.searchsorted(held, _BATCH_CUBOIDS)) + 1
+        batch, picked = picked[:take], picked[take:]
+        first, ys, xs = zip(*batch)
+        sizes = [v.size for v in ys]
+        ts, ys, xs = (np.repeat(first, sizes), np.concatenate(ys),
+                      np.concatenate(xs))
         regions = None
         if bank.strategy == "sdsfa":
-            regions = region_label((xs, ys), seq.boxes[start], bank.grid)
-        block = crop_cuboids(frames, np.full(ys.size, start), ys, xs,
-                             (h, w, d))
-        out.append(asd_feature(
-            Snippet(sequence_id, start, block, np.column_stack([ys, xs]),
-                    regions), bank))
-    return out
+            regions = region_label((xs, ys), seq.boxes[ts].T, bank.grid)
+        block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
+        spans = [(sequence_id, start) for start in first]
+        scored.update(zip(first, _features(block, regions, bank, spans,
+                                           sizes)))
+    return [scored[start] if start in scored
+            else ASDFeature(np.zeros(bank.k_total), (sequence_id, start),
+                            False)
+            for start in starts]
 
 
 def class_block_sums(bank: ModelBank, values, labels) -> np.ndarray:

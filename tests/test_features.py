@@ -354,6 +354,95 @@ def test_featurize_matches_per_model_oracle(strategy):
     assert compared >= 2
 
 
+def featurize_fixture(strategy, **kw):
+    """A fixture bank and the features of the moving square under it."""
+    bank, _, _ = bank_and_cuboids(strategy)
+    diff_seq = diff_of(moving_square_sequence())
+    out = features.featurize_sequence(diff_seq, bank, (4, 4, 6),
+                                      fraction=0.5, seed=3, **kw)
+    return bank, diff_seq, out
+
+
+def fixture_picks(diff_seq, start):
+    """The (ys, xs) that featurize_fixture samples for a snippet."""
+    mask = cuboid.motion_masks(diff_seq, None)[start]
+    rng = np.random.default_rng(np.random.SeedSequence([3, start]))
+    return cuboid.pick_positions(mask, 0.5, (4, 4), rng)
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_batched_snippets_match_asd_feature(strategy):
+    bank, diff_seq, out = featurize_fixture(strategy)
+    scored = 0
+    for f in out:
+        start = f.snippet_span[1]
+        ys, xs = fixture_picks(diff_seq, start)
+        if not ys.size:
+            assert not f.normalized and (f.values == 0.0).all()
+            continue
+        regions = None
+        if strategy == "sdsfa":
+            regions = cuboid.region_label((xs, ys), diff_seq.boxes[start],
+                                          bank.grid)
+        block = cuboid.crop_cuboids(diff_seq.frames, np.full(ys.size, start),
+                                    ys, xs, (4, 4, 6))
+        single = features.asd_feature(
+            snippet_of(block, np.column_stack([ys, xs]), regions, start),
+            bank)
+        assert f.normalized == single.normalized
+        assert np.abs(f.values - single.values).max() <= ORACLE_TOL
+        scored += 1
+    assert scored >= 2
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_featurize_strides_agree_on_shared_starts(strategy):
+    _, _, every = featurize_fixture(strategy, stride=1)
+    _, _, second = featurize_fixture(strategy, stride=2)
+    assert [f.snippet_span[1] for f in second] == [0, 2, 4]
+    for f in second:
+        g = every[f.snippet_span[1]]
+        assert f.snippet_span == g.snippet_span
+        assert f.normalized == g.normalized
+        assert np.abs(f.values - g.values).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_small_batches_match_one_batch(strategy, monkeypatch):
+    monkeypatch.setattr(features, "_BATCH_CUBOIDS", 10**9)
+    _, _, whole = featurize_fixture(strategy)
+    monkeypatch.setattr(features, "_BATCH_CUBOIDS", 3)
+    _, diff_seq, batched = featurize_fixture(strategy)
+    # several snippets hold more cuboids than a batch's cap
+    sizes = [fixture_picks(diff_seq, t)[0].size for t in range(len(whole))]
+    assert sum(size > 3 for size in sizes) >= 2
+    assert sum(not f.normalized for f in whole) >= 2
+    for f, g in zip(batched, whole):
+        assert f.snippet_span == g.snippet_span
+        assert f.normalized == g.normalized
+        if not g.normalized:
+            assert (f.values == 0.0).all() and (g.values == 0.0).all()
+        assert np.abs(f.values - g.values).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("regions", [[0, 2, 1], [0, -1, 1], [0, 0.5, 1],
+                                     [0, 1], [0, 1, 1, 0]])
+def test_sdsfa_rejects_bad_region_labels(regions):
+    # a (2, 1) grid has regions 0 and 1; an unchecked label would score
+    # its cuboid against no columns or another region's
+    bank, block, _ = bank_and_cuboids("sdsfa")
+    with pytest.raises(InvalidInput):
+        features.bank_squared_derivatives(block[:3], bank, regions)
+    with pytest.raises(InvalidInput):
+        features.asd_feature(snippet_of(block[:3], regions=regions), bank)
+
+
+def test_asd_rejects_positions_of_another_length():
+    bank, block, _ = bank_and_cuboids("dsfa")
+    with pytest.raises(InvalidInput):
+        features.asd_feature(snippet_of(block[:3], np.zeros((2, 2))), bank)
+
+
 # ---------------------------------------------------------------------------
 # mirroring
 

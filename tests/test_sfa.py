@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfeat import cuboid, dataio, linalg, sfa
+from slowfeat import cuboid, dataio, features, linalg, sfa
 from slowfeat.errors import (
     EmptyTrainingSet,
     InsufficientClassData,
@@ -580,6 +580,27 @@ def test_training_keeps_the_names_the_benchmark_reads():
     for name in ("fit_usfa", "fit_ssfa", "fit_dsfa", "fit_sdsfa"):
         assert inspect.signature(getattr(sfa, name)).return_annotation \
             == "ModelBank"
+
+
+def test_features_keep_the_names_the_benchmark_reads():
+    # the benchmark's featurize hooks bind the arguments of
+    # featurize_sequence and asd_feature by name, count len() of
+    # args["snippet"].cuboids and read .normalized of each feature
+    assert list(inspect.signature(features.featurize_sequence).parameters) \
+        == ["seq", "bank", "size", "fraction", "seed", "delta", "stride",
+            "sequence_id"]
+    assert list(inspect.signature(features.asd_feature).parameters) \
+        == ["snippet", "bank"]
+    rng = np.random.default_rng(22)
+    minis = rng.normal(size=(12, 3, 4))
+    bank = sfa.fit_usfa(minis, pca_dim=2, k=2)
+    snippet = features.Snippet("s", 0, rng.normal(size=(3, 4, 2, 2)),
+                               np.zeros((3, 2)))
+    assert len(snippet.cuboids) == 3
+    assert features.asd_feature(snippet, bank).normalized is True
+    seq = cuboid.FrameSequence(np.zeros((5, 6, 6)))
+    out = features.featurize_sequence(seq, bank, (2, 2, 4), 1.0, seed=0)
+    assert [f.normalized for f in out] == [False, False]
 
 
 def test_loaded_banks_keep_the_names_the_benchmark_reads(tmp_path):
