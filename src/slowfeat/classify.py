@@ -161,18 +161,6 @@ def train_linear(features, labels, reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS,
                             tuple(classes.tolist()))
 
 
-def hinge_objective(clf: LinearClassifier, features, labels,
-                    reg=DEFAULT_REG):
-    """One-vs-rest objective: sum over classes of reg/2 ||w||^2 + mean hinge."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels)
-    signs = np.where(
-        y[:, None] == np.asarray(clf.class_labels)[None, :], 1.0, -1.0)
-    margins = signs * (x @ clf.weights.T + clf.biases)
-    hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0)
-    return float((0.5 * reg * (clf.weights ** 2).sum(axis=1) + hinge).sum())
-
-
 def predict_many(clf: LinearClassifier, features):
     """Label of the highest-scoring class for each row of ``features``;
     ties go to the lowest class index."""

@@ -187,26 +187,40 @@ TrainingCuboids = namedtuple("TrainingCuboids", ["data", "labels", "regions"])
 
 def _training_cuboids(config, entries, train) -> TrainingCuboids:
     """Sampled training cuboids as one (n, d, h, w) array, with each
-    cuboid's class and, for ``sdsfa``, its grid cell (else None)."""
+    cuboid's class and, for ``sdsfa``, its grid cell (else None).
+
+    Every sequence's picks are sampled first; the array is then
+    allocated once and each sequence, read again, is cropped into its
+    own slice, so the cuboids are never held twice.
+    """
     index = _entry_index(entries)
-    blocks, labels, regions = [], [], []
+    picks, labels, regions = [], [], []
     for entry in train:
         diff = _diff_sequence(_load_entry_sequence(config, entry))
         masks = cuboid.motion_masks(diff, config.delta)
-        ts, ys, xs = cuboid.sample_cuboids(
+        origins = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
             rng_seed=_derive_seed(config.seed, _TAG_SAMPLE,
                                   index[entry.sequence_id]),
-            max_count=config.max_cuboids).T
-        blocks.append(cuboid.crop_cuboids(diff.frames, ts, ys, xs,
-                                          config.cuboid_size))
-        labels.append(np.full(ts.size, entry.label))
+            max_count=config.max_cuboids)
+        picks.append(origins)
+        labels.append(np.full(len(origins), entry.label))
         if config.strategy == "sdsfa":
+            ts, ys, xs = origins.T
             regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
                                                config.grid))
-    if not blocks:
+    if not picks:
         raise EmptyTrainingSet("no training cuboids")
-    return TrainingCuboids(np.concatenate(blocks), np.concatenate(labels),
+    h, w, d = config.cuboid_size
+    data = np.empty((sum(len(p) for p in picks), d, h, w))
+    start = 0
+    for entry, origins in zip(train, picks):
+        if len(origins):
+            diff = _diff_sequence(_load_entry_sequence(config, entry))
+            data[start:start + len(origins)] = cuboid.crop_cuboids(
+                diff.frames, *origins.T, config.cuboid_size)
+            start += len(origins)
+    return TrainingCuboids(data, np.concatenate(labels),
                            np.concatenate(regions) if regions else None)
 
 

@@ -116,8 +116,8 @@ def bank_squared_derivatives(block, bank: ModelBank,
                              regions=None) -> np.ndarray:
     """Mean squared derivative of every bank output on every cuboid.
 
-    ``block`` holds n cuboids as (n, d, h, w); the result is (n, k_total)
-    in the bank's feature layout.  Output j of a model is
+    ``block`` holds n cuboids as (n, d, h, w), n possibly 0; the result
+    is (n, k_total) in the bank's feature layout.  Output j of a model is
     ``w[:, j] . (h(x) - h0)``, so its forward difference is
     ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: the
     expanded rows are differenced first, then multiplied by the bank's
@@ -127,6 +127,9 @@ def bank_squared_derivatives(block, bank: ModelBank,
     other column of theirs is exactly zero.
     """
     block = np.asarray(block, dtype=float)
+    if block.ndim != 4:
+        raise InvalidDimension(
+            f"cuboids must be (n, d, h, w), got shape {block.shape}")
     n = len(block)
     delta_t = _window_length(bank.pca.in_dim, block.shape[1:])
     groups = [(slice(None), slice(None))]
@@ -136,6 +139,8 @@ def bank_squared_derivatives(block, bank: ModelBank,
         edges = edges[::len(bank.models) // (bank.grid[0] * bank.grid[1])]
         groups = [(labels == r, slice(lo, hi))
                   for r, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
+    if n == 0:
+        return np.zeros((0, bank.k_total))
     rows = window_rows(block, delta_t)
     _, length, dim = rows.shape
     expanded = quadratic_expand(

@@ -4,8 +4,13 @@ All routines operate on float64 numpy arrays.  Matrices passed to the
 eigensolvers must be square, finite and symmetric.  ``sequence_moments``
 is the one moment routine: it takes one ``(n, length, dim)`` array of
 minisequences and gives their mean, covariance and derivative
-covariance, exactly symmetric by construction; training calls it once
-per cell and pools cells from those moments.
+covariance, exactly symmetric by construction.  ``merge_moments``
+combines the moments of disjoint sets into those of their union by the
+pairwise update of Chan, Golub and LeVeque (1979), in place on
+unnormalized sums, so a large set is taken in chunks with one chunk in
+memory at a time, and the cells of a region pool the same way.
+``pca_fit`` builds its covariance with the same routine, and
+``pca_from_moments`` fits a PCA from merged moments.
 
 The generalized solver follows the whitening route: eigendecompose the
 constraint matrix, drop near-null directions relative to its largest
@@ -197,23 +202,31 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     PcaModel
         ``projection`` rows are orthonormal, ordered by decreasing
         eigenvalue of the sample covariance (denominator ``n - 1``).
+        The covariance comes from ``sequence_moments``, each row taken
+        as a minisequence of one vector.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise InvalidMatrix(f"data must be 2-D, got shape {data.shape}")
-    n, in_dim = data.shape
+    n = data.shape[0]
     if n < 2:
         raise EmptyTrainingSet(f"pca_fit needs at least 2 samples, got {n}")
-    if not np.all(np.isfinite(data)):
-        raise InvalidMatrix("data has non-finite entries")
+    mean, b, _, _, _ = sequence_moments(data[:, None])
+    return pca_from_moments(mean, b * (n / (n - 1)), out_dim)
+
+
+def pca_from_moments(mean, covariance, out_dim: int) -> PcaModel:
+    """PCA of data with the given mean vector and covariance matrix.
+
+    Keeps the ``out_dim`` leading eigenvectors of ``covariance``,
+    ``1 <= out_dim <= in_dim``, largest eigenvalue first, as the rows
+    of an orthonormal projection.
+    """
+    in_dim = len(mean)
     if not 1 <= out_dim <= in_dim:
         raise InvalidDimension(
             f"out_dim must be in [1, {in_dim}], got {out_dim}")
-
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = _symmetrize(centered.T @ centered / (n - 1))
-    res = sym_eig(cov)
+    res = sym_eig(covariance)
     # sym_eig sorts ascending; take the top out_dim, largest first.
     idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
     return PcaModel(
@@ -252,7 +265,8 @@ def sequence_moments(minisequences):
     the centered rows, and ``a`` is the mean outer product of the
     ``count_a = n * (length - 1)`` forward differences inside each
     minisequence (unit time step; ``a`` is zero when length is 1).
-    Both matrices are exactly symmetric.
+    Both matrices are exactly symmetric.  Moments of disjoint sets,
+    such as the chunks of one set, combine with ``merge_moments``.
     """
     x = as_minisequences(minisequences)
     if not np.all(np.isfinite(x)):
@@ -272,3 +286,45 @@ def sequence_moments(minisequences):
     else:
         a = np.zeros((dim, dim))
     return mean, b, a, count_b, count_a
+
+
+def merge_moments(parts):
+    """Moments of the union of disjoint sets of minisequences.
+
+    ``parts`` yields one ``sequence_moments`` result per set, such as
+    one per chunk of a training set or one per cell of a region; it may
+    be a generator, and only the running total and the current part are
+    held.  The result reads like ``sequence_moments`` of the union.
+
+    Each part is merged by the pairwise update of Chan, Golub and
+    LeVeque (1979), in place on unnormalized sums: counts add, means
+    combine weighted by their row counts, the scatters ``count_b * b``
+    add plus ``n1 * n2 / n`` times the outer product of the offset
+    between the two means, and the difference scatters ``count_a * a``
+    add, which weights each ``a`` by its difference count.  The sums
+    are normalized once at the end, and stay exactly symmetric.
+    """
+    count_b = count_a = 0
+    for mean, b, a, n_b, n_a in parts:
+        if count_b == 0:
+            total_mean = np.array(mean, dtype=float)
+            scatter_b, scatter_a = b * n_b, a * n_a
+            work = np.empty_like(scatter_b)
+            count_b, count_a = n_b, n_a
+            continue
+        n = count_b + n_b
+        offset = mean - total_mean
+        scatter_b += np.multiply(b, n_b, out=work)
+        # the offset scaled on both sides keeps its outer product
+        # exactly symmetric
+        offset_scaled = offset * np.sqrt(count_b * n_b / n)
+        scatter_b += np.outer(offset_scaled, offset_scaled, out=work)
+        scatter_a += np.multiply(a, n_a, out=work)
+        total_mean += offset * (n_b / n)
+        count_b, count_a = n, count_a + n_a
+    if count_b == 0:
+        raise EmptyTrainingSet("no moments to merge")
+    scatter_b /= count_b
+    if count_a:
+        scatter_a /= count_a
+    return total_mean, scatter_b, scatter_a, count_b, count_a

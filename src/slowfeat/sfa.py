@@ -20,12 +20,19 @@ enters the objective and the constraints:
   spatial grid over the bounding box, one model per (class, region).
 
 All four are one fit over cells: the whole set (usfa), one class (ssfa,
-dsfa) or one (region, class) pair (sdsfa).  PCA is fitted on every row
-of the minisequences, the rows are projected and expanded in one call
-each, and each cell's mean, covariance and derivative covariance come
-from one ``linalg.sequence_moments``.
+dsfa) or one (region, class) pair (sdsfa).  A fit takes two passes over
+the minisequences, in chunks of ``_CHUNK`` of them.  Pass 1 merges the
+moments of every chunk's raw rows with ``linalg.merge_moments`` and fits
+the PCA from them.  Pass 2 projects and expands the chunks of one cell
+at a time and merges their ``linalg.sequence_moments`` into that cell's
+mean, covariance and derivative covariance.  No array of all rows is
+ever built: beyond its input, a fit holds one chunk's rows and the
+moments of the cells of one region, O(classes x D^2) for D expanded
+dimensions, and solves that region's models before it reads the next
+region's chunks.
 The discriminative constraints of a region (the whole set for dsfa) are
-pooled from its class cells' moments, so dsfa is sdsfa on one region.
+merged from its class cells' moments by the same routine, so dsfa is
+sdsfa on one region.
 
 A bank therefore has one PCA, shared by all of its models, and
 ``ModelBank`` holds to that: its models' PCAs must be bit-equal.
@@ -96,7 +103,8 @@ class SlowFeatureModel:
     ``w`` has shape (expanded_dim, k); output j of the model is
     ``w[:, j] . (h(pca(x)) - h0)``, with h the quadratic expansion,
     and ``eigenvalues[j]`` equals its mean squared derivative on the
-    training data.
+    training data.  Parameters must be finite and of matching shapes
+    (``InvalidInput`` otherwise).
     """
 
     pca: linalg.PcaModel
@@ -113,6 +121,20 @@ class SlowFeatureModel:
                   self.eigenvalues)
         if not all(np.isfinite(a).all() for a in arrays):
             raise InvalidInput("model parameters must be finite")
+        if self.pca.projection.ndim != 2:
+            raise InvalidInput("PCA projection must be 2-D")
+        pca, dim = self.pca, expanded_dim(self.pca.out_dim)
+        k = self.eigenvalues.size
+        for name, a, shape in (
+                ("PCA mean", pca.mean, (pca.in_dim,)),
+                ("PCA explained eigenvalues", pca.explained_eigenvalues,
+                 (pca.out_dim,)),
+                ("h0", self.h0, (dim,)),
+                ("w", self.w, (dim, k)),
+                ("eigenvalues", self.eigenvalues, (k,))):
+            if a.shape != shape:
+                raise InvalidInput(
+                    f"{name} has shape {a.shape}, expected {shape}")
 
     @property
     def k(self) -> int:
@@ -237,34 +259,35 @@ def _per_sequence(values, count, what):
     return values
 
 
-def _expand(x, pca_dim):
-    """Fit PCA on every row of the (n, length, dim) minisequences, then
-    project and expand them; returns the PCA and the (n, length,
-    expanded_dim) rows."""
-    n, length, dim = x.shape
-    pca = linalg.pca_fit(x.reshape(-1, dim), pca_dim)
-    # projected as a batch of one small product per minisequence:
-    # bit-equal to projecting each alone, and without the large buffers
-    # of one threaded tall-matrix product
-    projected = pca.transform(x).reshape(-1, pca_dim)
-    return pca, quadratic_expand(projected).reshape(n, length, -1)
+# Minisequences per chunk in both passes of a fit: a chunk's projected
+# and expanded rows are the largest arrays training holds.
+_CHUNK = 1024
 
 
-def _pool(moments):
-    """Mean and covariance of the union of cells, from the cell moments.
+def _fit_pca(x, pca_dim):
+    """Pass 1: PCA of every row of the (n, length, dim) minisequences,
+    from the rows' moments merged chunk by chunk.  Each row is taken as
+    a minisequence of one vector, so no derivative is computed."""
+    n, _, dim = x.shape
+    mean, b, _, count, _ = linalg.merge_moments(
+        linalg.sequence_moments(x[i:i + _CHUNK].reshape(-1, 1, dim))
+        for i in range(0, n, _CHUNK))
+    # pca_fit's sample covariance, denominator count - 1
+    return linalg.pca_from_moments(mean, b * (count / (count - 1)), pca_dim)
 
-    The union covariance is the count-weighted mean over cells of each
-    cell's covariance plus the outer product of its mean's offset from
-    the union mean, so no union of rows is ever built.
-    """
-    weights = np.array([m[3] for m in moments], dtype=float)
-    weights /= weights.sum()
-    means = np.array([m[0] for m in moments])
-    mean = weights @ means
-    offsets = means - mean
-    b = sum(w * (m[1] + np.outer(d, d))
-            for w, m, d in zip(weights, moments, offsets))
-    return mean, b
+
+def _cell_moments(x, members, pca):
+    """Pass 2: moments of the projected and expanded minisequences
+    ``x[members]``, merged chunk by chunk."""
+    def chunks():
+        for i in range(0, len(members), _CHUNK):
+            chunk = x[members[i:i + _CHUNK]]
+            # projected as a batch of one small product per
+            # minisequence: bit-equal to projecting each alone
+            rows = pca.transform(chunk).reshape(-1, pca.out_dim)
+            yield linalg.sequence_moments(
+                quadratic_expand(rows).reshape(chunk.shape[:2] + (-1,)))
+    return linalg.merge_moments(chunks())
 
 
 def _solve_model(objective, constraint, h0, pca, k, rel_cutoff,
@@ -309,12 +332,12 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
 
     A cell is the whole set for usfa, one class for ssfa and dsfa, and
     one (region, class) pair for sdsfa; its mean, covariance B and
-    derivative covariance A come from one ``linalg.sequence_moments``.
+    derivative covariance A are merged from its chunks' moments.
     usfa and ssfa solve each cell's A against its own B.  In each
     region, the discriminative fits give class c the objective A_c
     minus ``gamma`` times the mean of the other classes' A (each
     normalized by its own difference count, so classes pool with equal
-    weight), against the B and the mean of the region's union, pooled
+    weight), against the B and the mean of the region's union, merged
     from its cells' moments.
     """
     if k < 1:
@@ -342,15 +365,14 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
         _check_cells(np.bincount(cells, minlength=n_regions * n_classes),
                      classes, strategy == "sdsfa")
 
-    pca, h = _expand(x, pca_dim)
-    moments = [linalg.sequence_moments(h[cells == c])
-               for c in range(n_regions * n_classes)]
+    pca = _fit_pca(x, pca_dim)
     models = []
     for r in range(n_regions):
-        region = moments[r * n_classes:(r + 1) * n_classes]
+        region = [_cell_moments(x, np.flatnonzero(cells == c), pca)
+                  for c in range(r * n_classes, (r + 1) * n_classes)]
         where = f", region {r}" if strategy == "sdsfa" else ""
         if discriminative:
-            h0, b = _pool(region)
+            h0, b = linalg.merge_moments(region)[:2]
         for i, c in enumerate(classes):
             if discriminative:
                 others = [m[2] for j, m in enumerate(region) if j != i]

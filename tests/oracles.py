@@ -10,7 +10,10 @@ one cuboid at a time.  ``scores``/``predict`` are the per-row dot
 products the package's classifier once exposed for single features.
 The Pegasos oracle is the classifier loop the package used before steps
 were taken in blocks: one shrink and one update of the (C, D) iterate
-per step, and the iterate added to a running sum at every step.
+per step, and the iterate added to a running sum at every step;
+``hinge_objective`` is the objective it minimizes.  ``centered_pca`` is
+PCA as the package fitted it before covariances came from merged
+moments: from one centered copy of all the rows.
 Tests compare package output against these.
 """
 
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from slowfeat import classify, sfa
+from slowfeat import classify, linalg, sfa
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -97,6 +100,19 @@ def loop_moments(minisequences):
     if count_a:
         a = a / count_a
     return mean, b, a, n, count_a
+
+
+def centered_pca(data, out_dim):
+    """(mean, projection, explained eigenvalues) of PCA on the rows of
+    ``data``, from the sample covariance of one centered copy."""
+    data = np.asarray(data, dtype=float)
+    n, in_dim = data.shape
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / (n - 1)
+    res = linalg.sym_eig((cov + cov.T) / 2.0)
+    idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
+    return mean, res.eigenvectors[:, idx].T, res.eigenvalues[idx]
 
 
 def loop_sobel_magnitude(frame):
@@ -259,3 +275,14 @@ def per_step_pegasos(features, labels, reg, epochs, seed):
             b_sum += b
     return classify.LinearClassifier(w_sum / t, b_sum / t,
                                      tuple(classes.tolist()))
+
+
+def hinge_objective(clf, features, labels, reg=classify.DEFAULT_REG):
+    """One-vs-rest objective: sum over classes of reg/2 ||w||^2 + mean hinge."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    signs = np.where(
+        y[:, None] == np.asarray(clf.class_labels)[None, :], 1.0, -1.0)
+    margins = signs * (x @ clf.weights.T + clf.biases)
+    hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0)
+    return float((0.5 * reg * (clf.weights ** 2).sum(axis=1) + hinge).sum())

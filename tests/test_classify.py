@@ -74,7 +74,7 @@ def test_objective_decreases_over_early_epochs():
     objs = []
     for epochs in range(1, 11):
         clf = classify.train_linear(x, y, epochs=epochs, seed=7)
-        objs.append(classify.hinge_objective(clf, x, y))
+        objs.append(oracles.hinge_objective(clf, x, y))
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
     assert objs[-1] < objs[0]
 

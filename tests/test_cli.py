@@ -394,3 +394,51 @@ def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
     old.write_bytes(bytes(raw))
     err = fails_with_one_line(capsys, command, cfg, tmp_path, model_path=old)
     assert "bank version 1" in err
+
+
+def with_static_videos(config, tmp_path, sequence_ids):
+    """A copy of the run's dataset in which each named sequence is one
+    textured frame repeated: not constant, but without any motion."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(config.data_dir, data_dir)
+    rng = np.random.default_rng(0)
+    for entry in cli.load_manifest(data_dir / cli.MANIFEST_NAME):
+        if entry.sequence_id in sequence_ids:
+            path = data_dir / entry.video
+            t, h, w = dataio.load_sequence(path).shape
+            frame = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            dataio.save_sequence(path, np.repeat(frame[None], t, axis=0))
+    return data_dir
+
+
+def test_static_video_gets_zero_features(two_runs, tmp_path, capsys):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    static = entries[0].sequence_id
+    data_dir = with_static_videos(cfg, tmp_path, {static})
+    features_dir = tmp_path / "features"
+    argv = ["featurize", "--config",
+            os.path.join(os.path.dirname(cfg.model_path), "run.cfg"),
+            "--data-dir", str(data_dir), "--features-dir", str(features_dir)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for entry in entries:
+        _, feats, _ = dataio.load_features(
+            features_dir / (entry.sequence_id + ".sfaf"))
+        assert feats
+        if entry.sequence_id == static:
+            assert not any(f.normalized or f.values.any() for f in feats)
+        else:
+            assert any(f.normalized for f in feats)
+
+
+def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
+                                                     capsys):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    train, _ = cli.split_entries(entries, cfg)
+    data_dir = with_static_videos(cfg, tmp_path,
+                                  {e.sequence_id for e in train})
+    err = fails_with_one_line(capsys, "train", cfg, tmp_path,
+                              data_dir=data_dir)
+    assert "no training cuboids" in err

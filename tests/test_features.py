@@ -437,6 +437,21 @@ def test_sdsfa_rejects_bad_region_labels(regions):
         features.asd_feature(snippet_of(block[:3], regions=regions), bank)
 
 
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_empty_block_gives_no_rows(strategy):
+    bank, block, regions = bank_and_cuboids(strategy)
+    out = features.bank_squared_derivatives(
+        block[:0], bank, None if regions is None else regions[:0])
+    assert out.shape == (0, bank.k_total)
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 4), (2, 1, 7, 4, 4), ()])
+def test_block_that_is_not_4d_is_rejected(shape):
+    bank, _, _ = bank_and_cuboids("dsfa")
+    with pytest.raises(InvalidDimension):
+        features.bank_squared_derivatives(np.zeros(shape), bank)
+
+
 def test_asd_rejects_positions_of_another_length():
     bank, block, _ = bank_and_cuboids("dsfa")
     with pytest.raises(InvalidInput):

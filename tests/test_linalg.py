@@ -226,6 +226,21 @@ def test_pca_transform_centers_data():
     assert np.max(np.abs(out.mean(axis=0))) < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_pca_matches_the_centered_copy_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+    data = rng.normal(size=(n, dim)) * rng.uniform(0.1, 5.0, size=dim) \
+        + rng.normal(scale=10.0, size=dim)
+    out_dim = int(rng.integers(1, dim + 1))
+    model = linalg.pca_fit(data, out_dim)
+    mean, projection, explained = oracles.centered_pca(data, out_dim)
+    assert np.abs(model.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+    assert np.abs(model.explained_eigenvalues - explained).max() \
+        <= 1e-12 * explained.max()
+    assert np.abs(model.projection - projection).max() <= 1e-12
+
+
 def test_pca_rejects_bad_out_dim():
     data = np.zeros((10, 3))
     with pytest.raises(InvalidDimension):
@@ -340,3 +355,51 @@ def test_moments_reject_non_finite_rows():
     minis[1, 0, 1] = np.nan
     with pytest.raises(InvalidMatrix):
         linalg.sequence_moments(minis)
+
+
+# ---------------------------------------------------------------------------
+# merge_moments
+
+
+def relative(got, expected):
+    return np.abs(got - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEED, st.integers(min_value=1, max_value=6))
+def test_merged_splits_match_moments_of_the_whole(seed, n_parts):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_parts, 40))
+    length = int(rng.integers(1, 6))
+    minis = rng.normal(size=(n, length, 4)) * [1.0, 3.0, 0.2, 8.0] \
+        + rng.normal(scale=5.0, size=4)
+    # uneven splits: n_parts non-empty slices at random cut points
+    cuts = np.sort(rng.choice(np.arange(1, n), size=n_parts - 1,
+                              replace=False)) if n_parts > 1 else []
+    parts = np.split(minis, cuts)
+    mean, b, a, count_b, count_a = linalg.merge_moments(
+        linalg.sequence_moments(p) for p in parts)
+    r_mean, r_b, r_a, r_count_b, r_count_a = linalg.sequence_moments(minis)
+    assert (count_b, count_a) == (r_count_b, r_count_a)
+    assert relative(mean, r_mean) <= 1e-12
+    assert relative(b, r_b) <= 1e-12
+    if length > 1:
+        assert relative(a, r_a) <= 1e-12
+    else:
+        assert not a.any()
+    assert np.array_equal(b, b.T) and np.array_equal(a, a.T)
+
+
+def test_merge_does_not_change_its_parts():
+    rng = np.random.default_rng(3)
+    parts = [linalg.sequence_moments(rng.normal(size=(5, 3, 2)) + i)
+             for i in range(3)]
+    copies = [tuple(np.copy(v) for v in p) for p in parts]
+    linalg.merge_moments(parts)
+    for p, c in zip(parts, copies):
+        assert all(np.array_equal(u, v) for u, v in zip(p, c))
+
+
+def test_merge_of_nothing_is_empty():
+    with pytest.raises(EmptyTrainingSet):
+        linalg.merge_moments([])

@@ -429,8 +429,8 @@ def test_fit_matches_loop_moments_of_its_pools(strategy):
         h_cells = {c: expanded(m, p) for c, p in by_class.items()}
         # the constraints pooled from the class cells' moments are the
         # moments of the union, computed directly
-        h0, b_pooled = sfa._pool([linalg.sequence_moments(h)
-                                  for h in h_cells.values()])
+        h0, b_pooled = linalg.merge_moments(
+            linalg.sequence_moments(h) for h in h_cells.values())[:2]
         assert relative_gap(h0, mean) <= POOL_RTOL
         assert relative_gap(b_pooled, b) <= POOL_RTOL
         a_by_class = {c: oracles.loop_moments(h)[2]
@@ -438,6 +438,35 @@ def test_fit_matches_loop_moments_of_its_pools(strategy):
         others = [a_c for c, a_c in a_by_class.items() if c != m.class_label]
         assert_solves(m, a_by_class[m.class_label]
                       - gamma * sum(others) / len(others), b)
+
+
+CHUNK_RTOL = 1e-10
+
+# chunk sizes by the count n of minisequences
+CHUNKS = {"1": lambda n: 1, "2": lambda n: 2, "7": lambda n: 7,
+          "n-1": lambda n: n - 1, "n": lambda n: n}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+def test_chunked_fit_matches_one_chunk(strategy, chunk, monkeypatch):
+    # the default chunk holds all of these minisequences
+    seqs, labels, regions = region_spread_data(seed=4)
+    one = fit(strategy, seqs, labels, regions, 0.3)
+    monkeypatch.setattr(sfa, "_CHUNK", CHUNKS[chunk](len(seqs)))
+    chunked = fit(strategy, seqs, labels, regions, 0.3)
+
+    def gap(got, expected):
+        return np.abs(got - expected).max() / np.abs(expected).max()
+    pca, ref = chunked.pca, one.pca
+    assert gap(pca.mean, ref.mean) <= CHUNK_RTOL
+    assert gap(pca.projection, ref.projection) <= CHUNK_RTOL
+    assert gap(pca.explained_eigenvalues,
+               ref.explained_eigenvalues) <= CHUNK_RTOL
+    for m, r in zip(chunked.models, one.models):
+        assert gap(m.eigenvalues, r.eigenvalues) <= CHUNK_RTOL
+        assert gap(np.abs(m.w), np.abs(r.w)) <= CHUNK_RTOL
+        assert gap(m.h0, r.h0) <= CHUNK_RTOL
 
 
 def test_minisequences_keep_their_boundaries():
@@ -497,6 +526,21 @@ def dummy_model(k, class_label=None, region_label=None, strategy="ssfa"):
         eigenvalues=np.zeros(k),
         strategy=strategy, class_label=class_label,
         region_label=region_label)
+
+
+@pytest.mark.parametrize("change", [
+    dict(pca=linalg.PcaModel(np.zeros(4), np.eye(3), np.ones(3))),
+    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(2))),
+    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3)[:2], np.ones(3))),
+    dict(h0=np.zeros(sfa.expanded_dim(3) + 1)),
+    dict(w=np.zeros((sfa.expanded_dim(3) - 1, 2))),
+    dict(w=np.zeros(sfa.expanded_dim(3))),
+    dict(eigenvalues=np.zeros(3)),
+    dict(eigenvalues=np.zeros((2, 1)))])
+def test_model_rejects_disagreeing_shapes(change):
+    model = dummy_model(2)
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(model, **change)
 
 
 def test_model_rejects_non_finite_parameters():
