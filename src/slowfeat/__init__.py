@@ -16,6 +16,7 @@ from . import (
     dataio,
     features,
     linalg,
+    pipeline,
     sfa,
     synth,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "dataio",
     "features",
     "linalg",
+    "pipeline",
     "sfa",
     "synth",
 ]

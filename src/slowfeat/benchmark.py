@@ -4,8 +4,10 @@ One call generates a dataset, fits banks for the requested strategies,
 trains the linear classifier, and scores the held-out split.  A
 raw-pixel baseline feeds PCA of pooled snippet pixels to the identical
 classifier, so representation quality is the only difference between
-the two accuracy numbers.  Used by the experiment scripts and the
-acceptance tests.
+the two accuracy numbers.  The stages are the ``pipeline`` functions
+behind the CLI subcommands, and the baseline derives its classifier
+seed from the same stage tag.  Used by the experiment scripts, the
+acceptance tests and the performance benchmark.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import os
 
 import numpy as np
 
-from . import classify, cli, dataio, linalg
+from . import classify, dataio, linalg, pipeline
 from .config import RunConfig
 
 # spatial block-mean pooling factor for raw-pixel snippets; keeps the
@@ -78,27 +80,13 @@ def artifact_paths(config):
     return paths
 
 
-def _typed(results):
-    """Results files hold strings; coerce the numeric ones back."""
-    out = {}
-    for key, value in results.items():
-        try:
-            out[key] = int(value)
-        except ValueError:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                out[key] = value
-    return out
-
-
 def run_strategy(config):
-    """train -> featurize -> fit-classifier -> evaluate on existing data."""
-    cli.cmd_train(config)
-    cli.cmd_featurize(config)
-    cli.cmd_fit_classifier(config)
-    cli.cmd_evaluate(config)
-    return _typed(dataio.load_results(config.results_path))
+    """train -> featurize -> fit-classifier -> evaluate on existing data;
+    returns the results that evaluate wrote."""
+    pipeline.cmd_train(config)
+    pipeline.cmd_featurize(config)
+    pipeline.cmd_fit_classifier(config)
+    return pipeline.cmd_evaluate(config)
 
 
 def run_benchmark(seed, workdir, strategies=("dsfa",), baseline=True,
@@ -109,7 +97,7 @@ def run_benchmark(seed, workdir, strategies=("dsfa",), baseline=True,
     results dict}, "baseline": results dict | None}``.
     """
     base = bench_config(seed, workdir, strategy=strategies[0], **overrides)
-    cli.cmd_synth(base)
+    pipeline.cmd_synth(base)
     out = {"configs": {}, "strategies": {}, "baseline": None}
     for name in strategies:
         config = _with_paths(dataclasses.replace(base, strategy=name),
@@ -143,9 +131,8 @@ def baseline_results(config, out_dim=None, pool=BASELINE_POOL):
     vectors (classes * k_per_class) so the classifier sees inputs of
     the same size.
     """
-    entries = cli.load_manifest(os.path.join(config.data_dir,
-                                             cli.MANIFEST_NAME))
-    train, test = cli.split_entries(entries, config)
+    entries = pipeline.load_entries(config)
+    train, test = pipeline.split_entries(entries, config)
     snippets = {}
     for entry in entries:
         pixels = dataio.load_sequence(
@@ -161,7 +148,7 @@ def baseline_results(config, out_dim=None, pool=BASELINE_POOL):
     pca = linalg.pca_fit(rows, min(out_dim, rows.shape[1]))
     clf = classify.train_linear(
         pca.transform(rows), labels, reg=config.reg, epochs=config.epochs,
-        seed=cli._derive_seed(config.seed, cli._TAG_CLASSIFIER))
+        seed=pipeline.derive_seed(config.seed, pipeline.TAG_CLASSIFIER))
 
     seq_pred, seq_true = [], []
     for entry in test:

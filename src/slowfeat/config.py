@@ -9,6 +9,7 @@ file or command-line flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidInput
@@ -56,6 +57,10 @@ class RunConfig:
     results_path: str = "results.txt"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidInput(f"{f.name} must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise InvalidInput(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")

@@ -148,7 +148,7 @@ def motion_boundary(diff_frame: np.ndarray, delta: float,
 def _threshold(magnitude, delta, boxes) -> np.ndarray:
     """``magnitude > delta`` over a (T, H, W) stack, each frame cleared
     outside its (x, y, w, h) box when ``boxes`` are given."""
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidInput(f"delta must be >= 0, got {delta}")
     mask = magnitude > delta
     if boxes is not None:

@@ -1,11 +1,13 @@
-"""Bit-exact persistence for sequences, annotations, models and features.
+"""Every file format of the pipeline, with bit-exact persistence.
 
-Binary layouts are fixed little-endian so files work as portable test
-fixtures; all numeric payloads are f64 except raw video, which is u8.
-Every writer goes through write-to-temp-then-rename, so a failure never
-leaves a partial file behind, and every reader rejects malformed input
-instead of guessing: bad magic or layout contradictions raise
-FormatError, short files raise TruncatedFile, text problems raise
+Binary formats hold videos, model banks, features and classifiers; text
+formats hold annotations, the dataset manifest, configs, results and
+reports.  Binary layouts are fixed little-endian so files work as
+portable test fixtures; all numeric payloads are f64 except raw video,
+which is u8.  Every writer goes through write-to-temp-then-rename, so a
+failure never leaves a partial file behind, and every reader rejects
+malformed input instead of guessing: bad magic or layout contradictions
+raise FormatError, short files raise TruncatedFile, text problems raise
 ParseError with a line number.
 """
 
@@ -15,6 +17,7 @@ import dataclasses
 import os
 import struct
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,8 +57,9 @@ def _atomic_write_bytes(path, data: bytes):
         raise
 
 
-def _atomic_write_text(path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def _write_lines(path, lines):
+    """Write text lines, each ending in a newline, atomically."""
+    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class _Reader:
@@ -148,9 +152,8 @@ def save_annotations(path, boxes):
     arr = np.asarray(boxes)
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] == 0:
         raise InvalidInput(f"boxes must be nonempty (N, 4), got {arr.shape}")
-    lines = [f"{t} {b[0]} {b[1]} {b[2]} {b[3]}"
-             for t, b in enumerate(arr.tolist())]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, [f"{t} {b[0]} {b[1]} {b[2]} {b[3]}"
+                        for t, b in enumerate(arr.tolist())])
 
 
 def load_annotations(path, num_frames: int) -> np.ndarray:
@@ -384,29 +387,34 @@ def load_classifier(path) -> LinearClassifier:
 # key = value text: configs and result summaries
 
 
-def _split_assignment(line: str, lineno: int):
-    if "=" not in line:
-        raise ParseError(f"expected `key = value`, got {line!r}", line=lineno)
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+def _read_assignments(path) -> dict:
+    """A `key = value` file as key -> (value, line number); blank and
+    `#` lines are skipped, and a line without `=` or a repeated key is a
+    ParseError."""
+    out = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"expected `key = value`, got {stripped!r}",
+                             line=lineno)
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        out[key] = (value, lineno)
+    return out
 
 
 def load_config(path) -> RunConfig:
     """Parse a `key = value` config file; unknown keys are rejected."""
-    raw = read_text(path)
     known = set(config_module.field_names())
     values = {}
     unknown = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, value = _split_assignment(stripped, lineno)
+    for key, (value, lineno) in _read_assignments(path).items():
         if key not in known:
             unknown.append((key, lineno))
             continue
-        if key in values:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
             values[key] = config_module.parse_value(key, value)
         except ValueError:
@@ -431,28 +439,61 @@ def _format_value(value) -> str:
 
 
 def save_config(path, config: RunConfig):
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in dataclasses.fields(RunConfig)]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, [f"{f.name} = {_format_value(getattr(config, f.name))}"
+                        for f in dataclasses.fields(RunConfig)])
 
 
 def save_results(path, mapping):
     """Write a flat `key = value` summary in insertion order."""
-    lines = [f"{key} = {_format_value(value)}"
-             for key, value in mapping.items()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, [f"{key} = {_format_value(value)}"
+                        for key, value in mapping.items()])
 
 
 def load_results(path) -> dict:
     """Read a results file back as a str -> str mapping."""
-    raw = read_text(path)
-    out = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    return {key: value
+            for key, (value, _) in _read_assignments(path).items()}
+
+
+def save_report(path, lines):
+    """Write a plain-text report, one line per item of ``lines``."""
+    _write_lines(path, lines)
+
+
+# ---------------------------------------------------------------------------
+# dataset manifest: one `id label video annotation` line per sequence
+
+
+MANIFEST_NAME = "manifest.txt"
+
+Entry = namedtuple("Entry", ["sequence_id", "label", "video", "annotation"])
+
+
+def save_manifest(path, entries):
+    _write_lines(path, [f"{e.sequence_id} {e.label} {e.video} {e.annotation}"
+                        for e in entries])
+
+
+def load_manifest(path):
+    """Read the manifest's entries; ids are unique, labels integers."""
+    entries = []
+    seen = set()
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
             continue
-        key, value = _split_assignment(stripped, lineno)
-        if key in out:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        out[key] = value
-    return out
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"expected `id label video annotation`, "
+                             f"got {line!r}", line=lineno)
+        sequence_id, label, video, annotation = parts
+        if sequence_id in seen:
+            raise ParseError(f"duplicate sequence id {sequence_id!r}",
+                             line=lineno)
+        seen.add(sequence_id)
+        try:
+            entries.append(Entry(sequence_id, int(label), video, annotation))
+        except ValueError:
+            raise ParseError(f"non-integer label {label!r}", line=lineno)
+    if not entries:
+        raise ParseError("manifest is empty", line=1)
+    return entries

@@ -1,0 +1,358 @@
+"""The pipeline stages: synthesize, train, featurize, classify, report.
+
+One function per stage of the method: ``cmd_synth`` writes the labeled
+dataset, ``cmd_train`` samples cuboids at motion boundaries and fits a
+slow-feature bank, ``cmd_featurize`` accumulates squared derivatives
+(ASD) into per-snippet features, ``cmd_fit_classifier`` trains the
+linear classifier, and ``cmd_evaluate`` votes per sequence and writes
+the report.  Stages communicate through files only (their formats are
+in ``dataio``), so each can be rerun or inspected in isolation.  Every
+stage derives its randomness from the run seed plus a fixed stage tag,
+which makes whole-pipeline reruns bit-reproducible.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import namedtuple
+
+import numpy as np
+
+from . import classify, cuboid, dataio, features, sfa, synth
+from .errors import EmptyTrainingSet, InvalidInput
+
+# stage tags for seed derivation
+TAG_SYNTH = 0
+TAG_SPLIT = 1
+TAG_SAMPLE = 2
+TAG_CLASSIFIER = 3
+TAG_FEATURIZE = 4
+
+
+def derive_seed(*parts) -> int:
+    """One integer seed from the run seed, a stage tag and indices."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+# ---------------------------------------------------------------------------
+# dataset: manifest, split and synthesis
+
+
+def load_entries(config):
+    """The manifest entries of the dataset in ``config.data_dir``."""
+    return dataio.load_manifest(os.path.join(config.data_dir,
+                                             dataio.MANIFEST_NAME))
+
+
+def split_entries(entries, config):
+    """Seeded per-class split into (train, test), manifest order kept."""
+    by_label = {}
+    for e in entries:
+        by_label.setdefault(e.label, []).append(e)
+    train_ids = set()
+    for label, group in sorted(by_label.items()):
+        if config.train_per_class >= len(group):
+            raise InvalidInput(
+                f"class {label} has {len(group)} sequences, cannot hold "
+                f"out a test set after {config.train_per_class} for training")
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, TAG_SPLIT, label]))
+        order = rng.permutation(len(group))
+        train_ids.update(group[i].sequence_id
+                         for i in order[:config.train_per_class])
+    train = [e for e in entries if e.sequence_id in train_ids]
+    test = [e for e in entries if e.sequence_id not in train_ids]
+    return train, test
+
+
+def _spec_for(config, class_index, seq_index):
+    """Deterministic per-sequence motion parameters for one class."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [config.seed, TAG_SYNTH, class_index, seq_index]))
+    kind = synth.KINDS[class_index]
+    h, w = config.height, config.width
+    common = dict(height=h, width=w, frames=config.frames,
+                  noise_sigma=config.noise_sigma,
+                  seed=int(rng.integers(2 ** 31 - 1)))
+    if kind in ("h_bar_oscillate", "v_bar_oscillate"):
+        offset, extent = ("offset_y", h) if kind[0] == "h" else ("offset_x", w)
+        return synth.SynthSpec(
+            kind, **common, size=0.12 * extent, amplitude=0.18 * extent,
+            period=16.0, phase=rng.uniform(0, 2 * np.pi),
+            **{offset: rng.uniform(-0.05, 0.05) * extent})
+    radius = 0.1 * min(h, w)
+    # blob positions cycle over a coarse grid so that every part of the
+    # frame sees every blob class across a handful of sequences
+    base_y = (-0.12 + 0.24 * (seq_index % 3) / 2.0) * h
+    base_x = (-0.18 + 0.36 * (seq_index % 4) / 3.0) * w
+    offset_y = base_y + rng.uniform(-0.03, 0.03) * h
+    if kind == "blob_translate":
+        speed = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.4)
+        return synth.SynthSpec(kind, **common, size=radius, speed=speed,
+                               offset_y=offset_y,
+                               offset_x=rng.uniform(-0.2, 0.2) * w)
+    return synth.SynthSpec(kind, **common, size=radius, period=9.0,
+                           phase=rng.uniform(0, 2 * np.pi),
+                           offset_y=offset_y,
+                           offset_x=base_x + rng.uniform(-0.03, 0.03) * w)
+
+
+def cmd_synth(config):
+    """Generate the labeled dataset: videos, boxes, manifest, config."""
+    if config.classes > len(synth.KINDS):
+        raise InvalidInput(
+            f"at most {len(synth.KINDS)} classes available")
+    os.makedirs(config.data_dir, exist_ok=True)
+    entries = []
+    for c in range(config.classes):
+        for i in range(config.sequences_per_class):
+            seq, label = synth.generate_action(_spec_for(config, c, i))
+            sequence_id = f"c{c}s{i:02d}"
+            video, annotation = sequence_id + ".sfv", sequence_id + ".ann"
+            dataio.save_sequence(os.path.join(config.data_dir, video),
+                                 seq.frames.astype(np.uint8))
+            dataio.save_annotations(
+                os.path.join(config.data_dir, annotation), seq.boxes)
+            entries.append(dataio.Entry(sequence_id, label, video,
+                                        annotation))
+    dataio.save_manifest(os.path.join(config.data_dir, dataio.MANIFEST_NAME),
+                         entries)
+    dataio.save_config(os.path.join(config.data_dir, "dataset.cfg"), config)
+    print(f"wrote {len(entries)} sequences to {config.data_dir}")
+    return entries
+
+
+def _entry_diff(config, entry) -> cuboid.FrameSequence:
+    """The entry's normalized frame-difference sequence, with its boxes."""
+    pixels = dataio.load_sequence(os.path.join(config.data_dir, entry.video))
+    boxes = dataio.load_annotations(
+        os.path.join(config.data_dir, entry.annotation), len(pixels))
+    return cuboid.frame_difference(cuboid.normalize_sequence(
+        cuboid.FrameSequence(pixels.astype(float), boxes)))
+
+
+# ---------------------------------------------------------------------------
+# training
+
+
+TrainingCuboids = namedtuple("TrainingCuboids", ["data", "labels", "regions"])
+
+
+def _training_cuboids(config, entries, train) -> TrainingCuboids:
+    """Sampled training cuboids as one (n, d, h, w) array, with each
+    cuboid's class and, for ``sdsfa``, its grid cell (else None).
+
+    Every sequence's picks are sampled first; the array is then
+    allocated once and each sequence, read again, is cropped into its
+    own slice, so the cuboids are never held twice.
+    """
+    index = {e.sequence_id: i for i, e in enumerate(entries)}
+    picks, labels, regions = [], [], []
+    for entry in train:
+        diff = _entry_diff(config, entry)
+        masks = cuboid.motion_masks(diff, config.delta)
+        origins = cuboid.sample_cuboids(
+            diff, masks, config.fraction, config.cuboid_size,
+            rng_seed=derive_seed(config.seed, TAG_SAMPLE,
+                                 index[entry.sequence_id]),
+            max_count=config.max_cuboids)
+        picks.append(origins)
+        labels.append(np.full(len(origins), entry.label))
+        if config.strategy == "sdsfa":
+            ts, ys, xs = origins.T
+            regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
+                                               config.grid))
+    count = sum(len(p) for p in picks)
+    if count == 0:
+        raise EmptyTrainingSet("no training cuboids")
+    h, w, d = config.cuboid_size
+    data = np.empty((count, d, h, w))
+    start = 0
+    for entry, origins in zip(train, picks):
+        if len(origins):
+            data[start:start + len(origins)] = cuboid.crop_cuboids(
+                _entry_diff(config, entry).frames, *origins.T,
+                config.cuboid_size)
+            start += len(origins)
+    return TrainingCuboids(data, np.concatenate(labels),
+                           np.concatenate(regions) if regions else None)
+
+
+def fit_bank_from_cuboids(config, cuboids: TrainingCuboids) -> sfa.ModelBank:
+    minis = cuboid.window_rows(cuboids.data, config.delta_t)
+    if config.strategy == "usfa":
+        return sfa.fit_usfa(minis, config.pca_dim, config.k_per_class)
+    if config.strategy == "ssfa":
+        return sfa.fit_ssfa(minis, cuboids.labels, config.pca_dim,
+                            config.k_per_class)
+    if config.strategy == "dsfa":
+        return sfa.fit_dsfa(minis, cuboids.labels, config.pca_dim,
+                            config.k_per_class, gamma=config.gamma)
+    return sfa.fit_sdsfa(minis, cuboids.labels, cuboids.regions,
+                         config.grid, config.pca_dim, config.k_per_class,
+                         gamma=config.gamma)
+
+
+def cmd_train(config):
+    entries = load_entries(config)
+    train, _ = split_entries(entries, config)
+    cuboids = _training_cuboids(config, entries, train)
+    bank = fit_bank_from_cuboids(config, cuboids)
+    dataio.save_bank(config.model_path, bank)
+    print(f"fitted {config.strategy} bank on {len(cuboids.data)} cuboids "
+          f"from {len(train)} sequences -> {config.model_path}")
+    return bank
+
+
+# ---------------------------------------------------------------------------
+# featurization
+
+
+def cmd_featurize(config):
+    entries = load_entries(config)
+    bank = dataio.load_bank(config.model_path)
+    os.makedirs(config.features_dir, exist_ok=True)
+    total = 0
+    for idx, entry in enumerate(entries):
+        feats = features.featurize_sequence(
+            _entry_diff(config, entry), bank, config.cuboid_size,
+            config.fraction, seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
+            delta=config.delta, stride=config.stride,
+            sequence_id=entry.sequence_id)
+        dataio.save_features(
+            os.path.join(config.features_dir, entry.sequence_id + ".sfaf"),
+            entry.sequence_id, feats, label=entry.label)
+        total += len(feats)
+    print(f"wrote {total} features for {len(entries)} sequences "
+          f"-> {config.features_dir}")
+    return total
+
+
+def _load_entry_features(config, entry, bank):
+    """The entry's features, which must come from a bank of this layout."""
+    path = os.path.join(config.features_dir, entry.sequence_id + ".sfaf")
+    sequence_id, feats, label = dataio.load_features(path)
+    if sequence_id != entry.sequence_id or label != entry.label:
+        raise InvalidInput(
+            f"{path} does not match manifest entry {entry.sequence_id}")
+    if feats and feats[0].values.shape[0] != bank.k_total:
+        raise InvalidInput(
+            f"{path} holds {feats[0].values.shape[0]}-d features, but the "
+            f"{bank.strategy} bank {config.model_path} has {bank.k_total} "
+            "outputs")
+    return feats
+
+
+# ---------------------------------------------------------------------------
+# classifier fitting
+
+
+def cmd_fit_classifier(config):
+    train, _ = split_entries(load_entries(config), config)
+    bank = dataio.load_bank(config.model_path)
+    rows, labels = [], []
+    mirror = config.mirror and bank.strategy == "sdsfa"
+    block_dim = bank.k_total // (bank.grid[0] * bank.grid[1])
+    for entry in train:
+        for f in _load_entry_features(config, entry, bank):
+            rows.append(f.values)
+            labels.append(entry.label)
+            if mirror:
+                rows.append(features.mirror_feature(
+                    f, bank.grid, block_dim).values)
+                labels.append(entry.label)
+    clf = classify.train_linear(
+        np.asarray(rows), np.asarray(labels), reg=config.reg,
+        epochs=config.epochs,
+        seed=derive_seed(config.seed, TAG_CLASSIFIER))
+    dataio.save_classifier(config.classifier_path, clf)
+    print(f"trained classifier on {len(rows)} features "
+          f"-> {config.classifier_path}")
+    return clf
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def cmd_evaluate(config):
+    _, test = split_entries(load_entries(config), config)
+    bank = dataio.load_bank(config.model_path)
+    clf = dataio.load_classifier(config.classifier_path)
+
+    # one row per snippet: its feature, predicted label and true label
+    rows, frame_pred, frame_true, seq_pred = [], [], [], []
+    for entry in test:
+        feats = _load_entry_features(config, entry, bank)
+        if not feats:
+            raise InvalidInput(f"{entry.sequence_id} has no features")
+        values = np.stack([f.values for f in feats])
+        predictions = classify.predict_many(clf, values)
+        rows.append(values)
+        frame_pred.extend(predictions.tolist())
+        frame_true.extend([entry.label] * len(predictions))
+        seq_pred.append(classify.majority_vote(predictions))
+
+    matrix = np.vstack(rows)
+    labels_arr = np.asarray(frame_true)
+    confusion = classify.confusion_matrix(
+        seq_pred, [e.label for e in test],
+        class_labels=list(clf.class_labels))
+    seq_accuracy = confusion.accuracy
+    frm_accuracy = classify.frame_accuracy(frame_pred, frame_true)
+    _, fisher_mean = classify.fisher_score(matrix, labels_arr)
+    selectivity = features.selectivity(bank, matrix, labels_arr)
+
+    results = {
+        "strategy": bank.strategy,
+        "seed": config.seed,
+        "sequences": len(test),
+        "features": len(matrix),
+        "sequence_accuracy": seq_accuracy,
+        "frame_accuracy": frm_accuracy,
+        "fisher_mean": fisher_mean,
+    }
+    if selectivity is not None:
+        results["average_selectivity"] = selectivity
+
+    lines = [f"strategy: {bank.strategy}",
+             f"sequences: {len(test)}",
+             f"sequence accuracy: {seq_accuracy!r}",
+             f"frame accuracy: {frm_accuracy!r}",
+             "",
+             "confusion (rows predicted, cols true):",
+             confusion.render(),
+             ""]
+    lines.extend(f"{e.sequence_id}: true {e.label} predicted {p}"
+                 for e, p in zip(test, seq_pred))
+    lines.append("")
+    if selectivity is not None:
+        lines.append(f"average selectivity: {selectivity!r}")
+    lines.append(f"mean fisher score: {fisher_mean!r}")
+    dataio.save_report(config.report_path, lines)
+    dataio.save_results(config.results_path, results)
+    print(f"sequence accuracy {seq_accuracy!r} over {len(test)} sequences "
+          f"-> {config.report_path}")
+    return results
+
+
+# ---------------------------------------------------------------------------
+# toy demixing
+
+
+def cmd_toy_sfa(config, length=2000):
+    observed, latent = synth.toy_slow_signal(length, config.seed)
+    bank = sfa.fit_usfa([observed], pca_dim=2, k=2)
+    y = sfa.apply(bank.models[0], observed)
+    corr = abs(float(np.corrcoef(y[:, 0], latent)[0, 1]))
+    results = {
+        "length": length,
+        "seed": config.seed,
+        "corr_slowest_vs_latent": corr,
+        "delta_slowest": sfa.delta_value(y[:, 0]),
+        "min_channel_delta": min(sfa.delta_value(observed[:, j])
+                                 for j in range(observed.shape[1])),
+    }
+    dataio.save_results(config.results_path, results)
+    print(f"|corr(y1, latent)| = {corr!r} -> {config.results_path}")
+    return results

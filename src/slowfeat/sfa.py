@@ -343,8 +343,8 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
     if k < 1:
         raise InvalidDimension(f"k must be >= 1, got {k}")
     discriminative = strategy in ("dsfa", "sdsfa")
-    if discriminative and gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if discriminative and not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     x = linalg.as_minisequences(minisequences)
     if x.shape[1] < 2:
         raise TooShort(f"minisequences have {x.shape[1]} vectors, "
@@ -377,7 +377,8 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
             if discriminative:
                 others = [m[2] for j, m in enumerate(region) if j != i]
                 pooled = sum(others) / len(others)
-                objective = linalg._symmetrize(region[i][2] - gamma * pooled)
+                # exactly symmetric, as a combination of symmetric moments
+                objective = region[i][2] - gamma * pooled
             else:
                 h0, b, objective = region[i][:3]
             models.append(_solve_model(

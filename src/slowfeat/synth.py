@@ -77,8 +77,8 @@ class SynthSpec:
             raise InvalidSpec(f"need at least {MIN_FRAMES} frames")
         if self.height < 8 or self.width < 8:
             raise InvalidSpec("frame must be at least 8x8")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidSpec("noise_sigma must be finite and >= 0")
         if self.size <= 0:
             raise InvalidSpec("size must be positive")
         if self.period <= 0:

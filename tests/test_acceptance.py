@@ -28,7 +28,8 @@ import pytest
 
 import oracles
 
-from slowfeat import benchmark, cli, cuboid, dataio, features, linalg, sfa, synth
+from slowfeat import (benchmark, cli, cuboid, dataio, features, linalg,
+                      pipeline, sfa, synth)
 from slowfeat.config import RunConfig
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -65,7 +66,7 @@ def constraint_data(tmp_path_factory):
     start = time.perf_counter()
     cli.cmd_synth(cfg)
     entries = cli.load_manifest(os.path.join(cfg.data_dir, cli.MANIFEST_NAME))
-    cuboids = cli._training_cuboids(cfg, entries, entries)
+    cuboids = pipeline._training_cuboids(cfg, entries, entries)
     minis = cuboid.window_rows(cuboids.data, cfg.delta_t)
     labels, regions = cuboids.labels, cuboids.regions
     banks = {

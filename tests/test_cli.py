@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import shutil
 import struct
@@ -6,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from slowfeat import benchmark, cli, dataio, sfa
+from slowfeat import benchmark, cli, dataio, pipeline, sfa
 from slowfeat.config import RunConfig
 from slowfeat.errors import InvalidInput, ParseError
 
@@ -43,10 +44,10 @@ def run_pipeline(config):
 
 
 def test_manifest_round_trip(tmp_path):
-    entries = [cli.Entry("a", 0, "a.sfv", "a.ann"),
-               cli.Entry("b", 1, "b.sfv", "b.ann")]
+    entries = [dataio.Entry("a", 0, "a.sfv", "a.ann"),
+               dataio.Entry("b", 1, "b.sfv", "b.ann")]
     path = tmp_path / "manifest.txt"
-    cli.save_manifest(path, entries)
+    dataio.save_manifest(path, entries)
     assert cli.load_manifest(path) == entries
 
 
@@ -74,28 +75,29 @@ def test_manifest_non_utf8_is_a_parse_error(tmp_path):
 
 
 def test_split_is_seeded_and_disjoint(tmp_path):
-    entries = [cli.Entry(f"c{c}s{i}", c, "v", "a")
+    entries = [dataio.Entry(f"c{c}s{i}", c, "v", "a")
                for c in range(2) for i in range(6)]
     cfg = desk_config(tmp_path, classes=2, sequences_per_class=6,
                       train_per_class=4)
-    train1, test1 = cli.split_entries(entries, cfg)
-    train2, test2 = cli.split_entries(entries, cfg)
+    train1, test1 = pipeline.split_entries(entries, cfg)
+    train2, test2 = pipeline.split_entries(entries, cfg)
     assert train1 == train2 and test1 == test2
     ids = {e.sequence_id for e in train1} | {e.sequence_id for e in test1}
     assert len(ids) == len(entries)
     for label in (0, 1):
         assert sum(e.label == label for e in train1) == 4
         assert sum(e.label == label for e in test1) == 2
-    other = cli.split_entries(entries, dataclasses.replace(cfg, seed=9))[0]
+    other = pipeline.split_entries(entries,
+                                   dataclasses.replace(cfg, seed=9))[0]
     assert other != train1
 
 
 def test_split_requires_room_for_test(tmp_path):
-    entries = [cli.Entry(f"s{i}", 0, "v", "a") for i in range(3)] + \
-        [cli.Entry(f"t{i}", 1, "v", "a") for i in range(5)]
+    entries = [dataio.Entry(f"s{i}", 0, "v", "a") for i in range(3)] + \
+        [dataio.Entry(f"t{i}", 1, "v", "a") for i in range(5)]
     cfg = desk_config(tmp_path, classes=2, train_per_class=3)
     with pytest.raises(InvalidInput):
-        cli.split_entries(entries, cfg)
+        pipeline.split_entries(entries, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +224,9 @@ def test_constraint_suite_on_trained_bank(tmp_path):
     cfg = desk_config(tmp_path)
     cli.cmd_synth(cfg)
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
-    train, _ = cli.split_entries(entries, cfg)
-    cuboids = cli._training_cuboids(cfg, entries, train)
-    bank = cli.fit_bank_from_cuboids(cfg, cuboids)
+    train, _ = pipeline.split_entries(entries, cfg)
+    cuboids = pipeline._training_cuboids(cfg, entries, train)
+    bank = pipeline.fit_bank_from_cuboids(cfg, cuboids)
     assert_bank_constraints(bank, cuboids, cfg.delta_t)
 
 
@@ -234,7 +236,7 @@ def test_constraint_suite_on_trained_bank(tmp_path):
 
 def test_cmd_toy_sfa(tmp_path):
     cfg = desk_config(tmp_path)
-    results = cli.cmd_toy_sfa(cfg, length=600)
+    results = pipeline.cmd_toy_sfa(cfg, length=600)
     assert results["corr_slowest_vs_latent"] > 0.95
     assert results["delta_slowest"] < 0.1 * results["min_channel_delta"]
     parsed = dataio.load_results(cfg.results_path)
@@ -276,6 +278,73 @@ def test_main_runs_synth(tmp_path):
                      "--train-per-class", "1", "--data-dir", data_dir])
     assert code == 0
     assert os.path.exists(os.path.join(data_dir, "manifest.txt"))
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("synth", "--noise-sigma"), ("train", "--delta"), ("train", "--gamma"),
+    ("fit-classifier", "--reg")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flags_exit_1_before_any_work(tmp_path, capsys, command,
+                                                  flag, value):
+    data_dir = tmp_path / "data"
+    assert cli.main([command, flag, value, "--data-dir", str(data_dir),
+                     "--model-path", str(tmp_path / "model.sfam")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert flag[2:].replace("-", "_") in err
+    assert not os.listdir(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark reads
+
+
+def test_cli_keeps_the_names_the_benchmark_reads():
+    # the benchmark runs each stage as cli.cmd_*(config) and reads the
+    # dataset through cli.load_manifest and cli.MANIFEST_NAME
+    for name in ("cmd_synth", "cmd_train", "cmd_featurize",
+                 "cmd_fit_classifier", "cmd_evaluate"):
+        assert list(inspect.signature(getattr(cli, name)).parameters) \
+            == ["config"]
+    assert list(inspect.signature(cli.load_manifest).parameters) == ["path"]
+    assert cli.MANIFEST_NAME == "manifest.txt"
+
+
+def test_benchmark_keeps_the_names_the_benchmark_reads(tmp_path):
+    # bench_config(seed, workdir, **workload) builds the run config,
+    # artifact_paths(config) lists the files whose hashes are compared
+    # and baseline_results(config) is a stage of its own
+    config = benchmark.bench_config(0, str(tmp_path), strategy="sdsfa")
+    assert config.strategy == "sdsfa" and config.seed == 0
+    assert benchmark.artifact_paths(config) == [
+        config.model_path, config.classifier_path, config.report_path,
+        config.results_path]
+    params = inspect.signature(benchmark.baseline_results).parameters
+    assert list(params)[0] == "config"
+    assert all(p.default is not p.empty for p in list(params.values())[1:])
+
+
+def test_dataio_keeps_the_names_the_benchmark_reads():
+    # the benchmark counts bytes read and written by every public
+    # dataio.load_* and save_* from its argument named path
+    names = [name for name, fn in vars(dataio).items()
+             if name.startswith(("load_", "save_"))
+             and inspect.isfunction(fn) and fn.__module__ == dataio.__name__]
+    assert {"load_manifest", "save_manifest", "save_report"} <= set(names)
+    for name in names:
+        assert "path" in inspect.signature(getattr(dataio, name)).parameters
+
+
+def test_run_strategy_returns_what_evaluate_wrote(tmp_path):
+    cfg = desk_config(tmp_path, classes=2, sequences_per_class=3,
+                      train_per_class=2, k_per_class=4, max_cuboids=60)
+    cli.cmd_synth(cfg)
+    results = benchmark.run_strategy(cfg)
+    assert all(type(v) in (int, float, str) for v in results.values())
+    again = tmp_path / "again.txt"
+    dataio.save_results(again, results)
+    assert again.read_bytes() == open(cfg.results_path, "rb").read()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +443,7 @@ def test_missing_feature_file_fails_cleanly(two_runs, tmp_path, capsys,
                                             command):
     cfg = two_runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
-    train, test = cli.split_entries(entries, cfg)
+    train, test = pipeline.split_entries(entries, cfg)
     gone = (train if command == "fit-classifier" else test)[0]
     features_dir = tmp_path / "features"
     shutil.copytree(cfg.features_dir, features_dir)
@@ -436,7 +505,7 @@ def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
                                                      capsys):
     cfg = two_runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
-    train, _ = cli.split_entries(entries, cfg)
+    train, _ = pipeline.split_entries(entries, cfg)
     data_dir = with_static_videos(cfg, tmp_path,
                                   {e.sequence_id for e in train})
     err = fails_with_one_line(capsys, "train", cfg, tmp_path,

@@ -145,6 +145,11 @@ def test_motion_boundary_rejects_negative_delta():
         cuboid.motion_boundary(step_edge_frame(), delta=-1.0)
 
 
+def test_motion_boundary_rejects_nan_delta():
+    with pytest.raises(InvalidInput):
+        cuboid.motion_boundary(step_edge_frame(), delta=float("nan"))
+
+
 def test_default_delta_is_tenth_of_p99():
     rng = np.random.default_rng(3)
     frames = rng.normal(size=(4, 12, 12))

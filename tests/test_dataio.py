@@ -502,6 +502,26 @@ def test_config_semantic_violation_rejected(tmp_path):
         dataio.load_config(path)
 
 
+NON_FINITE = [(field, value)
+              for field in ("gamma", "fraction", "delta", "reg", "noise_sigma")
+              for value in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_run_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        RunConfig(**{field: float(value)})
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_config_file_with_a_non_finite_float_is_a_parse_error(
+        tmp_path, field, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 3\n{field} = {value}\n")
+    with pytest.raises(ParseError, match=field):
+        dataio.load_config(path)
+
+
 def test_config_save_load_round_trip(tmp_path):
     cfg = RunConfig(strategy="sdsfa", pca_dim=12, gamma=0.35, delta=1.25,
                     max_cuboids=400, mirror=False, fraction=0.125)
@@ -555,8 +575,6 @@ def test_results_non_utf8_is_a_parse_error(tmp_path):
 
 def reader_cases(root):
     """(reader, path of a valid file) for every reader of the package."""
-    from slowfeat import cli
-
     rng = np.random.default_rng(0)
     cases = {}
 
@@ -587,8 +605,8 @@ def reader_cases(root):
         RunConfig(strategy="sdsfa", seed=4))
     add("results", dataio.load_results, dataio.save_results,
         {"strategy": "dsfa", "sequence_accuracy": 0.75})
-    add("manifest", cli.load_manifest, cli.save_manifest,
-        [cli.Entry(f"c{i}", i % 2, f"c{i}.sfv", f"c{i}.ann")
+    add("manifest", dataio.load_manifest, dataio.save_manifest,
+        [dataio.Entry(f"c{i}", i % 2, f"c{i}.sfv", f"c{i}.ann")
          for i in range(4)])
     return cases
 

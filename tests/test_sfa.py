@@ -305,6 +305,13 @@ def test_dsfa_errors():
         sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=-0.5)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_dsfa_rejects_a_non_finite_gamma(gamma):
+    seqs, labels = labeled_three_class_data(per_class=4)
+    with pytest.raises(ValueError, match="gamma"):
+        sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=gamma)
+
+
 # ---------------------------------------------------------------------------
 # spatially localized discriminative fit
 

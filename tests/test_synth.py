@@ -127,6 +127,12 @@ def test_invalid_specs_rejected():
         synth.SynthSpec("blob_pulse", period=0.0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_non_finite_noise_rejected(sigma):
+    with pytest.raises(InvalidSpec, match="noise_sigma"):
+        synth.SynthSpec("blob_translate", noise_sigma=sigma)
+
+
 # ---------------------------------------------------------------------------
 # sequence assembly
 
