@@ -124,12 +124,12 @@ def _pooled_snippets(pixels, length, stride, pool):
                      for s in range(0, t - length + 1, stride)])
 
 
-def baseline_results(config, out_dim=None, pool=BASELINE_POOL):
+def baseline_results(config):
     """Raw-pixel snippets -> PCA -> the identical linear classifier.
 
-    ``out_dim`` defaults to the width of the discriminative feature
-    vectors (classes * k_per_class) so the classifier sees inputs of
-    the same size.
+    Snippets are pooled by ``BASELINE_POOL``.  The PCA keeps as many
+    directions as the discriminative feature vectors are wide (classes
+    * k_per_class), so the classifier sees inputs of the same size.
     """
     entries = pipeline.load_entries(config)
     train, test = pipeline.split_entries(entries, config)
@@ -138,13 +138,12 @@ def baseline_results(config, out_dim=None, pool=BASELINE_POOL):
         pixels = dataio.load_sequence(
             os.path.join(config.data_dir, entry.video))
         snippets[entry.sequence_id] = _pooled_snippets(
-            pixels, config.cuboid_d, config.stride, pool)
+            pixels, config.cuboid_d, config.stride, BASELINE_POOL)
 
     rows = np.vstack([snippets[e.sequence_id] for e in train])
     labels = np.concatenate([[e.label] * len(snippets[e.sequence_id])
                              for e in train])
-    if out_dim is None:
-        out_dim = config.classes * config.k_per_class
+    out_dim = config.classes * config.k_per_class
     pca = linalg.pca_fit(rows, min(out_dim, rows.shape[1]))
     clf = classify.train_linear(
         pca.transform(rows), labels, reg=config.reg, epochs=config.epochs,

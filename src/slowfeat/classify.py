@@ -230,8 +230,8 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
 
-def confusion_matrix(predicted, truth, class_labels=None) -> ConfusionMatrix:
-    """Tally predicted-vs-true label pairs.
+def confusion_matrix(predicted, truth, class_labels) -> ConfusionMatrix:
+    """Tally predicted-vs-true label pairs over ``class_labels``.
 
     Column sums equal the per-class instance counts, so trace/total is
     the plain accuracy.
@@ -240,8 +240,6 @@ def confusion_matrix(predicted, truth, class_labels=None) -> ConfusionMatrix:
     t = np.asarray(truth)
     if p.shape != t.shape or p.ndim != 1:
         raise InvalidInput(f"label sequences differ: {p.shape} vs {t.shape}")
-    if class_labels is None:
-        class_labels = np.unique(np.concatenate([p, t])).tolist()
     labels = list(class_labels)
     index = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)

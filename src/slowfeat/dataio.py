@@ -294,7 +294,7 @@ def load_bank(path) -> sfa.ModelBank:
     reader.expect_end()
     try:
         return sfa.ModelBank(strategy, tuple(models), grid)
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise FormatError(f"{path}: {exc}")
 
 

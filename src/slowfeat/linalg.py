@@ -9,8 +9,8 @@ combines the moments of disjoint sets into those of their union by the
 pairwise update of Chan, Golub and LeVeque (1979), in place on
 unnormalized sums, so a large set is taken in chunks with one chunk in
 memory at a time, and the cells of a region pool the same way.
-``pca_fit`` builds its covariance with the same routine, and
-``pca_from_moments`` fits a PCA from merged moments.
+``pca_fit``, the one PCA fit for rows and minisequences alike, merges
+its rows' moments in chunks of ``CHUNK`` by the same two routines.
 
 The generalized solver follows the whitening route: eigendecompose the
 constraint matrix, drop near-null directions relative to its largest
@@ -35,7 +35,11 @@ from .errors import (
 
 # Constraint-matrix directions below this fraction of the largest
 # eigenvalue are treated as null space and discarded.
-DEFAULT_REL_CUTOFF = 1e-8
+REL_CUTOFF = 1e-8
+
+# Leading entries (rows or minisequences) per chunk wherever a large
+# set is reduced to moments, here and in the passes of sfa training.
+CHUNK = 1024
 
 # Allowed relative asymmetry / negativity before an input is rejected.
 _SYMMETRY_RTOL = 1e-10
@@ -139,11 +143,11 @@ def sym_eig(m) -> EigenResult:
     return EigenResult(values, _fix_signs(vectors))
 
 
-def gen_eig_sym(a, b, rel_cutoff: float = DEFAULT_REL_CUTOFF) -> EigenResult:
+def gen_eig_sym(a, b) -> EigenResult:
     """Solve the generalized symmetric problem ``a W = b W diag(lam)``.
 
     Works by whitening: eigendecompose ``b = U D U^T``, discard
-    directions with ``d_i < rel_cutoff * max(d)``, form
+    directions with ``d_i < REL_CUTOFF * max(d)``, form
     ``S = U_kept D_kept^{-1/2}``, solve ``sym_eig(S^T a S)`` and map the
     vectors back as ``W = S V``.  ``a`` may be indefinite; ``b`` must be
     positive semidefinite.
@@ -176,7 +180,7 @@ def gen_eig_sym(a, b, rel_cutoff: float = DEFAULT_REL_CUTOFF) -> EigenResult:
     if d_max <= 0.0:
         raise DegenerateCovariance("constraint matrix is numerically zero")
 
-    kept = d >= rel_cutoff * d_max
+    kept = d >= REL_CUTOFF * d_max
     if not kept.any():
         raise DegenerateCovariance("no directions survive the rank cutoff")
     s = u[:, kept] / np.sqrt(d[kept])
@@ -187,12 +191,12 @@ def gen_eig_sym(a, b, rel_cutoff: float = DEFAULT_REL_CUTOFF) -> EigenResult:
 
 
 def pca_fit(data, out_dim: int) -> PcaModel:
-    """Fit PCA on row-sample data.
+    """Fit PCA on every row of ``data``.
 
     Parameters
     ----------
-    data : array_like, shape (n_samples, in_dim)
-        At least two samples.
+    data : array_like, shape (n, in_dim) or (n, length, in_dim)
+        Rows, or minisequences whose rows are all taken; at least two.
     out_dim : int
         Number of leading principal directions to keep,
         ``1 <= out_dim <= in_dim``.
@@ -201,32 +205,25 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     -------
     PcaModel
         ``projection`` rows are orthonormal, ordered by decreasing
-        eigenvalue of the sample covariance (denominator ``n - 1``).
-        The covariance comes from ``sequence_moments``, each row taken
-        as a minisequence of one vector.
+        eigenvalue of the sample covariance (denominator ``n - 1`` for
+        ``n`` rows).  The moments of each ``CHUNK`` leading entries,
+        each row a minisequence of one vector, are merged by
+        ``merge_moments``, so one chunk's rows are held at a time.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise InvalidMatrix(f"data must be 2-D, got shape {data.shape}")
-    n = data.shape[0]
+    if data.ndim not in (2, 3):
+        raise InvalidMatrix(f"data must be 2-D or 3-D, got {data.shape}")
+    in_dim = data.shape[-1]
+    n = int(np.prod(data.shape[:-1]))
     if n < 2:
         raise EmptyTrainingSet(f"pca_fit needs at least 2 samples, got {n}")
-    mean, b, _, _, _ = sequence_moments(data[:, None])
-    return pca_from_moments(mean, b * (n / (n - 1)), out_dim)
-
-
-def pca_from_moments(mean, covariance, out_dim: int) -> PcaModel:
-    """PCA of data with the given mean vector and covariance matrix.
-
-    Keeps the ``out_dim`` leading eigenvectors of ``covariance``,
-    ``1 <= out_dim <= in_dim``, largest eigenvalue first, as the rows
-    of an orthonormal projection.
-    """
-    in_dim = len(mean)
     if not 1 <= out_dim <= in_dim:
         raise InvalidDimension(
             f"out_dim must be in [1, {in_dim}], got {out_dim}")
-    res = sym_eig(covariance)
+    mean, b, _, n, _ = merge_moments(
+        sequence_moments(data[i:i + CHUNK].reshape(-1, 1, in_dim))
+        for i in range(0, len(data), CHUNK))
+    res = sym_eig(b * (n / (n - 1)))
     # sym_eig sorts ascending; take the top out_dim, largest first.
     idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
     return PcaModel(

@@ -211,6 +211,12 @@ def cmd_train(config):
 def cmd_featurize(config):
     entries = load_entries(config)
     bank = dataio.load_bank(config.model_path)
+    row_dim = config.cuboid_h * config.cuboid_w * config.delta_t
+    if row_dim != bank.pca.in_dim:
+        raise InvalidInput(
+            f"cuboid {config.cuboid_h}x{config.cuboid_w} with delta_t "
+            f"{config.delta_t} gives {row_dim}-d rows, but the bank "
+            f"{config.model_path} takes {bank.pca.in_dim}-d rows")
     os.makedirs(config.features_dir, exist_ok=True)
     total = 0
     for idx, entry in enumerate(entries):

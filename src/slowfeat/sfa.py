@@ -21,15 +21,15 @@ enters the objective and the constraints:
 
 All four are one fit over cells: the whole set (usfa), one class (ssfa,
 dsfa) or one (region, class) pair (sdsfa).  A fit takes two passes over
-the minisequences, in chunks of ``_CHUNK`` of them.  Pass 1 merges the
-moments of every chunk's raw rows with ``linalg.merge_moments`` and fits
-the PCA from them.  Pass 2 projects and expands the chunks of one cell
-at a time and merges their ``linalg.sequence_moments`` into that cell's
-mean, covariance and derivative covariance.  No array of all rows is
-ever built: beyond its input, a fit holds one chunk's rows and the
-moments of the cells of one region, O(classes x D^2) for D expanded
-dimensions, and solves that region's models before it reads the next
-region's chunks.
+the minisequences, in chunks of ``linalg.CHUNK`` of them.  Pass 1 is
+``linalg.pca_fit`` of every raw row, which merges the chunks' moments
+with ``linalg.merge_moments``.  Pass 2 projects and expands the chunks
+of one cell at a time and merges their ``linalg.sequence_moments`` into
+that cell's mean, covariance and derivative covariance.  No array of
+all rows is ever built: beyond its input, a fit holds one chunk's rows
+and the moments of the cells of one region, O(classes x D^2) for D
+expanded dimensions, and solves that region's models before it reads
+the next region's chunks.
 The discriminative constraints of a region (the whole set for dsfa) are
 merged from its class cells' moments by the same routine, so dsfa is
 sdsfa on one region.
@@ -171,11 +171,12 @@ def delta_value(y) -> float:
 class ModelBank:
     """An ordered collection of fitted models for one strategy.
 
-    Ordering defines the feature layout downstream: a single model for
-    ``usfa``; one per class in ascending class order for ``ssfa`` and
-    ``dsfa``; region-major, class-minor for ``sdsfa`` (region index runs
-    over the grid row by row).  All models share one PCA: every model's
-    ``pca`` must be bit-equal to the first model's.
+    Ordering defines the feature layout downstream, one rule for all
+    strategies: one model per (region, class) cell, region-major and
+    class-minor, where only ``sdsfa`` has regions (index running over
+    the grid row by row) and ``usfa`` has the one class None.  All
+    models share one PCA: every model's ``pca`` must be bit-equal to
+    the first model's.
     """
 
     strategy: str
@@ -184,35 +185,20 @@ class ModelBank:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not self.models:
-            raise ValueError("a bank needs at least one model")
-        if self.strategy == "usfa":
-            if len(self.models) != 1:
-                raise ValueError("usfa bank must hold exactly one model")
-            if self.grid != (1, 1):
-                raise ValueError("usfa bank grid must be (1, 1)")
-        elif self.strategy in ("ssfa", "dsfa"):
-            labels = [m.class_label for m in self.models]
-            if any(l is None for l in labels) or sorted(set(labels)) != labels:
-                raise ValueError(
-                    f"{self.strategy} bank needs distinct ascending class labels")
-            if self.grid != (1, 1):
-                raise ValueError(f"{self.strategy} bank grid must be (1, 1)")
-        else:
-            gx, gy = self.grid
-            if gx < 1 or gy < 1:
-                raise ValueError(f"bad grid {self.grid}")
-            n_regions = gx * gy
-            classes = sorted({m.class_label for m in self.models})
-            if None in classes:
-                raise ValueError("sdsfa models need class labels")
-            expected = [(r, c) for r in range(n_regions) for c in classes]
-            got = [(m.region_label, m.class_label) for m in self.models]
-            if got != expected:
-                raise ValueError(
-                    "sdsfa bank must hold one model per (region, class), "
-                    "region-major and class-minor")
+            raise InvalidInput(f"unknown strategy {self.strategy!r}")
+        gx, gy = self.grid
+        if min(gx, gy) < 1 or (self.strategy != "sdsfa"
+                                and self.grid != (1, 1)):
+            raise InvalidInput(
+                f"a {self.strategy} bank cannot have grid {self.grid}")
+        classes = ([None] if self.strategy == "usfa"
+                   else list(self.class_labels))
+        regions = range(gx * gy) if self.strategy == "sdsfa" else [None]
+        got = [(m.region_label, m.class_label) for m in self.models]
+        if not got or got != [(r, c) for r in regions for c in classes]:
+            raise InvalidInput(
+                f"a {self.strategy} bank must hold one model per "
+                "(region, class), region-major and class-minor")
         pca = self.pca
         arrays = (pca.mean, pca.projection, pca.explained_eigenvalues)
         for m in self.models[1:]:
@@ -220,7 +206,7 @@ class ModelBank:
                     a.shape == b.shape and a.tobytes() == b.tobytes()
                     for a, b in zip(arrays, (m.pca.mean, m.pca.projection,
                                              m.pca.explained_eigenvalues))):
-                raise ValueError("the models of a bank must share one PCA")
+                raise InvalidInput("the models of a bank must share one PCA")
 
     @property
     def k_total(self) -> int:
@@ -239,9 +225,7 @@ class ModelBank:
 
     @property
     def class_labels(self) -> tuple[int, ...]:
-        if self.strategy == "usfa":
-            return ()
-        return tuple(sorted({m.class_label for m in self.models}))
+        return tuple(sorted({m.class_label for m in self.models} - {None}))
 
 
 # ---------------------------------------------------------------------------
@@ -259,29 +243,12 @@ def _per_sequence(values, count, what):
     return values
 
 
-# Minisequences per chunk in both passes of a fit: a chunk's projected
-# and expanded rows are the largest arrays training holds.
-_CHUNK = 1024
-
-
-def _fit_pca(x, pca_dim):
-    """Pass 1: PCA of every row of the (n, length, dim) minisequences,
-    from the rows' moments merged chunk by chunk.  Each row is taken as
-    a minisequence of one vector, so no derivative is computed."""
-    n, _, dim = x.shape
-    mean, b, _, count, _ = linalg.merge_moments(
-        linalg.sequence_moments(x[i:i + _CHUNK].reshape(-1, 1, dim))
-        for i in range(0, n, _CHUNK))
-    # pca_fit's sample covariance, denominator count - 1
-    return linalg.pca_from_moments(mean, b * (count / (count - 1)), pca_dim)
-
-
 def _cell_moments(x, members, pca):
     """Pass 2: moments of the projected and expanded minisequences
     ``x[members]``, merged chunk by chunk."""
     def chunks():
-        for i in range(0, len(members), _CHUNK):
-            chunk = x[members[i:i + _CHUNK]]
+        for i in range(0, len(members), linalg.CHUNK):
+            chunk = x[members[i:i + linalg.CHUNK]]
             # projected as a batch of one small product per
             # minisequence: bit-equal to projecting each alone
             rows = pca.transform(chunk).reshape(-1, pca.out_dim)
@@ -290,14 +257,14 @@ def _cell_moments(x, members, pca):
     return linalg.merge_moments(chunks())
 
 
-def _solve_model(objective, constraint, h0, pca, k, rel_cutoff,
-                 strategy, class_label=None, region_label=None, gamma=None,
+def _solve_model(objective, constraint, h0, pca, k, strategy,
+                 class_label=None, region_label=None, gamma=None,
                  what="training set"):
     if np.abs(objective).max() == 0.0:
         raise InsufficientRank(
             f"{what}: derivative covariance is identically zero "
             "(data constant in time)")
-    eig = linalg.gen_eig_sym(objective, constraint, rel_cutoff)
+    eig = linalg.gen_eig_sym(objective, constraint)
     available = eig.eigenvalues.shape[0]
     if available < k:
         raise InsufficientRank(
@@ -327,7 +294,7 @@ def _check_cells(counts, classes, by_region):
 
 
 def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
-         gamma, rel_cutoff):
+         gamma):
     """The four strategies as one fit over cells.
 
     A cell is the whole set for usfa, one class for ssfa and dsfa, and
@@ -344,7 +311,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
         raise InvalidDimension(f"k must be >= 1, got {k}")
     discriminative = strategy in ("dsfa", "sdsfa")
     if discriminative and not 0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+        raise InvalidInput(f"gamma must be finite and >= 0, got {gamma}")
     x = linalg.as_minisequences(minisequences)
     if x.shape[1] < 2:
         raise TooShort(f"minisequences have {x.shape[1]} vectors, "
@@ -365,7 +332,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
         _check_cells(np.bincount(cells, minlength=n_regions * n_classes),
                      classes, strategy == "sdsfa")
 
-    pca = _fit_pca(x, pca_dim)
+    pca = linalg.pca_fit(x, pca_dim)
     models = []
     for r in range(n_regions):
         region = [_cell_moments(x, np.flatnonzero(cells == c), pca)
@@ -382,7 +349,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
             else:
                 h0, b, objective = region[i][:3]
             models.append(_solve_model(
-                objective, b, h0, pca, k, rel_cutoff, strategy,
+                objective, b, h0, pca, k, strategy,
                 class_label=None if strategy == "usfa" else int(c),
                 region_label=r if strategy == "sdsfa" else None,
                 gamma=gamma if discriminative else None,
@@ -391,8 +358,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
     return tuple(models)
 
 
-def fit_usfa(minisequences, pca_dim: int, k: int,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
+def fit_usfa(minisequences, pca_dim: int, k: int) -> ModelBank:
     """Fit one unsupervised slow feature model on all minisequences.
 
     Pipeline: PCA to ``pca_dim`` on the union of all vectors, expand,
@@ -403,11 +369,11 @@ def fit_usfa(minisequences, pca_dim: int, k: int,
     of its output on the training data.
     """
     return ModelBank("usfa", _fit(
-        "usfa", minisequences, None, None, 1, pca_dim, k, None, rel_cutoff))
+        "usfa", minisequences, None, None, 1, pca_dim, k, None))
 
 
-def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
+def fit_ssfa(minisequences, labels, pca_dim: int,
+             k_per_class: int) -> ModelBank:
     """Fit one slow feature model per class on that class's data alone.
 
     PCA is shared (fit on the union of all classes); the expanded mean,
@@ -417,13 +383,11 @@ def fit_ssfa(minisequences, labels, pca_dim: int, k_per_class: int,
     ``fit_usfa`` on that class.
     """
     return ModelBank("ssfa", _fit(
-        "ssfa", minisequences, labels, None, 1, pca_dim, k_per_class, None,
-        rel_cutoff))
+        "ssfa", minisequences, labels, None, 1, pca_dim, k_per_class, None))
 
 
 def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
-             gamma: float = DEFAULT_GAMMA,
-             rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
+             gamma: float = DEFAULT_GAMMA) -> ModelBank:
     """Fit one discriminative slow feature model per class.
 
     Class c minimizes its own mean squared derivative while maximizing
@@ -434,13 +398,11 @@ def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
     union constraints.
     """
     return ModelBank("dsfa", _fit(
-        "dsfa", minisequences, labels, None, 1, pca_dim, k_per_class, gamma,
-        rel_cutoff))
+        "dsfa", minisequences, labels, None, 1, pca_dim, k_per_class, gamma))
 
 
 def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
-              k_per_class: int, gamma: float = DEFAULT_GAMMA,
-              rel_cutoff: float = linalg.DEFAULT_REL_CUTOFF) -> ModelBank:
+              k_per_class: int, gamma: float = DEFAULT_GAMMA) -> ModelBank:
     """Fit discriminative models independently inside each spatial region.
 
     ``regions`` assigns each minisequence a region index in
@@ -454,4 +416,4 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
         raise InvalidDimension(f"bad grid {grid}")
     return ModelBank("sdsfa", _fit(
         "sdsfa", minisequences, labels, regions, gx * gy, pca_dim,
-        k_per_class, gamma, rel_cutoff), grid=(gx, gy))
+        k_per_class, gamma), grid=(gx, gy))

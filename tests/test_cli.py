@@ -426,6 +426,22 @@ def test_cuboids_windowed_to_one_row_fail_cleanly(two_runs, tmp_path,
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("flags", [{"cuboid_h": 12}, {"delta_t": 2}])
+def test_cuboid_geometry_unlike_the_banks_fails_cleanly(two_runs, tmp_path,
+                                                        capsys, flags):
+    # the bank takes 8x8 patches over 3 frames, 192-d rows; a 12x8
+    # cuboid would be windowed to 2 frames, or delta_t 2 ignored, without
+    # a word.  The dataset holds only its manifest: the check comes
+    # before any sequence is read.
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    shutil.copy(os.path.join(cfg.data_dir, cli.MANIFEST_NAME), data_dir)
+    err = fails_with_one_line(capsys, "featurize", cfg, tmp_path,
+                              data_dir=data_dir, **flags)
+    assert "takes 192-d rows" in err
+
+
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",
                                      "evaluate"])
 def test_missing_bank_fails_cleanly(two_runs, tmp_path, capsys, command):

@@ -254,6 +254,28 @@ def test_pca_rejects_too_few_samples():
         linalg.pca_fit(np.zeros((1, 3)), 1)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, linalg.CHUNK])
+def test_pca_of_minisequences_is_pca_of_their_rows(chunk, monkeypatch):
+    # the rows of (n, length, dim) minisequences, in chunks of any size
+    rng = np.random.default_rng(chunk)
+    data = rng.normal(size=(7, 4, 5)) * [3.0, 2.0, 1.0, 0.5, 0.1] + 4.0
+    rows = linalg.pca_fit(data.reshape(-1, 5), 3)
+    monkeypatch.setattr(linalg, "CHUNK", chunk)
+    model = linalg.pca_fit(data, 3)
+    assert np.abs(model.mean - rows.mean).max() \
+        <= 1e-12 * np.abs(rows.mean).max()
+    assert np.abs(model.explained_eigenvalues
+                  - rows.explained_eigenvalues).max() \
+        <= 1e-12 * rows.explained_eigenvalues.max()
+    assert np.abs(model.projection - rows.projection).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4, 5)])
+def test_pca_rejects_data_that_is_not_rows_or_minisequences(shape):
+    with pytest.raises(InvalidMatrix):
+        linalg.pca_fit(np.ones(shape), 1)
+
+
 # ---------------------------------------------------------------------------
 # sequence_moments
 

@@ -301,14 +301,14 @@ def test_dsfa_errors():
     seqs, labels = labeled_three_class_data(per_class=4)
     with pytest.raises(InsufficientClassData):
         sfa.fit_dsfa(seqs[:4], [0] * 4, pca_dim=3, k_per_class=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=-0.5)
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
 def test_dsfa_rejects_a_non_finite_gamma(gamma):
     seqs, labels = labeled_three_class_data(per_class=4)
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(InvalidInput, match="gamma"):
         sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=gamma)
 
 
@@ -460,7 +460,7 @@ def test_chunked_fit_matches_one_chunk(strategy, chunk, monkeypatch):
     # the default chunk holds all of these minisequences
     seqs, labels, regions = region_spread_data(seed=4)
     one = fit(strategy, seqs, labels, regions, 0.3)
-    monkeypatch.setattr(sfa, "_CHUNK", CHUNKS[chunk](len(seqs)))
+    monkeypatch.setattr(linalg, "CHUNK", CHUNKS[chunk](len(seqs)))
     chunked = fit(strategy, seqs, labels, regions, 0.3)
 
     def gap(got, expected):
@@ -590,7 +590,7 @@ def test_bank_rejects_models_with_different_pcas():
                                         .explained_eigenvalues * 2.0)):
         other = list(models)
         other[1] = dataclasses.replace(models[1], pca=changed)
-        with pytest.raises(ValueError, match="share one PCA"):
+        with pytest.raises(InvalidInput, match="share one PCA"):
             sfa.ModelBank("ssfa", tuple(other))
 
 
@@ -601,17 +601,47 @@ def test_bank_k_total_six_classes():
 
 
 def test_bank_layout_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         sfa.ModelBank("usfa", (dummy_model(2, class_label=None),
                                dummy_model(2, class_label=None)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         sfa.ModelBank("ssfa", (dummy_model(2, class_label=1),
                                dummy_model(2, class_label=0)))
     # sdsfa models must come region-major, class-minor
     wrong = (dummy_model(1, 0, 0, "sdsfa"), dummy_model(1, 0, 1, "sdsfa"),
              dummy_model(1, 1, 0, "sdsfa"), dummy_model(1, 1, 1, "sdsfa"))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         sfa.ModelBank("sdsfa", wrong, grid=(2, 1))
+
+
+@pytest.mark.parametrize("strategy,models,grid", [
+    # a usfa model has no class, and no model but sdsfa's has a region
+    ("usfa", [(None, 0)], (1, 1)),
+    ("ssfa", [(0, 0), (0, 1)], (1, 1)),
+    ("dsfa", [(None, 0), (0, 1)], (1, 1)),
+    # only an sdsfa bank has a grid, and its models label their class
+    ("dsfa", [(None, 0), (None, 1)], (2, 1)),
+    ("sdsfa", [(0, 0), (0, None)], (1, 1)),
+    ("sdsfa", [(0, 0), (1, 0)], (0, 2)),
+    ("ssfa", [], (1, 1)),
+    ("sdsfa", [], (1, 1)),
+    ("dfsa", [(None, 0), (None, 1)], (1, 1))])
+def test_bank_layout_is_one_rule(strategy, models, grid):
+    with pytest.raises(InvalidInput):
+        sfa.ModelBank(strategy, tuple(
+            dummy_model(1, c, r, strategy) for r, c in models), grid=grid)
+
+
+@pytest.mark.parametrize("strategy,models,grid", [
+    ("usfa", [(None, None)], (1, 1)),
+    ("ssfa", [(None, 3)], (1, 1)),
+    ("dsfa", [(None, 0), (None, 2)], (1, 1)),
+    ("sdsfa", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)], (1, 3))])
+def test_bank_layout_accepts_each_strategys_cells(strategy, models, grid):
+    bank = sfa.ModelBank(strategy, tuple(
+        dummy_model(1, c, r, strategy) for r, c in models), grid=grid)
+    assert [(m.region_label, m.class_label) for m in bank.models] == models
+    assert bank.class_labels == tuple(sorted({c for _, c in models} - {None}))
 
 
 def test_training_keeps_the_names_the_benchmark_reads():
