@@ -93,6 +93,15 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f8", count=count).astype(
             np.float64, copy=True)
 
+    def header(self, magic: bytes, version: int, what: str):
+        """Check a binary file's magic and format version."""
+        if self.take(4) != magic:
+            raise FormatError(f"{self.path}: bad magic, not a {what} file")
+        found = self.u32()
+        if found != version:
+            raise UnsupportedVersion(
+                f"{self.path}: {what} version {found}, supported {version}")
+
     def expect_end(self):
         if self.pos != len(self.data):
             raise FormatError(
@@ -245,12 +254,7 @@ def _unpack_label(value: int):
 def load_bank(path) -> sfa.ModelBank:
     """Read a version-2 bank; any other version is UnsupportedVersion."""
     reader = _Reader(_read_file(path), path)
-    if reader.take(4) != BANK_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model bank")
-    version = reader.u32()
-    if version != BANK_VERSION:
-        raise UnsupportedVersion(
-            f"{path}: bank version {version}, supported {BANK_VERSION}")
+    reader.header(BANK_MAGIC, BANK_VERSION, "bank")
     strategy_index = reader.u32()
     if strategy_index >= len(sfa.STRATEGIES):
         raise FormatError(f"{path}: unknown strategy tag {strategy_index}")
@@ -323,15 +327,9 @@ def save_features(path, sequence_id: str, features, label=None):
 
 
 def load_features(path):
-    """Return (sequence_id, features, label)."""
+    """Return (sequence_id, features, label); every value is finite."""
     reader = _Reader(_read_file(path), path)
-    if reader.take(4) != FEATURES_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a feature file")
-    version = reader.u32()
-    if version != FEATURES_VERSION:
-        raise UnsupportedVersion(
-            f"{path}: feature version {version}, supported "
-            f"{FEATURES_VERSION}")
+    reader.header(FEATURES_MAGIC, FEATURES_VERSION, "feature")
     k_total = reader.u32()
     label = _unpack_label(reader.i64())
     try:
@@ -345,6 +343,9 @@ def load_features(path):
         if flag > 1:
             raise FormatError(f"{path}: bad normalization flag {flag}")
         values = reader.f64_array(k_total)
+        if not np.isfinite(values).all():
+            raise FormatError(
+                f"{path}: snippet at frame {start} has a non-finite value")
         feats.append(ASDFeature(values, (sequence_id, start), bool(flag)))
     reader.expect_end()
     return sequence_id, feats, label
@@ -366,13 +367,7 @@ def save_classifier(path, clf: LinearClassifier):
 
 def load_classifier(path) -> LinearClassifier:
     reader = _Reader(_read_file(path), path)
-    if reader.take(4) != CLASSIFIER_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a classifier file")
-    version = reader.u32()
-    if version != CLASSIFIER_VERSION:
-        raise UnsupportedVersion(
-            f"{path}: classifier version {version}, supported "
-            f"{CLASSIFIER_VERSION}")
+    reader.header(CLASSIFIER_MAGIC, CLASSIFIER_VERSION, "classifier")
     c, d = reader.u32(), reader.u32()
     if c < 2 or d == 0:
         raise FormatError(f"{path}: bad classifier shape {c}x{d}")
@@ -380,7 +375,10 @@ def load_classifier(path) -> LinearClassifier:
     weights = reader.f64_array(c * d).reshape(c, d)
     biases = reader.f64_array(c)
     reader.expect_end()
-    return LinearClassifier(weights, biases, labels)
+    try:
+        return LinearClassifier(weights, biases, labels)
+    except InvalidInput as exc:
+        raise FormatError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ region) whose functions the motion obeys.
 
 A sequence is featurized in batches of whole snippets: each snippet's
 cuboids are put in canonical (y, x) order and snippets are gathered
-until a batch holds ``_BATCH_CUBOIDS`` cuboids or more.  A batch is one
-(n, d, h, w) array, windowed, projected through the bank's one PCA and
-expanded once, with one matrix product against the bank's stacked
-readouts; each snippet's rows are then summed in order.
+until a batch holds ``linalg.CHUNK`` cuboids or more.  A batch is one
+(n, d, h, w) array, windowed and taken through ``sfa.project_and_expand``
+with the bank's one PCA, as training's chunks were, then through one
+matrix product against the bank's stacked readouts; each snippet's rows
+are then summed in order.
 ``asd_feature`` is the same evaluation on one snippet.
 
 For a region-gridded (``sdsfa``) bank each cuboid contributes only to
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify
+from . import classify, linalg
 from .cuboid import (
     FrameSequence,
     crop_cuboids,
@@ -45,7 +46,7 @@ from .errors import (
     SlowFeatError,
     TooShort,
 )
-from .sfa import ModelBank, quadratic_expand
+from .sfa import ModelBank, project_and_expand
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,6 @@ class ASDFeature:
     values: np.ndarray
     snippet_span: tuple[str, int]
     normalized: bool
-
-
-# Cuboids per batch in featurize_sequence: whole snippets are gathered
-# until a batch holds at least this many, so one batch is one crop, one
-# projection, one expansion and one product per region.
-_BATCH_CUBOIDS = 1024
 
 
 def _window_length(input_dim: int, cuboid_shape) -> int:
@@ -119,10 +114,10 @@ def bank_squared_derivatives(block, bank: ModelBank,
     ``block`` holds n cuboids as (n, d, h, w), n possibly 0; the result
     is (n, k_total) in the bank's feature layout.  Output j of a model is
     ``w[:, j] . (h(x) - h0)``, so its forward difference is
-    ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: the
-    expanded rows are differenced first, then multiplied by the bank's
-    stacked readouts.  For an ``sdsfa`` bank, ``regions`` gives each
-    cuboid's grid cell; a region's cuboids meet only the contiguous
+    ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: rows from
+    ``sfa.project_and_expand`` are differenced, then multiplied by the
+    bank's stacked readouts.  For an ``sdsfa`` bank, ``regions`` gives
+    each cuboid's grid cell; a region's cuboids meet only the contiguous
     columns of that region's models (banks are region-major), and every
     other column of theirs is exactly zero.
     """
@@ -142,10 +137,8 @@ def bank_squared_derivatives(block, bank: ModelBank,
     if n == 0:
         return np.zeros((0, bank.k_total))
     rows = window_rows(block, delta_t)
-    _, length, dim = rows.shape
-    expanded = quadratic_expand(
-        bank.pca.transform(rows.reshape(n * length, dim)))
-    dh = np.diff(expanded.reshape(n, length, -1), axis=1)
+    length = rows.shape[1]
+    dh = np.diff(project_and_expand(bank.pca, rows), axis=1)
     # outputs are a function of the row alone, so bit-equal consecutive
     # rows must difference to exactly zero (batched BLAS may not)
     dh[(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0.0
@@ -243,9 +236,10 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     its own first frame, seeded per snippet so results do not depend on
     processing order.  ``delta = None`` applies the data-relative
     default.  A snippet with no cuboids yields an all-zero, unnormalized
-    feature.  Snippets are evaluated in batches of ``_BATCH_CUBOIDS``
-    cuboids or more; the batch a snippet shares can change only the last
-    bits of its feature.
+    feature.  Snippets are evaluated in batches of ``linalg.CHUNK``
+    cuboids or more; each cuboid is projected and expanded on its own,
+    so the batch a snippet shares can change only the last bits of the
+    readout product and hence of its feature.
     """
     h, w, d = (int(v) for v in size)
     n = seq.num_frames
@@ -269,9 +263,9 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
             picked.append((start, ys[order], xs[order]))
     scored = {}
     while picked:
-        # whole snippets, until the batch holds _BATCH_CUBOIDS cuboids
+        # whole snippets, until the batch holds linalg.CHUNK cuboids
         held = np.cumsum([ys.size for _, ys, _ in picked])
-        take = int(np.searchsorted(held, _BATCH_CUBOIDS)) + 1
+        take = int(np.searchsorted(held, linalg.CHUNK)) + 1
         batch, picked = picked[:take], picked[take:]
         first, ys, xs = zip(*batch)
         sizes = [v.size for v in ys]

@@ -37,8 +37,8 @@ from .errors import (
 # eigenvalue are treated as null space and discarded.
 REL_CUTOFF = 1e-8
 
-# Leading entries (rows or minisequences) per chunk wherever a large
-# set is reduced to moments, here and in the passes of sfa training.
+# Rows or minisequences per chunk wherever a large set is reduced to
+# moments (here and in sfa training), and cuboids per featurize batch.
 CHUNK = 1024
 
 # Allowed relative asymmetry / negativity before an input is rejected.

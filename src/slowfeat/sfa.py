@@ -23,13 +23,14 @@ All four are one fit over cells: the whole set (usfa), one class (ssfa,
 dsfa) or one (region, class) pair (sdsfa).  A fit takes two passes over
 the minisequences, in chunks of ``linalg.CHUNK`` of them.  Pass 1 is
 ``linalg.pca_fit`` of every raw row, which merges the chunks' moments
-with ``linalg.merge_moments``.  Pass 2 projects and expands the chunks
-of one cell at a time and merges their ``linalg.sequence_moments`` into
-that cell's mean, covariance and derivative covariance.  No array of
-all rows is ever built: beyond its input, a fit holds one chunk's rows
-and the moments of the cells of one region, O(classes x D^2) for D
-expanded dimensions, and solves that region's models before it reads
-the next region's chunks.
+with ``linalg.merge_moments``.  Pass 2 takes one cell's chunks at a
+time through ``project_and_expand``, as featurize and ``apply`` do, and
+merges their ``linalg.sequence_moments`` into that cell's mean,
+covariance and derivative covariance.  No array of all rows is ever
+built: beyond its input, a fit holds one chunk's rows and the moments
+of the cells of one region, O(classes x D^2) for D expanded dimensions,
+and solves that region's models before it reads the next region's
+chunks.
 The discriminative constraints of a region (the whole set for dsfa) are
 merged from its class cells' moments by the same routine, so dsfa is
 sdsfa on one region.
@@ -96,6 +97,23 @@ def expanded_dim(input_dim: int) -> int:
     return input_dim + input_dim * (input_dim + 1) // 2
 
 
+def project_and_expand(pca: linalg.PcaModel, x) -> np.ndarray:
+    """``quadratic_expand`` of ``x`` projected by ``pca``: the one route
+    from raw windows to readout inputs, for training, featurize and
+    ``apply``.  ``x`` is ``(..., pca.in_dim)``, the result ``(...,
+    expanded_dim(pca.out_dim))``.  A 3-D stack of minisequences gets one
+    small product per minisequence, so a window projects to the same bits
+    whatever else shares its chunk or batch.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != pca.in_dim:
+        raise InvalidDimension(
+            f"model expects input dim {pca.in_dim}, got shape {x.shape}")
+    rows = pca.transform(x).reshape(-1, pca.out_dim)
+    return quadratic_expand(rows).reshape(
+        x.shape[:-1] + (expanded_dim(pca.out_dim),))
+
+
 @dataclass(frozen=True)
 class SlowFeatureModel:
     """One fitted set of slow feature functions.
@@ -150,12 +168,7 @@ def apply(model: SlowFeatureModel, x: np.ndarray) -> np.ndarray:
 
     Instantaneous: each output depends on one input vector only.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.input_dim:
-        raise InvalidDimension(
-            f"model expects input dim {model.input_dim}, got {x.shape[-1]}")
-    h = quadratic_expand(model.pca.transform(x))
-    return (h - model.h0) @ model.w
+    return (project_and_expand(model.pca, x) - model.h0) @ model.w
 
 
 def delta_value(y) -> float:
@@ -246,15 +259,10 @@ def _per_sequence(values, count, what):
 def _cell_moments(x, members, pca):
     """Pass 2: moments of the projected and expanded minisequences
     ``x[members]``, merged chunk by chunk."""
-    def chunks():
-        for i in range(0, len(members), linalg.CHUNK):
-            chunk = x[members[i:i + linalg.CHUNK]]
-            # projected as a batch of one small product per
-            # minisequence: bit-equal to projecting each alone
-            rows = pca.transform(chunk).reshape(-1, pca.out_dim)
-            yield linalg.sequence_moments(
-                quadratic_expand(rows).reshape(chunk.shape[:2] + (-1,)))
-    return linalg.merge_moments(chunks())
+    return linalg.merge_moments(
+        linalg.sequence_moments(
+            project_and_expand(pca, x[members[i:i + linalg.CHUNK]]))
+        for i in range(0, len(members), linalg.CHUNK))
 
 
 def _solve_model(objective, constraint, h0, pca, k, strategy,

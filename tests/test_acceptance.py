@@ -7,7 +7,8 @@ Nine checks, one test each, every one printing a single
                              decorrelation on their constraint data
  2. eigensolver oracle     - gen_eig_sym vs. brute-force inverse on 1,000 pairs
  3. toy latent recovery    - slowest output of the toy signal is the latent
- 4. ordering + identity    - eigenvalues equal measured slowness, ascending
+ 4. ordering + identity    - eigenvalues equal measured slowness, ascending,
+                             through sfa.apply and through featurize
  5. selectivity ordering   - discriminative beats supervised selectivity
  6. benchmark accuracy     - sequence accuracy over 5 seeds, beats baseline
  7. determinism            - rerunning a seed reproduces every artifact byte
@@ -40,6 +41,7 @@ CORR_TOL = 1e-4
 EIG_ATOL = 1e-8
 RESIDUAL_RTOL = 1e-7
 LAMBDA_DELTA_TOL = 1e-6
+FEATURIZE_LAMBDA_RTOL = 1e-9
 
 
 def emit(capsys, num, name, ok, detail):
@@ -196,6 +198,45 @@ def test_criterion_3_toy_latent_recovery(capsys):
 # 4. ordering and the eigenvalue-slowness identity
 
 
+def _featurize_slowness_gaps(constraint_data):
+    """Per model of every bank, the largest gap between its eigenvalues
+    and the slowness featurize measures on the training cuboids, relative
+    to its largest |eigenvalue|.
+
+    ``features.bank_squared_derivatives`` gives each cuboid's mean
+    squared derivative per output; every cuboid has the same number of
+    differences, so the mean over a cell's cuboids is the cell's
+    slowness.  An eigenvalue is the training objective of its output:
+    the slowness over all cuboids (usfa), over its class (ssfa), or, in
+    its region, its class's slowness minus ``gamma`` times the mean of
+    the other classes' (dsfa, sdsfa).
+    """
+    cuboids = constraint_data["cuboids"]
+    gaps = []
+    for bank in constraint_data["banks"].values():
+        values = features.bank_squared_derivatives(cuboids.data, bank,
+                                                   cuboids.regions)
+        edges = np.cumsum([0] + [m.k for m in bank.models])
+        for model, lo, hi in zip(bank.models, edges[:-1], edges[1:]):
+            cols = values[:, lo:hi]
+            inside = (cuboids.regions == model.region_label
+                      if model.strategy == "sdsfa" else True)
+            slowness = {c: cols[inside & (cuboids.labels == c)].mean(axis=0)
+                        for c in bank.class_labels}
+            if model.strategy == "usfa":
+                measured = cols.mean(axis=0)
+            elif model.strategy == "ssfa":
+                measured = slowness[model.class_label]
+            else:
+                others = [v for c, v in slowness.items()
+                          if c != model.class_label]
+                measured = (slowness[model.class_label]
+                            - model.gamma * np.mean(others, axis=0))
+            gaps.append(np.abs(measured - model.eigenvalues).max()
+                        / np.abs(model.eigenvalues).max())
+    return gaps
+
+
 def test_criterion_4_eigenvalue_slowness_identity(constraint_data, capsys):
     model = constraint_data["banks"]["usfa"].models[0]
     sq_sum = np.zeros(model.k)
@@ -207,10 +248,13 @@ def test_criterion_4_eigenvalue_slowness_identity(constraint_data, capsys):
     measured = sq_sum / count
     gap = np.abs(measured - model.eigenvalues).max()
     ascending = bool(np.all(np.diff(measured) >= -LAMBDA_DELTA_TOL))
-    ok = gap < LAMBDA_DELTA_TOL and ascending
+    featurize_gap = max(_featurize_slowness_gaps(constraint_data))
+    ok = (gap < LAMBDA_DELTA_TOL and ascending
+          and featurize_gap <= FEATURIZE_LAMBDA_RTOL)
     emit(capsys, 4, "ordering and slowness identity", ok,
          f"max |delta - eigenvalue| {gap:.2e} < 1e-6, "
-         f"deltas nondecreasing: {ascending}")
+         f"deltas nondecreasing: {ascending}, featurize route "
+         f"{featurize_gap:.2e} <= 1e-9 of max |eigenvalue|")
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,36 @@ def test_missing_feature_file_fails_cleanly(two_runs, tmp_path, capsys,
     assert gone.sequence_id in err
 
 
+@pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
+def test_feature_file_with_a_nan_fails_cleanly(two_runs, tmp_path, capsys,
+                                               command):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    train, test = pipeline.split_entries(entries, cfg)
+    bad = (train if command == "fit-classifier" else test)[0]
+    features_dir = tmp_path / "features"
+    shutil.copytree(cfg.features_dir, features_dir)
+    path = features_dir / (bad.sequence_id + ".sfaf")
+    sequence_id, feats, label = dataio.load_features(path)
+    feats[0].values[0] = np.nan
+    dataio.save_features(path, sequence_id, feats, label)
+    err = fails_with_one_line(capsys, command, cfg, tmp_path,
+                              features_dir=features_dir)
+    assert str(path) in err
+
+
+def test_classifier_with_a_nan_weight_fails_cleanly(two_runs, tmp_path,
+                                                    capsys):
+    cfg = two_runs["dsfa"]
+    clf = dataio.load_classifier(cfg.classifier_path)
+    clf.weights[0, 0] = np.nan
+    path = tmp_path / "nan.sfac"
+    dataio.save_classifier(path, clf)
+    err = fails_with_one_line(capsys, "evaluate", cfg, tmp_path,
+                              classifier_path=path)
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",
                                      "evaluate"])
 def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -389,6 +390,19 @@ def test_features_non_utf8_sequence_id_is_a_format_error(tmp_path):
         dataio.load_features(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_features_with_a_non_finite_value_are_a_format_error(tmp_path, bad):
+    values = np.ones(3)
+    values[1] = bad
+    path = tmp_path / "f.sfaf"
+    dataio.save_features(path, "x", [ASDFeature(np.ones(3), ("x", 0), True),
+                                     ASDFeature(values, ("x", 1), True)],
+                         label=1)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: snippet at "
+                                                    "frame 1")):
+        dataio.load_features(path)
+
+
 def test_features_mixed_widths_rejected(tmp_path):
     feats = [ASDFeature(np.ones(3), ("x", 0), True),
              ASDFeature(np.ones(4), ("x", 1), True)]
@@ -429,6 +443,46 @@ def test_classifier_corrupt(tmp_path):
     cut.write_bytes(raw[:20])
     with pytest.raises(TruncatedFile):
         dataio.load_classifier(cut)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["weights", "biases"])
+def test_classifier_with_a_non_finite_parameter_is_a_format_error(
+        tmp_path, field, bad):
+    rng = np.random.default_rng(7)
+    clf = classify.LinearClassifier(
+        rng.normal(size=(2, 3)), rng.normal(size=2), (0, 1))
+    getattr(clf, field)[-1] = bad
+    path = tmp_path / "clf.sfac"
+    dataio.save_classifier(path, clf)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+        dataio.load_classifier(path)
+
+
+@pytest.mark.parametrize("what,magic,version,save,load", [
+    ("bank", dataio.BANK_MAGIC, dataio.BANK_VERSION,
+     lambda p: dataio.save_bank(p, fitted_bank("usfa")), dataio.load_bank),
+    ("feature", dataio.FEATURES_MAGIC, dataio.FEATURES_VERSION,
+     lambda p: dataio.save_features(
+         p, "x", [ASDFeature(np.ones(3), ("x", 0), True)]),
+     dataio.load_features),
+    ("classifier", dataio.CLASSIFIER_MAGIC, dataio.CLASSIFIER_VERSION,
+     lambda p: dataio.save_classifier(p, classify.LinearClassifier(
+         np.ones((2, 3)), np.zeros(2), (0, 1))), dataio.load_classifier)])
+def test_binary_headers_name_the_file_and_the_versions(
+        tmp_path, what, magic, version, save, load):
+    path = tmp_path / "file.bin"
+    save(path)
+    raw = bytearray(path.read_bytes())
+    assert raw[:4] == magic
+    raw[4:8] = struct.pack("<I", version + 7)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UnsupportedVersion, match=re.escape(
+            f"{path}: {what} version {version + 7}, supported {version}")):
+        load(path)
+    path.write_bytes(b"XXXX" + bytes(raw[4:]))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic")):
+        load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowfeat import classify, cuboid, features, sfa
+from slowfeat import classify, cuboid, features, linalg, sfa
 from slowfeat.errors import (
     EmptySnippet,
     InvalidDimension,
@@ -409,10 +409,17 @@ def test_featurize_strides_agree_on_shared_starts(strategy):
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_small_batches_match_one_batch(strategy, monkeypatch):
-    monkeypatch.setattr(features, "_BATCH_CUBOIDS", 10**9)
-    _, _, whole = featurize_fixture(strategy)
-    monkeypatch.setattr(features, "_BATCH_CUBOIDS", 3)
-    _, diff_seq, batched = featurize_fixture(strategy)
+    # fitted before linalg.CHUNK is patched: only the batches change
+    bank, _, _ = bank_and_cuboids(strategy)
+    diff_seq = diff_of(moving_square_sequence())
+
+    def featurize():
+        return features.featurize_sequence(diff_seq, bank, (4, 4, 6),
+                                           fraction=0.5, seed=3)
+    monkeypatch.setattr(linalg, "CHUNK", 10**9)
+    whole = featurize()
+    monkeypatch.setattr(linalg, "CHUNK", 3)
+    batched = featurize()
     # several snippets hold more cuboids than a batch's cap
     sizes = [fixture_picks(diff_seq, t)[0].size for t in range(len(whole))]
     assert sum(size > 3 for size in sizes) >= 2

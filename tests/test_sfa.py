@@ -525,6 +525,28 @@ def test_apply_rejects_wrong_dim():
         sfa.apply(model, np.zeros(7))
 
 
+def test_project_and_expand_keeps_each_minisequence_apart():
+    rng = np.random.default_rng(15)
+    pca = linalg.pca_fit(rng.normal(size=(40, 6)), 4)
+    stack = rng.normal(size=(5, 3, 6))
+    out = sfa.project_and_expand(pca, stack)
+    assert out.shape == (5, 3, sfa.expanded_dim(4))
+    for i in range(5):
+        # a minisequence gets its own product: the same bits in any stack
+        assert out[i].tobytes() == sfa.project_and_expand(
+            pca, stack[i]).tobytes()
+        assert out[i].tobytes() == sfa.project_and_expand(
+            pca, stack[i:i + 1])[0].tobytes()
+    rows = pca.transform(stack).reshape(-1, 4)
+    assert np.allclose(out.reshape(-1, out.shape[2]), [
+        oracles.loop_quadratic_expand(r) for r in rows], atol=1e-12)
+    assert sfa.project_and_expand(pca, stack[0, 0]).shape == (14,)
+    assert sfa.project_and_expand(pca, stack[:0]).shape == (0, 3, 14)
+    for bad in (np.zeros((3, 5)), np.float64(1.0)):
+        with pytest.raises(InvalidDimension):
+            sfa.project_and_expand(pca, bad)
+
+
 def dummy_model(k, class_label=None, region_label=None, strategy="ssfa"):
     pca = linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(3))
     dim = sfa.expanded_dim(3)
