@@ -49,6 +49,9 @@ class LinearClassifier:
             raise InvalidDimension("one bias per class required")
         if len(self.class_labels) != self.weights.shape[0]:
             raise InvalidDimension("one label per class required")
+        if len(set(self.class_labels)) != len(self.class_labels):
+            raise InvalidInput(
+                f"class labels {self.class_labels} repeat a label")
         if not (np.isfinite(self.weights).all()
                 and np.isfinite(self.biases).all()):
             raise InvalidInput("classifier parameters must be finite")

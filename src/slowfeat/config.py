@@ -38,7 +38,6 @@ class RunConfig:
     # classifier
     reg: float = 1.0
     epochs: int = 50
-    mirror: bool = True             # augment sdsfa training features
     # experiment
     seed: int = 0
     classes: int = 4
@@ -115,8 +114,4 @@ def parse_value(name: str, text: str):
         if text.lower() in ("auto", "none"):
             return None
         return float(text) if kind.startswith("float") else int(text)
-    if kind == "bool":
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        raise ValueError(f"expected true/false, got {text!r}")
     return text

@@ -2,12 +2,14 @@
 
 Binary formats hold videos, model banks, features and classifiers; text
 formats hold annotations, the dataset manifest, configs, results and
-reports.  Binary layouts are fixed little-endian so files work as
-portable test fixtures; all numeric payloads are f64 except raw video,
-which is u8.  Every writer goes through write-to-temp-then-rename, so a
-failure never leaves a partial file behind, and every reader rejects
-malformed input instead of guessing: bad magic or layout contradictions
-raise FormatError, short files raise TruncatedFile, text problems raise
+reports.  A bank is stored as what it is: a header that fixes its
+cells, its one PCA and its three cell arrays, each whole.  Binary
+layouts are fixed little-endian so files work as portable test
+fixtures; all numeric payloads are f64 except raw video, which is u8.
+Every writer goes through write-to-temp-then-rename, so a failure never
+leaves a partial file behind, and every reader rejects malformed input
+instead of guessing: bad magic or layout contradictions raise
+FormatError, short files raise TruncatedFile, text problems raise
 ParseError with a line number.
 """
 
@@ -38,7 +40,7 @@ SEQUENCE_MAGIC = b"SFV1"
 BANK_MAGIC = b"SFAM"
 FEATURES_MAGIC = b"SFAF"
 CLASSIFIER_MAGIC = b"SFAC"
-BANK_VERSION = 2
+BANK_VERSION = 3
 FEATURES_VERSION = 1
 CLASSIFIER_VERSION = 1
 
@@ -220,30 +222,23 @@ def _pack_array(arr) -> bytes:
 def save_bank(path, bank: sfa.ModelBank):
     """Serialize a model bank; load_bank(save_bank(b)) is bit-identical.
 
-    Version 2 layout: magic, version, strategy tag, grid and model
-    count; the bank's one PCA (in and out dims, mean, projection,
-    explained eigenvalues); then per model its class label, gamma, k,
-    h0, w and eigenvalues.
+    Version 3 layout: magic, version, strategy tag, grid, class count,
+    k and gamma (-1 for none); the class labels; the bank's one PCA (in
+    and out dims, mean, projection, explained eigenvalues); then the
+    bank's h0 (cells x D), w (D x cells * k) and eigenvalues
+    (cells x k), each whole.  The cells follow from the header.
     """
     pca = bank.pca
+    gamma = -1.0 if bank.gamma is None else float(bank.gamma)
     parts = [BANK_MAGIC,
-             struct.pack("<II", BANK_VERSION, sfa.STRATEGIES.index(
-                 bank.strategy)),
-             struct.pack("<III", bank.grid[0], bank.grid[1],
-                         len(bank.models)),
-             struct.pack("<II", pca.in_dim, pca.out_dim),
-             _pack_array(pca.mean),
-             _pack_array(pca.projection),
-             _pack_array(pca.explained_eigenvalues)]
-    for m in bank.models:
-        # region labels are not stored: model order is region-major, so
-        # they are reconstructed at load time
-        gamma = -1.0 if m.gamma is None else float(m.gamma)
-        parts.append(_pack_label(m.class_label))
-        parts.append(struct.pack("<dI", gamma, m.k))
-        parts.append(_pack_array(m.h0))
-        parts.append(_pack_array(m.w))
-        parts.append(_pack_array(m.eigenvalues))
+             struct.pack("<IIIIIId", BANK_VERSION,
+                         sfa.STRATEGIES.index(bank.strategy), *bank.grid,
+                         len(bank.class_labels), bank.k, gamma),
+             struct.pack(f"<{len(bank.class_labels)}q", *bank.class_labels),
+             struct.pack("<II", pca.in_dim, pca.out_dim)]
+    parts.extend(_pack_array(a) for a in (
+        pca.mean, pca.projection, pca.explained_eigenvalues, bank.h0, bank.w,
+        bank.eigenvalues))
     _atomic_write_bytes(path, b"".join(parts))
 
 
@@ -252,21 +247,16 @@ def _unpack_label(value: int):
 
 
 def load_bank(path) -> sfa.ModelBank:
-    """Read a version-2 bank; any other version is UnsupportedVersion."""
+    """Read a version-3 bank; any other version is UnsupportedVersion."""
     reader = _Reader(_read_file(path), path)
     reader.header(BANK_MAGIC, BANK_VERSION, "bank")
     strategy_index = reader.u32()
     if strategy_index >= len(sfa.STRATEGIES):
         raise FormatError(f"{path}: unknown strategy tag {strategy_index}")
-    strategy = sfa.STRATEGIES[strategy_index]
     grid = (reader.u32(), reader.u32())
-    count = reader.u32()
-    n_regions = grid[0] * grid[1]
-    if strategy == "sdsfa":
-        if n_regions == 0 or count == 0 or count % n_regions != 0:
-            raise FormatError(
-                f"{path}: {count} models do not tile a {grid} grid")
-        per_region = count // n_regions
+    n_classes, k, gamma = reader.u32(), reader.u32(), reader.f64()
+    labels = tuple(int(c) for c in np.frombuffer(
+        reader.take(8 * n_classes), dtype="<i8"))
     in_dim, out_dim = reader.u32(), reader.u32()
     if in_dim == 0 or out_dim == 0 or out_dim > in_dim:
         raise FormatError(f"{path}: inconsistent PCA dims {in_dim}/{out_dim}")
@@ -274,30 +264,16 @@ def load_bank(path) -> sfa.ModelBank:
         reader.f64_array(in_dim),
         reader.f64_array(out_dim * in_dim).reshape(out_dim, in_dim),
         reader.f64_array(out_dim))
-    expanded = sfa.expanded_dim(out_dim)
-    models = []
-    for index in range(count):
-        class_label = _unpack_label(reader.i64())
-        region_label = index // per_region if strategy == "sdsfa" else None
-        gamma, k = reader.f64(), reader.u32()
-        if k == 0 or k > expanded:
-            raise FormatError(f"{path}: model {index}: {k} outputs from "
-                              f"{expanded} dims")
-        try:
-            models.append(sfa.SlowFeatureModel(
-                pca=pca,
-                h0=reader.f64_array(expanded),
-                w=reader.f64_array(expanded * k).reshape(expanded, k),
-                eigenvalues=reader.f64_array(k),
-                strategy=strategy,
-                class_label=class_label,
-                region_label=region_label,
-                gamma=None if gamma == -1.0 else gamma))
-        except InvalidInput as exc:
-            raise FormatError(f"{path}: model {index}: {exc}")
+    cells = grid[0] * grid[1] * max(1, n_classes)
+    dim = sfa.expanded_dim(out_dim)
+    h0 = reader.f64_array(cells * dim).reshape(cells, dim)
+    w = reader.f64_array(dim * cells * k).reshape(dim, cells * k)
+    eigenvalues = reader.f64_array(cells * k).reshape(cells, k)
     reader.expect_end()
     try:
-        return sfa.ModelBank(strategy, tuple(models), grid)
+        return sfa.ModelBank(sfa.STRATEGIES[strategy_index], pca, h0, w,
+                             eigenvalues, labels, grid,
+                             None if gamma == -1.0 else gamma)
     except InvalidInput as exc:
         raise FormatError(f"{path}: {exc}")
 
@@ -429,8 +405,6 @@ def load_config(path) -> RunConfig:
 def _format_value(value) -> str:
     if value is None:
         return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

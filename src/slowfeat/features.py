@@ -130,10 +130,10 @@ def bank_squared_derivatives(block, bank: ModelBank,
     groups = [(slice(None), slice(None))]
     if bank.strategy == "sdsfa":
         labels = _region_labels(regions, n, bank)
-        edges = np.cumsum([0] + [m.k for m in bank.models])
-        edges = edges[::len(bank.models) // (bank.grid[0] * bank.grid[1])]
-        groups = [(labels == r, slice(lo, hi))
-                  for r, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
+        n_regions = bank.grid[0] * bank.grid[1]
+        width = bank.k_total // n_regions
+        groups = [(labels == r, slice(r * width, (r + 1) * width))
+                  for r in range(n_regions)]
     if n == 0:
         return np.zeros((0, bank.k_total))
     rows = window_rows(block, delta_t)
@@ -175,10 +175,11 @@ def _features(block, regions, bank: ModelBank, spans,
 
 def class_columns(bank: ModelBank) -> dict:
     """Feature column indices of each class's models, keyed by class in
-    bank order."""
-    owners = [m.class_label for m in bank.models for _ in range(m.k)]
-    return {label: np.flatnonzero([o == label for o in owners])
-            for label in dict.fromkeys(owners)}
+    bank order (the one class None for usfa)."""
+    classes = bank.class_labels or (None,)
+    owner = np.arange(bank.k_total) // bank.k % len(classes)
+    return {label: np.flatnonzero(owner == i)
+            for i, label in enumerate(classes)}
 
 
 def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:

@@ -257,7 +257,9 @@ def cmd_fit_classifier(config):
     train, _ = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
     rows, labels = [], []
-    mirror = config.mirror and bank.strategy == "sdsfa"
+    # an sdsfa classifier also learns each feature with its region
+    # blocks mirrored, to absorb left/right motion direction
+    mirror = bank.strategy == "sdsfa"
     block_dim = bank.k_total // (bank.grid[0] * bank.grid[1])
     for entry in train:
         for f in _load_entry_features(config, entry, bank):

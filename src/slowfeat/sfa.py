@@ -35,8 +35,9 @@ The discriminative constraints of a region (the whole set for dsfa) are
 merged from its class cells' moments by the same routine, so dsfa is
 sdsfa on one region.
 
-A bank therefore has one PCA, shared by all of its models, and
-``ModelBank`` holds to that: its models' PCAs must be bit-equal.
+A bank is therefore one PCA and three arrays over its cells: the
+expanded means, the readouts side by side in feature order, and the
+eigenvalues (``ModelBank``).
 
 The minisequences are one ``(n, length, dim)`` array, so all have the
 same length, which must be at least 2; derivatives are forward
@@ -49,8 +50,7 @@ most negative.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,10 +129,8 @@ class SlowFeatureModel:
     h0: np.ndarray
     w: np.ndarray
     eigenvalues: np.ndarray
-    strategy: str
     class_label: int | None = None
     region_label: int | None = None
-    gamma: float | None = None
 
     def __post_init__(self):
         arrays = (self.pca.mean, self.pca.projection, self.h0, self.w,
@@ -182,19 +180,33 @@ def delta_value(y) -> float:
 
 @dataclass(frozen=True)
 class ModelBank:
-    """An ordered collection of fitted models for one strategy.
+    """The fitted slow feature functions of one strategy, as arrays.
 
-    Ordering defines the feature layout downstream, one rule for all
-    strategies: one model per (region, class) cell, region-major and
-    class-minor, where only ``sdsfa`` has regions (index running over
-    the grid row by row) and ``usfa`` has the one class None.  All
-    models share one PCA: every model's ``pca`` must be bit-equal to
-    the first model's.
+    A bank is ``k`` functions per cell, all behind one PCA and the
+    quadratic expansion.  The cells are fixed by the strategy, one rule
+    for all: one per (region, class), region-major and class-minor,
+    where only ``sdsfa`` has regions (index running over the grid row by
+    row) and ``usfa`` has the one class None.  ``h0`` is (cells, D),
+    ``eigenvalues`` (cells, k) and ``w`` (D, cells * k): the readouts
+    side by side in feature order, cell i in columns [i * k, (i + 1) * k).
+    ``class_labels`` are sorted and distinct, empty exactly for usfa,
+    and ``gamma`` is set exactly for the discriminative strategies;
+    anything else is ``InvalidInput``.
+
+    ``models`` views cell i as a ``SlowFeatureModel``, whose checks of
+    finiteness and shape cover every array of the bank.
     """
 
     strategy: str
-    models: tuple[SlowFeatureModel, ...]
+    pca: linalg.PcaModel
+    h0: np.ndarray
+    w: np.ndarray
+    eigenvalues: np.ndarray
+    class_labels: tuple[int, ...] = ()
     grid: tuple[int, int] = (1, 1)
+    gamma: float | None = None
+    models: tuple[SlowFeatureModel, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -204,41 +216,45 @@ class ModelBank:
                                 and self.grid != (1, 1)):
             raise InvalidInput(
                 f"a {self.strategy} bank cannot have grid {self.grid}")
-        classes = ([None] if self.strategy == "usfa"
-                   else list(self.class_labels))
-        regions = range(gx * gy) if self.strategy == "sdsfa" else [None]
-        got = [(m.region_label, m.class_label) for m in self.models]
-        if not got or got != [(r, c) for r in regions for c in classes]:
+        labels = self.class_labels
+        if list(labels) != sorted(set(labels)):
             raise InvalidInput(
-                f"a {self.strategy} bank must hold one model per "
-                "(region, class), region-major and class-minor")
-        pca = self.pca
-        arrays = (pca.mean, pca.projection, pca.explained_eigenvalues)
-        for m in self.models[1:]:
-            if m.pca is not pca and not all(
-                    a.shape == b.shape and a.tobytes() == b.tobytes()
-                    for a, b in zip(arrays, (m.pca.mean, m.pca.projection,
-                                             m.pca.explained_eigenvalues))):
-                raise InvalidInput("the models of a bank must share one PCA")
+                f"class labels {labels} are not sorted and distinct")
+        if (self.strategy == "usfa") != (not labels):
+            raise InvalidInput("a bank has class labels unless it is usfa")
+        discriminative = self.strategy in ("dsfa", "sdsfa")
+        if (self.gamma is None) == discriminative or (
+                discriminative and not 0 <= self.gamma < np.inf):
+            raise InvalidInput(
+                f"a {self.strategy} bank cannot have gamma {self.gamma}")
+        cells = gx * gy * max(1, len(labels))
+        # k readouts of D expanded dims are independent only if k <= D
+        if (self.h0.ndim != 2 or self.eigenvalues.ndim != 2
+                or self.w.ndim != 2 or len(self.h0) != cells
+                or self.eigenvalues.shape[0] != cells
+                or not 1 <= self.k <= self.h0.shape[1]
+                or self.w.shape[1] != cells * self.k):
+            raise InvalidInput(
+                f"a {self.strategy} bank needs {cells} cells of one k in "
+                f"[1, D], got h0 {self.h0.shape}, w {self.w.shape} and "
+                f"eigenvalues {self.eigenvalues.shape}")
+        classes, k = labels or (None,), self.k
+        object.__setattr__(self, "models", tuple(
+            SlowFeatureModel(
+                self.pca, self.h0[i], self.w[:, i * k:(i + 1) * k],
+                self.eigenvalues[i], class_label=classes[i % len(classes)],
+                region_label=(i // len(classes)
+                              if self.strategy == "sdsfa" else None))
+            for i in range(cells)))
+
+    @property
+    def k(self) -> int:
+        """Functions per cell."""
+        return self.eigenvalues.shape[1]
 
     @property
     def k_total(self) -> int:
-        return sum(m.k for m in self.models)
-
-    @property
-    def pca(self) -> linalg.PcaModel:
-        """The one PCA of the bank, shared by all of its models."""
-        return self.models[0].pca
-
-    @functools.cached_property
-    def w(self) -> np.ndarray:
-        """The models' readouts stacked column by column in feature
-        order, computed once."""
-        return np.hstack([m.w for m in self.models])
-
-    @property
-    def class_labels(self) -> tuple[int, ...]:
-        return tuple(sorted({m.class_label for m in self.models} - {None}))
+        return self.w.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +281,8 @@ def _cell_moments(x, members, pca):
         for i in range(0, len(members), linalg.CHUNK))
 
 
-def _solve_model(objective, constraint, h0, pca, k, strategy,
-                 class_label=None, region_label=None, gamma=None,
-                 what="training set"):
+def _solve_model(objective, constraint, k, what):
+    """The ``k`` slowest readouts and their eigenvalues."""
     if np.abs(objective).max() == 0.0:
         raise InsufficientRank(
             f"{what}: derivative covariance is identically zero "
@@ -278,16 +293,7 @@ def _solve_model(objective, constraint, h0, pca, k, strategy,
         raise InsufficientRank(
             f"{what}: {k} slow features requested but only {available} "
             "directions survive the rank cutoff")
-    return SlowFeatureModel(
-        pca=pca,
-        h0=h0,
-        w=eig.eigenvectors[:, :k].copy(),
-        eigenvalues=eig.eigenvalues[:k].copy(),
-        strategy=strategy,
-        class_label=class_label,
-        region_label=region_label,
-        gamma=gamma,
-    )
+    return eig.eigenvectors[:, :k], eig.eigenvalues[:k]
 
 
 def _check_cells(counts, classes, by_region):
@@ -301,8 +307,8 @@ def _check_cells(counts, classes, by_region):
                 "need at least 2")
 
 
-def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
-         gamma):
+def _fit(strategy, minisequences, labels, regions, grid, pca_dim, k,
+         gamma) -> ModelBank:
     """The four strategies as one fit over cells.
 
     A cell is the whole set for usfa, one class for ssfa and dsfa, and
@@ -324,6 +330,7 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
     if x.shape[1] < 2:
         raise TooShort(f"minisequences have {x.shape[1]} vectors, "
                        "need at least 2 for a derivative")
+    n_regions = grid[0] * grid[1]
     labels = _per_sequence(labels, len(x), "labels")
     regions = _per_sequence(regions, len(x), "regions")
     outside = (regions < 0) | (regions >= n_regions)
@@ -341,7 +348,12 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
                      classes, strategy == "sdsfa")
 
     pca = linalg.pca_fit(x, pca_dim)
-    models = []
+    # the bank's arrays, filled cell by cell, so that no cell's whole
+    # eigenvector matrix outlives its solve
+    dim = expanded_dim(pca.out_dim)
+    h0s = np.empty((n_regions * n_classes, dim))
+    w = np.empty((dim, n_regions * n_classes * k))
+    eigenvalues = np.empty((n_regions * n_classes, k))
     for r in range(n_regions):
         region = [_cell_moments(x, np.flatnonzero(cells == c), pca)
                   for c in range(r * n_classes, (r + 1) * n_classes)]
@@ -356,14 +368,15 @@ def _fit(strategy, minisequences, labels, regions, n_regions, pca_dim, k,
                 objective = region[i][2] - gamma * pooled
             else:
                 h0, b, objective = region[i][:3]
-            models.append(_solve_model(
-                objective, b, h0, pca, k, strategy,
-                class_label=None if strategy == "usfa" else int(c),
-                region_label=r if strategy == "sdsfa" else None,
-                gamma=gamma if discriminative else None,
-                what="training set" if strategy == "usfa"
-                else f"class {c}{where}"))
-    return tuple(models)
+            cell = r * n_classes + i
+            h0s[cell] = h0
+            w[:, cell * k:(cell + 1) * k], eigenvalues[cell] = _solve_model(
+                objective, b, k, "training set" if strategy == "usfa"
+                else f"class {c}{where}")
+    return ModelBank(
+        strategy, pca, h0s, w, eigenvalues,
+        () if strategy == "usfa" else tuple(int(c) for c in classes),
+        grid, gamma if discriminative else None)
 
 
 def fit_usfa(minisequences, pca_dim: int, k: int) -> ModelBank:
@@ -376,8 +389,7 @@ def fit_usfa(minisequences, pca_dim: int, k: int) -> ModelBank:
     become the model; each eigenvalue equals the mean squared derivative
     of its output on the training data.
     """
-    return ModelBank("usfa", _fit(
-        "usfa", minisequences, None, None, 1, pca_dim, k, None))
+    return _fit("usfa", minisequences, None, None, (1, 1), pca_dim, k, None)
 
 
 def fit_ssfa(minisequences, labels, pca_dim: int,
@@ -390,8 +402,8 @@ def fit_ssfa(minisequences, labels, pca_dim: int,
     class's own training data.  With a single class this reduces to
     ``fit_usfa`` on that class.
     """
-    return ModelBank("ssfa", _fit(
-        "ssfa", minisequences, labels, None, 1, pca_dim, k_per_class, None))
+    return _fit("ssfa", minisequences, labels, None, (1, 1), pca_dim,
+                k_per_class, None)
 
 
 def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
@@ -405,8 +417,8 @@ def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
     and sort first.  ``gamma = 0`` reduces to per-class slowness with
     union constraints.
     """
-    return ModelBank("dsfa", _fit(
-        "dsfa", minisequences, labels, None, 1, pca_dim, k_per_class, gamma))
+    return _fit("dsfa", minisequences, labels, None, (1, 1), pca_dim,
+                k_per_class, gamma)
 
 
 def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
@@ -422,6 +434,5 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
     gx, gy = int(grid[0]), int(grid[1])
     if gx < 1 or gy < 1:
         raise InvalidDimension(f"bad grid {grid}")
-    return ModelBank("sdsfa", _fit(
-        "sdsfa", minisequences, labels, regions, gx * gy, pca_dim,
-        k_per_class, gamma), grid=(gx, gy))
+    return _fit("sdsfa", minisequences, labels, regions, (gx, gy), pca_dim,
+                k_per_class, gamma)

@@ -109,11 +109,11 @@ def bench_runs(tmp_path_factory):
 # 1. constraint suite
 
 
-def _constraint_rows(model, cuboids, minis, all_rows):
+def _constraint_rows(strategy, model, cuboids, minis, all_rows):
     """Rows of the pool a model's constraints were computed over."""
-    if model.strategy in ("usfa", "dsfa"):
+    if strategy in ("usfa", "dsfa"):
         return all_rows
-    if model.strategy == "ssfa":
+    if strategy == "ssfa":
         return np.vstack(minis[cuboids.labels == model.class_label])
     return np.vstack(minis[cuboids.regions == model.region_label])
 
@@ -126,7 +126,8 @@ def test_criterion_1_constraint_suite(constraint_data, capsys):
     worst_mean = worst_var = worst_corr = 0.0
     for bank in constraint_data["banks"].values():
         for model in bank.models:
-            rows = _constraint_rows(model, cuboids, minis, all_rows)
+            rows = _constraint_rows(bank.strategy, model, cuboids, minis,
+                                    all_rows)
             outs = sfa.apply(model, rows)
             worst_mean = max(worst_mean, np.abs(outs.mean(axis=0)).max())
             cov = np.cov(outs.T, bias=True)
@@ -220,18 +221,18 @@ def _featurize_slowness_gaps(constraint_data):
         for model, lo, hi in zip(bank.models, edges[:-1], edges[1:]):
             cols = values[:, lo:hi]
             inside = (cuboids.regions == model.region_label
-                      if model.strategy == "sdsfa" else True)
+                      if bank.strategy == "sdsfa" else True)
             slowness = {c: cols[inside & (cuboids.labels == c)].mean(axis=0)
                         for c in bank.class_labels}
-            if model.strategy == "usfa":
+            if bank.strategy == "usfa":
                 measured = cols.mean(axis=0)
-            elif model.strategy == "ssfa":
+            elif bank.strategy == "ssfa":
                 measured = slowness[model.class_label]
             else:
                 others = [v for c, v in slowness.items()
                           if c != model.class_label]
                 measured = (slowness[model.class_label]
-                            - model.gamma * np.mean(others, axis=0))
+                            - bank.gamma * np.mean(others, axis=0))
             gaps.append(np.abs(measured - model.eigenvalues).max()
                         / np.abs(model.eigenvalues).max())
     return gaps
@@ -373,35 +374,24 @@ def _random_pca(rng):
                                np.abs(rng.normal(size=pca_dim)))[::-1].copy())
 
 
-def _random_model(rng, pca, strategy, class_label=None, region_label=None,
-                  gamma=None):
-    expanded = sfa.expanded_dim(pca.out_dim)
-    k = int(rng.integers(1, expanded + 1))
-    return sfa.SlowFeatureModel(
-        pca=pca, h0=rng.normal(size=expanded),
-        w=rng.normal(size=(expanded, k)),
-        eigenvalues=np.sort(np.abs(rng.normal(size=k))),
-        strategy=strategy, class_label=class_label,
-        region_label=region_label, gamma=gamma)
-
-
 def _random_bank(rng):
+    """A bank of random arrays: one k per bank, as a fit gives."""
     strategy = str(rng.choice(sfa.STRATEGIES))
     pca = _random_pca(rng)
-    if strategy == "usfa":
-        return sfa.ModelBank(strategy, (_random_model(rng, pca, strategy),))
-    classes = list(range(int(rng.integers(2, 5))))
-    gamma = float(rng.uniform(0.0, 1.0)) if strategy != "ssfa" else None
-    if strategy in ("ssfa", "dsfa"):
-        return sfa.ModelBank(strategy, tuple(
-            _random_model(rng, pca, strategy, class_label=c, gamma=gamma)
-            for c in classes))
-    grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    models = tuple(
-        _random_model(rng, pca, strategy, class_label=c, region_label=r,
-                      gamma=gamma)
-        for r in range(grid[0] * grid[1]) for c in classes)
-    return sfa.ModelBank(strategy, models, grid)
+    expanded = sfa.expanded_dim(pca.out_dim)
+    k = int(rng.integers(1, expanded + 1))
+    classes = (() if strategy == "usfa"
+               else tuple(range(int(rng.integers(2, 5)))))
+    gamma = (float(rng.uniform(0.0, 1.0)) if strategy in ("dsfa", "sdsfa")
+             else None)
+    grid = ((int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            if strategy == "sdsfa" else (1, 1))
+    cells = grid[0] * grid[1] * max(1, len(classes))
+    return sfa.ModelBank(
+        strategy, pca, h0=rng.normal(size=(cells, expanded)),
+        w=rng.normal(size=(expanded, cells * k)),
+        eigenvalues=np.sort(np.abs(rng.normal(size=(cells, k))), axis=1),
+        class_labels=classes, grid=grid, gamma=gamma)
 
 
 def _models_equal(a, b):
@@ -412,8 +402,8 @@ def _models_equal(a, b):
             and np.array_equal(a.h0, b.h0)
             and np.array_equal(a.w, b.w)
             and np.array_equal(a.eigenvalues, b.eigenvalues)
-            and (a.strategy, a.class_label, a.region_label, a.gamma)
-            == (b.strategy, b.class_label, b.region_label, b.gamma))
+            and (a.class_label, a.region_label)
+            == (b.class_label, b.region_label))
 
 
 def test_criterion_9_format_round_trips(tmp_path, capsys):
@@ -436,7 +426,9 @@ def test_criterion_9_format_round_trips(tmp_path, capsys):
         dataio.save_bank(path, bank)
         loaded = dataio.load_bank(path)
         dataio.save_bank(tmp_path / "bank-again.sfam", loaded)
-        ok &= (loaded.strategy == bank.strategy and loaded.grid == bank.grid
+        ok &= ((loaded.strategy, loaded.grid, loaded.class_labels,
+                loaded.gamma)
+               == (bank.strategy, bank.grid, bank.class_labels, bank.gamma)
                and len(loaded.models) == len(bank.models)
                and all(_models_equal(x, y) for x, y
                        in zip(loaded.models, bank.models))

@@ -196,6 +196,12 @@ def test_blocked_matches_per_step_in_one_epoch():
 # prediction
 
 
+@pytest.mark.parametrize("classes", [(1, 1), (0, 2, 0)])
+def test_classifier_rejects_repeated_labels(classes):
+    with pytest.raises(InvalidInput, match="repeat"):
+        zero_classifier(classes=classes)
+
+
 def test_all_zero_classifier_predicts_lowest_class():
     clf = zero_classifier()
     assert classify.predict_many(clf, np.ones((1, 3)))[0] == 0

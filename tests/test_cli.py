@@ -196,11 +196,11 @@ def test_pipeline_sdsfa_with_mirror(tmp_path):
     assert results["sequence_accuracy"] >= 0.5
 
 
-def constraint_pool(model, cuboids):
+def constraint_pool(strategy, model, cuboids):
     """The cuboids a model's zero-mean/unit-variance constraints cover."""
-    if model.strategy in ("usfa", "dsfa"):
+    if strategy in ("usfa", "dsfa"):
         return cuboids.data
-    if model.strategy == "ssfa":
+    if strategy == "ssfa":
         return cuboids.data[cuboids.labels == model.class_label]
     return cuboids.data[cuboids.regions == model.region_label]
 
@@ -208,7 +208,7 @@ def constraint_pool(model, cuboids):
 def assert_bank_constraints(bank, cuboids, delta_t):
     from slowfeat import cuboid as cuboid_mod
     for model in bank.models:
-        pool = constraint_pool(model, cuboids)
+        pool = constraint_pool(bank.strategy, model, cuboids)
         outs = np.vstack([sfa.apply(model, rows)
                           for rows in cuboid_mod.window_rows(pool, delta_t)])
         assert np.abs(outs.mean(axis=0)).max() < 1e-6
@@ -509,6 +509,18 @@ def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
     old.write_bytes(bytes(raw))
     err = fails_with_one_line(capsys, command, cfg, tmp_path, model_path=old)
     assert "bank version 1" in err
+
+
+@pytest.mark.parametrize("command", ["featurize", "fit-classifier",
+                                     "evaluate"])
+def test_version_2_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
+    cfg = two_runs["dsfa"]
+    raw = bytearray(open(cfg.model_path, "rb").read())
+    raw[4:8] = struct.pack("<I", 2)
+    old = tmp_path / "old.sfam"
+    old.write_bytes(bytes(raw))
+    err = fails_with_one_line(capsys, command, cfg, tmp_path, model_path=old)
+    assert f"{old}: bank version 2, supported 3" in err
 
 
 def with_static_videos(config, tmp_path, sequence_ids):

@@ -44,22 +44,18 @@ def fitted_bank(strategy="dsfa", seed=0):
 
 
 def banks_equal(a, b):
-    if a.strategy != b.strategy or a.grid != b.grid:
+    if (a.strategy, a.grid, a.class_labels, a.gamma) != \
+            (b.strategy, b.grid, b.class_labels, b.gamma):
         return False
-    if len(a.models) != len(b.models):
+    if [(m.class_label, m.region_label) for m in a.models] != \
+            [(m.class_label, m.region_label) for m in b.models]:
         return False
-    for m, n in zip(a.models, b.models):
-        if (m.class_label, m.region_label, m.gamma, m.strategy) != \
-                (n.class_label, n.region_label, n.gamma, n.strategy):
-            return False
-        pairs = [(m.pca.mean, n.pca.mean),
-                 (m.pca.projection, n.pca.projection),
-                 (m.pca.explained_eigenvalues, n.pca.explained_eigenvalues),
-                 (m.h0, n.h0), (m.w, n.w),
-                 (m.eigenvalues, n.eigenvalues)]
-        if not all(x.tobytes() == y.tobytes() for x, y in pairs):
-            return False
-    return True
+    pairs = [(a.pca.mean, b.pca.mean),
+             (a.pca.projection, b.pca.projection),
+             (a.pca.explained_eigenvalues, b.pca.explained_eigenvalues),
+             (a.h0, b.h0), (a.w, b.w), (a.eigenvalues, b.eigenvalues)]
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +245,22 @@ def test_bank_version_1_is_unsupported(tmp_path):
     path = tmp_path / "bank.sfam"
     dataio.save_bank(path, bank)
     raw = bytearray(path.read_bytes())
-    assert raw[4:8] == struct.pack("<I", 2)
+    assert raw[4:8] == struct.pack("<I", 3)
     raw[4:8] = struct.pack("<I", 1)
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersion, match="version 1"):
+        dataio.load_bank(path)
+
+
+def test_bank_version_2_is_unsupported(tmp_path):
+    # version 2 stored per-model records; such a bank must be retrained
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, fitted_bank("dsfa"))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UnsupportedVersion, match=re.escape(
+            f"{path}: bank version 2, supported 3")):
         dataio.load_bank(path)
 
 
@@ -264,10 +272,14 @@ def test_bank_stores_the_pca_once(tmp_path, strategy):
     dataio.save_bank(path, bank)
     pca = bank.pca
     pca_floats = pca.in_dim + pca.projection.size + pca.out_dim
-    # per model: label, gamma and k, then h0, w and eigenvalues
-    model_bytes = sum(8 + 8 + 4 + 8 * (m.h0.size + m.w.size + m.k)
-                      for m in bank.models)
-    assert path.stat().st_size == 24 + 8 + 8 * pca_floats + model_bytes
+    cells = len(bank.models)
+    # header: magic, version, tag, grid, class count, k and gamma; then
+    # the class labels, the PCA's dims and arrays, and h0, w and
+    # eigenvalues over all cells
+    header = 4 + 4 * 6 + 8 + 8 * len(bank.class_labels) + 8
+    cell_floats = cells * (sfa.expanded_dim(pca.out_dim) * (1 + bank.k)
+                           + bank.k)
+    assert path.stat().st_size == header + 8 * (pca_floats + cell_floats)
     again = dataio.load_bank(path)
     assert all(m.pca is again.pca for m in again.models)
 
@@ -319,16 +331,15 @@ def test_sdsfa_bank_with_empty_grid_is_a_format_error(tmp_path):
 
 def test_bank_with_nan_readout_is_a_format_error(tmp_path):
     bank = fitted_bank("usfa")
-    m = bank.models[0]
     path = tmp_path / "bank.sfam"
     dataio.save_bank(path, bank)
     raw = bytearray(path.read_bytes())
-    # header and PCA dims, the PCA's mean/projection/eigenvalues, then
-    # the model's label, gamma, k and h0 come before w
-    floats = (m.pca.in_dim + m.pca.projection.size
-              + m.pca.out_dim + m.h0.size)
-    offset = 24 + 8 + 8 * floats + 8 + 8 + 4
-    assert raw[offset:offset + 8] == struct.pack("<d", m.w[0, 0])
+    # the header (no class labels for usfa) and PCA dims, the PCA's
+    # mean/projection/eigenvalues and h0 come before w
+    floats = (bank.pca.in_dim + bank.pca.projection.size
+              + bank.pca.out_dim + bank.h0.size)
+    offset = 36 + 8 + 8 * floats
+    assert raw[offset:offset + 8] == struct.pack("<d", bank.w[0, 0])
     raw[offset:offset + 8] = struct.pack("<d", float("nan"))
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
@@ -426,6 +437,19 @@ def test_classifier_round_trip(tmp_path):
     assert again.class_labels == clf.class_labels
 
 
+def test_classifier_with_repeated_labels_is_a_format_error(tmp_path):
+    path = tmp_path / "clf.sfac"
+    dataio.save_classifier(path, classify.LinearClassifier(
+        np.ones((2, 3)), np.zeros(2), (1, 2)))
+    raw = bytearray(path.read_bytes())
+    # magic, version and shape, then the labels
+    assert raw[16:32] == struct.pack("<qq", 1, 2)
+    raw[16:32] = struct.pack("<qq", 1, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+        dataio.load_classifier(path)
+
+
 def test_classifier_corrupt(tmp_path):
     rng = np.random.default_rng(6)
     clf = classify.LinearClassifier(
@@ -503,7 +527,6 @@ def test_config_parses_types(tmp_path):
         "strategy = ssfa\n"
         "delta = auto\n"
         "max_cuboids = 500\n"
-        "mirror = false\n"
         "# a comment\n"
         "\n"
         "fraction = 0.5\n")
@@ -513,7 +536,6 @@ def test_config_parses_types(tmp_path):
     assert cfg.strategy == "ssfa"
     assert cfg.delta is None
     assert cfg.max_cuboids == 500
-    assert cfg.mirror is False
     assert cfg.fraction == 0.5
 
 
@@ -533,6 +555,16 @@ def test_config_unknown_keys_listed(tmp_path):
         dataio.load_config(path)
     assert "gama" in str(err.value)
     assert "ncuboids" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_mirror_is_an_unknown_key(tmp_path, value):
+    # sdsfa classifiers always train on mirrored features too
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 3\nmirror = {value}\n")
+    with pytest.raises(ParseError, match="unknown keys: mirror") as err:
+        dataio.load_config(path)
+    assert err.value.line == 2
 
 
 def test_config_rejects_duplicates_and_bad_lines(tmp_path):
@@ -578,7 +610,7 @@ def test_config_file_with_a_non_finite_float_is_a_parse_error(
 
 def test_config_save_load_round_trip(tmp_path):
     cfg = RunConfig(strategy="sdsfa", pca_dim=12, gamma=0.35, delta=1.25,
-                    max_cuboids=400, mirror=False, fraction=0.125)
+                    max_cuboids=400, fraction=0.125)
     path = tmp_path / "run.cfg"
     dataio.save_config(path, cfg)
     assert dataio.load_config(path) == cfg

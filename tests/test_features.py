@@ -48,7 +48,8 @@ def fit_bank(block, labels, strategy="dsfa", delta_t=3, pca_dim=6, k=2,
 
 def squared_derivatives(block, model):
     """One model's squared derivatives through the bank evaluation."""
-    bank = sfa.ModelBank("usfa", (model,))
+    bank = sfa.ModelBank("usfa", model.pca, model.h0[None], model.w,
+                         model.eigenvalues[None])
     return features.bank_squared_derivatives(block, bank)
 
 

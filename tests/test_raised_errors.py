@@ -2,10 +2,8 @@
 
 Every ``src/slowfeat/*.py`` is parsed with ``ast``.  A ``raise`` that
 names a builtin exception class, called or not, is a finding, unless it
-is on the list of allowed raises: ``config.parse_value``'s documented
-``ValueError``, which both of its callers turn into ``ParseError`` or
-``InvalidInput``.  A bare ``raise`` re-raises what it caught and is not
-a finding.
+is on the list of allowed raises, which is empty.  A bare ``raise``
+re-raises what it caught and is not a finding.
 """
 
 import ast
@@ -22,7 +20,7 @@ BUILTIN_ERRORS = {name for name, value in vars(builtins).items()
                   and issubclass(value, BaseException)}
 
 # (module, function, exception)
-ALLOWED = {("config", "parse_value", "ValueError")}
+ALLOWED = set()
 
 
 def builtin_raises(source):

@@ -238,7 +238,7 @@ def test_dsfa_union_constraints():
     for model in bank.models:
         # constraints are taken over the union of all classes
         assert_constraints(model, seqs)
-        assert model.gamma == 0.2
+    assert bank.gamma == 0.2
 
 
 def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
@@ -390,16 +390,16 @@ def assert_solves(model, objective, constraint):
     assert np.allclose(np.abs(model.w), np.abs(ref.eigenvectors[:, :k]))
 
 
-def pools_of(model, seqs, labels, regions):
+def pools_of(strategy, model, seqs, labels, regions):
     """(constraint pool, objective pools by class) a model is fitted on;
     the objective pools are None where the constraint pool is also the
     objective's."""
     def where(c=None, g=None):
         return [s for s, l, r in zip(seqs, labels, regions)
                 if (c is None or l == c) and (g is None or r == g)]
-    if model.strategy == "usfa":
+    if strategy == "usfa":
         return seqs, None
-    if model.strategy == "ssfa":
+    if strategy == "ssfa":
         return where(c=model.class_label), None
     g = model.region_label  # None for dsfa: one region
     return where(g=g), {c: where(c=c, g=g) for c in sorted(set(labels))}
@@ -427,7 +427,8 @@ def test_fit_matches_loop_moments_of_its_pools(strategy):
     regions = [regions[i] for i in kept]
     gamma = 0.3
     for m in fit(strategy, seqs, labels, regions, gamma).models:
-        constraint_pool, by_class = pools_of(m, seqs, labels, regions)
+        constraint_pool, by_class = pools_of(strategy, m, seqs, labels,
+                                             regions)
         mean, b, a, _, _ = oracles.loop_moments(expanded(m, constraint_pool))
         assert relative_gap(m.h0, mean) <= POOL_RTOL
         if by_class is None:
@@ -547,13 +548,12 @@ def test_project_and_expand_keeps_each_minisequence_apart():
             sfa.project_and_expand(pca, bad)
 
 
-def dummy_model(k, class_label=None, region_label=None, strategy="ssfa"):
+def dummy_model(k, class_label=None, region_label=None):
     pca = linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(3))
     dim = sfa.expanded_dim(3)
     return sfa.SlowFeatureModel(
         pca=pca, h0=np.zeros(dim), w=np.zeros((dim, k)),
-        eigenvalues=np.zeros(k),
-        strategy=strategy, class_label=class_label,
+        eigenvalues=np.zeros(k), class_label=class_label,
         region_label=region_label)
 
 
@@ -591,79 +591,117 @@ def test_model_rejects_non_finite_parameters():
                 model, pca=dataclasses.replace(model.pca, **{name: bad}))
 
 
-def test_bank_rejects_models_with_different_pcas():
-    # hand-built models with bit-equal but separate PCA arrays share the
-    # bank's one PCA; a model whose PCA differs in any array, even by
-    # the sign of a zero, is rejected
-    rng = np.random.default_rng(8)
-    models = [dataclasses.replace(dummy_model(2, class_label=c),
-                                  w=rng.normal(size=(9, 2)))
-              for c in range(3)]
-    bank = sfa.ModelBank("ssfa", tuple(models))
-    assert bank.pca is models[0].pca
-    assert models[1].pca is not models[0].pca
-    assert bank.w.tobytes() == np.hstack([m.w for m in models]).tobytes()
-    assert bank.w is bank.w
-    pca = models[1].pca
-    for changed in (dataclasses.replace(pca, mean=pca.mean + 1.0),
-                    dataclasses.replace(pca, mean=-pca.mean),
-                    dataclasses.replace(pca, projection=pca.projection[::-1]),
-                    dataclasses.replace(pca, explained_eigenvalues=pca
-                                        .explained_eigenvalues * 2.0)):
-        other = list(models)
-        other[1] = dataclasses.replace(models[1], pca=changed)
-        with pytest.raises(InvalidInput, match="share one PCA"):
-            sfa.ModelBank("ssfa", tuple(other))
+DIM = sfa.expanded_dim(3)
+
+
+def array_bank(strategy, class_labels=(), grid=(1, 1), k=1, pca_dim=3,
+               **change):
+    """A bank with the cells its class labels and grid give, each array
+    numbered in order so that every cell's slices differ; ``change``
+    replaces any argument of the constructor."""
+    pca = linalg.PcaModel(np.zeros(pca_dim), np.eye(pca_dim),
+                          np.ones(pca_dim))
+    dim = sfa.expanded_dim(pca_dim)
+    cells = grid[0] * grid[1] * max(1, len(class_labels))
+    args = dict(strategy=strategy, pca=pca,
+                h0=np.arange(cells * dim, dtype=float).reshape(cells, dim),
+                w=np.arange(dim * cells * k, dtype=float).reshape(
+                    dim, cells * k),
+                eigenvalues=np.arange(cells * k, dtype=float).reshape(
+                    cells, k),
+                class_labels=tuple(class_labels), grid=grid,
+                gamma=0.2 if strategy in ("dsfa", "sdsfa") else None)
+    args.update(change)
+    return sfa.ModelBank(**args)
 
 
 def test_bank_k_total_six_classes():
-    models = tuple(dummy_model(200, class_label=c) for c in range(6))
-    bank = sfa.ModelBank("ssfa", models)
-    assert bank.k_total == 1200
+    bank = array_bank("ssfa", range(6), k=200, pca_dim=19)
+    assert (bank.k, bank.k_total) == (200, 1200)
+    assert [m.w.shape for m in bank.models] == [(209, 200)] * 6
 
 
 def test_bank_layout_validation():
-    with pytest.raises(InvalidInput):
-        sfa.ModelBank("usfa", (dummy_model(2, class_label=None),
-                               dummy_model(2, class_label=None)))
-    with pytest.raises(InvalidInput):
-        sfa.ModelBank("ssfa", (dummy_model(2, class_label=1),
-                               dummy_model(2, class_label=0)))
-    # sdsfa models must come region-major, class-minor
-    wrong = (dummy_model(1, 0, 0, "sdsfa"), dummy_model(1, 0, 1, "sdsfa"),
-             dummy_model(1, 1, 0, "sdsfa"), dummy_model(1, 1, 1, "sdsfa"))
-    with pytest.raises(InvalidInput):
-        sfa.ModelBank("sdsfa", wrong, grid=(2, 1))
+    # a 2 x 1 grid of 2 classes is 4 cells: h0, w and eigenvalues must
+    # each hold 4 cells of one k, at most the expanded dimension
+    array_bank("sdsfa", (0, 1), (2, 1), k=2)
+    array_bank("sdsfa", (0, 1), (2, 1), k=DIM)
+    for change in (dict(h0=np.zeros((3, DIM))),
+                   dict(h0=np.zeros(4 * DIM)),
+                   dict(h0=np.zeros((4, DIM + 1))),
+                   dict(w=np.zeros((DIM, 6))),
+                   dict(w=np.zeros((DIM + 1, 8))),
+                   dict(w=np.zeros(DIM * 8)),
+                   dict(eigenvalues=np.zeros((2, 2))),
+                   dict(eigenvalues=np.zeros((4, 3))),
+                   dict(eigenvalues=np.zeros(8)),
+                   dict(eigenvalues=np.zeros((4, 0)), w=np.zeros((DIM, 0))),
+                   dict(eigenvalues=np.zeros((4, DIM + 1)),
+                        w=np.zeros((DIM, 4 * (DIM + 1))))):
+        with pytest.raises(InvalidInput):
+            array_bank("sdsfa", (0, 1), (2, 1), k=2, **change)
 
 
+# ``models`` are the class labels of each region's models
 @pytest.mark.parametrize("strategy,models,grid", [
-    # a usfa model has no class, and no model but sdsfa's has a region
-    ("usfa", [(None, 0)], (1, 1)),
-    ("ssfa", [(0, 0), (0, 1)], (1, 1)),
-    ("dsfa", [(None, 0), (0, 1)], (1, 1)),
-    # only an sdsfa bank has a grid, and its models label their class
-    ("dsfa", [(None, 0), (None, 1)], (2, 1)),
-    ("sdsfa", [(0, 0), (0, None)], (1, 1)),
-    ("sdsfa", [(0, 0), (1, 0)], (0, 2)),
-    ("ssfa", [], (1, 1)),
-    ("sdsfa", [], (1, 1)),
-    ("dfsa", [(None, 0), (None, 1)], (1, 1))])
+    # a usfa bank has no classes, others have sorted, distinct ones
+    ("usfa", (0,), (1, 1)),
+    ("ssfa", (1, 0), (1, 1)),
+    ("dsfa", (0, 0), (1, 1)),
+    # only an sdsfa bank has a grid, and every side of it is >= 1
+    ("dsfa", (0, 1), (2, 1)),
+    ("sdsfa", (0, 1, 1), (2, 1)),
+    ("sdsfa", (0, 1), (0, 2)),
+    ("ssfa", (), (1, 1)),
+    ("sdsfa", (), (2, 1)),
+    ("dfsa", (0, 1), (1, 1))])
 def test_bank_layout_is_one_rule(strategy, models, grid):
     with pytest.raises(InvalidInput):
-        sfa.ModelBank(strategy, tuple(
-            dummy_model(1, c, r, strategy) for r, c in models), grid=grid)
+        array_bank(strategy, models, grid)
 
 
 @pytest.mark.parametrize("strategy,models,grid", [
-    ("usfa", [(None, None)], (1, 1)),
-    ("ssfa", [(None, 3)], (1, 1)),
-    ("dsfa", [(None, 0), (None, 2)], (1, 1)),
-    ("sdsfa", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)], (1, 3))])
+    ("usfa", (), (1, 1)),
+    ("ssfa", (3,), (1, 1)),
+    ("dsfa", (0, 2), (1, 1)),
+    ("sdsfa", (0, 1), (1, 3))])
 def test_bank_layout_accepts_each_strategys_cells(strategy, models, grid):
-    bank = sfa.ModelBank(strategy, tuple(
-        dummy_model(1, c, r, strategy) for r, c in models), grid=grid)
-    assert [(m.region_label, m.class_label) for m in bank.models] == models
-    assert bank.class_labels == tuple(sorted({c for _, c in models} - {None}))
+    bank = array_bank(strategy, models, grid, k=2)
+    regions = range(3) if strategy == "sdsfa" else [None]
+    assert [(m.region_label, m.class_label) for m in bank.models] \
+        == [(r, c) for r in regions for c in (models or [None])]
+    assert bank.class_labels == models
+    for i, m in enumerate(bank.models):
+        assert m.pca is bank.pca
+        assert m.h0.tobytes() == bank.h0[i].tobytes()
+        assert m.w.tobytes() == bank.w[:, 2 * i:2 * i + 2].tobytes()
+        assert m.eigenvalues.tobytes() == bank.eigenvalues[i].tobytes()
+
+
+@pytest.mark.parametrize("strategy,gamma", [
+    ("usfa", 0.2), ("ssfa", 0.0), ("dsfa", None), ("sdsfa", None),
+    ("dsfa", -0.5), ("dsfa", float("nan")), ("sdsfa", float("inf"))])
+def test_bank_gamma_is_set_exactly_for_the_discriminative_strategies(
+        strategy, gamma):
+    classes = () if strategy == "usfa" else (0, 1)
+    with pytest.raises(InvalidInput, match="gamma"):
+        array_bank(strategy, classes, gamma=gamma)
+
+
+@pytest.mark.parametrize("name", ["h0", "w", "eigenvalues", "mean",
+                                  "projection"])
+def test_bank_rejects_a_non_finite_value(name):
+    bank = array_bank("dsfa", (0, 1), k=2)
+    if name in ("mean", "projection"):
+        bad = getattr(bank.pca, name).copy()
+        bad.flat[-1] = np.nan
+        change = dict(pca=dataclasses.replace(bank.pca, **{name: bad}))
+    else:
+        bad = getattr(bank, name).copy()
+        bad.flat[-1] = np.inf
+        change = {name: bad}
+    with pytest.raises(InvalidInput, match="finite"):
+        array_bank("dsfa", (0, 1), k=2, **change)
 
 
 def test_training_keeps_the_names_the_benchmark_reads():
