@@ -7,8 +7,8 @@ model being the mean of all iterates, which keeps training fully
 deterministic and self-contained.  ``train_linear`` states the exact
 update and how it is computed in blocks of steps with a few matrix
 products each.  Evaluation helpers cover majority voting over
-per-snippet labels, frame accuracy, confusion matrices, selectivity
-ratios of per-class feature blocks, and Fisher scores.
+per-snippet labels, frame accuracy, confusion matrices and Fisher
+scores; the class selectivity of ASD features is ``features.selectivity``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateSelectivity,
     EmptyInput,
     EmptyTrainingSet,
     InvalidDimension,
@@ -251,31 +250,6 @@ def confusion_matrix(predicted, truth, class_labels) -> ConfusionMatrix:
             raise InvalidInput(f"label pair ({pi}, {ti}) outside class set")
         counts[index[pi], index[ti]] += 1
     return ConfusionMatrix(counts, tuple(labels))
-
-
-def selectivity_table(block_sums):
-    """Interclass-to-intraclass feature ratios and their summary.
-
-    ``block_sums[i, j]`` is the summed feature mass of class-i cuboids
-    under the class-j functions.  Each row is divided by its diagonal
-    entry, so ratios[i, j] says how much louder class-j functions are
-    on foreign data; larger is more selective.  The average selectivity
-    is the mean over rows of the smallest off-diagonal ratio (the worst
-    confusable class pair).
-    """
-    s = np.asarray(block_sums, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidDimension("block_sums must be square")
-    c = s.shape[0]
-    if c < 2:
-        raise SingleClass("selectivity needs at least 2 classes")
-    diag = np.diag(s)
-    if (diag <= 0).any() or not np.isfinite(s).all():
-        raise DegenerateSelectivity("intraclass sums must be positive")
-    ratios = s / diag[:, None]
-    off = ratios + np.where(np.eye(c, dtype=bool), np.inf, 0.0)
-    average = float(off.min(axis=1).mean())
-    return ratios, average
 
 
 def fisher_score(features, labels):

@@ -47,7 +47,8 @@ def build_parser():
         description="slow-feature pipeline for sequence classification")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # flags match whole: ``--delta`` must not be read as ``--delta-t``
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH",
                        help="key = value config file")
         for field in config_module.field_names():

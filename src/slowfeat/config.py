@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .classify import DEFAULT_EPOCHS, DEFAULT_REG
 from .errors import InvalidInput
-from .sfa import STRATEGIES
+from .sfa import DEFAULT_GAMMA, STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,16 @@ class RunConfig:
     # slow-feature learning
     pca_dim: int = 50
     k_per_class: int = 200
-    gamma: float = 0.2
+    gamma: float = DEFAULT_GAMMA
     grid_nx: int = 2                # region columns (x cells)
     grid_ny: int = 3                # region rows (y cells)
     # cuboid sampling
     fraction: float = 0.25
-    delta: float | None = None      # motion threshold; None picks it from data
     max_cuboids: int | None = None  # per-sequence training cap
     stride: int = 1                 # snippet step during featurize
     # classifier
-    reg: float = 1.0
-    epochs: int = 50
+    reg: float = DEFAULT_REG
+    epochs: int = DEFAULT_EPOCHS
     # experiment
     seed: int = 0
     classes: int = 4
@@ -75,8 +75,6 @@ class RunConfig:
             raise InvalidInput("gamma must be >= 0")
         if self.noise_sigma < 0:
             raise InvalidInput("noise_sigma must be >= 0")
-        if self.delta is not None and self.delta < 0:
-            raise InvalidInput("delta must be >= 0")
         if self.max_cuboids is not None and self.max_cuboids < 1:
             raise InvalidInput("max_cuboids must be >= 1")
         if self.reg <= 0:
@@ -101,8 +99,8 @@ def field_names():
 def parse_value(name: str, text: str):
     """Convert config text to the field's type.
 
-    Optional numeric fields accept ``auto``/``none``.  Raises KeyError
-    for unknown names and ValueError for unconvertible text.
+    The optional ``max_cuboids`` accepts ``auto``/``none``.  Raises
+    KeyError for unknown names and ValueError for unconvertible text.
     """
     types = {f.name: str(f.type) for f in fields(RunConfig)}
     kind = types[name]
@@ -110,8 +108,6 @@ def parse_value(name: str, text: str):
         return int(text)
     if kind == "float":
         return float(text)
-    if kind in ("float | None", "int | None"):
-        if text.lower() in ("auto", "none"):
-            return None
-        return float(text) if kind.startswith("float") else int(text)
+    if kind == "int | None":
+        return None if text.lower() in ("auto", "none") else int(text)
     return text

@@ -3,7 +3,8 @@
 The raw representation is a stack of grayscale frames.  A sequence is
 normalized to zero mean and unit variance over all pixels, turned into
 frame differences, and a 3x3 Sobel magnitude over each difference frame
-thresholded at ``delta`` marks motion boundary pixels.  Cuboids of size
+marks motion boundary pixels where it exceeds ``default_delta``, a tenth
+of the sequence's 99th-percentile interior magnitude.  Cuboids of size
 h x w x d are cut around sampled boundary pixels, then read as
 short vector sequences by sliding a window of ``delta_t`` frames.
 
@@ -68,9 +69,12 @@ class FrameSequence:
                 raise InvalidDimension(
                     f"boxes must be ({t}, 4), got {boxes.shape}")
             bx, by, bw, bh = boxes.T
-            if (bw < 1).any() or (bh < 1).any() or (bx < 0).any() \
-                    or (by < 0).any() or (bx + bw > w).any() or (by + bh > h).any():
-                raise InvalidInput("a bounding box falls outside the frame")
+            bad = (bw < 1) | (bh < 1) | (bx < 0) | (by < 0) \
+                | (bx + bw > w) | (by + bh > h)
+            if bad.any():
+                raise InvalidInput(
+                    f"the box of frame {int(np.argmax(bad))} falls outside "
+                    f"the {h}x{w} frame")
 
     @property
     def num_frames(self) -> int:
@@ -175,18 +179,16 @@ def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
     return DELTA_FRACTION * float(np.percentile(pooled, DELTA_PERCENTILE))
 
 
-def motion_masks(diff_seq: FrameSequence,
-                 delta: float | None = None) -> np.ndarray:
-    """``motion_boundary`` of every frame from one Sobel pass.
+def motion_masks(diff_seq: FrameSequence) -> np.ndarray:
+    """``motion_boundary`` of every frame at the sequence's
+    ``default_delta``, from one Sobel pass.
 
-    Returns the (T, H, W) bool masks.  ``delta = None`` applies
-    ``default_delta``; each frame's mask is limited to that frame's box
-    when the sequence has boxes.
+    Returns the (T, H, W) bool masks; each frame's mask is limited to
+    that frame's box when the sequence has boxes.
     """
     magnitude = gradient_magnitude(diff_seq.frames)
-    if delta is None:
-        delta = default_delta(diff_seq, magnitude)
-    return _threshold(magnitude, delta, diff_seq.boxes)
+    return _threshold(magnitude, default_delta(diff_seq, magnitude),
+                      diff_seq.boxes)
 
 
 def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,

@@ -10,7 +10,7 @@ Every writer goes through write-to-temp-then-rename, so a failure never
 leaves a partial file behind, and every reader rejects malformed input
 instead of guessing: bad magic or layout contradictions raise
 FormatError, short files raise TruncatedFile, text problems raise
-ParseError with a line number.
+ParseError naming the file and line.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def read_text(path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start} is not UTF-8",
-                         line=raw.count(b"\n", 0, exc.start) + 1)
+        raise ParseError(f"byte {exc.start} is not UTF-8",
+                         line=raw.count(b"\n", 0, exc.start) + 1, path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +180,29 @@ def load_annotations(path, num_frames: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != 5:
             raise ParseError(f"expected `t x y w h`, got {line!r}",
-                             line=lineno)
+                             line=lineno, path=path)
         try:
             t, x, y, w, h = (int(p) for p in parts)
         except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", line=lineno)
+            raise ParseError(f"non-integer field in {line!r}", line=lineno,
+                             path=path)
         if t <= last_t:
             raise ParseError(f"frame {t} not strictly increasing",
-                             line=lineno)
+                             line=lineno, path=path)
         if t >= num_frames:
-            raise ParseError(
-                f"frame {t} beyond sequence of {num_frames}", line=lineno)
+            raise ParseError(f"frame {t} beyond sequence of {num_frames}",
+                             line=lineno, path=path)
         if w < 1 or h < 1 or x < 0 or y < 0:
-            raise ParseError(f"degenerate box {line!r}", line=lineno)
+            raise ParseError(f"degenerate box {line!r}", line=lineno,
+                             path=path)
         entries[t] = (x, y, w, h)
         last_t = t
     if not entries:
-        raise ParseError("annotation file has no entries", line=1)
+        raise ParseError("annotation file has no entries", line=1,
+                         path=path)
     if 0 not in entries:
-        raise ParseError("first frame has no box to inherit", line=1)
+        raise ParseError("first frame has no box to inherit", line=1,
+                         path=path)
     out = np.empty((num_frames, 4), dtype=np.int64)
     current = entries[0]
     for t in range(num_frames):
@@ -372,10 +376,11 @@ def _read_assignments(path) -> dict:
             continue
         if "=" not in stripped:
             raise ParseError(f"expected `key = value`, got {stripped!r}",
-                             line=lineno)
+                             line=lineno, path=path)
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in out:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
+            raise ParseError(f"duplicate key {key!r}", line=lineno,
+                             path=path)
         out[key] = (value, lineno)
     return out
 
@@ -392,14 +397,16 @@ def load_config(path) -> RunConfig:
         try:
             values[key] = config_module.parse_value(key, value)
         except ValueError:
-            raise ParseError(f"bad value {value!r} for {key}", line=lineno)
+            raise ParseError(f"bad value {value!r} for {key}", line=lineno,
+                             path=path)
     if unknown:
         names = ", ".join(sorted(k for k, _ in unknown))
-        raise ParseError(f"unknown keys: {names}", line=unknown[0][1])
+        raise ParseError(f"unknown keys: {names}", line=unknown[0][1],
+                         path=path)
     try:
         return RunConfig(**values)
     except InvalidInput as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), path=path)
 
 
 def _format_value(value) -> str:
@@ -456,16 +463,17 @@ def load_manifest(path):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"expected `id label video annotation`, "
-                             f"got {line!r}", line=lineno)
+                             f"got {line!r}", line=lineno, path=path)
         sequence_id, label, video, annotation = parts
         if sequence_id in seen:
             raise ParseError(f"duplicate sequence id {sequence_id!r}",
-                             line=lineno)
+                             line=lineno, path=path)
         seen.add(sequence_id)
         try:
             entries.append(Entry(sequence_id, int(label), video, annotation))
         except ValueError:
-            raise ParseError(f"non-integer label {label!r}", line=lineno)
+            raise ParseError(f"non-integer label {label!r}", line=lineno,
+                             path=path)
     if not entries:
-        raise ParseError("manifest is empty", line=1)
+        raise ParseError("manifest is empty", line=1, path=path)
     return entries

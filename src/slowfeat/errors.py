@@ -79,10 +79,6 @@ class InvalidInput(SlowFeatError):
     """Inputs are malformed or mutually inconsistent."""
 
 
-class DegenerateSelectivity(SlowFeatError):
-    """An intraclass block sum is zero, so selectivity ratios are undefined."""
-
-
 # file formats
 
 class FormatError(SlowFeatError):
@@ -98,11 +94,14 @@ class UnsupportedVersion(SlowFeatError):
 
 
 class ParseError(SlowFeatError):
-    """A text file (config or annotation) fails to parse; carries a line number."""
+    """A text file (config, manifest or annotation) fails to parse; the
+    message names the file and the line, which ``line`` also carries."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -20,8 +20,9 @@ are then summed in order.
 
 For a region-gridded (``sdsfa``) bank each cuboid contributes only to
 the block of its own region: the product is taken once per region,
-that region's cuboids against its own readout columns.  Mirroring a
-feature permutes those region blocks.
+that region's cuboids against its own readout columns.  Mirroring
+features permutes those region blocks.  ``selectivity`` reads the
+paper's class selectivity off labeled feature rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify, linalg
+from . import linalg
 from .cuboid import (
     FrameSequence,
     crop_cuboids,
@@ -39,13 +40,7 @@ from .cuboid import (
     region_label,
     window_rows,
 )
-from .errors import (
-    EmptySnippet,
-    InvalidDimension,
-    InvalidInput,
-    SlowFeatError,
-    TooShort,
-)
+from .errors import EmptySnippet, InvalidDimension, InvalidInput, TooShort
 from .sfa import ModelBank, project_and_expand
 
 
@@ -173,15 +168,6 @@ def _features(block, regions, bank: ModelBank, spans,
     return out
 
 
-def class_columns(bank: ModelBank) -> dict:
-    """Feature column indices of each class's models, keyed by class in
-    bank order (the one class None for usfa)."""
-    classes = bank.class_labels or (None,)
-    owner = np.arange(bank.k_total) // bank.k % len(classes)
-    return {label: np.flatnonzero(owner == i)
-            for i, label in enumerate(classes)}
-
-
 def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
     """Sum per-cuboid squared derivatives into one normalized vector.
 
@@ -207,40 +193,41 @@ def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
     return _features(snippet.cuboids[order], regions, bank, [span], [n])[0]
 
 
-def mirror_feature(f: ASDFeature, grid, per_region_block_dim: int) -> ASDFeature:
-    """Permute region blocks as a horizontal flip of the grid would.
+def mirror_features(values, grid) -> np.ndarray:
+    """Permute the region blocks of every row as a horizontal flip of
+    the grid would.
 
-    Block ``iy * n_x + ix`` moves to ``iy * n_x + (n_x - 1 - ix)``; the
-    values inside each block are untouched, so mirroring twice is the
-    identity bit for bit.
+    ``values`` is an (n, width) matrix of features, each row ``n_x *
+    n_y`` blocks of ``width // (n_x * n_y)`` values.  Block ``iy * n_x +
+    ix`` moves to ``iy * n_x + (n_x - 1 - ix)``; the values inside each
+    block are untouched, so mirroring twice is the identity bit for bit.
     """
+    values = np.asarray(values)
     nx, ny = int(grid[0]), int(grid[1])
-    expected = nx * ny * per_region_block_dim
-    if f.values.shape != (expected,):
+    if values.ndim != 2 or values.shape[1] % (nx * ny):
         raise InvalidDimension(
-            f"feature has shape {f.values.shape}, grid {grid} with "
-            f"block dim {per_region_block_dim} needs ({expected},)")
-    blocks = f.values.reshape(ny, nx, per_region_block_dim)
-    return ASDFeature(blocks[:, ::-1, :].reshape(-1).copy(),
-                      f.snippet_span, f.normalized)
+            f"features of shape {values.shape} are not rows of "
+            f"{nx}x{ny} equal region blocks")
+    n, width = values.shape
+    blocks = values.reshape(n, ny, nx, width // (nx * ny))
+    return blocks[:, :, ::-1, :].reshape(n, width)
 
 
 def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
-                       fraction: float, seed: int, delta: float | None = None,
-                       stride: int = 1,
+                       fraction: float, seed: int, stride: int = 1,
                        sequence_id: str = "seq") -> list[ASDFeature]:
     """One ASD feature per snippet of ``d`` successive frames.
 
     ``seq`` is the (already differenced) sequence that cuboids are cut
     from.  Snippet starts run from 0 to num_frames - d in steps of
     ``stride``; each start samples cuboids from the motion boundaries of
-    its own first frame, seeded per snippet so results do not depend on
-    processing order.  ``delta = None`` applies the data-relative
-    default.  A snippet with no cuboids yields an all-zero, unnormalized
-    feature.  Snippets are evaluated in batches of ``linalg.CHUNK``
-    cuboids or more; each cuboid is projected and expanded on its own,
-    so the batch a snippet shares can change only the last bits of the
-    readout product and hence of its feature.
+    its own first frame (``motion_masks``), seeded per snippet so results
+    do not depend on processing order.  A snippet with no cuboids yields
+    an all-zero, unnormalized feature.  A batch of snippets ends at the
+    first snippet that brings it to ``linalg.CHUNK`` cuboids; each
+    cuboid is projected and expanded on its own, so the batch a snippet
+    shares can change only the last bits of the readout product and
+    hence of its feature.
     """
     h, w, d = (int(v) for v in size)
     n = seq.num_frames
@@ -250,19 +237,17 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
         raise InvalidInput(f"stride must be >= 1, got {stride}")
     if bank.strategy == "sdsfa" and seq.boxes is None:
         raise InvalidInput("sdsfa featurization needs bounding boxes")
-    masks = motion_masks(seq, delta)
+    masks = motion_masks(seq)
     frames = np.asarray(seq.frames, dtype=float)
 
-    starts = range(0, n - d + 1, stride)
-    picked = []  # (start, ys, xs) of each snippet with cuboids
-    for start in starts:
+    picked = []  # (start, ys, xs) of every snippet, cuboids in (y, x) order
+    for start in range(0, n - d + 1, stride):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), start]))
         ys, xs = pick_positions(masks[start], fraction, (h, w), rng)
         order = np.lexsort((xs, ys))
-        if ys.size:
-            picked.append((start, ys[order], xs[order]))
-    scored = {}
+        picked.append((start, ys[order], xs[order]))
+    out = []
     while picked:
         # whole snippets, until the batch holds linalg.CHUNK cuboids
         held = np.cumsum([ys.size for _, ys, _ in picked])
@@ -277,27 +262,8 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
             regions = region_label((xs, ys), seq.boxes[ts].T, bank.grid)
         block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
         spans = [(sequence_id, start) for start in first]
-        scored.update(zip(first, _features(block, regions, bank, spans,
-                                           sizes)))
-    return [scored[start] if start in scored
-            else ASDFeature(np.zeros(bank.k_total), (sequence_id, start),
-                            False)
-            for start in starts]
-
-
-def class_block_sums(bank: ModelBank, values, labels) -> np.ndarray:
-    """Class-by-class sums of feature mass, the selectivity table's input.
-
-    ``values`` holds one row per snippet (or cuboid) in the bank's
-    feature layout and ``labels`` its class.  Entry (i, j) is the sum,
-    over the rows of the i-th class, of the columns of the j-th class's
-    functions, classes in ascending order.
-    """
-    columns = class_columns(bank)
-    classes = sorted(columns)
-    values, labels = np.asarray(values), np.asarray(labels)
-    return np.array([[values[labels == i][:, columns[j]].sum()
-                      for j in classes] for i in classes])
+        out.extend(_features(block, regions, bank, spans, sizes))
+    return out
 
 
 def selectivity(bank: ModelBank, values, labels) -> float | None:
@@ -307,19 +273,31 @@ def selectivity(bank: ModelBank, values, labels) -> float | None:
     experiments: it is read from the ASD features of labeled snippets,
     the vectors the classifier sees, so it says how much more feature
     mass each class's slow functions accumulate on other classes'
-    actions than on their own.  ``class_block_sums`` of the features
-    goes through ``classify.selectivity_table``.  Returns None when the
-    measure does not apply: a ``usfa`` bank (no class functions), rows
-    that do not cover exactly the bank's classes, or a class whose own
-    block sum is not positive.
+    actions than on their own.  ``values`` holds one row per snippet (or
+    cuboid) in the bank's feature layout and ``labels`` its class.
+    Entry (i, j) of the class table is the summed mass of class-i rows
+    in the columns of the class-j functions, classes in ascending
+    order.  Each row of the table is divided by its diagonal entry, so
+    ratio (i, j) says how much louder the class-j functions are on
+    class-i data than the class-i functions; larger is more selective.
+    The average is the mean over rows of the smallest off-diagonal
+    ratio (the worst confusable class pair).  Returns None when the
+    measure does not apply: fewer than two classes (a ``usfa`` bank has
+    no class functions), labels that are not exactly the bank's
+    classes, or a table with a non-finite entry or a diagonal entry
+    that is not positive.
     """
-    if bank.strategy == "usfa":
+    classes = bank.class_labels
+    values, labels = np.asarray(values), np.asarray(labels)
+    if len(classes) < 2 or sorted(set(labels.tolist())) != list(classes):
         return None
-    if sorted(set(np.asarray(labels).tolist())) != list(bank.class_labels):
+    owner = np.arange(bank.k_total) // bank.k % len(classes)
+    table = np.array([[values[labels == c][:, owner == j].sum()
+                       for j in range(len(classes))] for c in classes],
+                     dtype=float)
+    diag = np.diag(table)
+    if (diag <= 0).any() or not np.isfinite(table).all():
         return None
-    try:
-        _, average = classify.selectivity_table(
-            class_block_sums(bank, values, labels))
-    except SlowFeatError:
-        return None
-    return average
+    ratios = table / diag[:, None]
+    off = ratios + np.where(np.eye(len(classes), dtype=bool), np.inf, 0.0)
+    return float(off.min(axis=1).mean())

@@ -125,10 +125,13 @@ def cmd_synth(config):
 def _entry_diff(config, entry) -> cuboid.FrameSequence:
     """The entry's normalized frame-difference sequence, with its boxes."""
     pixels = dataio.load_sequence(os.path.join(config.data_dir, entry.video))
-    boxes = dataio.load_annotations(
-        os.path.join(config.data_dir, entry.annotation), len(pixels))
-    return cuboid.frame_difference(cuboid.normalize_sequence(
-        cuboid.FrameSequence(pixels.astype(float), boxes)))
+    path = os.path.join(config.data_dir, entry.annotation)
+    boxes = dataio.load_annotations(path, len(pixels))
+    try:
+        seq = cuboid.FrameSequence(pixels.astype(float), boxes)
+    except InvalidInput as exc:  # a box outside the video's frame
+        raise InvalidInput(f"{path}: {exc}") from None
+    return cuboid.frame_difference(cuboid.normalize_sequence(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ def _training_cuboids(config, entries, train) -> TrainingCuboids:
     picks, labels, regions = [], [], []
     for entry in train:
         diff = _entry_diff(config, entry)
-        masks = cuboid.motion_masks(diff, config.delta)
+        masks = cuboid.motion_masks(diff)
         origins = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
             rng_seed=derive_seed(config.seed, TAG_SAMPLE,
@@ -223,8 +226,7 @@ def cmd_featurize(config):
         feats = features.featurize_sequence(
             _entry_diff(config, entry), bank, config.cuboid_size,
             config.fraction, seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
-            delta=config.delta, stride=config.stride,
-            sequence_id=entry.sequence_id)
+            stride=config.stride, sequence_id=entry.sequence_id)
         dataio.save_features(
             os.path.join(config.features_dir, entry.sequence_id + ".sfaf"),
             entry.sequence_id, feats, label=entry.label)
@@ -234,19 +236,22 @@ def cmd_featurize(config):
     return total
 
 
-def _load_entry_features(config, entry, bank):
-    """The entry's features, which must come from a bank of this layout."""
+def _load_entry_features(config, entry, bank) -> np.ndarray:
+    """The entry's (snippets, k_total) feature matrix, which must come
+    from a bank of this layout."""
     path = os.path.join(config.features_dir, entry.sequence_id + ".sfaf")
     sequence_id, feats, label = dataio.load_features(path)
     if sequence_id != entry.sequence_id or label != entry.label:
         raise InvalidInput(
             f"{path} does not match manifest entry {entry.sequence_id}")
-    if feats and feats[0].values.shape[0] != bank.k_total:
+    values = np.vstack([f.values for f in feats]
+                       or [np.empty((0, bank.k_total))])
+    if values.shape[1] != bank.k_total:
         raise InvalidInput(
-            f"{path} holds {feats[0].values.shape[0]}-d features, but the "
+            f"{path} holds {values.shape[1]}-d features, but the "
             f"{bank.strategy} bank {config.model_path} has {bank.k_total} "
             "outputs")
-    return feats
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +261,17 @@ def _load_entry_features(config, entry, bank):
 def cmd_fit_classifier(config):
     train, _ = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
-    rows, labels = [], []
-    # an sdsfa classifier also learns each feature with its region
-    # blocks mirrored, to absorb left/right motion direction
-    mirror = bank.strategy == "sdsfa"
-    block_dim = bank.k_total // (bank.grid[0] * bank.grid[1])
-    for entry in train:
-        for f in _load_entry_features(config, entry, bank):
-            rows.append(f.values)
-            labels.append(entry.label)
-            if mirror:
-                rows.append(features.mirror_feature(
-                    f, bank.grid, block_dim).values)
-                labels.append(entry.label)
+    matrices = [_load_entry_features(config, entry, bank) for entry in train]
+    rows = np.vstack(matrices)
+    labels = np.repeat([e.label for e in train], [len(m) for m in matrices])
+    if bank.strategy == "sdsfa":
+        # an sdsfa classifier also learns each feature, right after it,
+        # with its region blocks mirrored, to absorb left/right motion
+        mirrored = features.mirror_features(rows, bank.grid)
+        rows = np.stack([rows, mirrored], axis=1).reshape(-1, bank.k_total)
+        labels = np.repeat(labels, 2)
     clf = classify.train_linear(
-        np.asarray(rows), np.asarray(labels), reg=config.reg,
-        epochs=config.epochs,
+        rows, labels, reg=config.reg, epochs=config.epochs,
         seed=derive_seed(config.seed, TAG_CLASSIFIER))
     dataio.save_classifier(config.classifier_path, clf)
     print(f"trained classifier on {len(rows)} features "
@@ -291,10 +291,9 @@ def cmd_evaluate(config):
     # one row per snippet: its feature, predicted label and true label
     rows, frame_pred, frame_true, seq_pred = [], [], [], []
     for entry in test:
-        feats = _load_entry_features(config, entry, bank)
-        if not feats:
+        values = _load_entry_features(config, entry, bank)
+        if not len(values):
             raise InvalidInput(f"{entry.sequence_id} has no features")
-        values = np.stack([f.values for f in feats])
         predictions = classify.predict_many(clf, values)
         rows.append(values)
         frame_pred.extend(predictions.tolist())

@@ -333,15 +333,12 @@ def test_criterion_8_mirror_symmetry(capsys):
     grid = (2, 3)
     block = 7
     rng = np.random.default_rng(88)
-    involution_ok = True
-    for _ in range(100):
-        values = np.abs(rng.normal(size=grid[0] * grid[1] * block))
-        f = features.ASDFeature(values / values.sum(), ("seq", 0), True)
-        twice = features.mirror_feature(
-            features.mirror_feature(f, grid, block), grid, block)
-        involution_ok &= (np.array_equal(twice.values, f.values)
-                          and twice.values.dtype == f.values.dtype
-                          and twice.normalized == f.normalized)
+    values = np.abs(rng.normal(size=(100, grid[0] * grid[1] * block)))
+    values /= values.sum(axis=1, keepdims=True)
+    twice = features.mirror_features(
+        features.mirror_features(values, grid), grid)
+    involution_ok = (twice.dtype == values.dtype
+                     and twice.tobytes() == values.tobytes())
 
     region_ok = True
     checked = 0

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfeat import classify
+from slowfeat import classify, features, sfa
 from slowfeat.errors import (
-    DegenerateSelectivity,
     EmptyInput,
     EmptyTrainingSet,
     InvalidDimension,
@@ -323,34 +322,48 @@ def test_confusion_rejects_unknown_labels():
 # selectivity
 
 
+def class_bank(classes):
+    """An ssfa bank of one function per class: feature column j is the
+    function of class j, so one feature row per class is the table."""
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(classes), 10)
+    return sfa.fit_ssfa(rng.normal(size=(len(labels), 4, 3)), labels,
+                        pca_dim=2, k_per_class=1)
+
+
+def table_selectivity(table):
+    table = np.asarray(table, dtype=float)
+    return features.selectivity(class_bank(len(table)), table,
+                                np.arange(len(table)))
+
+
 def test_selectivity_identical_sums_are_flat():
-    ratios, avg = classify.selectivity_table(np.full((3, 3), 2.0))
-    assert np.array_equal(ratios, np.ones((3, 3)))
-    assert avg == 1.0
+    assert table_selectivity(np.full((3, 3), 2.0)) == 1.0
 
 
 def test_selectivity_hand_case():
-    s = np.array([[1.0, 2.0],
-                  [4.0, 2.0]])
-    ratios, avg = classify.selectivity_table(s)
-    assert np.array_equal(ratios, [[1.0, 2.0], [2.0, 1.0]])
-    assert avg == 2.0
+    # rows over their diagonals: [[1, 2], [2, 1]]
+    assert table_selectivity([[1.0, 2.0],
+                              [4.0, 2.0]]) == 2.0
 
 
 def test_selectivity_diagonal_exactly_one():
+    # each row is read against its own diagonal entry, so scaling a
+    # row by a power of two changes no bit
     rng = np.random.default_rng(6)
     s = rng.uniform(0.5, 4.0, size=(4, 4))
-    ratios, _ = classify.selectivity_table(s)
-    assert (np.diag(ratios) == 1.0).all()
+    ratios = s / np.diag(s)[:, None]
+    expected = np.mean([np.delete(row, i).min()
+                        for i, row in enumerate(ratios)])
+    assert table_selectivity(s) == expected
+    assert table_selectivity(s * 2.0 ** np.arange(4)[:, None]) == expected
 
 
 def test_selectivity_errors():
-    with pytest.raises(DegenerateSelectivity):
-        classify.selectivity_table([[0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingleClass):
-        classify.selectivity_table([[1.0]])
-    with pytest.raises(InvalidDimension):
-        classify.selectivity_table(np.ones((2, 3)))
+    # a class whose own block is not positive, and a single class
+    assert table_selectivity([[0.0, 1.0], [1.0, 1.0]]) is None
+    assert table_selectivity([[-1.0, 1.0], [1.0, 1.0]]) is None
+    assert table_selectivity([[1.0]]) is None
 
 
 # ---------------------------------------------------------------------------

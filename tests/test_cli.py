@@ -59,6 +59,7 @@ def test_manifest_parse_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             cli.load_manifest(path)
         assert err.value.line == lineno
+        assert str(err.value).startswith(f"{path}: line {lineno}: ")
 
     expect("a 0 a.sfv\n", 1)
     expect("a 0 a.sfv a.ann\na x b.sfv b.ann\n", 2)
@@ -281,7 +282,7 @@ def test_main_runs_synth(tmp_path):
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("synth", "--noise-sigma"), ("train", "--delta"), ("train", "--gamma"),
+    ("synth", "--noise-sigma"), ("train", "--gamma"),
     ("fit-classifier", "--reg")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_flags_exit_1_before_any_work(tmp_path, capsys, command,
@@ -569,3 +570,30 @@ def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
     err = fails_with_one_line(capsys, "train", cfg, tmp_path,
                               data_dir=data_dir)
     assert "no training cuboids" in err
+
+
+@pytest.mark.parametrize("line,what", [
+    ("0 0 0 0 10", "line 1: degenerate box '0 0 0 0 10'"),
+    ("0 30 0 20 10", "the box of frame 0 falls outside the 32x40 frame")],
+    ids=["degenerate", "outside-the-frame"])
+def test_bad_annotation_names_its_file(two_runs, tmp_path, capsys, line,
+                                       what):
+    # a 32x40 video whose first training sequence has a bad box
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    shutil.copytree(cfg.data_dir, data_dir)
+    entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
+    train, _ = pipeline.split_entries(entries, cfg)
+    path = data_dir / train[0].annotation
+    path.write_text(line + "\n")
+    err = fails_with_one_line(capsys, "train", cfg, tmp_path,
+                              data_dir=data_dir)
+    assert err.startswith(f"error: {path}: ") and what in err
+
+
+def test_removed_delta_flag_is_not_read_as_delta_t(capsys):
+    # flags are never abbreviated: --delta is not a prefix of --delta-t
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--delta", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --delta 3" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slowfeat import classify, dataio, sfa
+from slowfeat import classify, cli, dataio, sfa
 from slowfeat.config import RunConfig
 from slowfeat.errors import (
     FormatError,
@@ -150,6 +150,7 @@ def test_annotation_parse_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             dataio.load_annotations(path, num_frames=10)
         assert err.value.line == lineno
+        assert str(err.value).startswith(f"{path}: line {lineno}: ")
 
     expect("0 1 2 10\n", 1)                       # wrong field count
     expect("0 1 2 10 8\n1 a 2 10 8\n", 2)         # non-integer
@@ -525,7 +526,6 @@ def test_config_parses_types(tmp_path):
         "gamma = 0.2\n"
         "pca_dim = 30\n"
         "strategy = ssfa\n"
-        "delta = auto\n"
         "max_cuboids = 500\n"
         "# a comment\n"
         "\n"
@@ -534,7 +534,6 @@ def test_config_parses_types(tmp_path):
     assert cfg.gamma == 0.2
     assert cfg.pca_dim == 30
     assert cfg.strategy == "ssfa"
-    assert cfg.delta is None
     assert cfg.max_cuboids == 500
     assert cfg.fraction == 0.5
 
@@ -546,6 +545,7 @@ def test_config_bad_value_reports_line(tmp_path):
         dataio.load_config(path)
     assert err.value.line == 2
     assert "gamma" in str(err.value)
+    assert str(err.value).startswith(f"{path}: line 2: ")
 
 
 def test_config_unknown_keys_listed(tmp_path):
@@ -567,6 +567,19 @@ def test_config_mirror_is_an_unknown_key(tmp_path, value):
     assert err.value.line == 2
 
 
+def test_config_delta_is_an_unknown_key(tmp_path, capsys):
+    # the motion threshold is always the data-relative default
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\ndelta = 1.0\n")
+    with pytest.raises(ParseError, match="unknown keys: delta") as err:
+        dataio.load_config(path)
+    assert err.value.line == 2
+    assert cli.main(["featurize", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "delta" in err and str(path) in err
+
+
 def test_config_rejects_duplicates_and_bad_lines(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("pca_dim = 30\npca_dim = 40\n")
@@ -584,12 +597,12 @@ def test_config_rejects_duplicates_and_bad_lines(tmp_path):
 def test_config_semantic_violation_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("fraction = 2.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(f"{path}: fraction")):
         dataio.load_config(path)
 
 
 NON_FINITE = [(field, value)
-              for field in ("gamma", "fraction", "delta", "reg", "noise_sigma")
+              for field in ("gamma", "fraction", "reg", "noise_sigma")
               for value in ("nan", "inf", "-inf")]
 
 
@@ -599,7 +612,9 @@ def test_run_config_rejects_non_finite_floats(field, value):
         RunConfig(**{field: float(value)})
 
 
-@pytest.mark.parametrize("field,value", NON_FINITE)
+# a file that sets the removed delta is rejected too, as an unknown key
+@pytest.mark.parametrize("field,value", NON_FINITE + [
+    ("delta", value) for value in ("nan", "inf", "-inf")])
 def test_config_file_with_a_non_finite_float_is_a_parse_error(
         tmp_path, field, value):
     path = tmp_path / "run.cfg"
@@ -609,7 +624,7 @@ def test_config_file_with_a_non_finite_float_is_a_parse_error(
 
 
 def test_config_save_load_round_trip(tmp_path):
-    cfg = RunConfig(strategy="sdsfa", pca_dim=12, gamma=0.35, delta=1.25,
+    cfg = RunConfig(strategy="sdsfa", pca_dim=12, gamma=0.35,
                     max_cuboids=400, fraction=0.125)
     path = tmp_path / "run.cfg"
     dataio.save_config(path, cfg)
@@ -641,7 +656,8 @@ def test_results_duplicate_key_rejected(tmp_path):
 def test_annotations_non_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "a.ann"
     path.write_bytes(b"0 1 1 2 2\n1 1 1 \xff 2\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError,
+                       match=re.escape(f"{path}: line 2: byte 16 ")):
         dataio.load_annotations(path, 3)
 
 

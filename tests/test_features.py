@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowfeat import classify, cuboid, features, linalg, sfa
+from slowfeat import cuboid, features, linalg, sfa
 from slowfeat.errors import (
     EmptySnippet,
     InvalidDimension,
@@ -154,12 +154,20 @@ def test_asd_own_class_block_is_smallest():
         assert sums[label] < sums[other]
 
 
+def class_block_sums(values, labels, k):
+    """Entry (i, j): the feature mass of class-i rows in the columns of
+    the class-j functions, for a bank of k functions per class."""
+    classes = np.unique(labels)
+    return np.array([[values[labels == i][:, np.arange(j * k, (j + 1) * k)]
+                      .sum() for j in range(len(classes))] for i in classes])
+
+
 def test_ssfa_asd_lower_on_own_class():
     block, labels = toy_cuboids(seed=10, per_class=40)
     bank = fit_bank(block, labels, "ssfa", k=2)
     # one row per cuboid; both classes have 40, so sums order as means
     values = features.bank_squared_derivatives(block, bank)
-    matrix = features.class_block_sums(bank, values, labels)
+    matrix = class_block_sums(values, labels, 2)
     assert bank.class_labels == (0, 1)
     # columns are the scoring class: own class sits on the diagonal
     assert matrix[0, 0] < matrix[1, 0]
@@ -171,11 +179,15 @@ def test_selectivity_is_the_table_of_class_block_sums():
     block, labels = toy_cuboids(seed=10, per_class=40)
     bank = fit_bank(block, labels, "dsfa", k=2)
     values = features.bank_squared_derivatives(block, bank)
-    matrix = features.class_block_sums(bank, values, labels)
+    matrix = class_block_sums(values, labels, 2)
     own = [values[labels == c].sum(axis=0) for c in (0, 1)]
     assert np.allclose(matrix, [[o[:2].sum(), o[2:].sum()] for o in own],
                        rtol=1e-14, atol=0)
-    _, average = classify.selectivity_table(matrix)
+    # each row over its diagonal; the mean of the rows' smallest
+    # off-diagonal ratios
+    ratios = matrix / np.diag(matrix)[:, None]
+    average = np.mean([np.delete(row, i).min()
+                       for i, row in enumerate(ratios)])
     assert features.selectivity(bank, values, labels) == average
 
 
@@ -366,7 +378,7 @@ def featurize_fixture(strategy, **kw):
 
 def fixture_picks(diff_seq, start):
     """The (ys, xs) that featurize_fixture samples for a snippet."""
-    mask = cuboid.motion_masks(diff_seq, None)[start]
+    mask = cuboid.motion_masks(diff_seq)[start]
     rng = np.random.default_rng(np.random.SeedSequence([3, start]))
     return cuboid.pick_positions(mask, 0.5, (4, 4), rng)
 
@@ -433,6 +445,36 @@ def test_small_batches_match_one_batch(strategy, monkeypatch):
         assert np.abs(f.values - g.values).max() <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("strategy", ["dsfa", "sdsfa"])
+def test_a_last_batch_of_empty_snippets_changes_no_byte(strategy,
+                                                        monkeypatch):
+    bank, _, _ = bank_and_cuboids(strategy)
+    diff_seq = diff_of(moving_square_sequence(frames=13))
+    sizes = [fixture_picks(diff_seq, t)[0].size
+             for t in range(diff_seq.num_frames - 6 + 1)]
+    assert sizes[-1] == 0 and sizes[-2] > 0
+
+    def featurize():
+        return features.featurize_sequence(diff_seq, bank, (4, 4, 6),
+                                           fraction=0.5, seed=3)
+    monkeypatch.setattr(linalg, "CHUNK", 10**9)
+    whole = featurize()
+    # a batch ends at the snippet that brings it to CHUNK cuboids: the
+    # second to last, so the last batch is the one empty snippet after it
+    monkeypatch.setattr(linalg, "CHUNK", sum(sizes))
+    cropped = []
+
+    def crop(frames, ts, *rest):
+        cropped.append(len(ts))
+        return cuboid.crop_cuboids(frames, ts, *rest)
+    monkeypatch.setattr(features, "crop_cuboids", crop)
+    split = featurize()
+    assert cropped == [sum(sizes), 0]
+    assert [(f.snippet_span, f.normalized, f.values.tobytes())
+            for f in split] == [(f.snippet_span, f.normalized,
+                                 f.values.tobytes()) for f in whole]
+
+
 @pytest.mark.parametrize("regions", [[0, 2, 1], [0, -1, 1], [0, 0.5, 1],
                                      [0, 1], [0, 1, 1, 0]])
 def test_sdsfa_rejects_bad_region_labels(regions):
@@ -471,36 +513,39 @@ def test_asd_rejects_positions_of_another_length():
 
 
 def test_mirror_permutes_region_blocks():
-    values = np.arange(12.0)  # grid (2, 3), block dim 2
-    f = features.ASDFeature(values, ("seq", 0), True)
-    m = features.mirror_feature(f, (2, 3), 2)
-    # blocks [0 1 2 3 4 5] -> [1 0 3 2 5 4]
-    expected = np.concatenate([values[2:4], values[0:2], values[6:8],
-                               values[4:6], values[10:12], values[8:10]])
-    assert np.array_equal(m.values, expected)
+    values = np.arange(24.0).reshape(2, 12)  # grid (2, 3), block dim 2
+    m = features.mirror_features(values, (2, 3))
+    # blocks [0 1 2 3 4 5] -> [1 0 3 2 5 4], row by row
+    expected = np.concatenate([values[:, 2:4], values[:, 0:2],
+                               values[:, 6:8], values[:, 4:6],
+                               values[:, 10:12], values[:, 8:10]], axis=1)
+    assert np.array_equal(m, expected)
 
 
 def test_mirror_is_involution_bit_exact():
     rng = np.random.default_rng(11)
-    values = rng.random(30)  # grid (2, 3), block dim 5
-    f = features.ASDFeature(values, ("seq", 4), True)
-    twice = features.mirror_feature(
-        features.mirror_feature(f, (2, 3), 5), (2, 3), 5)
-    assert twice.values.tobytes() == f.values.tobytes()
-    assert twice.snippet_span == f.snippet_span
+    values = rng.random((4, 30))  # grid (2, 3), block dim 5
+    twice = features.mirror_features(
+        features.mirror_features(values, (2, 3)), (2, 3))
+    assert twice.tobytes() == values.tobytes()
 
 
 def test_mirror_trivial_grid_is_identity():
-    values = np.arange(6.0)
-    f = features.ASDFeature(values, ("s", 0), True)
-    m = features.mirror_feature(f, (1, 1), 6)
-    assert np.array_equal(m.values, values)
+    values = np.arange(6.0)[None]
+    m = features.mirror_features(values, (1, 1))
+    assert np.array_equal(m, values)
 
 
 def test_mirror_rejects_dim_mismatch():
-    f = features.ASDFeature(np.zeros(10), ("s", 0), False)
+    # a matrix of rows, not one feature vector
     with pytest.raises(InvalidDimension):
-        features.mirror_feature(f, (2, 3), 2)
+        features.mirror_features(np.zeros(12), (2, 3))
+
+
+@pytest.mark.parametrize("width", [10, 13, 3])
+def test_mirror_rejects_a_width_the_grid_does_not_divide(width):
+    with pytest.raises(InvalidDimension):
+        features.mirror_features(np.zeros((2, width)), (2, 3))
 
 
 # ---------------------------------------------------------------------------

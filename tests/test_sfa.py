@@ -728,7 +728,7 @@ def test_features_keep_the_names_the_benchmark_reads():
     # featurize_sequence and asd_feature by name, count len() of
     # args["snippet"].cuboids and read .normalized of each feature
     assert list(inspect.signature(features.featurize_sequence).parameters) \
-        == ["seq", "bank", "size", "fraction", "seed", "delta", "stride",
+        == ["seq", "bank", "size", "fraction", "seed", "stride",
             "sequence_id"]
     assert list(inspect.signature(features.asd_feature).parameters) \
         == ["snippet", "bank"]
