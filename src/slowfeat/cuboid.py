@@ -8,11 +8,14 @@ of the sequence's 99th-percentile interior magnitude.  Cuboids of size
 h x w x d are cut around sampled boundary pixels, then read as
 short vector sequences by sliding a window of ``delta_t`` frames.
 
-There are no cuboid or mask objects: ``motion_masks`` returns one
+There are no per-cuboid or mask objects: ``motion_masks`` returns one
 (T, H, W) bool array, the sampler returns the (n, 3) array of picked
 ``(t, y, x)`` origins, ``crop_cuboids`` cuts them into one
 (n, d, h, w) array, ``window_rows`` views that array as minisequences
 and ``region_label`` labels whole arrays of positions at once.
+``LazyCuboids`` holds a training set as raw pixels and picks, and cuts
+only the cuboids a read asks for, to the bits ``crop_cuboids`` gives on
+the normalized differences.
 
 Coordinates follow image convention: ``x`` is the column, ``y`` the
 row.  A cuboid's origin is its spatial center and first frame; its
@@ -22,6 +25,7 @@ spatial extent covers rows ``[y - h//2, y - h//2 + h)`` and columns
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -81,17 +85,24 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
-def normalize_sequence(seq: FrameSequence) -> FrameSequence:
-    """Scale the whole sequence to zero mean and unit variance.
-
-    Mean and standard deviation are global over every pixel of every
-    frame.  A constant sequence cannot be normalized.
+def normalization(frames):
+    """The ``(mean, std)`` over every pixel of every frame by which
+    ``normalize_sequence`` scales a sequence.  A constant sequence
+    cannot be normalized.
     """
-    frames = np.asarray(seq.frames, dtype=float)
+    frames = np.asarray(frames, dtype=float)
     std = frames.std()
     if std == 0.0:
         raise DegenerateSequence("sequence is constant, cannot normalize")
-    return FrameSequence((frames - frames.mean()) / std, seq.boxes)
+    return frames.mean(), std
+
+
+def normalize_sequence(seq: FrameSequence) -> FrameSequence:
+    """Scale the whole sequence to zero mean and unit variance, by its
+    ``normalization``."""
+    frames = np.asarray(seq.frames, dtype=float)
+    mean, std = normalization(frames)
+    return FrameSequence((frames - mean) / std, seq.boxes)
 
 
 def frame_difference(seq: FrameSequence) -> FrameSequence:
@@ -123,16 +134,20 @@ def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
         return out
     gx = np.zeros(f.shape[:-2] + (height - 2, width - 2))
     gy = np.zeros_like(gx)
+    tap = np.empty_like(gx)
     for dy in range(3):
         for dx in range(3):
             kx = SOBEL_X[dy, dx]
             ky = SOBEL_X[dx, dy]
             patch = f[..., dy:dy + height - 2, dx:dx + width - 2]
             if kx:
-                gx += kx * patch
+                gx += np.multiply(patch, kx, out=tap)
             if ky:
-                gy += ky * patch
-    out[..., 1:-1, 1:-1] = np.hypot(gx, gy)
+                gy += np.multiply(patch, ky, out=tap)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    np.sqrt(gx, out=out[..., 1:-1, 1:-1])
     return out
 
 
@@ -264,19 +279,81 @@ def crop_cuboids(frames: np.ndarray, ts, ys, xs, size) -> np.ndarray:
 def window_rows(block: np.ndarray, delta_t: int) -> np.ndarray:
     """Slide a window of ``delta_t`` frames over every cuboid of a block.
 
-    Takes an (n, d, h, w) block and returns ``(n, d - delta_t + 1,
-    h * w * delta_t)``: row t of a cuboid is the concatenation of its
+    Takes an (n, d, h, w) block, n possibly 0, and returns ``(n,
+    d - delta_t + 1, h * w * delta_t)``: row t of a cuboid is the concatenation of its
     patches t .. t + delta_t - 1, each flattened row-major, so with
     ``delta_t == d`` the single row is the cuboid data.  Those patches
     lie next to each other in memory, so for a C-contiguous block the
     result is a read-only view that copies nothing.
     """
     n, d = block.shape[:2]
+    _check_delta(delta_t, d)
+    flat = block.reshape(n, d, math.prod(block.shape[2:]))
+    windows = sliding_window_view(flat, delta_t, axis=1)
+    return windows.swapaxes(2, 3).reshape(n, d - delta_t + 1,
+                                          delta_t * flat.shape[2])
+
+
+def _check_delta(delta_t, d):
     if not 1 <= delta_t <= d:
         raise InvalidDelta(f"delta_t must be in [1, {d}], got {delta_t}")
-    flat = block.reshape(n, d, -1)
-    windows = sliding_window_view(flat, delta_t, axis=1)
-    return windows.swapaxes(2, 3).reshape(n, d - delta_t + 1, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class LazyCuboids:
+    """Cuboids of normalized frame differences, cut from raw pixels
+    only when read.
+
+    ``pixels`` holds each sequence's raw (T, H, W) frames, ``norms`` its
+    ``normalization`` as one (mean, std) row, and ``picks`` is the
+    (n, 4) int array of cuboid origins as (sequence, t, y, x) rows;
+    ``size`` is (h, w, d).  Indexed by an integer, a slice, an index
+    array or a bool mask, the set reads like the (n, d, h, w) array that
+    ``crop_cuboids`` cuts from each sequence's ``frame_difference`` of
+    its ``normalize_sequence``, bit for bit, but cuts only the picks
+    asked for.  ``windows(delta_t)`` reads the same set as its
+    (n, length, dim) ``window_rows``, minisequences for ``sfa`` to fit.
+    There is no conversion to an array: ``[:]`` cuts every pick.
+    """
+
+    pixels: tuple
+    norms: np.ndarray
+    picks: np.ndarray
+    size: tuple
+    delta_t: int | None = None
+
+    @property
+    def shape(self) -> tuple:
+        h, w, d = self.size
+        if self.delta_t is None:
+            return (len(self.picks), d, h, w)
+        return (len(self.picks), d - self.delta_t + 1, h * w * self.delta_t)
+
+    def __len__(self) -> int:
+        return len(self.picks)
+
+    def windows(self, delta_t: int) -> LazyCuboids:
+        """The set read as ``window_rows`` of ``delta_t`` frames."""
+        _check_delta(delta_t, self.size[2])
+        return dataclasses.replace(self, delta_t=delta_t)
+
+    def __getitem__(self, index) -> np.ndarray:
+        picks = self.picks[index]
+        if picks.ndim == 1:  # one cuboid
+            return self[[index]][0]
+        h, w, d = self.size
+        block = np.empty((len(picks), d, h, w))
+        for s in np.unique(picks[:, 0]):
+            mine = picks[:, 0] == s
+            mean, std = self.norms[s]
+            # the element-wise steps of normalize_sequence and then
+            # frame_difference, on each cuboid's d + 1 frames of pixels
+            frames = (crop_cuboids(self.pixels[s], *picks[mine, 1:].T,
+                                   (h, w, d + 1)) - mean) / std
+            block[mine] = frames[:, 1:] - frames[:, :-1]
+        if self.delta_t is None:
+            return block
+        return np.ascontiguousarray(window_rows(block, self.delta_t))
 
 
 def region_label(pos, bbox, grid):

@@ -21,6 +21,7 @@ slowest directions sit first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,8 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     ----------
     data : array_like, shape (n, in_dim) or (n, length, in_dim)
         Rows, or minisequences whose rows are all taken; at least two.
+        Minisequences that are not an array, such as
+        ``cuboid.LazyCuboids`` windows, are read only by slices.
     out_dim : int
         Number of leading principal directions to keep,
         ``1 <= out_dim <= in_dim``.
@@ -210,11 +213,11 @@ def pca_fit(data, out_dim: int) -> PcaModel:
         each row a minisequence of one vector, are merged by
         ``merge_moments``, so one chunk's rows are held at a time.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim not in (2, 3):
+    data = _float_array_or_set(data)
+    if len(data.shape) not in (2, 3):
         raise InvalidMatrix(f"data must be 2-D or 3-D, got {data.shape}")
     in_dim = data.shape[-1]
-    n = int(np.prod(data.shape[:-1]))
+    n = math.prod(data.shape[:-1])
     if n < 2:
         raise EmptyTrainingSet(f"pca_fit needs at least 2 samples, got {n}")
     if not 1 <= out_dim <= in_dim:
@@ -233,21 +236,35 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     )
 
 
-def as_minisequences(minisequences) -> np.ndarray:
+def _float_array_or_set(data):
+    """``data`` as a float array, unless it is not an array but has a
+    3-D ``shape``: such a set of minisequences passes through, to be
+    read only by ``len``, ``shape`` and indexing."""
+    if not isinstance(data, np.ndarray) and len(
+            getattr(data, "shape", ())) == 3:
+        return data
+    return np.asarray(data, dtype=float)
+
+
+def as_minisequences(minisequences):
     """Minisequences as one ``(n, length, dim)`` float array.
 
     Minisequences of different lengths or dimensions do not form one
-    array and are rejected, as is anything that is not 3-D.
+    array and are rejected, as is anything that is not 3-D.  A set
+    that is not an array but has a 3-D ``shape``, such as
+    ``cuboid.LazyCuboids`` windows, is returned as it is: ``sfa`` and
+    ``pca_fit`` read it only by ``len``, ``shape`` and indexing, each
+    index giving a float array, so it is never held whole.
     """
     try:
-        x = np.asarray(minisequences, dtype=float)
+        x = _float_array_or_set(minisequences)
     except ValueError:
         raise InvalidDimension(
             "minisequences must form one (n, length, dim) float array"
         ) from None
-    if x.size == 0:
+    if 0 in x.shape:
         raise EmptyTrainingSet("no minisequences given")
-    if x.ndim != 3:
+    if len(x.shape) != 3:
         raise InvalidDimension(
             f"minisequences must be (n, length, dim), got shape {x.shape}")
     return x

@@ -2,11 +2,14 @@
 
 One function per stage of the method: ``cmd_synth`` writes the labeled
 dataset, ``cmd_train`` samples cuboids at motion boundaries and fits a
-slow-feature bank, ``cmd_featurize`` accumulates squared derivatives
-(ASD) into per-snippet features, ``cmd_fit_classifier`` trains the
-linear classifier, and ``cmd_evaluate`` votes per sequence and writes
-the report.  Stages communicate through files only (their formats are
-in ``dataio``), so each can be rerun or inspected in isolation.  Every
+slow-feature bank on them, holding the training split's raw pixels and
+the picks and cutting each chunk of cuboids when the fit reads it,
+``cmd_featurize`` accumulates squared derivatives (ASD) into
+per-snippet features and moves their files into place once every
+sequence has succeeded, ``cmd_fit_classifier`` trains the linear
+classifier, and ``cmd_evaluate`` votes per sequence and writes the
+report.  Stages communicate through files only (their formats are in
+``dataio``), so each can be rerun or inspected in isolation.  Every
 stage derives its randomness from the run seed plus a fixed stage tag,
 which makes whole-pipeline reruns bit-reproducible.
 """
@@ -14,6 +17,8 @@ which makes whole-pipeline reruns bit-reproducible.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -122,16 +127,21 @@ def cmd_synth(config):
     return entries
 
 
-def _entry_diff(config, entry) -> cuboid.FrameSequence:
-    """The entry's normalized frame-difference sequence, with its boxes."""
+def _entry_sequence(config, entry) -> cuboid.FrameSequence:
+    """The entry's raw uint8 frames, with their boxes."""
     pixels = dataio.load_sequence(os.path.join(config.data_dir, entry.video))
     path = os.path.join(config.data_dir, entry.annotation)
     boxes = dataio.load_annotations(path, len(pixels))
     try:
-        seq = cuboid.FrameSequence(pixels.astype(float), boxes)
+        return cuboid.FrameSequence(pixels, boxes)
     except InvalidInput as exc:  # a box outside the video's frame
         raise InvalidInput(f"{path}: {exc}") from None
-    return cuboid.frame_difference(cuboid.normalize_sequence(seq))
+
+
+def _entry_diff(config, entry) -> cuboid.FrameSequence:
+    """The entry's normalized frame-difference sequence, with its boxes."""
+    return cuboid.frame_difference(
+        cuboid.normalize_sequence(_entry_sequence(config, entry)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,47 +152,43 @@ TrainingCuboids = namedtuple("TrainingCuboids", ["data", "labels", "regions"])
 
 
 def _training_cuboids(config, entries, train) -> TrainingCuboids:
-    """Sampled training cuboids as one (n, d, h, w) array, with each
-    cuboid's class and, for ``sdsfa``, its grid cell (else None).
+    """The sampled training cuboids as one ``cuboid.LazyCuboids``, with
+    each cuboid's class and, for ``sdsfa``, its grid cell (else None).
 
-    Every sequence's picks are sampled first; the array is then
-    allocated once and each sequence, read again, is cropped into its
-    own slice, so the cuboids are never held twice.
+    Each sequence is read once: its motion masks place the picks, and
+    only its raw pixels and normalization are kept.  A cuboid is cut
+    when a pass of the fit reads its chunk, so the crops are never held
+    all at once.
     """
     index = {e.sequence_id: i for i, e in enumerate(entries)}
-    picks, labels, regions = [], [], []
-    for entry in train:
-        diff = _entry_diff(config, entry)
+    pixels, norms, picks, labels, regions = [], [], [], [], []
+    for s, entry in enumerate(train):
+        seq = _entry_sequence(config, entry)
+        diff = cuboid.frame_difference(cuboid.normalize_sequence(seq))
         masks = cuboid.motion_masks(diff)
         origins = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
             rng_seed=derive_seed(config.seed, TAG_SAMPLE,
                                  index[entry.sequence_id]),
             max_count=config.max_cuboids)
-        picks.append(origins)
+        pixels.append(seq.frames)
+        norms.append(cuboid.normalization(seq.frames))
+        picks.append(np.column_stack([np.full(len(origins), s), origins]))
         labels.append(np.full(len(origins), entry.label))
         if config.strategy == "sdsfa":
             ts, ys, xs = origins.T
             regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
                                                config.grid))
-    count = sum(len(p) for p in picks)
-    if count == 0:
+    if sum(len(p) for p in picks) == 0:
         raise EmptyTrainingSet("no training cuboids")
-    h, w, d = config.cuboid_size
-    data = np.empty((count, d, h, w))
-    start = 0
-    for entry, origins in zip(train, picks):
-        if len(origins):
-            data[start:start + len(origins)] = cuboid.crop_cuboids(
-                _entry_diff(config, entry).frames, *origins.T,
-                config.cuboid_size)
-            start += len(origins)
+    data = cuboid.LazyCuboids(tuple(pixels), np.array(norms),
+                              np.concatenate(picks), config.cuboid_size)
     return TrainingCuboids(data, np.concatenate(labels),
                            np.concatenate(regions) if regions else None)
 
 
 def fit_bank_from_cuboids(config, cuboids: TrainingCuboids) -> sfa.ModelBank:
-    minis = cuboid.window_rows(cuboids.data, config.delta_t)
+    minis = cuboids.data.windows(config.delta_t)
     if config.strategy == "usfa":
         return sfa.fit_usfa(minis, config.pca_dim, config.k_per_class)
     if config.strategy == "ssfa":
@@ -220,17 +226,30 @@ def cmd_featurize(config):
             f"cuboid {config.cuboid_h}x{config.cuboid_w} with delta_t "
             f"{config.delta_t} gives {row_dim}-d rows, but the bank "
             f"{config.model_path} takes {bank.pca.in_dim}-d rows")
-    os.makedirs(config.features_dir, exist_ok=True)
-    total = 0
-    for idx, entry in enumerate(entries):
-        feats = features.featurize_sequence(
-            _entry_diff(config, entry), bank, config.cuboid_size,
-            config.fraction, seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
-            stride=config.stride, sequence_id=entry.sequence_id)
-        dataio.save_features(
-            os.path.join(config.features_dir, entry.sequence_id + ".sfaf"),
-            entry.sequence_id, feats, label=entry.label)
-        total += len(feats)
+    # the run's files go to a sibling directory first and join
+    # features_dir only once every sequence has succeeded, so a failed
+    # run leaves no mix of old and new files
+    parent = os.path.dirname(os.path.abspath(config.features_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".featurize-", dir=parent)
+    try:
+        total = 0
+        for idx, entry in enumerate(entries):
+            feats = features.featurize_sequence(
+                _entry_diff(config, entry), bank, config.cuboid_size,
+                config.fraction,
+                seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
+                stride=config.stride, sequence_id=entry.sequence_id)
+            dataio.save_features(
+                os.path.join(staging, entry.sequence_id + ".sfaf"),
+                entry.sequence_id, feats, label=entry.label)
+            total += len(feats)
+        os.makedirs(config.features_dir, exist_ok=True)
+        for name in sorted(os.listdir(staging)):
+            os.replace(os.path.join(staging, name),
+                       os.path.join(config.features_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(f"wrote {total} features for {len(entries)} sequences "
           f"-> {config.features_dir}")
     return total

@@ -30,7 +30,10 @@ covariance and derivative covariance.  No array of all rows is ever
 built: beyond its input, a fit holds one chunk's rows and the moments
 of the cells of one region, O(classes x D^2) for D expanded dimensions,
 and solves that region's models before it reads the next region's
-chunks.
+chunks.  The input itself need not be held either: a fit reads it only
+by ``len``, ``shape`` and indexing, so the training pipeline passes the
+``windows`` of a ``cuboid.LazyCuboids``, which cuts each chunk from the
+raw pixels as a pass reads it.
 The discriminative constraints of a region (the whole set for dsfa) are
 merged from its class cells' moments by the same routine, so dsfa is
 sdsfa on one region.
@@ -39,8 +42,9 @@ A bank is therefore one PCA and three arrays over its cells: the
 expanded means, the readouts side by side in feature order, and the
 eigenvalues (``ModelBank``).
 
-The minisequences are one ``(n, length, dim)`` array, so all have the
-same length, which must be at least 2; derivatives are forward
+The minisequences are one ``(n, length, dim)`` array, or a set read
+like one (see ``linalg.as_minisequences``), so all have the same
+length, which must be at least 2; derivatives are forward
 differences with unit time step and never cross minisequence
 boundaries.  Eigenvalues are kept in ascending order, so index 0 is the
 slowest direction; for the discriminative objective the matrix is

@@ -69,14 +69,17 @@ def constraint_data(tmp_path_factory):
     cli.cmd_synth(cfg)
     entries = cli.load_manifest(os.path.join(cfg.data_dir, cli.MANIFEST_NAME))
     cuboids = pipeline._training_cuboids(cfg, entries, entries)
-    minis = cuboid.window_rows(cuboids.data, cfg.delta_t)
+    # the banks are fitted on the lazily cut set, as training fits them;
+    # the checks read its windows materialized
+    lazy = cuboids.data.windows(cfg.delta_t)
+    minis = lazy[:]
     labels, regions = cuboids.labels, cuboids.regions
     banks = {
-        "usfa": sfa.fit_usfa(minis, cfg.pca_dim, cfg.k_per_class),
-        "ssfa": sfa.fit_ssfa(minis, labels, cfg.pca_dim, cfg.k_per_class),
-        "dsfa": sfa.fit_dsfa(minis, labels, cfg.pca_dim, cfg.k_per_class,
+        "usfa": sfa.fit_usfa(lazy, cfg.pca_dim, cfg.k_per_class),
+        "ssfa": sfa.fit_ssfa(lazy, labels, cfg.pca_dim, cfg.k_per_class),
+        "dsfa": sfa.fit_dsfa(lazy, labels, cfg.pca_dim, cfg.k_per_class,
                              gamma=cfg.gamma),
-        "sdsfa": sfa.fit_sdsfa(minis, labels, regions, cfg.grid, cfg.pca_dim,
+        "sdsfa": sfa.fit_sdsfa(lazy, labels, regions, cfg.grid, cfg.pca_dim,
                                cfg.k_per_class, gamma=cfg.gamma),
     }
     return {"cuboids": cuboids, "minis": minis, "banks": banks,
@@ -215,7 +218,7 @@ def _featurize_slowness_gaps(constraint_data):
     cuboids = constraint_data["cuboids"]
     gaps = []
     for bank in constraint_data["banks"].values():
-        values = features.bank_squared_derivatives(cuboids.data, bank,
+        values = features.bank_squared_derivatives(cuboids.data[:], bank,
                                                    cuboids.regions)
         edges = np.cumsum([0] + [m.k for m in bank.models])
         for model, lo, hi in zip(bank.models, edges[:-1], edges[1:]):

@@ -198,9 +198,10 @@ def test_pipeline_sdsfa_with_mirror(tmp_path):
 
 
 def constraint_pool(strategy, model, cuboids):
-    """The cuboids a model's zero-mean/unit-variance constraints cover."""
+    """The cuboids a model's zero-mean/unit-variance constraints cover,
+    cut from the training set."""
     if strategy in ("usfa", "dsfa"):
-        return cuboids.data
+        return cuboids.data[:]
     if strategy == "ssfa":
         return cuboids.data[cuboids.labels == model.class_label]
     return cuboids.data[cuboids.regions == model.region_label]
@@ -589,6 +590,41 @@ def test_bad_annotation_names_its_file(two_runs, tmp_path, capsys, line,
     err = fails_with_one_line(capsys, "train", cfg, tmp_path,
                               data_dir=data_dir)
     assert err.startswith(f"error: {path}: ") and what in err
+
+
+def test_featurize_failing_on_the_first_sequence_writes_nothing(
+        two_runs, tmp_path, capsys):
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    shutil.copytree(cfg.data_dir, data_dir)
+    entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
+    (data_dir / entries[0].annotation).write_text("0 0 0 0 10\n")
+    err = fails_with_one_line(capsys, "featurize", cfg, tmp_path,
+                              data_dir=data_dir)
+    assert "degenerate box" in err
+
+
+def test_featurize_failing_on_a_later_sequence_keeps_the_old_files(
+        two_runs, tmp_path, capsys):
+    # the files of an earlier run stay as they were: none is replaced
+    # by the failed run's features of the sequences before the bad one
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    shutil.copytree(cfg.data_dir, data_dir)
+    entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
+    (data_dir / entries[-1].annotation).write_text("0 0 0 0 10\n")
+    features_dir = tmp_path / "features"
+    features_dir.mkdir()
+    for entry in entries:
+        (features_dir / (entry.sequence_id + ".sfaf")).write_bytes(b"old")
+    argv = ["featurize", "--config",
+            os.path.join(os.path.dirname(cfg.model_path), "run.cfg"),
+            "--data-dir", str(data_dir), "--features-dir", str(features_dir)]
+    assert cli.main(argv) == 1
+    assert "degenerate box" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["data", "features"]
+    assert {p.read_bytes() for p in features_dir.iterdir()} == {b"old"}
+    assert len(os.listdir(features_dir)) == len(entries)
 
 
 def test_removed_delta_flag_is_not_read_as_delta_t(capsys):

@@ -101,7 +101,8 @@ def test_sobel_stack_bit_equals_per_frame_calls(seed, t, h, w):
     stacked = cuboid.gradient_magnitude(frames)
     per_frame = np.stack([cuboid.gradient_magnitude(f) for f in frames])
     assert stacked.tobytes() == per_frame.tobytes()
-    # math.hypot and numpy's hypot may round the last bit differently
+    # the oracle's math.hypot and the package's sqrt(gx*gx + gy*gy)
+    # may round the last bit differently
     loops = np.stack([oracles.loop_sobel_magnitude(f) for f in frames])
     assert np.allclose(stacked, loops, atol=1e-12)
 
