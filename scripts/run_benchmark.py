@@ -3,21 +3,34 @@
 
 For every seed this generates a fresh 4-class dataset, fits the
 requested strategies, scores the held-out split, and runs the
-raw-pixel PCA baseline through the identical classifier.  Example:
+raw-pixel PCA baseline through the identical classifier.  The package
+is imported from this checkout's ``src/``, so the table always measures
+this checkout.  Example:
 
     python3 scripts/run_benchmark.py --seeds 5 --workdir /tmp/bench
 """
 
 import argparse
+import os
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
 
 from slowfeat import benchmark
 
 
+def _seed_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=5,
+    parser.add_argument("--seeds", type=_seed_count, default=5,
                         help="number of seeds, 0..N-1 (default 5)")
     parser.add_argument("--workdir", default=None,
                         help="where runs are written (default: temp dir)")

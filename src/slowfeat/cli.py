@@ -55,9 +55,6 @@ def build_parser():
             p.add_argument("--" + field.replace("_", "-"),
                            dest="opt_" + field, metavar="V",
                            help=argparse.SUPPRESS)
-        if name == "toy-sfa":
-            p.add_argument("--length", type=int, default=2000,
-                           help="toy signal length (default 2000)")
     return parser
 
 
@@ -77,9 +74,8 @@ def config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    extra = {"length": args.length} if args.command == "toy-sfa" else {}
     try:
-        _COMMANDS[args.command][0](config_from_args(args), **extra)
+        _COMMANDS[args.command][0](config_from_args(args))
     except (SlowFeatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

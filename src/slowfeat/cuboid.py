@@ -4,7 +4,9 @@ The raw representation is a stack of grayscale frames.  A sequence is
 normalized to zero mean and unit variance over all pixels, turned into
 frame differences, and a 3x3 Sobel magnitude over each difference frame
 marks motion boundary pixels where it exceeds ``default_delta``, a tenth
-of the sequence's 99th-percentile interior magnitude.  Cuboids of size
+of the sequence's 99th-percentile interior magnitude.  ``motion_masks``
+is the one route from a difference sequence to its boundaries; the
+threshold is never the caller's to choose.  Cuboids of size
 h x w x d are cut around sampled boundary pixels, then read as
 short vector sequences by sliding a window of ``delta_t`` frames.
 
@@ -151,43 +153,12 @@ def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def motion_boundary(diff_frame: np.ndarray, delta: float,
-                    bbox=None) -> np.ndarray:
-    """Threshold the Sobel magnitude of one difference frame.
-
-    Returns the (H, W) bool mask of the pixels with magnitude strictly
-    above ``delta``.  Border pixels, where the kernel does not fit, stay
-    unmarked.  With a ``bbox`` of (x, y, w, h), pixels outside the box
-    are cleared.
-    """
-    boxes = None if bbox is None else [bbox]
-    return _threshold(gradient_magnitude(diff_frame)[None], delta, boxes)[0]
-
-
-def _threshold(magnitude, delta, boxes) -> np.ndarray:
-    """``magnitude > delta`` over a (T, H, W) stack, each frame cleared
-    outside its (x, y, w, h) box when ``boxes`` are given."""
-    if not delta >= 0:
-        raise InvalidInput(f"delta must be >= 0, got {delta}")
-    mask = magnitude > delta
-    if boxes is not None:
-        inside = np.zeros_like(mask)
-        for t, (bx, by, bw, bh) in enumerate(np.asarray(boxes, dtype=int)):
-            inside[t, by:by + bh, bx:bx + bw] = True
-        mask &= inside
-    return mask
-
-
-def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
-    """Data-relative threshold for a difference sequence.
+def default_delta(magnitude: np.ndarray) -> float:
+    """Data-relative threshold of a (T, H, W) Sobel magnitude stack.
 
     One tenth of the 99th-percentile interior gradient magnitude over
     all frames, which tracks contrast differences between sequences.
-    ``magnitude``, the sequence's (T, H, W) ``gradient_magnitude`` when
-    the caller already has it, saves computing it again.
     """
-    if magnitude is None:
-        magnitude = gradient_magnitude(diff_seq.frames)
     pooled = magnitude[:, 1:-1, 1:-1].ravel()
     if pooled.size == 0:
         pooled = np.zeros(1)
@@ -195,15 +166,29 @@ def default_delta(diff_seq: FrameSequence, magnitude=None) -> float:
 
 
 def motion_masks(diff_seq: FrameSequence) -> np.ndarray:
-    """``motion_boundary`` of every frame at the sequence's
-    ``default_delta``, from one Sobel pass.
+    """The motion boundaries of a difference sequence, from one Sobel
+    pass.
 
-    Returns the (T, H, W) bool masks; each frame's mask is limited to
-    that frame's box when the sequence has boxes.
+    Returns the (T, H, W) bool masks of the pixels whose
+    ``gradient_magnitude`` is strictly above the sequence's
+    ``default_delta``; border pixels, where the kernel does not fit,
+    stay unmarked, and each frame's mask is cleared outside that
+    frame's (x, y, w, h) box when the sequence has boxes.  Non-finite
+    frames can give a threshold that is not a number >= 0, which raises
+    ``InvalidInput``.
     """
     magnitude = gradient_magnitude(diff_seq.frames)
-    return _threshold(magnitude, default_delta(diff_seq, magnitude),
-                      diff_seq.boxes)
+    delta = default_delta(magnitude)
+    if not delta >= 0:
+        raise InvalidInput(f"motion threshold must be >= 0, got {delta}")
+    mask = magnitude > delta
+    if diff_seq.boxes is not None:
+        inside = np.zeros_like(mask)
+        for t, (bx, by, bw, bh) in enumerate(
+                np.asarray(diff_seq.boxes, dtype=int)):
+            inside[t, by:by + bh, bx:bx + bw] = True
+        mask &= inside
+    return mask
 
 
 def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,

@@ -215,10 +215,6 @@ def load_annotations(path, num_frames: int) -> np.ndarray:
 # model banks
 
 
-def _pack_label(value) -> bytes:
-    return struct.pack("<q", -1 if value is None else int(value))
-
-
 def _pack_array(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
@@ -244,10 +240,6 @@ def save_bank(path, bank: sfa.ModelBank):
         pca.mean, pca.projection, pca.explained_eigenvalues, bank.h0, bank.w,
         bank.eigenvalues))
     _atomic_write_bytes(path, b"".join(parts))
-
-
-def _unpack_label(value: int):
-    return None if value == -1 else value
 
 
 def load_bank(path) -> sfa.ModelBank:
@@ -286,8 +278,13 @@ def load_bank(path) -> sfa.ModelBank:
 # feature sets
 
 
-def save_features(path, sequence_id: str, features, label=None):
-    """Persist the ASD features of one sequence plus its class label."""
+def save_features(path, sequence_id: str, features, label: int):
+    """Persist the ASD features of one sequence plus its class label.
+
+    Layout: magic, version, feature width, the label (i64), the
+    sequence id (u32 length, UTF-8), then the snippet count and, per
+    snippet, its start frame (u32), normalized flag (u8) and values.
+    """
     feats = list(features)
     encoded_id = sequence_id.encode("utf-8")
     widths = {f.values.shape[0] for f in feats}
@@ -296,7 +293,7 @@ def save_features(path, sequence_id: str, features, label=None):
     k_total = widths.pop() if widths else 0
     parts = [FEATURES_MAGIC,
              struct.pack("<II", FEATURES_VERSION, k_total),
-             _pack_label(label),
+             struct.pack("<q", int(label)),
              struct.pack("<I", len(encoded_id)), encoded_id,
              struct.pack("<I", len(feats))]
     for f in feats:
@@ -307,11 +304,12 @@ def save_features(path, sequence_id: str, features, label=None):
 
 
 def load_features(path):
-    """Return (sequence_id, features, label); every value is finite."""
+    """Return (sequence_id, features, label) as ``save_features`` wrote
+    them; every value is finite."""
     reader = _Reader(_read_file(path), path)
     reader.header(FEATURES_MAGIC, FEATURES_VERSION, "feature")
     k_total = reader.u32()
-    label = _unpack_label(reader.i64())
+    label = reader.i64()
     try:
         sequence_id = reader.take(reader.u32()).decode("utf-8")
     except UnicodeDecodeError:
@@ -454,7 +452,8 @@ def save_manifest(path, entries):
 
 
 def load_manifest(path):
-    """Read the manifest's entries; ids are unique, labels integers."""
+    """Read the manifest's entries; ids are unique, labels integers
+    >= 0."""
     entries = []
     seen = set()
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -470,10 +469,14 @@ def load_manifest(path):
                              line=lineno, path=path)
         seen.add(sequence_id)
         try:
-            entries.append(Entry(sequence_id, int(label), video, annotation))
+            label = int(label)
         except ValueError:
             raise ParseError(f"non-integer label {label!r}", line=lineno,
                              path=path)
+        if label < 0:
+            raise ParseError(f"negative label {label}", line=lineno,
+                             path=path)
+        entries.append(Entry(sequence_id, label, video, annotation))
     if not entries:
         raise ParseError("manifest is empty", line=1, path=path)
     return entries

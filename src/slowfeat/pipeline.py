@@ -128,8 +128,17 @@ def cmd_synth(config):
 
 
 def _entry_sequence(config, entry) -> cuboid.FrameSequence:
-    """The entry's raw uint8 frames, with their boxes."""
+    """The entry's raw uint8 frames, with their boxes.  The run's cuboid
+    must fit the frames, and its depth the frame differences."""
     pixels = dataio.load_sequence(os.path.join(config.data_dir, entry.video))
+    frames, height, width = pixels.shape
+    h, w, d = config.cuboid_size
+    if h > height or w > width:
+        raise InvalidInput(f"cuboid {h}x{w}x{d} does not fit {height}x{width} "
+                           f"frames of {entry.sequence_id}")
+    if d >= frames:
+        raise InvalidInput(f"cuboid depth {d} needs {d + 1} frames; "
+                           f"{entry.sequence_id} has {frames}")
     path = os.path.join(config.data_dir, entry.annotation)
     boxes = dataio.load_annotations(path, len(pixels))
     try:
@@ -366,13 +375,17 @@ def cmd_evaluate(config):
 # toy demixing
 
 
-def cmd_toy_sfa(config, length=2000):
-    observed, latent = synth.toy_slow_signal(length, config.seed)
+TOY_LENGTH = 2000
+
+
+def cmd_toy_sfa(config):
+    """Demix the slow latent of the ``TOY_LENGTH``-sample toy signal."""
+    observed, latent = synth.toy_slow_signal(TOY_LENGTH, config.seed)
     bank = sfa.fit_usfa([observed], pca_dim=2, k=2)
     y = sfa.apply(bank.models[0], observed)
     corr = abs(float(np.corrcoef(y[:, 0], latent)[0, 1]))
     results = {
-        "length": length,
+        "length": TOY_LENGTH,
         "seed": config.seed,
         "corr_slowest_vs_latent": corr,
         "delta_slowest": sfa.delta_value(y[:, 0]),

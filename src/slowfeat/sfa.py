@@ -160,10 +160,6 @@ class SlowFeatureModel:
     def k(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.pca.in_dim
-
 
 def apply(model: SlowFeatureModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the model on a raw vector (or rows of vectors).

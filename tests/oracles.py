@@ -189,7 +189,7 @@ def loop_reformat(data, delta_t):
 
 def _model_squared_derivatives(block, model):
     """One model's mean squared output differences on (n, d, h, w) cuboids."""
-    delta_t = model.input_dim // (block.shape[2] * block.shape[3])
+    delta_t = model.pca.in_dim // (block.shape[2] * block.shape[3])
     stacked = np.stack([loop_reformat(c, delta_t) for c in block])
     n, length, dim = stacked.shape
     y = sfa.apply(model, stacked.reshape(n * length, dim))

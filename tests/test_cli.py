@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from slowfeat import benchmark, cli, dataio, pipeline, sfa
+from slowfeat import config as config_module
 from slowfeat.config import RunConfig
 from slowfeat.errors import InvalidInput, ParseError
 
@@ -238,7 +240,8 @@ def test_constraint_suite_on_trained_bank(tmp_path):
 
 def test_cmd_toy_sfa(tmp_path):
     cfg = desk_config(tmp_path)
-    results = pipeline.cmd_toy_sfa(cfg, length=600)
+    results = pipeline.cmd_toy_sfa(cfg)
+    assert results["length"] == 2000
     assert results["corr_slowest_vs_latent"] > 0.95
     assert results["delta_slowest"] < 0.1 * results["min_channel_delta"]
     parsed = dataio.load_results(cfg.results_path)
@@ -269,8 +272,24 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert cli.main(["train", "--pca-dim", "banana"]) == 1
     assert cli.main(
-        ["toy-sfa", "--length", "600",
-         "--results-path", str(tmp_path / "toy.txt")]) == 0
+        ["toy-sfa", "--results-path", str(tmp_path / "toy.txt")]) == 0
+
+
+def test_every_subcommand_takes_config_and_one_flag_per_field():
+    # no subcommand has an option of its own: each flag is a RunConfig
+    # field, so a config file can say everything a command line can
+    expected = sorted(["-h", "--help", "--config"]
+                      + ["--" + field.replace("_", "-")
+                         for field in config_module.field_names()])
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["synth", "train", "featurize",
+                                 "fit-classifier", "evaluate", "toy-sfa"]
+    for name, parser in sub.choices.items():
+        flags = [flag for action in parser._actions
+                 for flag in action.option_strings]
+        assert all(action.option_strings for action in parser._actions)
+        assert sorted(flags) == expected, name
 
 
 def test_main_runs_synth(tmp_path):
@@ -571,6 +590,56 @@ def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
     err = fails_with_one_line(capsys, "train", cfg, tmp_path,
                               data_dir=data_dir)
     assert "no training cuboids" in err
+
+
+@pytest.mark.parametrize("flags,what", [
+    ({"cuboid_h": 33}, "cuboid 33x8x6 does not fit 32x40 frames of {}"),
+    ({"cuboid_d": 30}, "cuboid depth 30 needs 31 frames; {} has 30")],
+    ids=["too-tall", "too-deep"])
+def test_cuboid_too_large_for_the_videos_names_its_cause(
+        two_runs, tmp_path, capsys, flags, what):
+    # the run's 30-frame 32x40 videos, where a depth of 29 would fit
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    train, _ = pipeline.split_entries(entries, cfg)
+    err = fails_with_one_line(capsys, "train", cfg, tmp_path, **flags)
+    assert err == f"error: {what.format(train[0].sequence_id)}\n"
+
+
+def test_featurize_on_videos_smaller_than_the_banks_cuboid(two_runs, tmp_path,
+                                                           capsys):
+    # the bank's cuboids are 8x8; each video keeps its top 7 rows and a
+    # box that fits them
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    shutil.copytree(cfg.data_dir, data_dir)
+    entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
+    for entry in entries:
+        path = data_dir / entry.video
+        dataio.save_sequence(path, dataio.load_sequence(path)[:, :7])
+        (data_dir / entry.annotation).write_text("0 0 0 40 7\n")
+    err = fails_with_one_line(capsys, "featurize", cfg, tmp_path,
+                              data_dir=data_dir)
+    assert err == (f"error: cuboid 8x8x6 does not fit 7x40 frames of "
+                   f"{entries[0].sequence_id}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "fit-classifier", "evaluate"])
+def test_negative_manifest_label_names_the_manifest(two_runs, tmp_path,
+                                                    capsys, command):
+    # the dataset holds only its manifest: the stages read it first
+    cfg = two_runs["dsfa"]
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    manifest = data_dir / cli.MANIFEST_NAME
+    entries = cli.load_manifest(os.path.join(cfg.data_dir,
+                                             cli.MANIFEST_NAME))
+    dataio.save_manifest(manifest, [
+        e._replace(label=-1) if e.label == 0 else e for e in entries])
+    err = fails_with_one_line(capsys, command, cfg, tmp_path,
+                              data_dir=data_dir)
+    first = [e.label for e in entries].index(0) + 1
+    assert err == f"error: {manifest}: line {first}: negative label -1\n"
 
 
 @pytest.mark.parametrize("line,what", [

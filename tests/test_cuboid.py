@@ -107,48 +107,60 @@ def test_sobel_stack_bit_equals_per_frame_calls(seed, t, h, w):
     assert np.allclose(stacked, loops, atol=1e-12)
 
 
+def two_step_frames(t=3):
+    # steps of 1 (columns 3|4) and 10 (columns 8|9): interior magnitudes
+    # 4 and 40, so the threshold is a tenth of 40, exactly 4
+    f = np.zeros((7, 15))
+    f[:, 4:] = 1.0
+    f[:, 9:] = 11.0
+    return np.repeat(f[None], t, axis=0)
+
+
+def test_motion_masks_compare_strictly():
+    frames = two_step_frames()
+    magnitude = cuboid.gradient_magnitude(frames)
+    assert cuboid.default_delta(magnitude) == 4.0
+    assert (magnitude == 4.0).any()
+    masks = cuboid.motion_masks(cuboid.FrameSequence(frames))
+    assert masks.shape == frames.shape and masks.dtype == bool
+    expected = np.zeros(frames.shape, bool)
+    expected[:, 1:-1, 8:10] = True  # a magnitude of 4 is not above 4
+    assert np.array_equal(masks, expected)
+    # a still sequence has threshold 0, which no magnitude exceeds
+    still = cuboid.motion_masks(cuboid.FrameSequence(np.zeros((2, 5, 5))))
+    assert not still.any()
+
+
+def test_motion_masks_leave_the_border_unmarked():
+    frames = np.random.default_rng(4).normal(size=(3, 9, 11))
+    masks = cuboid.motion_masks(cuboid.FrameSequence(frames))
+    assert masks[:, 1:-1, 1:-1].any()
+    interior = np.zeros(frames.shape, bool)
+    interior[:, 1:-1, 1:-1] = True
+    assert not (masks & ~interior).any()
+
+
 def test_motion_masks_match_per_frame_boundaries():
+    # each frame's mask is the sequence's boundaries cleared outside
+    # that frame's box
     rng = np.random.default_rng(5)
     frames = rng.normal(size=(5, 12, 14))
     boxes = np.array([[1 + t, 2, 9 - t, 8] for t in range(5)])
-    for seq_boxes in (boxes, None):
-        seq = cuboid.FrameSequence(frames, seq_boxes)
-        delta = cuboid.default_delta(seq)
-        masks = cuboid.motion_masks(seq)
-        assert masks.shape == frames.shape and masks.dtype == bool
-        for t, m in enumerate(masks):
-            one = cuboid.motion_boundary(
-                frames[t], delta, None if seq_boxes is None else boxes[t])
-            assert np.array_equal(m, one)
+    unboxed = cuboid.motion_masks(cuboid.FrameSequence(frames))
+    masks = cuboid.motion_masks(cuboid.FrameSequence(frames, boxes))
+    assert masks.shape == frames.shape and masks.dtype == bool
+    for t, (bx, by, bw, bh) in enumerate(boxes):
+        inside = np.zeros((12, 14), bool)
+        inside[by:by + bh, bx:bx + bw] = True
+        assert np.array_equal(masks[t], unboxed[t] & inside)
+    assert masks.any() and not np.array_equal(masks, unboxed)
 
 
-def test_motion_boundary_thresholding():
-    mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0)
-    expected = np.zeros((5, 5), bool)
-    expected[1:4, 1:3] = True
-    assert mask.dtype == bool
-    assert np.array_equal(mask, expected)
-    # an infinite threshold marks nothing
-    none = cuboid.motion_boundary(step_edge_frame(), delta=np.inf)
-    assert not none.any()
-
-
-def test_motion_boundary_bbox_restriction():
-    mask = cuboid.motion_boundary(step_edge_frame(), delta=2.0,
-                                  bbox=(1, 1, 2, 2))
-    expected = np.zeros((5, 5), bool)
-    expected[1:3, 1:3] = True
-    assert np.array_equal(mask, expected)
-
-
-def test_motion_boundary_rejects_negative_delta():
+def test_motion_masks_reject_a_nan_threshold():
+    frames = two_step_frames()
+    frames[1, 3, 5] = np.nan
     with pytest.raises(InvalidInput):
-        cuboid.motion_boundary(step_edge_frame(), delta=-1.0)
-
-
-def test_motion_boundary_rejects_nan_delta():
-    with pytest.raises(InvalidInput):
-        cuboid.motion_boundary(step_edge_frame(), delta=float("nan"))
+        cuboid.motion_masks(cuboid.FrameSequence(frames))
 
 
 def test_default_delta_is_tenth_of_p99():
@@ -158,7 +170,8 @@ def test_default_delta_is_tenth_of_p99():
     mags = np.concatenate([
         oracles.loop_sobel_magnitude(f)[1:-1, 1:-1].ravel() for f in frames])
     expected = 0.1 * np.percentile(mags, 99)
-    assert abs(cuboid.default_delta(seq) - expected) < 1e-12
+    magnitude = cuboid.gradient_magnitude(seq.frames)
+    assert abs(cuboid.default_delta(magnitude) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,14 @@ def test_features_round_trip(tmp_path):
 
 def test_features_empty_round_trip(tmp_path):
     path = tmp_path / "empty.sfaf"
-    dataio.save_features(path, "none", [], label=None)
+    dataio.save_features(path, "none", [], label=0)
     seq_id, feats, label = dataio.load_features(path)
-    assert (seq_id, feats, label) == ("none", [], None)
+    assert (seq_id, feats, label) == ("none", [], 0)
+
+
+def test_features_need_a_label(tmp_path):
+    with pytest.raises(TypeError):
+        dataio.save_features(tmp_path / "f.sfaf", "x", [])
 
 
 def test_features_corrupt(tmp_path):
@@ -419,7 +424,7 @@ def test_features_mixed_widths_rejected(tmp_path):
     feats = [ASDFeature(np.ones(3), ("x", 0), True),
              ASDFeature(np.ones(4), ("x", 1), True)]
     with pytest.raises(InvalidInput):
-        dataio.save_features(tmp_path / "f.sfaf", "x", feats)
+        dataio.save_features(tmp_path / "f.sfaf", "x", feats, label=1)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +494,7 @@ def test_classifier_with_a_non_finite_parameter_is_a_format_error(
      lambda p: dataio.save_bank(p, fitted_bank("usfa")), dataio.load_bank),
     ("feature", dataio.FEATURES_MAGIC, dataio.FEATURES_VERSION,
      lambda p: dataio.save_features(
-         p, "x", [ASDFeature(np.ones(3), ("x", 0), True)]),
+         p, "x", [ASDFeature(np.ones(3), ("x", 0), True)], label=1),
      dataio.load_features),
     ("classifier", dataio.CLASSIFIER_MAGIC, dataio.CLASSIFIER_VERSION,
      lambda p: dataio.save_classifier(p, classify.LinearClassifier(
@@ -647,6 +652,19 @@ def test_results_duplicate_key_rejected(tmp_path):
     path.write_text("a = 1\na = 2\n")
     with pytest.raises(ParseError):
         dataio.load_results(path)
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+
+def test_manifest_negative_label_is_a_parse_error(tmp_path):
+    # a negative label cannot seed the split: the reader names it
+    path = tmp_path / "manifest.txt"
+    path.write_text("a 0 a.sfv a.ann\nb -1 b.sfv b.ann\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: line 2: negative label -1")):
+        dataio.load_manifest(path)
 
 
 # ---------------------------------------------------------------------------

@@ -341,14 +341,12 @@ def test_featurize_matches_per_model_oracle(strategy):
     size = (4, 4, 6)
     out = features.featurize_sequence(diff_seq, bank, size, fraction=0.5,
                                       seed=3)
-    delta = cuboid.default_delta(diff_seq)
+    masks = cuboid.motion_masks(diff_seq)
     compared = 0
     for f in out:
         start = f.snippet_span[1]
-        mask = cuboid.motion_boundary(diff_seq.frames[start], delta,
-                                      diff_seq.boxes[start])
         positions, block = oracles.loop_snippet_cuboids(
-            diff_seq.frames, mask, start, 0.5, size,
+            diff_seq.frames, masks[start], start, 0.5, size,
             np.random.SeedSequence([3, start]))
         if not len(block):  # the square rests on every other frame
             assert not f.normalized
@@ -567,8 +565,7 @@ def diff_of(seq):
 
 
 def featurize_bank(diff_seq, size=(4, 4, 4), delta_t=2):
-    masks = [cuboid.motion_boundary(f, cuboid.default_delta(diff_seq))
-             for f in diff_seq.frames]
+    masks = cuboid.motion_masks(diff_seq)
     picks = cuboid.sample_cuboids(diff_seq, masks, 0.5, size, rng_seed=0)
     block = cuboid.crop_cuboids(diff_seq.frames, *picks.T, size)
     return sfa.fit_usfa(cuboid.window_rows(block, delta_t), pca_dim=6, k=2)

@@ -154,7 +154,6 @@ def test_generated_sequence_supports_the_pipeline():
     seq, _ = synth.generate_action(synth.SynthSpec("v_bar_oscillate",
                                                    seed=8))
     diff = cuboid.frame_difference(cuboid.normalize_sequence(seq))
-    delta = cuboid.default_delta(diff)
-    masks = [cuboid.motion_boundary(f, delta) for f in diff.frames]
+    masks = cuboid.motion_masks(diff)
     cs = cuboid.sample_cuboids(diff, masks, 0.25, (8, 8, 6), rng_seed=1)
     assert len(cs) > 50
