@@ -156,6 +156,17 @@ def test_motion_masks_match_per_frame_boundaries():
     assert masks.any() and not np.array_equal(masks, unboxed)
 
 
+def test_motion_boundary_bbox_restriction():
+    # the step edge marks rows 1-3 of columns 1-2; a 2x2 box at (1, 1)
+    # keeps only rows 1-2 of them
+    frames = step_edge_frame()[None]
+    masks = cuboid.motion_masks(
+        cuboid.FrameSequence(frames, np.array([[1, 1, 2, 2]])))
+    expected = np.zeros((1, 5, 5), bool)
+    expected[0, 1:3, 1:3] = True
+    assert np.array_equal(masks, expected)
+
+
 def test_motion_masks_reject_a_nan_threshold():
     frames = two_step_frames()
     frames[1, 3, 5] = np.nan
