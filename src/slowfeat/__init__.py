@@ -7,10 +7,11 @@ derivatives of the responses into per-snippet feature vectors, and
 classify with a linear model plus majority voting.
 """
 
+import importlib
+
 from . import (
     benchmark,
     classify,
-    cli,
     config,
     cuboid,
     dataio,
@@ -21,7 +22,7 @@ from . import (
     synth,
 )
 from .config import RunConfig
-from .errors import SlowFeatError
+from .errors import NoSuchAttribute, SlowFeatError
 
 __all__ = [
     "RunConfig",
@@ -38,3 +39,11 @@ __all__ = [
     "sfa",
     "synth",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m slowfeat.cli`` runs a
+    # module the package has not imported yet
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise NoSuchAttribute(f"module {__name__!r} has no attribute {name!r}")

@@ -136,16 +136,16 @@ def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
         return out
     gx = np.zeros(f.shape[:-2] + (height - 2, width - 2))
     gy = np.zeros_like(gx)
-    tap = np.empty_like(gx)
+    # a +-1 tap adds or subtracts the pixel, a +-2 tap the doubled
+    # pixel; both are exact, so the sums are the multiplied taps' sums
+    doubled = f + f
     for dy in range(3):
         for dx in range(3):
-            kx = SOBEL_X[dy, dx]
-            ky = SOBEL_X[dx, dy]
-            patch = f[..., dy:dy + height - 2, dx:dx + width - 2]
-            if kx:
-                gx += np.multiply(patch, kx, out=tap)
-            if ky:
-                gy += np.multiply(patch, ky, out=tap)
+            for grad, k in ((gx, SOBEL_X[dy, dx]), (gy, SOBEL_X[dx, dy])):
+                if k:
+                    source = doubled if abs(k) == 2.0 else f
+                    patch = source[..., dy:dy + height - 2, dx:dx + width - 2]
+                    (np.add if k > 0 else np.subtract)(grad, patch, out=grad)
     gx *= gx
     gy *= gy
     gx += gy

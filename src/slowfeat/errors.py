@@ -9,6 +9,11 @@ class SlowFeatError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NoSuchAttribute(SlowFeatError, AttributeError):
+    """The package has no attribute of this name; an ``AttributeError``
+    too, as a module's ``__getattr__`` must raise."""
+
+
 # linear algebra
 
 class InvalidMatrix(SlowFeatError):

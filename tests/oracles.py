@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way and kept
 separate from the package code paths: the Jacobi eigensolver below never
 calls LAPACK, the covariance oracle uses explicit Python loops, and the
-Sobel oracle walks pixels one by one.  The per-model feature oracle is
+Sobel oracle walks pixels one by one; ``tap_loop_gradient_magnitude``
+is the stacked Sobel pass the package used before it added and
+subtracted its taps instead of multiplying them.  The per-model feature oracle is
 the evaluation the package used before banks were evaluated in one
 pass: every model reformats, projects and expands the cuboids itself,
 one cuboid at a time.  ``scores``/``predict`` are the per-row dot
@@ -11,7 +13,10 @@ products the package's classifier once exposed for single features.
 The Pegasos oracle is the classifier loop the package used before steps
 were taken in blocks: one shrink and one update of the (C, D) iterate
 per step, and the iterate added to a running sum at every step;
-``hinge_objective`` is the objective it minimizes.  ``centered_pca`` is
+``stepwise_blocked_pegasos`` is the blocked loop the package used
+before a block's steps were solved in rounds: the same blocks, state
+and sums, with one vector-matrix product per step.
+``hinge_objective`` is the objective both minimize.  ``centered_pca`` is
 PCA as the package fitted it before covariances came from merged
 moments: from one centered copy of all the rows.
 Tests compare package output against these.
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from slowfeat import classify, linalg, sfa
+from slowfeat import classify, cuboid, linalg, sfa
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -133,6 +138,33 @@ def loop_sobel_magnitude(frame):
                     gx += kx[dy + 1][dx + 1] * f[y + dy, x + dx]
                     gy += kx[dx + 1][dy + 1] * f[y + dy, x + dx]
             out[y, x] = math.hypot(gx, gy)
+    return out
+
+
+def tap_loop_gradient_magnitude(frames):
+    """``cuboid.gradient_magnitude`` as it multiplied every nonzero
+    Sobel tap into a buffer before adding it, taps in (dy, dx) order."""
+    f = np.asarray(frames, dtype=float)
+    out = np.zeros_like(f)
+    height, width = f.shape[-2:]
+    if height < 3 or width < 3:
+        return out
+    gx = np.zeros(f.shape[:-2] + (height - 2, width - 2))
+    gy = np.zeros_like(gx)
+    tap = np.empty_like(gx)
+    for dy in range(3):
+        for dx in range(3):
+            kx = cuboid.SOBEL_X[dy, dx]
+            ky = cuboid.SOBEL_X[dx, dy]
+            patch = f[..., dy:dy + height - 2, dx:dx + width - 2]
+            if kx:
+                gx += np.multiply(patch, kx, out=tap)
+            if ky:
+                gy += np.multiply(patch, ky, out=tap)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    np.sqrt(gx, out=out[..., 1:-1, 1:-1])
     return out
 
 
@@ -274,6 +306,59 @@ def per_step_pegasos(features, labels, reg, epochs, seed):
             w_sum += w
             b_sum += b
     return classify.LinearClassifier(w_sum / t, b_sum / t,
+                                     tuple(classes.tolist()))
+
+
+def stepwise_blocked_pegasos(features, labels, reg, epochs, seed):
+    """``classify.train_linear``'s blocks with their steps made one at a
+    time: each step's margin is one vector-matrix product over the
+    block's Gram row and its block-start margin."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    n, dim = x.shape
+    c = classes.size
+    signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)
+    total = n * epochs
+    tails = np.cumsum(1.0 / np.arange(total, 0.0, -1.0))[::-1]
+
+    rng = np.random.default_rng(seed)
+    state = np.zeros((c, dim + 1))
+    w_sum = np.zeros((c, dim + 1))
+    b_sum = np.zeros(c)
+    for epoch in range(epochs):
+        t = np.arange(epoch * n + 1.0, (epoch + 1) * n + 1.0)
+        limits = (reg * np.maximum(t - 1.0, 1.0)).tolist()
+        bias_weights = (total + 1.0 - t) / t
+        epoch_tails = tails[epoch * n:(epoch + 1) * n]
+        order = rng.permutation(n)
+        for lo in range(0, n, classify._BLOCK):
+            rows = order[lo:lo + classify._BLOCK]
+            m = rows.size
+            steps = slice(lo, lo + m)
+            probe = np.empty((m, dim + 1))          # [x | t - 1]
+            probe[:, :dim] = x[rows]
+            probe[:, dim] = t[steps] - 1.0
+            update = probe.copy()                   # [x | 1 / t]
+            update[:, dim] = 1.0 / t[steps]
+            # row j of mixed @ z is step j's margin: the Gram row
+            # picks up the block's earlier steps, which z holds in its
+            # first m rows, and the identity its margin at block start
+            mixed = np.empty((m, 2 * m))
+            np.matmul(probe, update.T, out=mixed[:, :m])
+            mixed[:, m:] = np.eye(m)
+            z = np.empty((2 * m, c))
+            z[:m] = 0.0
+            np.matmul(probe, state.T, out=z[m:])
+            g = z[:m]
+            for row, s, limit, gj in zip(mixed, signs[rows], limits[steps],
+                                         g):
+                np.multiply(s, s * (row @ z) < limit, out=gj)
+            state += g.T @ update
+            w_sum += (g * epoch_tails[steps, None]).T @ update
+            b_sum += g.T @ bias_weights[steps]
+    scale = reg * total
+    return classify.LinearClassifier(w_sum[:, :dim] / scale, b_sum / scale,
                                      tuple(classes.tolist()))
 
 

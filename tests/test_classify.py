@@ -128,6 +128,10 @@ def assert_matches_per_step(x, y, reg=classify.DEFAULT_REG,
     assert np.abs(clf.weights - ref.weights).max() <= 1e-10 * scale
     scale = scale or np.abs(ref.biases).max()
     assert np.abs(clf.biases - ref.biases).max() <= 1e-10 * scale
+    # the rounds make the step loop's decisions on the same state
+    blocked = oracles.stepwise_blocked_pegasos(x, y, reg, epochs, seed)
+    assert clf.weights.tobytes() == blocked.weights.tobytes()
+    assert clf.biases.tobytes() == blocked.biases.tobytes()
 
 
 def l1_normalized(n, dim, classes, seed):
@@ -189,6 +193,15 @@ def test_blocked_matches_per_step_around_block_size(n):
 def test_blocked_matches_per_step_in_one_epoch():
     x, y = l1_normalized(200, 10, 4, 11)
     assert_matches_per_step(x, y, reg=1e-3, epochs=1, seed=3)
+
+
+def test_blocked_matches_per_step_when_guesses_keep_failing():
+    # one long row with alternating labels: a step moves the next
+    # step's margin by far more than the limit, so the block-start
+    # guesses keep failing (about 10 rounds a block, not 3)
+    x = np.tile(np.array([[60.0, -30.0, 10.0]]), (2 * classify._BLOCK, 1))
+    y = np.arange(2 * classify._BLOCK) % 2
+    assert_matches_per_step(x, y, reg=10.0, epochs=5, seed=4)
 
 
 # ---------------------------------------------------------------------------

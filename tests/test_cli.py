@@ -4,6 +4,8 @@ import inspect
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from slowfeat import benchmark, cli, dataio, pipeline, sfa
 from slowfeat import config as config_module
 from slowfeat.config import RunConfig
-from slowfeat.errors import InvalidInput, ParseError
+from slowfeat.errors import InvalidInput, ParseError, SlowFeatError
 
 
 def desk_config(tmp_path, **overrides):
@@ -273,6 +275,28 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["train", "--pca-dim", "banana"]) == 1
     assert cli.main(
         ["toy-sfa", "--results-path", str(tmp_path / "toy.txt")]) == 0
+
+
+def test_module_run_fails_with_one_line(tmp_path):
+    # python -m slowfeat.cli must not find the module already imported
+    # by the package, or runpy warns on stderr before the error line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "slowfeat.cli", "train",
+         "--data-dir", str(tmp_path / "nope")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+def test_package_loads_cli_on_first_use():
+    import slowfeat
+    assert slowfeat.cli is cli
+    assert not hasattr(slowfeat, "nope")
+    with pytest.raises(SlowFeatError, match="no attribute 'nope'"):
+        slowfeat.nope
 
 
 def test_every_subcommand_takes_config_and_one_flag_per_field():

@@ -107,6 +107,30 @@ def test_sobel_stack_bit_equals_per_frame_calls(seed, t, h, w):
     assert np.allclose(stacked, loops, atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(SEED, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=9))
+def test_sobel_bit_equals_the_multiplied_taps(seed, t, h, w):
+    # adding and subtracting the taps gives the multiplied taps' bits,
+    # also on infinities, NaNs and zeros of either sign
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(t, h, w))
+    special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308])
+    spots = rng.random(frames.shape) < 0.2
+    frames[spots] = rng.choice(special, size=int(spots.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stack in (frames, frames[0]):
+            assert (cuboid.gradient_magnitude(stack).tobytes()
+                    == oracles.tap_loop_gradient_magnitude(stack).tobytes())
+
+
+def test_sobel_bit_equals_the_multiplied_taps_on_a_desk_sized_stack():
+    frames = np.random.default_rng(5).normal(size=(59, 48, 64))
+    assert (cuboid.gradient_magnitude(frames).tobytes()
+            == oracles.tap_loop_gradient_magnitude(frames).tobytes())
+
+
 def two_step_frames(t=3):
     # steps of 1 (columns 3|4) and 10 (columns 8|9): interior magnitudes
     # 4 and 40, so the threshold is a tenth of 40, exactly 4
