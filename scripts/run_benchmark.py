@@ -18,7 +18,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from slowfeat import benchmark
+from slowfeat import benchmark, sfa
 
 
 def _seed_count(text):
@@ -28,30 +28,38 @@ def _seed_count(text):
     return count
 
 
+def _strategy_list(text):
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names or not set(names) <= set(sfa.STRATEGIES):
+        raise argparse.ArgumentTypeError(
+            f"need one or more of {', '.join(sfa.STRATEGIES)}, got {text!r}")
+    return names
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seed_count, default=5,
                         help="number of seeds, 0..N-1 (default 5)")
     parser.add_argument("--workdir", default=None,
                         help="where runs are written (default: temp dir)")
-    parser.add_argument("--strategies", default="dsfa,ssfa",
+    parser.add_argument("--strategies", type=_strategy_list,
+                        default="dsfa,ssfa",
                         help="comma-separated strategy list")
     parser.add_argument("--no-baseline", action="store_true",
                         help="skip the raw-pixel PCA baseline")
     args = parser.parse_args(argv)
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="slowfeat-bench-")
-    strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
 
     rows = []
     for seed in range(args.seeds):
         out = benchmark.run_benchmark(seed, f"{workdir}/seed{seed}",
-                                      strategies=strategies,
+                                      strategies=args.strategies,
                                       baseline=not args.no_baseline)
         rows.append((seed, out))
 
     header = ["seed"]
-    for name in strategies:
+    for name in args.strategies:
         header += [f"{name} acc", f"{name} sel"]
     if not args.no_baseline:
         header.append("baseline acc")
@@ -60,7 +68,7 @@ def main(argv=None):
     sums = [0.0] * (len(header) - 1)
     for seed, out in rows:
         cells = []
-        for name in strategies:
+        for name in args.strategies:
             res = out["strategies"][name]
             cells.append(res["sequence_accuracy"])
             cells.append(res.get("average_selectivity", float("nan")))

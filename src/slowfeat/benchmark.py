@@ -89,14 +89,13 @@ def run_strategy(config):
     return pipeline.cmd_evaluate(config)
 
 
-def run_benchmark(seed, workdir, strategies=("dsfa",), baseline=True,
-                  **overrides):
+def run_benchmark(seed, workdir, strategies=("dsfa",), baseline=True):
     """One seeded benchmark run; strategies share the same dataset.
 
     Returns ``{"configs": {name: RunConfig}, "strategies": {name:
     results dict}, "baseline": results dict | None}``.
     """
-    base = bench_config(seed, workdir, strategy=strategies[0], **overrides)
+    base = bench_config(seed, workdir, strategy=strategies[0])
     pipeline.cmd_synth(base)
     out = {"configs": {}, "strategies": {}, "baseline": None}
     for name in strategies:

@@ -6,8 +6,8 @@ stochastic subgradient steps with step size 1/(reg t), the returned
 model being the mean of all iterates, which keeps training fully
 deterministic and self-contained.  ``train_linear`` states the exact
 update and how it is computed: in blocks of steps with a few matrix
-products each, a block's steps solved in guess-and-verify rounds of
-one small product, at most one round per step.  Evaluation helpers
+products each, a block's steps being the fixed point of one small
+product, iterated from a guess.  Evaluation helpers
 cover majority voting over per-snippet labels, frame accuracy,
 confusion matrices and Fisher scores; the class selectivity of ASD
 features is ``features.selectivity``.
@@ -31,7 +31,7 @@ DEFAULT_REG = 1.0
 DEFAULT_EPOCHS = 50
 _FISHER_EPS = 1e-12
 # Pegasos steps per block: a block costs a few matrix products and at
-# most one round (a small product and a threshold) per step
+# most one iteration (a small product and a threshold) per step
 _BLOCK = 24
 # the entries of a block's Gram matrix that do not pair a step with an
 # earlier one: the diagonal and above
@@ -106,16 +106,16 @@ def train_linear(features, labels, reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS,
     every block step's margin against the state at block start, one the
     block's Gram matrix, through which the steps made earlier in the
     block enter, and one product per block adds the recorded steps
-    g = a s to the state.  A block's steps are solved in rounds, each
-    g first guessed from its block-start margin.  A round computes the
-    margins of all steps not yet confirmed in one product, the strictly
-    lower Gram block times the current guesses plus the block-start
-    margins, and confirms every step up to and including the first
-    wrong guess; the later steps take the new values as their next
-    guesses.  Every round confirms a step, so a block takes at most
-    ``_BLOCK`` rounds (about 3 on the benchmark inputs).  The margins
-    feed only the decisions, so the steps are the one-at-a-time loop's
-    unless a margin lies within rounding of its limit.
+    g = a s to the state.  A block's steps are the fixed point of one
+    map: every step's margin is its block-start margin plus the strictly
+    lower Gram block times the steps, and its g the threshold of that.
+    Iterated from the guesses that the block-start margins give, each
+    product makes one more leading step final, since row j of the
+    strictly lower block reads only the steps before j; so the fixed
+    point is unique and is reached in at most ``_BLOCK`` products
+    (about 3 on the benchmark inputs).  The margins feed only the
+    decisions, so the steps are the one-at-a-time loop's unless a
+    margin lies within rounding of its limit.
 
     The means follow from the recorded steps: step k adds
     g_k x_k / reg to every later v_t, so
@@ -164,18 +164,14 @@ def train_linear(features, labels, reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS,
             start = probe @ state.T
             s = signs[rows]
             limit = limits[steps, None]
-            # guess each step from its block-start margin; a round
-            # recomputes the unconfirmed steps against the guesses and
-            # confirms them up to and including the first wrong guess
+            # iterate from the block-start guesses to the fixed point;
+            # each product makes one more leading step final
             g = s * (s * start < limit)
-            done = 0
-            while done < m:
-                rest = slice(done, m)
-                new = s[rest] * (s[rest] * (gram[rest] @ g + start[rest])
-                                 < limit[rest])
-                wrong = np.flatnonzero(new != g[rest])
-                g[rest] = new
-                done = done + int(wrong[0]) // c + 1 if wrong.size else m
+            while True:
+                new = s * (s * (gram @ g + start) < limit)
+                if (new == g).all():
+                    break
+                g = new
             state += g.T @ update
             w_sum += (g * epoch_tails[steps, None]).T @ update
             b_sum += g.T @ bias_weights[steps]

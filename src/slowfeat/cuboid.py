@@ -297,7 +297,8 @@ class LazyCuboids:
     ``crop_cuboids`` cuts from each sequence's ``frame_difference`` of
     its ``normalize_sequence``, bit for bit, but cuts only the picks
     asked for.  ``windows(delta_t)`` reads the same set as its
-    (n, length, dim) ``window_rows``, minisequences for ``sfa`` to fit.
+    (n, length, dim) ``window_rows``, minisequences for ``sfa`` to fit;
+    each read is a read-only view of the cuboids it cut.
     There is no conversion to an array: ``[:]`` cuts every pick.
     """
 
@@ -338,7 +339,7 @@ class LazyCuboids:
             block[mine] = frames[:, 1:] - frames[:, :-1]
         if self.delta_t is None:
             return block
-        return np.ascontiguousarray(window_rows(block, self.delta_t))
+        return window_rows(block, self.delta_t)
 
 
 def region_label(pos, bbox, grid):

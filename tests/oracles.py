@@ -14,8 +14,8 @@ The Pegasos oracle is the classifier loop the package used before steps
 were taken in blocks: one shrink and one update of the (C, D) iterate
 per step, and the iterate added to a running sum at every step;
 ``stepwise_blocked_pegasos`` is the blocked loop the package used
-before a block's steps were solved in rounds: the same blocks, state
-and sums, with one vector-matrix product per step.
+before a block's steps were solved as a fixed point: the same blocks,
+state and sums, with one vector-matrix product per step.
 ``hinge_objective`` is the objective both minimize.  ``centered_pca`` is
 PCA as the package fitted it before covariances came from merged
 moments: from one centered copy of all the rows.

@@ -204,6 +204,36 @@ def test_blocked_matches_per_step_when_guesses_keep_failing():
     assert_matches_per_step(x, y, reg=10.0, epochs=5, seed=4)
 
 
+@st.composite
+def small_training_sets(draw):
+    # rows drawn from a pool smaller than n repeat, and each copy draws
+    # its own label, so repeated rows carry conflicting labels
+    n = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 5))
+    value = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, classes - 1),
+                           min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    return np.array(pool)[picks], np.array(labels)
+
+
+@given(small_training_sets(), st.sampled_from([1e-3, 1.0, 10.0]),
+       st.integers(1, 3), st.integers(0, 2 ** 16))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_blocked_bit_equals_the_step_loop_on_small_inputs(data, reg, epochs,
+                                                          seed):
+    x, y = data
+    clf = classify.train_linear(x, y, reg=reg, epochs=epochs, seed=seed)
+    blocked = oracles.stepwise_blocked_pegasos(x, y, reg, epochs, seed)
+    assert clf.weights.tobytes() == blocked.weights.tobytes()
+    assert clf.biases.tobytes() == blocked.biases.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # prediction
 

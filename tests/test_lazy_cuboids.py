@@ -71,7 +71,6 @@ def test_indexing_reads_like_the_materialized_array(training_sets):
     rows = cuboid.window_rows(whole, config.delta_t)
     assert windows.shape == rows.shape
     assert windows[order].tobytes() == rows[order].tobytes()
-    assert windows[order].flags.c_contiguous
     assert windows[[]].shape == (0,) + rows.shape[1:]
     with pytest.raises(InvalidDelta):
         data.windows(config.cuboid_d + 1)

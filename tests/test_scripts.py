@@ -24,6 +24,17 @@ def test_run_benchmark_rejects_fewer_than_one_seed(capsys):
     assert "--seeds: must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", ["foo", "dsfa,foo", ",", ""])
+def test_run_benchmark_rejects_a_strategy_list_it_cannot_run(capsys, names):
+    # a list that names no strategy, or one the package lacks, is a
+    # usage error, caught before any dataset is written
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--strategies", names, "--no-baseline"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--strategies: need one or more of usfa, ssfa, dsfa, sdsfa" in err
+
+
 def test_run_benchmark_imports_the_checkouts_own_package(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, SCRIPT, "--help"], cwd=tmp_path,
