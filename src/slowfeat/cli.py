@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][0](config_from_args(args))
-    except (SlowFeatError, OSError, ValueError) as exc:
+    except (SlowFeatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -75,6 +75,8 @@ class RunConfig:
             raise InvalidInput("gamma must be >= 0")
         if self.noise_sigma < 0:
             raise InvalidInput("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if self.max_cuboids is not None and self.max_cuboids < 1:
             raise InvalidInput("max_cuboids must be >= 1")
         if self.reg <= 0:

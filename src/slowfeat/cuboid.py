@@ -1,14 +1,15 @@
 """Frame sequences, motion boundaries and space-time cuboid sampling.
 
 The raw representation is a stack of grayscale frames.  A sequence is
-normalized to zero mean and unit variance over all pixels, turned into
-frame differences, and a 3x3 Sobel magnitude over each difference frame
-marks motion boundary pixels where it exceeds ``default_delta``, a tenth
-of the sequence's 99th-percentile interior magnitude.  ``motion_masks``
-is the one route from a difference sequence to its boundaries; the
-threshold is never the caller's to choose.  Cuboids of size
-h x w x d are cut around sampled boundary pixels, then read as
-short vector sequences by sliding a window of ``delta_t`` frames.
+normalized to zero mean and unit variance over all pixels and turned
+into frame differences by one routine, ``normalized_differences``.  A
+3x3 Sobel magnitude over each difference frame marks motion boundary
+pixels where it exceeds ``default_delta``, a tenth of the sequence's
+99th-percentile interior magnitude.  ``motion_masks`` is the one route
+from a difference sequence to its boundaries; the threshold is never
+the caller's to choose.  Cuboids of size h x w x d are cut around
+sampled boundary pixels, then read as short vector sequences by
+sliding a window of ``delta_t`` frames.
 
 There are no per-cuboid or mask objects: ``motion_masks`` returns one
 (T, H, W) bool array, the sampler returns the (n, 3) array of picked
@@ -16,8 +17,7 @@ There are no per-cuboid or mask objects: ``motion_masks`` returns one
 (n, d, h, w) array, ``window_rows`` views that array as minisequences
 and ``region_label`` labels whole arrays of positions at once.
 ``LazyCuboids`` holds a training set as raw pixels and picks, and cuts
-only the cuboids a read asks for, to the bits ``crop_cuboids`` gives on
-the normalized differences.
+only the cuboids a read asks for, through that same routine.
 
 Coordinates follow image convention: ``x`` is the column, ``y`` the
 row.  A cuboid's origin is its spatial center and first frame; its
@@ -89,7 +89,7 @@ class FrameSequence:
 
 def normalization(frames):
     """The ``(mean, std)`` over every pixel of every frame by which
-    ``normalize_sequence`` scales a sequence.  A constant sequence
+    ``normalized_differences`` scales a sequence.  A constant sequence
     cannot be normalized.
     """
     frames = np.asarray(frames, dtype=float)
@@ -99,25 +99,28 @@ def normalization(frames):
     return frames.mean(), std
 
 
-def normalize_sequence(seq: FrameSequence) -> FrameSequence:
-    """Scale the whole sequence to zero mean and unit variance, by its
-    ``normalization``."""
-    frames = np.asarray(seq.frames, dtype=float)
-    mean, std = normalization(frames)
-    return FrameSequence((frames - mean) / std, seq.boxes)
+def normalized_differences(frames, mean, std) -> np.ndarray:
+    """Forward differences of the frames scaled to zero mean and unit
+    variance by ``(mean, std)``: ``out[t] = in[t + 1] - in[t]`` after
+    ``(frames - mean) / std``, one frame less.
 
-
-def frame_difference(seq: FrameSequence) -> FrameSequence:
-    """Forward frame differences: out[t] = in[t+1] - in[t].
-
-    The result has one frame less; difference frame t inherits the box
-    of frame t.
+    Takes a raw or float (T, H, W) sequence or (n, T, h, w) stack of
+    cuboid frames alike, differencing along the frame axis.  It is the
+    only code that does this arithmetic, so a cuboid cut from a
+    sequence's differences and one differenced from its own d + 1
+    frames of pixels agree bit for bit.
     """
+    return np.diff((frames - mean) / std, axis=-3)
+
+
+def difference_sequence(seq: FrameSequence) -> FrameSequence:
+    """The sequence's ``normalized_differences`` by its own
+    ``normalization``; difference frame t keeps the box of frame t."""
     if seq.num_frames < 2:
-        raise TooShort("frame_difference needs at least 2 frames")
-    frames = np.asarray(seq.frames, dtype=float)
+        raise TooShort("frame differences need at least 2 frames")
     boxes = None if seq.boxes is None else np.asarray(seq.boxes)[:-1]
-    return FrameSequence(frames[1:] - frames[:-1], boxes)
+    return FrameSequence(
+        normalized_differences(seq.frames, *normalization(seq.frames)), boxes)
 
 
 def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
@@ -292,11 +295,12 @@ class LazyCuboids:
     ``pixels`` holds each sequence's raw (T, H, W) frames, ``norms`` its
     ``normalization`` as one (mean, std) row, and ``picks`` is the
     (n, 4) int array of cuboid origins as (sequence, t, y, x) rows;
-    ``size`` is (h, w, d).  Indexed by an integer, a slice, an index
-    array or a bool mask, the set reads like the (n, d, h, w) array that
-    ``crop_cuboids`` cuts from each sequence's ``frame_difference`` of
-    its ``normalize_sequence``, bit for bit, but cuts only the picks
-    asked for.  ``windows(delta_t)`` reads the same set as its
+    ``size`` is (h, w, d).  Indexed by a slice, an index array or a
+    bool mask, the set reads like the (n, d, h, w) array that
+    ``crop_cuboids`` cuts from each sequence's ``difference_sequence``,
+    bit for bit, as each cuboid's d + 1 frames of pixels go through the
+    same ``normalized_differences``, but cuts only the picks asked for.
+    ``windows(delta_t)`` reads the same set as its
     (n, length, dim) ``window_rows``, minisequences for ``sfa`` to fit;
     each read is a read-only view of the cuboids it cut.
     There is no conversion to an array: ``[:]`` cuts every pick.
@@ -325,18 +329,13 @@ class LazyCuboids:
 
     def __getitem__(self, index) -> np.ndarray:
         picks = self.picks[index]
-        if picks.ndim == 1:  # one cuboid
-            return self[[index]][0]
         h, w, d = self.size
         block = np.empty((len(picks), d, h, w))
         for s in np.unique(picks[:, 0]):
             mine = picks[:, 0] == s
-            mean, std = self.norms[s]
-            # the element-wise steps of normalize_sequence and then
-            # frame_difference, on each cuboid's d + 1 frames of pixels
-            frames = (crop_cuboids(self.pixels[s], *picks[mine, 1:].T,
-                                   (h, w, d + 1)) - mean) / std
-            block[mine] = frames[:, 1:] - frames[:, :-1]
+            block[mine] = normalized_differences(
+                crop_cuboids(self.pixels[s], *picks[mine, 1:].T,
+                             (h, w, d + 1)), *self.norms[s])
         if self.delta_t is None:
             return block
         return window_rows(block, self.delta_t)

@@ -129,8 +129,6 @@ def bank_squared_derivatives(block, bank: ModelBank,
         width = bank.k_total // n_regions
         groups = [(labels == r, slice(r * width, (r + 1) * width))
                   for r in range(n_regions)]
-    if n == 0:
-        return np.zeros((0, bank.k_total))
     rows = window_rows(block, delta_t)
     length = rows.shape[1]
     dh = np.diff(project_and_expand(bank.pca, rows), axis=1)

@@ -4,7 +4,11 @@ All routines operate on float64 numpy arrays.  Matrices passed to the
 eigensolvers must be square, finite and symmetric.  ``sequence_moments``
 is the one moment routine: it takes one ``(n, length, dim)`` array of
 minisequences and gives their mean, covariance and derivative
-covariance, exactly symmetric by construction.  ``merge_moments``
+covariance as the Gram products ``z.T @ z / count`` that numpy
+returns, exactly symmetric: numpy computes an array's transpose times
+that array as one BLAS ``syrk``, which fills one triangle and copies
+it into the other, and its loop without BLAS sums the same products in
+the same order for entries (i, j) and (j, i).  ``merge_moments``
 combines the moments of disjoint sets into those of their union by the
 pairwise update of Chan, Golub and LeVeque (1979), in place on
 unnormalized sums, so a large set is taken in chunks with one chunk in
@@ -279,7 +283,8 @@ def sequence_moments(minisequences):
     the centered rows, and ``a`` is the mean outer product of the
     ``count_a = n * (length - 1)`` forward differences inside each
     minisequence (unit time step; ``a`` is zero when length is 1).
-    Both matrices are exactly symmetric.  Moments of disjoint sets,
+    Both matrices are Gram products, exactly symmetric as they come
+    from numpy (see the module docstring).  Moments of disjoint sets,
     such as the chunks of one set, combine with ``merge_moments``.
     """
     x = as_minisequences(minisequences)
@@ -290,13 +295,13 @@ def sequence_moments(minisequences):
     mean = rows.mean(axis=0)
     count_b = n * length
     z = rows - mean
-    b = _symmetrize(z.T @ z / count_b)
+    b = z.T @ z / count_b
     del z
 
     dz = np.diff(x, axis=1).reshape(-1, dim)
     count_a = n * (length - 1)
     if count_a:
-        a = _symmetrize(dz.T @ dz / count_a)
+        a = dz.T @ dz / count_a
     else:
         a = np.zeros((dim, dim))
     return mean, b, a, count_b, count_a

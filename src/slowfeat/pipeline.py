@@ -115,7 +115,7 @@ def cmd_synth(config):
             sequence_id = f"c{c}s{i:02d}"
             video, annotation = sequence_id + ".sfv", sequence_id + ".ann"
             dataio.save_sequence(os.path.join(config.data_dir, video),
-                                 seq.frames.astype(np.uint8))
+                                 seq.frames)
             dataio.save_annotations(
                 os.path.join(config.data_dir, annotation), seq.boxes)
             entries.append(dataio.Entry(sequence_id, label, video,
@@ -147,12 +147,6 @@ def _entry_sequence(config, entry) -> cuboid.FrameSequence:
         raise InvalidInput(f"{path}: {exc}") from None
 
 
-def _entry_diff(config, entry) -> cuboid.FrameSequence:
-    """The entry's normalized frame-difference sequence, with its boxes."""
-    return cuboid.frame_difference(
-        cuboid.normalize_sequence(_entry_sequence(config, entry)))
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -173,7 +167,7 @@ def _training_cuboids(config, entries, train) -> TrainingCuboids:
     pixels, norms, picks, labels, regions = [], [], [], [], []
     for s, entry in enumerate(train):
         seq = _entry_sequence(config, entry)
-        diff = cuboid.frame_difference(cuboid.normalize_sequence(seq))
+        diff = cuboid.difference_sequence(seq)
         masks = cuboid.motion_masks(diff)
         origins = cuboid.sample_cuboids(
             diff, masks, config.fraction, config.cuboid_size,
@@ -245,8 +239,8 @@ def cmd_featurize(config):
         total = 0
         for idx, entry in enumerate(entries):
             feats = features.featurize_sequence(
-                _entry_diff(config, entry), bank, config.cuboid_size,
-                config.fraction,
+                cuboid.difference_sequence(_entry_sequence(config, entry)),
+                bank, config.cuboid_size, config.fraction,
                 seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
                 stride=config.stride, sequence_id=entry.sequence_id)
             dataio.save_features(

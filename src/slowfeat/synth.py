@@ -170,11 +170,10 @@ def render_action(spec: SynthSpec) -> np.ndarray:
 
 
 def generate_action(spec: SynthSpec):
-    """Render a spec into a FrameSequence with full-frame boxes.
+    """Render a spec into a FrameSequence of its uint8 frames with
+    full-frame boxes.
 
     Returns (sequence, class_label); the label is the kind's index.
     """
-    pixels = render_action(spec)
     boxes = np.tile([0, 0, spec.width, spec.height], (spec.frames, 1))
-    seq = FrameSequence(pixels.astype(float), boxes)
-    return seq, KINDS.index(spec.kind)
+    return FrameSequence(render_action(spec), boxes), KINDS.index(spec.kind)

@@ -277,6 +277,30 @@ def test_main_exit_codes(tmp_path, capsys):
         ["toy-sfa", "--results-path", str(tmp_path / "toy.txt")]) == 0
 
 
+def test_negative_seed_fails_naming_the_field(tmp_path, capsys):
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        RunConfig(seed=-1)
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--seed", "-1", "--data-dir", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_memory_error_ends_in_one_line(monkeypatch, capsys):
+    # a stage that runs out of memory, as a train whose expansion
+    # needs a 48.4 GiB matrix would; nothing is allocated here
+    def train(config):
+        raise MemoryError("Unable to allocate 48.4 GiB for an array with "
+                          "shape (80600, 80600) and data type float64")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", (train, "fit"))
+    assert cli.main(["train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 48.4 GiB")
+    assert len(err.splitlines()) == 1
+
+
 def test_module_run_fails_with_one_line(tmp_path):
     # python -m slowfeat.cli must not find the module already imported
     # by the package, or runpy warns on stderr before the error line

