@@ -20,6 +20,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from slowfeat import benchmark, sfa
 
+# Outputs are byte-for-byte reproducible only at one BLAS thread count;
+# with both unset, OpenBLAS uses one thread per core.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _seed_count(text):
     count = int(text)
@@ -64,6 +68,8 @@ def main(argv=None):
     if not args.no_baseline:
         header.append("baseline acc")
     print()
+    for name in THREAD_VARIABLES:
+        print(f"{name}={os.environ.get(name, '(unset)')}")
     print("  ".join(f"{h:>12}" for h in header))
     sums = [0.0] * (len(header) - 1)
     for seed, out in rows:

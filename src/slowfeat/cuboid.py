@@ -55,10 +55,11 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """A (T, H, W) stack of frames with optional per-frame boxes.
+    """A (T, H, W) stack of frames with one box per frame.
 
     ``boxes`` rows are (x, y, w, h) in pixels, each fully inside the
-    frame.  Frames may be uint8 (raw) or float (normalized/differenced).
+    frame; without boxes, every frame's box is the whole frame.  Frames
+    may be uint8 (raw) or float (normalized/differenced).
     """
 
     frames: np.ndarray
@@ -68,19 +69,20 @@ class FrameSequence:
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise InvalidDimension(
                 f"frames must be (T, H, W) with T >= 1, got {self.frames.shape}")
-        if self.boxes is not None:
-            t, h, w = self.frames.shape
-            boxes = np.asarray(self.boxes)
-            if boxes.shape != (t, 4):
-                raise InvalidDimension(
-                    f"boxes must be ({t}, 4), got {boxes.shape}")
-            bx, by, bw, bh = boxes.T
-            bad = (bw < 1) | (bh < 1) | (bx < 0) | (by < 0) \
-                | (bx + bw > w) | (by + bh > h)
-            if bad.any():
-                raise InvalidInput(
-                    f"the box of frame {int(np.argmax(bad))} falls outside "
-                    f"the {h}x{w} frame")
+        t, h, w = self.frames.shape
+        boxes = np.asarray(np.tile([0, 0, w, h], (t, 1))
+                           if self.boxes is None else self.boxes)
+        object.__setattr__(self, "boxes", boxes)
+        if boxes.shape != (t, 4):
+            raise InvalidDimension(
+                f"boxes must be ({t}, 4), got {boxes.shape}")
+        bx, by, bw, bh = boxes.T
+        bad = (bw < 1) | (bh < 1) | (bx < 0) | (by < 0) \
+            | (bx + bw > w) | (by + bh > h)
+        if bad.any():
+            raise InvalidInput(
+                f"the box of frame {int(np.argmax(bad))} falls outside "
+                f"the {h}x{w} frame")
 
     @property
     def num_frames(self) -> int:
@@ -118,9 +120,9 @@ def difference_sequence(seq: FrameSequence) -> FrameSequence:
     ``normalization``; difference frame t keeps the box of frame t."""
     if seq.num_frames < 2:
         raise TooShort("frame differences need at least 2 frames")
-    boxes = None if seq.boxes is None else np.asarray(seq.boxes)[:-1]
     return FrameSequence(
-        normalized_differences(seq.frames, *normalization(seq.frames)), boxes)
+        normalized_differences(seq.frames, *normalization(seq.frames)),
+        seq.boxes[:-1])
 
 
 def gradient_magnitude(frames: np.ndarray) -> np.ndarray:
@@ -176,21 +178,18 @@ def motion_masks(diff_seq: FrameSequence) -> np.ndarray:
     ``gradient_magnitude`` is strictly above the sequence's
     ``default_delta``; border pixels, where the kernel does not fit,
     stay unmarked, and each frame's mask is cleared outside that
-    frame's (x, y, w, h) box when the sequence has boxes.  Non-finite
-    frames can give a threshold that is not a number >= 0, which raises
-    ``InvalidInput``.
+    frame's (x, y, w, h) box.  Non-finite frames can give a threshold
+    that is not a number >= 0, which raises ``InvalidInput``.
     """
     magnitude = gradient_magnitude(diff_seq.frames)
     delta = default_delta(magnitude)
     if not delta >= 0:
         raise InvalidInput(f"motion threshold must be >= 0, got {delta}")
     mask = magnitude > delta
-    if diff_seq.boxes is not None:
-        inside = np.zeros_like(mask)
-        for t, (bx, by, bw, bh) in enumerate(
-                np.asarray(diff_seq.boxes, dtype=int)):
-            inside[t, by:by + bh, bx:bx + bw] = True
-        mask &= inside
+    inside = np.zeros_like(mask)
+    for t, (bx, by, bw, bh) in enumerate(diff_seq.boxes.astype(int)):
+        inside[t, by:by + bh, bx:bx + bw] = True
+    mask &= inside
     return mask
 
 
@@ -254,14 +253,13 @@ def crop_cuboids(frames: np.ndarray, ts, ys, xs, size) -> np.ndarray:
     """The (n, d, h, w) data of cuboids with first frames ``ts`` and
     centres ``(ys, xs)``, cut from ``frames`` in one indexing pass.
 
-    Every cuboid must lie inside the (T, H, W) frame stack.
+    Every cuboid must lie inside the (T, H, W) frame stack, which must
+    hold a whole cuboid even when n is 0.
     """
     h, w, d = size
-    ts = np.asarray(ts, dtype=np.intp)
-    if ts.size == 0:
-        return np.zeros((0, d, h, w))
+    ts, ys, xs = (np.asarray(v, dtype=np.intp) for v in (ts, ys, xs))
     windows = sliding_window_view(frames, (d, h, w))
-    return windows[ts, np.asarray(ys) - h // 2, np.asarray(xs) - w // 2]
+    return windows[ts, ys - h // 2, xs - w // 2]
 
 
 def window_rows(block: np.ndarray, delta_t: int) -> np.ndarray:

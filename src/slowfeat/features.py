@@ -221,20 +221,22 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     ``stride``; each start samples cuboids from the motion boundaries of
     its own first frame (``motion_masks``), seeded per snippet so results
     do not depend on processing order.  A snippet with no cuboids yields
-    an all-zero, unnormalized feature.  A batch of snippets ends at the
-    first snippet that brings it to ``linalg.CHUNK`` cuboids; each
+    an all-zero, unnormalized feature.  An ``sdsfa`` bank reads each
+    cuboid's region off its first frame's box.  A batch of snippets ends
+    at the first snippet that brings it to ``linalg.CHUNK`` cuboids; each
     cuboid is projected and expanded on its own, so the batch a snippet
     shares can change only the last bits of the readout product and
     hence of its feature.
     """
     h, w, d = (int(v) for v in size)
-    n = seq.num_frames
+    n, height, width = seq.frames.shape
     if n < d:
         raise TooShort(f"sequence has {n} frames, snippets need {d}")
+    if h > height or w > width:
+        raise InvalidInput(
+            f"cuboid {h}x{w}x{d} does not fit {height}x{width} frames")
     if stride < 1:
         raise InvalidInput(f"stride must be >= 1, got {stride}")
-    if bank.strategy == "sdsfa" and seq.boxes is None:
-        raise InvalidInput("sdsfa featurization needs bounding boxes")
     masks = motion_masks(seq)
     frames = np.asarray(seq.frames, dtype=float)
 

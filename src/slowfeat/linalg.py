@@ -115,8 +115,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
     Ties resolve to the lowest row index, which argmax already gives.
     """
-    if vectors.shape[1] == 0:
-        return vectors
     rows = np.abs(vectors).argmax(axis=0)
     picked = vectors[rows, np.arange(vectors.shape[1])]
     signs = np.where(picked < 0.0, -1.0, 1.0)
@@ -153,9 +151,11 @@ def gen_eig_sym(a, b) -> EigenResult:
 
     Works by whitening: eigendecompose ``b = U D U^T``, discard
     directions with ``d_i < REL_CUTOFF * max(d)``, form
-    ``S = U_kept D_kept^{-1/2}``, solve ``sym_eig(S^T a S)`` and map the
-    vectors back as ``W = S V``.  ``a`` may be indefinite; ``b`` must be
-    positive semidefinite.
+    ``S = U_kept D_kept^{-1/2}``, solve the symmetrized ``S^T a S =
+    V L V^T`` with ``np.linalg.eigh`` and map the vectors back as
+    ``W = S V``, each column signed like ``sym_eig``'s (flipping a
+    column of V flips that column of W exactly).  ``a`` may be
+    indefinite; ``b`` must be positive semidefinite.
 
     Returns
     -------
@@ -171,7 +171,7 @@ def gen_eig_sym(a, b) -> EigenResult:
     NotPSD
         ``b`` has an eigenvalue negative beyond tolerance.
     DegenerateCovariance
-        No direction of ``b`` survives the cutoff.
+        ``b`` is numerically zero: no eigenvalue is positive.
     """
     a = _check_square_sym(a, "a")
     b = _check_square_sym(b, "b")
@@ -185,14 +185,12 @@ def gen_eig_sym(a, b) -> EigenResult:
     if d_max <= 0.0:
         raise DegenerateCovariance("constraint matrix is numerically zero")
 
+    # d_max itself passes the cutoff, so at least one direction is kept
     kept = d >= REL_CUTOFF * d_max
-    if not kept.any():
-        raise DegenerateCovariance("no directions survive the rank cutoff")
     s = u[:, kept] / np.sqrt(d[kept])
 
-    inner = sym_eig(_symmetrize(s.T @ a @ s))
-    vectors = _fix_signs(s @ inner.eigenvectors)
-    return EigenResult(inner.eigenvalues, vectors)
+    values, vectors = np.linalg.eigh(_symmetrize(s.T @ a @ s))
+    return EigenResult(values, _fix_signs(s @ vectors))
 
 
 def pca_fit(data, out_dim: int) -> PcaModel:

@@ -29,11 +29,11 @@ merges their ``linalg.sequence_moments`` into that cell's mean,
 covariance and derivative covariance.  No array of all rows is ever
 built: beyond its input, a fit holds one chunk's rows and the moments
 of the cells of one region, O(classes x D^2) for D expanded dimensions,
-and solves that region's models before it reads the next region's
-chunks.  The input itself need not be held either: a fit reads it only
-by ``len``, ``shape`` and indexing, so the training pipeline passes the
-``windows`` of a ``cuboid.LazyCuboids``, which cuts each chunk from the
-raw pixels as a pass reads it.
+and solves and releases that region's models before it reads the next
+region's chunks.  The input itself need not be held either: a fit reads
+it only by ``len``, ``shape`` and indexing, so the training pipeline
+passes the ``windows`` of a ``cuboid.LazyCuboids``, which cuts each
+chunk from the raw pixels as a pass reads it.
 The discriminative constraints of a region (the whole set for dsfa) are
 merged from its class cells' moments by the same routine, so dsfa is
 sdsfa on one region.
@@ -73,16 +73,16 @@ DEFAULT_GAMMA = 0.2
 
 
 def quadratic_expand(x: np.ndarray) -> np.ndarray:
-    """Expand each vector to [x_1..x_I, x_i * x_j for i <= j].
+    """Expand each (n, I) row to [x_1..x_I, x_i * x_j for i <= j].
 
     Linear terms come first, then the products in row-scan order
-    ((1,1), (1,2), .., (1,I), (2,2), ..).  A 1-D input returns a 1-D
-    output; rows of a 2-D input are expanded independently.  Output
-    dimension is I + I(I+1)/2.
+    ((1,1), (1,2), .., (1,I), (2,2), ..).  Rows are expanded
+    independently, to ``(n, I + I(I+1)/2)``.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim != 2:
+        raise InvalidDimension(
+            f"expansion takes (n, I) rows, got shape {rows.shape}")
     n, dim = rows.shape
     out = np.empty((n, expanded_dim(dim)))
     out[:, :dim] = rows
@@ -93,7 +93,7 @@ def quadratic_expand(x: np.ndarray) -> np.ndarray:
         np.multiply(rows[:, i:i + 1], rows[:, i:],
                     out=out[:, offset:offset + dim - i])
         offset += dim - i
-    return out[0] if single else out
+    return out
 
 
 def expanded_dim(input_dim: int) -> int:
@@ -373,6 +373,8 @@ def _fit(strategy, minisequences, labels, regions, grid, pca_dim, k,
             w[:, cell * k:(cell + 1) * k], eigenvalues[cell] = _solve_model(
                 objective, b, k, "training set" if strategy == "usfa"
                 else f"class {c}{where}")
+        # the bank holds copies: release the region before the next one
+        region = h0 = b = objective = others = pooled = None
     return ModelBank(
         strategy, pca, h0s, w, eigenvalues,
         () if strategy == "usfa" else tuple(int(c) for c in classes),

@@ -170,10 +170,9 @@ def render_action(spec: SynthSpec) -> np.ndarray:
 
 
 def generate_action(spec: SynthSpec):
-    """Render a spec into a FrameSequence of its uint8 frames with
-    full-frame boxes.
+    """Render a spec into a FrameSequence of its uint8 frames, whose
+    boxes are then the whole frame.
 
     Returns (sequence, class_label); the label is the kind's index.
     """
-    boxes = np.tile([0, 0, spec.width, spec.height], (spec.frames, 1))
-    return FrameSequence(render_action(spec), boxes), KINDS.index(spec.kind)
+    return FrameSequence(render_action(spec)), KINDS.index(spec.kind)

@@ -19,6 +19,10 @@ state and sums, with one vector-matrix product per step.
 ``hinge_objective`` is the objective both minimize.  ``centered_pca`` is
 PCA as the package fitted it before covariances came from merged
 moments: from one centered copy of all the rows.
+``sym_eig_route_gen_eig`` is the generalized solve as the package took
+it before it solved the whitened matrix with ``np.linalg.eigh``
+directly: through the public ``linalg.sym_eig``, which checks,
+symmetrizes and sign-fixes that matrix again.
 Tests compare package output against these.
 """
 
@@ -105,6 +109,22 @@ def loop_moments(minisequences):
     if count_a:
         a = a / count_a
     return mean, b, a, n, count_a
+
+
+def sym_eig_route_gen_eig(a, b):
+    """(eigenvalues, eigenvectors) of ``a W = b W diag(lam)`` by
+    whitening, with the whitened matrix solved by ``linalg.sym_eig``
+    and the signs fixed again on ``S V``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    d, u = np.linalg.eigh((b + b.T) / 2.0)
+    kept = d >= linalg.REL_CUTOFF * d.max()
+    s = u[:, kept] / np.sqrt(d[kept])
+    m = s.T @ a @ s
+    inner = linalg.sym_eig((m + m.T) / 2.0)
+    vectors = s @ inner.eigenvectors
+    picked = vectors[np.abs(vectors).argmax(axis=0),
+                     np.arange(vectors.shape[1])]
+    return inner.eigenvalues, vectors * np.where(picked < 0.0, -1.0, 1.0)
 
 
 def centered_pca(data, out_dim):

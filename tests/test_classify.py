@@ -104,6 +104,12 @@ def test_training_input_errors():
         classify.train_linear(x, y, reg=float("nan"))
     with pytest.raises(InvalidInput):
         classify.train_linear(x, y, epochs=0)
+    with pytest.raises(InvalidDimension):
+        classify.train_linear(x[:, 0], y)
+    bad = x.copy()
+    bad[3, 1] = np.inf
+    with pytest.raises(InvalidInput, match="finite"):
+        classify.train_linear(bad, y)
 
 
 def test_train_linear_keeps_its_parameter_names():
@@ -244,6 +250,16 @@ def test_classifier_rejects_repeated_labels(classes):
         zero_classifier(classes=classes)
 
 
+@pytest.mark.parametrize("weights,biases,labels", [
+    (np.zeros((1, 3)), np.zeros(1), (0,)),
+    (np.zeros(3), np.zeros(3), (0, 1, 2)),
+    (np.zeros((2, 3)), np.zeros(3), (0, 1)),
+    (np.zeros((2, 3)), np.zeros(2), (0, 1, 2))])
+def test_classifier_rejects_parts_that_disagree(weights, biases, labels):
+    with pytest.raises(InvalidDimension):
+        classify.LinearClassifier(weights, biases, labels)
+
+
 def test_all_zero_classifier_predicts_lowest_class():
     clf = zero_classifier()
     assert classify.predict_many(clf, np.ones((1, 3)))[0] == 0
@@ -359,6 +375,23 @@ def test_confusion_render_shape():
 def test_confusion_rejects_unknown_labels():
     with pytest.raises(InvalidInput):
         classify.confusion_matrix([0, 3], [0, 1], class_labels=[0, 1])
+    for predicted, truth in (([0, 1], [0]), ([[0, 1]], [[0, 1]])):
+        with pytest.raises(InvalidInput, match="differ"):
+            classify.confusion_matrix(predicted, truth, class_labels=[0, 1])
+
+
+@pytest.mark.parametrize("counts,error", [
+    (np.zeros((2, 3), dtype=int), InvalidDimension),
+    (np.zeros((3, 3), dtype=int), InvalidDimension),
+    (np.array([[1, -1], [0, 2]]), InvalidInput)])
+def test_confusion_rejects_bad_counts(counts, error):
+    with pytest.raises(error):
+        classify.ConfusionMatrix(counts, (0, 1))
+
+
+def test_empty_confusion_has_accuracy_zero():
+    empty = classify.ConfusionMatrix(np.zeros((2, 2), dtype=int), (0, 1))
+    assert empty.total == 0 and empty.accuracy == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +476,11 @@ def test_fisher_invariant_to_relabeling():
 def test_fisher_single_class_rejected():
     with pytest.raises(SingleClass):
         classify.fisher_score(np.ones((3, 2)), np.zeros(3, dtype=int))
+
+
+@pytest.mark.parametrize("features,labels", [
+    (np.ones((3, 2)), np.array([0, 1])), (np.ones((3, 2)), np.ones((3, 1))),
+    (np.ones(3), np.array([0, 1, 1]))])
+def test_fisher_rejects_labels_of_another_shape(features, labels):
+    with pytest.raises(InvalidDimension):
+        classify.fisher_score(features, labels)

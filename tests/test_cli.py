@@ -556,6 +556,48 @@ def test_feature_file_with_a_nan_fails_cleanly(two_runs, tmp_path, capsys,
     assert str(path) in err
 
 
+def moved_outputs(config, command, tmp_path, **paths):
+    """``config`` with the outputs of ``command`` in ``tmp_path`` and
+    ``paths`` overriding its inputs."""
+    outputs = {name: str(tmp_path / name) for name in OUTPUTS[command]}
+    return dataclasses.replace(config, **outputs, **paths)
+
+
+@pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
+def test_feature_file_unlike_its_manifest_entry_fails_cleanly(
+        two_runs, tmp_path, command):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    train, test = pipeline.split_entries(entries, cfg)
+    bad = (train if command == "fit-classifier" else test)[0]
+    features_dir = tmp_path / "features"
+    shutil.copytree(cfg.features_dir, features_dir)
+    path = features_dir / (bad.sequence_id + ".sfaf")
+    sequence_id, feats, label = dataio.load_features(path)
+    dataio.save_features(path, sequence_id, feats, label + 1)
+    stage = {"fit-classifier": pipeline.cmd_fit_classifier,
+             "evaluate": pipeline.cmd_evaluate}[command]
+    what = f"does not match manifest entry {bad.sequence_id}"
+    with pytest.raises(InvalidInput, match=what):
+        stage(moved_outputs(cfg, command, tmp_path,
+                            features_dir=str(features_dir)))
+
+
+def test_a_test_sequence_without_snippets_fails_evaluate_cleanly(
+        two_runs, tmp_path):
+    cfg = two_runs["dsfa"]
+    entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
+    empty = pipeline.split_entries(entries, cfg)[1][0]
+    features_dir = tmp_path / "features"
+    shutil.copytree(cfg.features_dir, features_dir)
+    dataio.save_features(features_dir / (empty.sequence_id + ".sfaf"),
+                         empty.sequence_id, [], empty.label)
+    with pytest.raises(InvalidInput,
+                       match=f"{empty.sequence_id} has no features"):
+        pipeline.cmd_evaluate(moved_outputs(cfg, "evaluate", tmp_path,
+                                            features_dir=str(features_dir)))
+
+
 def test_classifier_with_a_nan_weight_fails_cleanly(two_runs, tmp_path,
                                                     capsys):
     cfg = two_runs["dsfa"]

@@ -7,6 +7,7 @@ from slowfeat import cuboid
 from slowfeat.errors import (
     DegenerateSequence,
     InvalidDelta,
+    InvalidDimension,
     InvalidInput,
     OutsideBoundingBox,
     TooShort,
@@ -71,6 +72,25 @@ def test_frame_difference_carries_boxes_of_first_frame():
     assert np.array_equal(out.boxes, boxes[:2])
 
 
+def test_a_sequence_without_boxes_has_the_whole_frame_as_every_box():
+    frames = np.arange(3 * 5 * 7, dtype=float).reshape(3, 5, 7)
+    seq = cuboid.FrameSequence(frames)
+    assert np.array_equal(seq.boxes, np.tile([0, 0, 7, 5], (3, 1)))
+    assert np.array_equal(cuboid.difference_sequence(seq).boxes,
+                          np.tile([0, 0, 7, 5], (2, 1)))
+
+
+@pytest.mark.parametrize("frames,boxes", [
+    (np.zeros((5, 5)), None), (np.zeros((2, 1, 5, 5)), None),
+    (np.zeros((0, 5, 5)), None), (np.zeros((2, 5, 5)), np.zeros((3, 4))),
+    (np.zeros((2, 5, 5)), np.zeros((2, 5))), (np.zeros((2, 5, 5)),
+                                              np.zeros(4))])
+def test_frame_sequence_rejects_frames_or_boxes_of_another_shape(frames,
+                                                                 boxes):
+    with pytest.raises(InvalidDimension):
+        cuboid.FrameSequence(frames, boxes)
+
+
 def test_frame_difference_too_short():
     with pytest.raises(TooShort):
         cuboid.difference_sequence(cuboid.FrameSequence(np.zeros((1, 3, 3))))
@@ -78,6 +98,12 @@ def test_frame_difference_too_short():
 
 # ---------------------------------------------------------------------------
 # Sobel motion boundaries
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 2, 5, 5)])
+def test_sobel_rejects_frames_that_are_not_2d_or_3d(shape):
+    with pytest.raises(InvalidDimension):
+        cuboid.gradient_magnitude(np.zeros(shape))
 
 
 def test_sobel_step_edge_magnitude_four():
@@ -302,6 +328,16 @@ def test_sample_rejects_bad_fraction():
     seq, masks = interior_mask_sequence()
     with pytest.raises(InvalidInput):
         cuboid.sample_cuboids(seq, masks, 0.0, (3, 3, 1), rng_seed=0)
+
+
+@pytest.mark.parametrize("size,mask_shape", [
+    ((0, 3, 1), (20, 20)), ((3, 3, 0), (20, 20)), ((3, 3, 1), (20, 19))])
+def test_sample_rejects_a_bad_size_or_a_mask_of_another_shape(size,
+                                                              mask_shape):
+    seq, _ = interior_mask_sequence()
+    with pytest.raises(InvalidDimension):
+        cuboid.sample_cuboids(seq, [np.ones(mask_shape, bool)], 1.0, size,
+                              rng_seed=0)
 
 
 @pytest.mark.parametrize("fraction", [1.5, 0.0, -1.0, float("nan")])

@@ -161,6 +161,16 @@ def test_annotation_parse_errors(tmp_path):
     expect("", 1)                                 # no entries
 
 
+def test_annotations_need_a_box_and_a_frame(tmp_path):
+    path = tmp_path / "boxes.txt"
+    with pytest.raises(InvalidInput):
+        dataio.save_annotations(path, np.zeros((0, 4), dtype=int))
+    assert not path.exists()
+    path.write_text("0 1 2 10 8\n")
+    with pytest.raises(InvalidInput):
+        dataio.load_annotations(path, 0)
+
+
 def test_annotation_blank_lines_ok(tmp_path):
     path = tmp_path / "boxes.txt"
     path.write_text("\n0 1 2 10 8\n\n")
@@ -473,6 +483,12 @@ def test_classifier_corrupt(tmp_path):
     cut.write_bytes(raw[:20])
     with pytest.raises(TruncatedFile):
         dataio.load_classifier(cut)
+    # a file that declares one class
+    patched = bytearray(raw)
+    patched[8:12] = struct.pack("<I", 1)
+    bad.write_bytes(bytes(patched))
+    with pytest.raises(FormatError, match="shape 1x3"):
+        dataio.load_classifier(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -628,6 +644,15 @@ def test_config_file_with_a_non_finite_float_is_a_parse_error(
         dataio.load_config(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("strategy", "pca"), ("pca_dim", 0), ("frames", -1), ("gamma", -0.1),
+    ("noise_sigma", -1.0), ("max_cuboids", 0), ("reg", 0.0),
+    ("reg", -1e-3)])
+def test_run_config_rejects_values_out_of_range(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        RunConfig(**{field: value})
+
+
 def test_config_save_load_round_trip(tmp_path):
     cfg = RunConfig(strategy="sdsfa", pca_dim=12, gamma=0.35,
                     max_cuboids=400, fraction=0.125)
@@ -645,6 +670,15 @@ def test_results_round_trip(tmp_path):
     dataio.save_results(path, {"accuracy": 0.95, "seed": 3, "note": "ok"})
     out = dataio.load_results(path)
     assert out == {"accuracy": "0.95", "seed": "3", "note": "ok"}
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        dataio.save_results(tmp_path / "results.txt", {"accuracy": 1.0})
+    assert os.listdir(tmp_path) == []
 
 
 def test_results_duplicate_key_rejected(tmp_path):

@@ -600,6 +600,34 @@ def test_featurize_deterministic():
     assert all(x.values.tobytes() == y.values.tobytes() for x, y in zip(a, b))
 
 
+def test_sdsfa_featurizes_a_sequence_without_boxes_over_the_whole_frame():
+    bank, _, _ = bank_and_cuboids("sdsfa")
+    boxed = diff_of(moving_square_sequence())
+    assert np.array_equal(boxed.boxes, np.tile([0, 0, 16, 16], (11, 1)))
+
+    def featurize(seq):
+        return [(f.snippet_span, f.normalized, f.values.tobytes())
+                for f in features.featurize_sequence(seq, bank, (4, 4, 6),
+                                                     fraction=0.5, seed=3)]
+    out = featurize(cuboid.FrameSequence(boxed.frames))
+    assert out == featurize(boxed)
+    assert sum(normalized for _, normalized, _ in out) >= 2
+
+
+# the bank reads 32-d windows: 4x4 patches of 2 frames, or 32x1 and
+# 1x32 patches of one frame, which do not fit the 16x16 frames
+@pytest.mark.parametrize("size,stride", [((4, 4, 4), 0), ((32, 1, 4), 1),
+                                         ((1, 32, 4), 1)])
+def test_featurize_rejects_a_zero_stride_or_a_cuboid_wider_than_frames(
+        size, stride):
+    diff_seq = diff_of(moving_square_sequence())
+    bank = featurize_bank(diff_seq)
+    assert bank.pca.in_dim == 32
+    with pytest.raises(InvalidInput):
+        features.featurize_sequence(diff_seq, bank, size, 0.5, seed=0,
+                                    stride=stride)
+
+
 @pytest.mark.parametrize("fraction", [1.5, 0.0, -0.25, float("nan")])
 def test_featurize_rejects_bad_fraction(fraction):
     diff_seq = diff_of(moving_square_sequence())

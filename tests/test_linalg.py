@@ -101,6 +101,8 @@ def test_sym_eig_rejects_asymmetric():
 def test_sym_eig_rejects_nonsquare_and_nonfinite():
     with pytest.raises(InvalidMatrix):
         linalg.sym_eig(np.zeros((2, 3)))
+    with pytest.raises(InvalidMatrix, match="empty"):
+        linalg.sym_eig(np.zeros((0, 0)))
     with pytest.raises(InvalidMatrix):
         linalg.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
@@ -154,6 +156,20 @@ def test_gen_eig_matches_brute_force_inverse(n, seed):
     res = linalg.gen_eig_sym(a, b)
     ref = oracles.brute_force_gen_eig_values(a, b)
     assert np.max(np.abs(res.eigenvalues - ref)) < EIG_ATOL
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gen_eig_matches_the_sym_eig_route_byte_for_byte(seed):
+    # full-rank and rank-deficient constraints, up to a desk-scale D
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 120))
+    a = random_symmetric(rng, n)
+    factor = rng.normal(size=(n, n if seed % 2 else n // 2 + 1))
+    b = factor @ factor.T
+    res = linalg.gen_eig_sym(a, b)
+    values, vectors = oracles.sym_eig_route_gen_eig(a, b)
+    assert res.eigenvalues.tobytes() == values.tobytes()
+    assert res.eigenvectors.tobytes() == vectors.tobytes()
 
 
 def test_gen_eig_rank_truncation():

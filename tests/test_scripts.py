@@ -41,3 +41,21 @@ def test_run_benchmark_imports_the_checkouts_own_package(tmp_path):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "--seeds" in done.stdout
+
+
+def test_run_benchmark_prints_the_blas_thread_settings(capsys, tmp_path,
+                                                       monkeypatch):
+    # the table's bytes hold only at one BLAS thread count, so it
+    # states the settings above the table
+    script = load_script()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    results = {"sequence_accuracy": 1.0, "average_selectivity": 2.0}
+    monkeypatch.setattr(script.benchmark, "run_benchmark",
+                        lambda *args, **kw: {"strategies": {"dsfa": results}})
+    assert script.main(["--seeds", "1", "--strategies", "dsfa",
+                        "--no-baseline", "--workdir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines.index("OPENBLAS_NUM_THREADS=1")
+    assert lines[table + 1] == "OMP_NUM_THREADS=(unset)"
+    assert lines[table + 2].split() == ["seed", "dsfa", "acc", "dsfa", "sel"]

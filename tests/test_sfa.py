@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -78,24 +79,24 @@ def assert_constraints(model, seqs):
 
 
 def test_expand_hand_case():
-    out = sfa.quadratic_expand(np.array([1.0, 2.0]))
-    assert np.array_equal(out, [1.0, 2.0, 1.0, 2.0, 4.0])
+    out = sfa.quadratic_expand(np.array([[1.0, 2.0]]))
+    assert np.array_equal(out, [[1.0, 2.0, 1.0, 2.0, 4.0]])
 
 
 def test_expand_dimension_formula():
     assert sfa.expanded_dim(50) == 1325
     assert sfa.expanded_dim(2) == 5
-    x = np.ones(50)
-    assert sfa.quadratic_expand(x).shape == (1325,)
+    x = np.ones((3, 50))
+    assert sfa.quadratic_expand(x).shape == (3, 1325)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=999))
 def test_expand_matches_loop_oracle(dim, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=dim)
-    assert np.allclose(sfa.quadratic_expand(x), oracles.loop_quadratic_expand(x),
-                       atol=0)
+    x = rng.normal(size=(2, dim))
+    assert np.allclose(sfa.quadratic_expand(x),
+                       [oracles.loop_quadratic_expand(r) for r in x], atol=0)
 
 
 def test_expand_rows_independent():
@@ -103,7 +104,13 @@ def test_expand_rows_independent():
     x = rng.normal(size=(4, 3))
     batch = sfa.quadratic_expand(x)
     for i in range(4):
-        assert np.array_equal(batch[i], sfa.quadratic_expand(x[i]))
+        assert np.array_equal(batch[i], sfa.quadratic_expand(x[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4)])
+def test_expand_rejects_input_that_is_not_rows(shape):
+    with pytest.raises(InvalidDimension):
+        sfa.quadratic_expand(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +233,8 @@ def test_ssfa_errors():
     seqs, labels = labeled_three_class_data(per_class=3)
     with pytest.raises(InsufficientClassData):
         sfa.fit_ssfa(seqs + [seqs[0]], labels + [7], pca_dim=3, k_per_class=1)
+    with pytest.raises(InvalidDimension, match="labels"):
+        sfa.fit_ssfa(seqs, labels[:-1], pca_dim=3, k_per_class=1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +375,53 @@ def test_sdsfa_empty_cell_error_names_the_cell():
     s2, l2, r2 = map(list, zip(*kept))
     with pytest.raises(InsufficientClassData, match=r"class 1.*region 2"):
         sfa.fit_sdsfa(s2, l2, r2, grid=(2, 2), pca_dim=3, k_per_class=1)
+
+
+@pytest.mark.parametrize("grid,region", [((2, 2), 4), ((2, 2), -1),
+                                         ((0, 2), 0), ((2, 0), 0)])
+def test_sdsfa_rejects_a_region_outside_its_grid(grid, region):
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    regions[0] = region
+    with pytest.raises(InvalidDimension):
+        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
+                      k_per_class=1)
+
+
+def test_the_fit_holds_one_region_at_a_time(monkeypatch):
+    # weak references to every array of a region's moments and solves:
+    # when a region's first cell is read, the earlier regions' arrays
+    # must all be released
+    seqs, labels, regions = region_spread_data()  # 4 regions, 2 classes
+    tracked, reads = [], []
+    cell_moments, solve_model = sfa._cell_moments, sfa._solve_model
+
+    def track(arrays):
+        tracked.extend((reads[-1], weakref.ref(a)) for a in arrays
+                       if isinstance(a, np.ndarray))
+
+    def spy_cell_moments(x, members, pca):
+        region, cell = divmod(len(reads), 2)
+        if cell == 0:
+            held = sum(r < region and ref() is not None
+                       for r, ref in tracked)
+            assert held == 0, (f"region {region} starts with {held} arrays "
+                               "of earlier regions alive")
+        reads.append(region)
+        out = cell_moments(x, members, pca)
+        track(out)
+        return out
+
+    def spy_solve_model(objective, constraint, k, what):
+        out = solve_model(objective, constraint, k, what)
+        track((objective, constraint) + out)
+        return out
+
+    monkeypatch.setattr(sfa, "_cell_moments", spy_cell_moments)
+    monkeypatch.setattr(sfa, "_solve_model", spy_solve_model)
+    sfa.fit_sdsfa(seqs, labels, regions, grid=(2, 2), pca_dim=3,
+                  k_per_class=2)
+    assert reads == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert len(tracked) == 4 * (2 * 3 + 2 * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +617,7 @@ def dummy_model(k, class_label=None, region_label=None):
     dict(pca=linalg.PcaModel(np.zeros(4), np.eye(3), np.ones(3))),
     dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(2))),
     dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3)[:2], np.ones(3))),
+    dict(pca=linalg.PcaModel(np.zeros(3), np.ones(3), np.ones(3))),
     dict(h0=np.zeros(sfa.expanded_dim(3) + 1)),
     dict(w=np.zeros((sfa.expanded_dim(3) - 1, 2))),
     dict(w=np.zeros(sfa.expanded_dim(3))),

@@ -127,6 +127,16 @@ def test_invalid_specs_rejected():
         synth.SynthSpec("blob_pulse", period=0.0)
 
 
+@pytest.mark.parametrize("kind,fields,what", [
+    ("h_bar_oscillate", {"size": 0.0}, "size must be positive"),
+    ("blob_pulse", {"size": -1.0}, "size must be positive"),
+    ("v_bar_oscillate", {"amplitude": 40.0}, "bar oscillates out"),
+    ("blob_translate", {"offset_y": -20.0}, "does not fit vertically")])
+def test_invalid_specs_name_the_reason(kind, fields, what):
+    with pytest.raises(InvalidSpec, match=what):
+        synth.SynthSpec(kind, **fields)
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_non_finite_noise_rejected(sigma):
     with pytest.raises(InvalidSpec, match="noise_sigma"):
