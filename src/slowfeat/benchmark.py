@@ -5,9 +5,11 @@ trains the linear classifier, and scores the held-out split.  A
 raw-pixel baseline feeds PCA of pooled snippet pixels to the identical
 classifier, so representation quality is the only difference between
 the two accuracy numbers.  The stages are the ``pipeline`` functions
-behind the CLI subcommands, and the baseline derives its classifier
-seed from the same stage tag.  Used by the experiment scripts, the
-acceptance tests and the performance benchmark.
+behind the CLI subcommands, and the baseline trains and votes through
+the same ``pipeline.train_classifier`` and ``pipeline.score``, so its
+classifier settings, seed and voting are the run's by construction.
+Used by the experiment scripts, the acceptance tests and the
+performance benchmark.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import os
 
 import numpy as np
 
-from . import classify, dataio, linalg, pipeline
+from . import dataio, linalg, pipeline
 from .config import RunConfig
 
 # spatial block-mean pooling factor for raw-pixel snippets; keeps the
@@ -144,18 +146,10 @@ def baseline_results(config):
                              for e in train])
     out_dim = config.classes * config.k_per_class
     pca = linalg.pca_fit(rows, min(out_dim, rows.shape[1]))
-    clf = classify.train_linear(
-        pca.transform(rows), labels, reg=config.reg, epochs=config.epochs,
-        seed=pipeline.derive_seed(config.seed, pipeline.TAG_CLASSIFIER))
-
-    seq_pred, seq_true = [], []
-    for entry in test:
-        predictions = classify.predict_many(
-            clf, pca.transform(snippets[entry.sequence_id]))
-        seq_pred.append(classify.majority_vote(predictions))
-        seq_true.append(entry.label)
-    confusion = classify.confusion_matrix(seq_pred, seq_true,
-                                          class_labels=list(clf.class_labels))
+    clf = pipeline.train_classifier(config, pca.transform(rows), labels)
+    _, _, confusion = pipeline.score(
+        clf, [pca.transform(snippets[e.sequence_id]) for e in test],
+        [e.label for e in test])
     return {"sequences": len(test),
             "pca_dim": pca.out_dim,
             "sequence_accuracy": confusion.accuracy}

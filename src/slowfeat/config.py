@@ -10,6 +10,7 @@ file or command-line flags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .classify import DEFAULT_EPOCHS, DEFAULT_REG
@@ -56,29 +57,29 @@ class RunConfig:
     results_path: str = "results.txt"
 
     def __post_init__(self):
+        # a float is finite; an int is a count >= 1, but the seed is >= 0
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInput(f"{f.name} must be finite, got {value}")
+            if f.type != "int" and (f.type != "int | None" or value is None):
+                continue
+            low = 0 if f.name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral):
+                raise InvalidInput(
+                    f"{f.name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidInput(f"{f.name} must be >= {low}, got {value}")
         if self.strategy not in STRATEGIES:
             raise InvalidInput(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        for name in ("cuboid_h", "cuboid_w", "cuboid_d", "delta_t", "pca_dim",
-                     "k_per_class", "grid_nx", "grid_ny", "stride", "epochs",
-                     "classes", "sequences_per_class", "frames", "height",
-                     "width", "train_per_class"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be >= 1")
         if not 0.0 < self.fraction <= 1.0:
             raise InvalidInput("fraction must be in (0, 1]")
         if self.gamma < 0:
             raise InvalidInput("gamma must be >= 0")
         if self.noise_sigma < 0:
             raise InvalidInput("noise_sigma must be >= 0")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if self.max_cuboids is not None and self.max_cuboids < 1:
-            raise InvalidInput("max_cuboids must be >= 1")
         if self.reg <= 0:
             raise InvalidInput("reg must be positive")
         if self.train_per_class >= self.sequences_per_class:

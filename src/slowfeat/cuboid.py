@@ -57,9 +57,9 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
 class FrameSequence:
     """A (T, H, W) stack of frames with one box per frame.
 
-    ``boxes`` rows are (x, y, w, h) in pixels, each fully inside the
-    frame; without boxes, every frame's box is the whole frame.  Frames
-    may be uint8 (raw) or float (normalized/differenced).
+    ``boxes`` rows are (x, y, w, h) in whole pixels (int64), each fully
+    inside the frame; without boxes, every frame's box is the whole
+    frame.  Frames may be uint8 (raw) or float (normalized/differenced).
     """
 
     frames: np.ndarray
@@ -72,11 +72,14 @@ class FrameSequence:
         t, h, w = self.frames.shape
         boxes = np.asarray(np.tile([0, 0, w, h], (t, 1))
                            if self.boxes is None else self.boxes)
-        object.__setattr__(self, "boxes", boxes)
         if boxes.shape != (t, 4):
             raise InvalidDimension(
                 f"boxes must be ({t}, 4), got {boxes.shape}")
-        bx, by, bw, bh = boxes.T
+        if boxes.dtype.kind not in "iuf" or not (
+                np.isfinite(boxes) & (boxes == np.round(boxes))).all():
+            raise InvalidInput("box values must be integers")
+        object.__setattr__(self, "boxes", boxes.astype(np.int64))
+        bx, by, bw, bh = self.boxes.T
         bad = (bw < 1) | (bh < 1) | (bx < 0) | (by < 0) \
             | (bx + bw > w) | (by + bh > h)
         if bad.any():
@@ -187,7 +190,7 @@ def motion_masks(diff_seq: FrameSequence) -> np.ndarray:
         raise InvalidInput(f"motion threshold must be >= 0, got {delta}")
     mask = magnitude > delta
     inside = np.zeros_like(mask)
-    for t, (bx, by, bw, bh) in enumerate(diff_seq.boxes.astype(int)):
+    for t, (bx, by, bw, bh) in enumerate(diff_seq.boxes):
         inside[t, by:by + bh, bx:bx + bw] = True
     mask &= inside
     return mask

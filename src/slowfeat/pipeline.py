@@ -280,6 +280,13 @@ def _load_entry_features(config, entry, bank) -> np.ndarray:
 # classifier fitting
 
 
+def train_classifier(config, rows, labels) -> classify.LinearClassifier:
+    """``config``'s linear classifier on ``rows``: its reg, epochs and seed."""
+    return classify.train_linear(
+        rows, labels, reg=config.reg, epochs=config.epochs,
+        seed=derive_seed(config.seed, TAG_CLASSIFIER))
+
+
 def cmd_fit_classifier(config):
     train, _ = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
@@ -292,9 +299,7 @@ def cmd_fit_classifier(config):
         mirrored = features.mirror_features(rows, bank.grid)
         rows = np.stack([rows, mirrored], axis=1).reshape(-1, bank.k_total)
         labels = np.repeat(labels, 2)
-    clf = classify.train_linear(
-        rows, labels, reg=config.reg, epochs=config.epochs,
-        seed=derive_seed(config.seed, TAG_CLASSIFIER))
+    clf = train_classifier(config, rows, labels)
     dataio.save_classifier(config.classifier_path, clf)
     print(f"trained classifier on {len(rows)} features "
           f"-> {config.classifier_path}")
@@ -305,30 +310,34 @@ def cmd_fit_classifier(config):
 # evaluation
 
 
+def score(clf, matrices, labels):
+    """``(predictions, votes, confusion)``: each matrix's snippet labels
+    and majority vote, and the votes' confusion against ``labels``."""
+    predictions = [classify.predict_many(clf, m) for m in matrices]
+    votes = [classify.majority_vote(p) for p in predictions]
+    return predictions, votes, classify.confusion_matrix(
+        votes, labels, class_labels=list(clf.class_labels))
+
+
 def cmd_evaluate(config):
     _, test = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
     clf = dataio.load_classifier(config.classifier_path)
 
-    # one row per snippet: its feature, predicted label and true label
-    rows, frame_pred, frame_true, seq_pred = [], [], [], []
+    matrices = []
     for entry in test:
-        values = _load_entry_features(config, entry, bank)
-        if not len(values):
+        matrices.append(_load_entry_features(config, entry, bank))
+        if not len(matrices[-1]):
             raise InvalidInput(f"{entry.sequence_id} has no features")
-        predictions = classify.predict_many(clf, values)
-        rows.append(values)
-        frame_pred.extend(predictions.tolist())
-        frame_true.extend([entry.label] * len(predictions))
-        seq_pred.append(classify.majority_vote(predictions))
+    labels = [e.label for e in test]
+    frame_pred, seq_pred, confusion = score(clf, matrices, labels)
 
-    matrix = np.vstack(rows)
-    labels_arr = np.asarray(frame_true)
-    confusion = classify.confusion_matrix(
-        seq_pred, [e.label for e in test],
-        class_labels=list(clf.class_labels))
+    # one row per snippet: its feature and true label
+    matrix = np.vstack(matrices)
+    labels_arr = np.repeat(labels, [len(m) for m in matrices])
     seq_accuracy = confusion.accuracy
-    frm_accuracy = classify.frame_accuracy(frame_pred, frame_true)
+    frm_accuracy = classify.frame_accuracy(np.concatenate(frame_pred),
+                                           labels_arr)
     _, fisher_mean = classify.fisher_score(matrix, labels_arr)
     selectivity = features.selectivity(bank, matrix, labels_arr)
 

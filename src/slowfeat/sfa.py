@@ -120,13 +120,13 @@ def project_and_expand(pca: linalg.PcaModel, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlowFeatureModel:
-    """One fitted set of slow feature functions.
+    """One cell's slow feature functions, as views of a ``ModelBank``.
 
     ``w`` has shape (expanded_dim, k); output j of the model is
     ``w[:, j] . (h(pca(x)) - h0)``, with h the quadratic expansion,
     and ``eigenvalues[j]`` equals its mean squared derivative on the
-    training data.  Parameters must be finite and of matching shapes
-    (``InvalidInput`` otherwise).
+    training data.  Only ``ModelBank`` builds these, once it has
+    checked every array.
     """
 
     pca: linalg.PcaModel
@@ -135,26 +135,6 @@ class SlowFeatureModel:
     eigenvalues: np.ndarray
     class_label: int | None = None
     region_label: int | None = None
-
-    def __post_init__(self):
-        arrays = (self.pca.mean, self.pca.projection, self.h0, self.w,
-                  self.eigenvalues)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise InvalidInput("model parameters must be finite")
-        if self.pca.projection.ndim != 2:
-            raise InvalidInput("PCA projection must be 2-D")
-        pca, dim = self.pca, expanded_dim(self.pca.out_dim)
-        k = self.eigenvalues.size
-        for name, a, shape in (
-                ("PCA mean", pca.mean, (pca.in_dim,)),
-                ("PCA explained eigenvalues", pca.explained_eigenvalues,
-                 (pca.out_dim,)),
-                ("h0", self.h0, (dim,)),
-                ("w", self.w, (dim, k)),
-                ("eigenvalues", self.eigenvalues, (k,))):
-            if a.shape != shape:
-                raise InvalidInput(
-                    f"{name} has shape {a.shape}, expected {shape}")
 
     @property
     def k(self) -> int:
@@ -190,11 +170,11 @@ class ModelBank:
     ``eigenvalues`` (cells, k) and ``w`` (D, cells * k): the readouts
     side by side in feature order, cell i in columns [i * k, (i + 1) * k).
     ``class_labels`` are sorted and distinct, empty exactly for usfa,
-    and ``gamma`` is set exactly for the discriminative strategies;
-    anything else is ``InvalidInput``.
-
-    ``models`` views cell i as a ``SlowFeatureModel``, whose checks of
-    finiteness and shape cover every array of the bank.
+    and ``gamma`` is set exactly for the discriminative strategies.
+    Every array is finite, the PCA's mean and explained eigenvalues fit
+    its 2-D projection, and D is ``expanded_dim(pca.out_dim)``; anything
+    else is ``InvalidInput``.  These checks run once and cover every
+    array: ``models`` views cell i as a ``SlowFeatureModel`` of slices.
     """
 
     strategy: str
@@ -227,17 +207,26 @@ class ModelBank:
                 discriminative and not 0 <= self.gamma < np.inf):
             raise InvalidInput(
                 f"a {self.strategy} bank cannot have gamma {self.gamma}")
-        cells = gx * gy * max(1, len(labels))
+        pca = self.pca
+        if not all(np.isfinite(a).all() for a in (
+                pca.mean, pca.projection, self.h0, self.w, self.eigenvalues)):
+            raise InvalidInput("bank parameters must be finite")
+        shape, cells = pca.projection.shape, gx * gy * max(1, len(labels))
+        dim = expanded_dim(pca.out_dim) if len(shape) == 2 else None
         # k readouts of D expanded dims are independent only if k <= D
-        if (self.h0.ndim != 2 or self.eigenvalues.ndim != 2
-                or self.w.ndim != 2 or len(self.h0) != cells
+        if (dim is None or pca.mean.shape != (pca.in_dim,)
+                or pca.explained_eigenvalues.shape != (pca.out_dim,)
+                or self.h0.shape != (cells, dim) or self.eigenvalues.ndim != 2
                 or self.eigenvalues.shape[0] != cells
-                or not 1 <= self.k <= self.h0.shape[1]
-                or self.w.shape[1] != cells * self.k):
+                or not 1 <= self.k <= dim
+                or self.w.shape != (dim, cells * self.k)):
             raise InvalidInput(
-                f"a {self.strategy} bank needs {cells} cells of one k in "
-                f"[1, D], got h0 {self.h0.shape}, w {self.w.shape} and "
-                f"eigenvalues {self.eigenvalues.shape}")
+                f"a {self.strategy} bank needs a 2-D PCA, {cells} cells of "
+                f"its D expanded dims and one k in [1, D], got PCA "
+                f"projection {shape}, mean {pca.mean.shape} and "
+                f"eigenvalues {pca.explained_eigenvalues.shape}, h0 "
+                f"{self.h0.shape}, w {self.w.shape} and eigenvalues "
+                f"{self.eigenvalues.shape}")
         classes, k = labels or (None,), self.k
         object.__setattr__(self, "models", tuple(
             SlowFeatureModel(
@@ -262,14 +251,17 @@ class ModelBank:
 
 
 def _per_sequence(values, count, what):
-    """One int per minisequence; None gives zeros."""
+    """One int per minisequence; None gives zeros, a non-integer an error."""
     if values is None:
         return np.zeros(count, dtype=np.int64)
-    values = np.array([int(v) for v in values], dtype=np.int64)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf" or not (
+            np.isfinite(values) & (values == np.round(values))).all():
+        raise InvalidInput(f"{what} must be integers")
     if len(values) != count:
         raise InvalidDimension(
             f"{count} minisequences but {len(values)} {what}")
-    return values
+    return values.astype(np.int64)
 
 
 def _cell_moments(x, members, pca):

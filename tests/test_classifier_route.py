@@ -1,0 +1,85 @@
+"""One route to the classifier and its votes.
+
+The pipeline's stages and the raw-pixel baseline train through
+``pipeline.train_classifier`` and vote through ``pipeline.score``, so
+the baseline's classifier settings, seed and voting are the run's by
+construction.  Every ``src/slowfeat/*.py`` is parsed with ``ast``; a use
+of ``train_linear``, a call or any other read of the name, outside
+``pipeline.train_classifier``, or of ``majority_vote`` or
+``confusion_matrix`` outside ``pipeline.score``, is a finding.  Their
+definitions and imports are not uses.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+# name -> (module, function) of the one route that uses it
+ROUTES = {
+    "train_linear": ("pipeline", "train_classifier"),
+    "majority_vote": ("pipeline", "score"),
+    "confusion_matrix": ("pipeline", "score"),
+}
+
+
+def route_uses(source):
+    """``(line, name, function)`` of each use of a name in ``ROUTES``;
+    ``function`` is the innermost enclosing one, or None."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Name) and node.id in ROUTES:
+            found.append((node.lineno, node.id, function))
+        elif isinstance(node, ast.Attribute) and node.attr in ROUTES:
+            found.append((node.lineno, node.attr, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_the_check_finds_each_kind_of_use():
+    source = """
+from .classify import majority_vote
+from . import classify
+
+table = {"vote": majority_vote}
+
+def train_linear(x):
+    return x
+
+def baseline(rows, labels):
+    def inner():
+        return classify.confusion_matrix([], [], [])
+    return classify.train_linear(rows, labels), inner()
+
+def score(clf, matrices, labels):
+    return majority_vote(matrices)
+"""
+    assert route_uses(source) == [
+        (5, "majority_vote", None), (12, "confusion_matrix", "inner"),
+        (13, "train_linear", "baseline"), (16, "majority_vote", "score")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_pipeline_routes_train_and_vote(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert [(line, name, function)
+            for line, name, function in route_uses(source)
+            if (module, function) != ROUTES[name]] == []
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_each_route_still_uses_its_name(name):
+    # a route that no longer calls its name would leave the check
+    # guarding nothing
+    module, function = ROUTES[name]
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert (name, function) in {(n, f) for _, n, f in route_uses(source)}

@@ -91,6 +91,27 @@ def test_frame_sequence_rejects_frames_or_boxes_of_another_shape(frames,
         cuboid.FrameSequence(frames, boxes)
 
 
+@pytest.mark.parametrize("box", [(2.5, 0, 4.9, 9), (2, 0, 4, np.nan),
+                                 (2, 0, np.inf, 9)])
+def test_frame_sequence_rejects_a_box_that_is_not_whole_pixels(box):
+    # truncated by the mask but not by region_label, (2.5, 0, 4.9, 9)
+    # kept pixel (x, y) = (2, 1), which region_label put outside the box
+    with pytest.raises(InvalidInput, match="integers"):
+        cuboid.FrameSequence(np.zeros((1, 10, 10)), np.array([box]))
+
+
+def test_frame_sequence_keeps_integer_valued_boxes_as_int64():
+    frames = np.random.default_rng(0).normal(size=(1, 10, 10))
+    seq = cuboid.FrameSequence(frames, np.array([[2.0, 0.0, 4.0, 9.0]]))
+    assert seq.boxes.dtype == np.int64
+    assert seq.boxes.tolist() == [[2, 0, 4, 9]]
+    # every pixel the mask keeps lies inside its own box
+    ts, ys, xs = np.nonzero(cuboid.motion_masks(seq))
+    assert len(ts) and ((xs >= 2) & (xs < 6) & (ys < 9)).all()
+    assert cuboid.region_label((xs, ys), seq.boxes[ts].T, (2, 1)).shape \
+        == xs.shape
+
+
 def test_frame_difference_too_short():
     with pytest.raises(TooShort):
         cuboid.difference_sequence(cuboid.FrameSequence(np.zeros((1, 3, 3))))

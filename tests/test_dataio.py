@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import struct
@@ -357,6 +358,22 @@ def test_bank_with_nan_readout_is_a_format_error(tmp_path):
         dataio.load_bank(path)
 
 
+def test_bank_with_nan_pca_projection_is_a_format_error(tmp_path):
+    bank = fitted_bank("usfa")
+    path = tmp_path / "bank.sfam"
+    dataio.save_bank(path, bank)
+    raw = bytearray(path.read_bytes())
+    # the header (no class labels for usfa), PCA dims and mean come
+    # before the projection
+    offset = 36 + 8 + 8 * bank.pca.in_dim
+    assert raw[offset:offset + 8] == struct.pack("<d",
+                                                 bank.pca.projection[0, 0])
+    raw[offset:offset + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="finite"):
+        dataio.load_bank(path)
+
+
 # ---------------------------------------------------------------------------
 # feature files
 
@@ -651,6 +668,34 @@ def test_config_file_with_a_non_finite_float_is_a_parse_error(
 def test_run_config_rejects_values_out_of_range(field, value):
     with pytest.raises(InvalidInput, match=field):
         RunConfig(**{field: value})
+
+
+# the int rule is read off the annotations: every int field, and
+# max_cuboids when it is set
+INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+              if f.type in ("int", "int | None")]
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_run_config_int_fields_take_only_integers(field, value):
+    with pytest.raises(InvalidInput, match=f"{field} must be an integer"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_run_config_int_fields_are_counts_but_the_seed(field):
+    low = 0 if field == "seed" else 1
+    with pytest.raises(InvalidInput, match=f"{field} must be >= {low}"):
+        RunConfig(**{field: low - 1})
+
+
+def test_run_config_takes_numpy_integers():
+    # 16 counts, the seed and max_cuboids: an empty list would check none
+    assert len(INT_FIELDS) == 18
+    cfg = RunConfig(pca_dim=np.int64(12), seed=np.int32(0),
+                    max_cuboids=np.uint16(7))
+    assert (cfg.pca_dim, cfg.seed, cfg.max_cuboids) == (12, 0, 7)
 
 
 def test_config_save_load_round_trip(tmp_path):

@@ -387,6 +387,28 @@ def test_sdsfa_rejects_a_region_outside_its_grid(grid, region):
                       k_per_class=1)
 
 
+@pytest.mark.parametrize("strategy", ["ssfa", "dsfa"])
+def test_fits_reject_fractional_labels(strategy):
+    # truncated, 0.2 and 0.7 would both be class 0
+    seqs, labels = labeled_three_class_data(per_class=4)
+    fit = getattr(sfa, f"fit_{strategy}")
+    with pytest.raises(InvalidInput, match="labels"):
+        fit(seqs, [0.2, 0.7] * (len(seqs) // 2), pca_dim=3, k_per_class=1)
+    bank = fit(seqs, labels, pca_dim=3, k_per_class=1)
+    for same in (np.array(labels, dtype=np.int32), np.array(labels, float)):
+        again = fit(seqs, same, pca_dim=3, k_per_class=1)
+        assert again.class_labels == bank.class_labels == (0, 1, 2)
+        assert again.w.tobytes() == bank.w.tobytes()
+
+
+def test_sdsfa_rejects_fractional_regions():
+    # truncated, 0.5 and 1.5 would be regions 0 and 1
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    with pytest.raises(InvalidInput, match="regions"):
+        sfa.fit_sdsfa(seqs, labels, [r % 2 + 0.5 for r in regions],
+                      grid=(2, 1), pca_dim=3, k_per_class=1)
+
+
 def test_the_fit_holds_one_region_at_a_time(monkeypatch):
     # weak references to every array of a region's moments and solves:
     # when a region's first cell is read, the earlier regions' arrays
@@ -604,50 +626,6 @@ def test_project_and_expand_keeps_each_minisequence_apart():
             sfa.project_and_expand(pca, bad)
 
 
-def dummy_model(k, class_label=None, region_label=None):
-    pca = linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(3))
-    dim = sfa.expanded_dim(3)
-    return sfa.SlowFeatureModel(
-        pca=pca, h0=np.zeros(dim), w=np.zeros((dim, k)),
-        eigenvalues=np.zeros(k), class_label=class_label,
-        region_label=region_label)
-
-
-@pytest.mark.parametrize("change", [
-    dict(pca=linalg.PcaModel(np.zeros(4), np.eye(3), np.ones(3))),
-    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(2))),
-    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3)[:2], np.ones(3))),
-    dict(pca=linalg.PcaModel(np.zeros(3), np.ones(3), np.ones(3))),
-    dict(h0=np.zeros(sfa.expanded_dim(3) + 1)),
-    dict(w=np.zeros((sfa.expanded_dim(3) - 1, 2))),
-    dict(w=np.zeros(sfa.expanded_dim(3))),
-    dict(eigenvalues=np.zeros(3)),
-    dict(eigenvalues=np.zeros((2, 1)))])
-def test_model_rejects_disagreeing_shapes(change):
-    model = dummy_model(2)
-    with pytest.raises(InvalidInput):
-        dataclasses.replace(model, **change)
-
-
-def test_model_rejects_non_finite_parameters():
-    model = dummy_model(2)
-    w = model.w.copy()
-    w[1, 0] = np.nan
-    with pytest.raises(InvalidInput):
-        dataclasses.replace(model, w=w)
-    for name in ("h0", "eigenvalues"):
-        bad = getattr(model, name).copy()
-        bad[0] = np.inf
-        with pytest.raises(InvalidInput):
-            dataclasses.replace(model, **{name: bad})
-    for name in ("mean", "projection"):
-        bad = getattr(model.pca, name).copy()
-        bad.flat[0] = -np.inf
-        with pytest.raises(InvalidInput):
-            dataclasses.replace(
-                model, pca=dataclasses.replace(model.pca, **{name: bad}))
-
-
 DIM = sfa.expanded_dim(3)
 
 
@@ -670,6 +648,44 @@ def array_bank(strategy, class_labels=(), grid=(1, 1), k=1, pca_dim=3,
                 gamma=0.2 if strategy in ("dsfa", "sdsfa") else None)
     args.update(change)
     return sfa.ModelBank(**args)
+
+
+# a bank checks every array once, for all of its cell views; each case
+# is an array that no cell of a 2-class dsfa bank with k = 2 could use
+@pytest.mark.parametrize("change", [
+    dict(pca=linalg.PcaModel(np.zeros(4), np.eye(3), np.ones(3))),
+    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3), np.ones(2))),
+    # a consistent 2-d PCA, whose expanded width 5 is not the arrays' 9
+    dict(pca=linalg.PcaModel(np.zeros(3), np.eye(3)[:2], np.ones(2))),
+    dict(pca=linalg.PcaModel(np.zeros(3), np.ones(3), np.ones(3))),
+    dict(h0=np.zeros((2, DIM + 1))),
+    dict(w=np.zeros((DIM - 1, 4))),
+    dict(w=np.zeros(DIM * 4)),
+    dict(eigenvalues=np.zeros((2, 3))),
+    dict(eigenvalues=np.zeros((2, 2, 1)))])
+def test_model_rejects_disagreeing_shapes(change):
+    array_bank("dsfa", (0, 1), k=2)
+    with pytest.raises(InvalidInput):
+        array_bank("dsfa", (0, 1), k=2, **change)
+
+
+def test_model_rejects_non_finite_parameters():
+    bank = array_bank("dsfa", (0, 1), k=2)
+    w = bank.w.copy()
+    w[1, 0] = np.nan
+    with pytest.raises(InvalidInput):
+        array_bank("dsfa", (0, 1), k=2, w=w)
+    for name in ("h0", "eigenvalues"):
+        bad = getattr(bank, name).copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(InvalidInput):
+            array_bank("dsfa", (0, 1), k=2, **{name: bad})
+    for name in ("mean", "projection"):
+        bad = getattr(bank.pca, name).copy()
+        bad.flat[0] = -np.inf
+        with pytest.raises(InvalidInput):
+            array_bank("dsfa", (0, 1), k=2,
+                       pca=dataclasses.replace(bank.pca, **{name: bad}))
 
 
 def test_bank_k_total_six_classes():
