@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 from .classify import DEFAULT_EPOCHS, DEFAULT_REG
 from .errors import InvalidInput
 from .sfa import DEFAULT_GAMMA, STRATEGIES
+
+
+# each annotation: the values a field takes, how an error names them,
+# and how config text converts to one
+_TYPES = {"float": (numbers.Real, "a real number", float),
+          "int": (numbers.Integral, "an integer", int),
+          "int | None": ((numbers.Integral, type(None)), "an integer", int),
+          "str": ((str, os.PathLike), "a string or path", str)}
 
 
 @dataclass(frozen=True)
@@ -57,19 +66,17 @@ class RunConfig:
     results_path: str = "results.txt"
 
     def __post_init__(self):
-        # a float is finite; an int is a count >= 1, but the seed is >= 0
+        # never a bool; a float is finite, an int a count (the seed >= 0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            allowed, name, _ = _TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise InvalidInput(f"{f.name} must be {name}, got {value!r}")
+            if f.type == "float" and not isinstance(
+                    value, numbers.Integral) and not math.isfinite(value):
                 raise InvalidInput(f"{f.name} must be finite, got {value}")
-            if f.type != "int" and (f.type != "int | None" or value is None):
-                continue
             low = 0 if f.name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral):
-                raise InvalidInput(
-                    f"{f.name} must be an integer, got {value!r}")
-            if value < low:
+            if f.type.startswith("int") and value is not None and value < low:
                 raise InvalidInput(f"{f.name} must be >= {low}, got {value}")
         if self.strategy not in STRATEGIES:
             raise InvalidInput(
@@ -105,12 +112,7 @@ def parse_value(name: str, text: str):
     The optional ``max_cuboids`` accepts ``auto``/``none``.  Raises
     KeyError for unknown names and ValueError for unconvertible text.
     """
-    types = {f.name: str(f.type) for f in fields(RunConfig)}
-    kind = types[name]
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "int | None":
-        return None if text.lower() in ("auto", "none") else int(text)
-    return text
+    kind = {f.name: f.type for f in fields(RunConfig)}[name]
+    if kind == "int | None" and text.lower() in ("auto", "none"):
+        return None
+    return _TYPES[kind][2](text)

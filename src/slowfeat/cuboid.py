@@ -41,6 +41,7 @@ from .errors import (
     InvalidInput,
     OutsideBoundingBox,
     TooShort,
+    whole_numbers,
 )
 
 # Threshold default: this fraction of the 99th-percentile gradient
@@ -75,10 +76,8 @@ class FrameSequence:
         if boxes.shape != (t, 4):
             raise InvalidDimension(
                 f"boxes must be ({t}, 4), got {boxes.shape}")
-        if boxes.dtype.kind not in "iuf" or not (
-                np.isfinite(boxes) & (boxes == np.round(boxes))).all():
-            raise InvalidInput("box values must be integers")
-        object.__setattr__(self, "boxes", boxes.astype(np.int64))
+        object.__setattr__(self, "boxes",
+                           whole_numbers(boxes, InvalidInput, "box values"))
         bx, by, bw, bh = self.boxes.T
         bad = (bw < 1) | (bh < 1) | (bx < 0) | (by < 0) \
             | (bx + bw > w) | (by + bh > h)
@@ -208,9 +207,8 @@ def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
     shuffle.  Returns the (n, 3) int array of ``(t, y, x)`` origins,
     one row per cuboid, for ``crop_cuboids`` to cut.
     """
-    h, w, d = (int(v) for v in size)
-    if h < 1 or w < 1 or d < 1:
-        raise InvalidDimension(f"bad cuboid size {size}")
+    h, w, d = whole_numbers(size, InvalidDimension, f"cuboid size {size}",
+                            low=1).tolist()
     shape = seq.frames.shape
     rng = np.random.default_rng(rng_seed)
     picks = [np.zeros((0, 3), dtype=np.intp)]

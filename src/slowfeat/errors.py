@@ -4,6 +4,8 @@ Every error raised by the library derives from :class:`SlowFeatError`,
 so callers (and the CLI) can catch one base class.
 """
 
+import numpy as np
+
 
 class SlowFeatError(Exception):
     """Base class for all errors raised by this package."""
@@ -115,3 +117,14 @@ class ParseError(SlowFeatError):
 
 class InvalidSpec(SlowFeatError):
     """A synthetic sequence specification is geometrically impossible."""
+
+
+def whole_numbers(values, error, what, low=-np.inf) -> np.ndarray:
+    """``values`` as int64; ``error`` if one is not a whole number >= low."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf" or not (
+            np.isfinite(values) & (values == np.round(values))
+            & (values >= low)).all():
+        raise error(f"{what} must be integers"
+                    + (f" >= {low}" if low > -np.inf else ""))
+    return values.astype(np.int64)

@@ -40,7 +40,13 @@ from .cuboid import (
     region_label,
     window_rows,
 )
-from .errors import EmptySnippet, InvalidDimension, InvalidInput, TooShort
+from .errors import (
+    EmptySnippet,
+    InvalidDimension,
+    InvalidInput,
+    TooShort,
+    whole_numbers,
+)
 from .sfa import ModelBank, project_and_expand
 
 
@@ -90,16 +96,14 @@ def _region_labels(regions, n: int, bank: ModelBank) -> np.ndarray:
     """Each cuboid's grid cell, checked against an ``sdsfa`` bank's grid."""
     if regions is None:
         raise InvalidInput("sdsfa features need region-labeled cuboids")
-    labels = np.asarray(regions)
+    labels = whole_numbers(regions, InvalidInput, "region labels", low=0)
     n_regions = bank.grid[0] * bank.grid[1]
     if labels.shape != (n,):
         raise InvalidInput(
             f"{n} cuboids need {n} region labels, got shape {labels.shape}")
-    if labels.dtype.kind not in "iuf" or not (
-            (labels % 1 == 0) & (labels >= 0) & (labels < n_regions)).all():
-        raise InvalidInput(
-            f"region labels must be integers in [0, {n_regions})")
-    return labels.astype(np.intp)
+    if (labels >= n_regions).any():
+        raise InvalidInput(f"region labels must be below {n_regions}")
+    return labels
 
 
 def bank_squared_derivatives(block, bank: ModelBank,
@@ -201,7 +205,8 @@ def mirror_features(values, grid) -> np.ndarray:
     block are untouched, so mirroring twice is the identity bit for bit.
     """
     values = np.asarray(values)
-    nx, ny = int(grid[0]), int(grid[1])
+    nx, ny = whole_numbers(grid, InvalidDimension, f"grid {grid}",
+                           low=1).tolist()
     if values.ndim != 2 or values.shape[1] % (nx * ny):
         raise InvalidDimension(
             f"features of shape {values.shape} are not rows of "
@@ -228,15 +233,16 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     shares can change only the last bits of the readout product and
     hence of its feature.
     """
-    h, w, d = (int(v) for v in size)
+    h, w, d = whole_numbers(size, InvalidInput, f"cuboid size {size}",
+                            low=1).tolist()
+    stride = int(whole_numbers(stride, InvalidInput, f"stride {stride}",
+                               low=1))
     n, height, width = seq.frames.shape
     if n < d:
         raise TooShort(f"sequence has {n} frames, snippets need {d}")
     if h > height or w > width:
         raise InvalidInput(
             f"cuboid {h}x{w}x{d} does not fit {height}x{width} frames")
-    if stride < 1:
-        raise InvalidInput(f"stride must be >= 1, got {stride}")
     masks = motion_masks(seq)
     frames = np.asarray(seq.frames, dtype=float)
 

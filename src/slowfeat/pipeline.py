@@ -1,10 +1,11 @@
 """The pipeline stages: synthesize, train, featurize, classify, report.
 
 One function per stage of the method: ``cmd_synth`` writes the labeled
-dataset, ``cmd_train`` samples cuboids at motion boundaries and fits a
-slow-feature bank on them, holding the training split's raw pixels and
-the picks and cutting each chunk of cuboids when the fit reads it,
-``cmd_featurize`` accumulates squared derivatives (ASD) into
+dataset, each sequence's spec drawn by ``synth.class_spec`` (no kind is
+named here), ``cmd_train`` samples cuboids at motion boundaries and
+fits a slow-feature bank on them, holding the training split's raw
+pixels and the picks and cutting each chunk of cuboids when the fit
+reads it, ``cmd_featurize`` accumulates squared derivatives (ASD) into
 per-snippet features and moves their files into place once every
 sequence has succeeded, ``cmd_fit_classifier`` trains the linear
 classifier, and ``cmd_evaluate`` votes per sequence and writes the
@@ -70,38 +71,6 @@ def split_entries(entries, config):
     return train, test
 
 
-def _spec_for(config, class_index, seq_index):
-    """Deterministic per-sequence motion parameters for one class."""
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [config.seed, TAG_SYNTH, class_index, seq_index]))
-    kind = synth.KINDS[class_index]
-    h, w = config.height, config.width
-    common = dict(height=h, width=w, frames=config.frames,
-                  noise_sigma=config.noise_sigma,
-                  seed=int(rng.integers(2 ** 31 - 1)))
-    if kind in ("h_bar_oscillate", "v_bar_oscillate"):
-        offset, extent = ("offset_y", h) if kind[0] == "h" else ("offset_x", w)
-        return synth.SynthSpec(
-            kind, **common, size=0.12 * extent, amplitude=0.18 * extent,
-            period=16.0, phase=rng.uniform(0, 2 * np.pi),
-            **{offset: rng.uniform(-0.05, 0.05) * extent})
-    radius = 0.1 * min(h, w)
-    # blob positions cycle over a coarse grid so that every part of the
-    # frame sees every blob class across a handful of sequences
-    base_y = (-0.12 + 0.24 * (seq_index % 3) / 2.0) * h
-    base_x = (-0.18 + 0.36 * (seq_index % 4) / 3.0) * w
-    offset_y = base_y + rng.uniform(-0.03, 0.03) * h
-    if kind == "blob_translate":
-        speed = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.4)
-        return synth.SynthSpec(kind, **common, size=radius, speed=speed,
-                               offset_y=offset_y,
-                               offset_x=rng.uniform(-0.2, 0.2) * w)
-    return synth.SynthSpec(kind, **common, size=radius, period=9.0,
-                           phase=rng.uniform(0, 2 * np.pi),
-                           offset_y=offset_y,
-                           offset_x=base_x + rng.uniform(-0.03, 0.03) * w)
-
-
 def cmd_synth(config):
     """Generate the labeled dataset: videos, boxes, manifest, config."""
     if config.classes > len(synth.KINDS):
@@ -111,7 +80,11 @@ def cmd_synth(config):
     entries = []
     for c in range(config.classes):
         for i in range(config.sequences_per_class):
-            seq, label = synth.generate_action(_spec_for(config, c, i))
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [config.seed, TAG_SYNTH, c, i]))
+            seq, label = synth.generate_action(synth.class_spec(
+                c, i, rng, config.height, config.width, config.frames,
+                config.noise_sigma))
             sequence_id = f"c{c}s{i:02d}"
             video, annotation = sequence_id + ".sfv", sequence_id + ".ann"
             dataio.save_sequence(os.path.join(config.data_dir, video),

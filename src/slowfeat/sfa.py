@@ -65,6 +65,7 @@ from .errors import (
     InvalidDimension,
     InvalidInput,
     TooShort,
+    whole_numbers,
 )
 
 STRATEGIES = ("usfa", "ssfa", "dsfa", "sdsfa")
@@ -254,14 +255,11 @@ def _per_sequence(values, count, what):
     """One int per minisequence; None gives zeros, a non-integer an error."""
     if values is None:
         return np.zeros(count, dtype=np.int64)
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf" or not (
-            np.isfinite(values) & (values == np.round(values))).all():
-        raise InvalidInput(f"{what} must be integers")
+    values = whole_numbers(values, InvalidInput, what)
     if len(values) != count:
         raise InvalidDimension(
             f"{count} minisequences but {len(values)} {what}")
-    return values.astype(np.int64)
+    return values
 
 
 def _cell_moments(x, members, pca):
@@ -425,8 +423,7 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
     fit once on the union of everything.  With a (1, 1) grid this is
     exactly ``fit_dsfa``.
     """
-    gx, gy = int(grid[0]), int(grid[1])
-    if gx < 1 or gy < 1:
-        raise InvalidDimension(f"bad grid {grid}")
+    gx, gy = whole_numbers(grid, InvalidDimension, f"grid {grid}",
+                           low=1).tolist()
     return _fit("sdsfa", minisequences, labels, regions, (gx, gy), pca_dim,
                 k_per_class, gamma)

@@ -5,7 +5,10 @@ slow latent is known exactly (the recovery oracle for the slow-feature
 learner), and parametric moving-shape videos standing in for real
 action footage.  Shape trajectories are pure functions of the
 SynthSpec fields; the seed feeds pixel noise only, so reruns with a
-different seed repeat the identical motion under fresh noise.
+different seed repeat the identical motion under fresh noise.  No other
+module knows the classes: ``KINDS``, each class's parameter draws
+(``class_spec``), the trajectories and the renderer, which draws all
+frames as one array, are here, so a new kind changes this module alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuboid import FrameSequence
-from .errors import InvalidInput, InvalidSpec
+from .errors import InvalidInput, InvalidSpec, whole_numbers
 
 KINDS = ("h_bar_oscillate", "v_bar_oscillate", "blob_translate",
          "blob_pulse")
@@ -73,6 +76,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
+        whole_numbers((self.height, self.width, self.frames), InvalidSpec,
+                      "height, width and frames")
         if self.frames < MIN_FRAMES:
             raise InvalidSpec(f"need at least {MIN_FRAMES} frames")
         if self.height < 8 or self.width < 8:
@@ -103,46 +108,40 @@ def _trajectory(spec: SynthSpec):
     wave = np.sin(2.0 * np.pi * t / spec.period + spec.phase)
 
     if spec.kind == "h_bar_oscillate":
-        half_h = np.full_like(t, spec.size / 2.0)
-        half_w = np.full_like(t, spec.width / 2.0)
-        centers_y = cy + spec.amplitude * wave
-        centers_x = np.full_like(t, spec.width / 2.0)
+        half_h, half_w = spec.size / 2.0, spec.width / 2.0
+        centers_y, centers_x = cy + spec.amplitude * wave, spec.width / 2.0
         if centers_y.min() - spec.size / 2.0 < 0 or \
                 centers_y.max() + spec.size / 2.0 > spec.height:
             raise InvalidSpec("bar oscillates out of the frame")
     elif spec.kind == "v_bar_oscillate":
-        half_h = np.full_like(t, spec.height / 2.0)
-        half_w = np.full_like(t, spec.size / 2.0)
-        centers_y = np.full_like(t, spec.height / 2.0)
-        centers_x = cx + spec.amplitude * wave
+        half_h, half_w = spec.height / 2.0, spec.size / 2.0
+        centers_y, centers_x = spec.height / 2.0, cx + spec.amplitude * wave
         if centers_x.min() - spec.size / 2.0 < 0 or \
                 centers_x.max() + spec.size / 2.0 > spec.width:
             raise InvalidSpec("bar oscillates out of the frame")
     elif spec.kind == "blob_translate":
-        radius = spec.size
+        half_h = half_w = radius = spec.size
         margin = radius + 1.0
         centers_x = _reflect(cx + spec.speed * t, margin,
                              spec.width - margin)
-        centers_y = np.full_like(t, cy)
+        centers_y = cy
         if cy - radius < 0 or cy + radius > spec.height:
             raise InvalidSpec("blob does not fit vertically")
-        half_h = np.full_like(t, radius)
-        half_w = half_h
     else:  # blob_pulse
-        radius = spec.size * (1.0 + 0.45 * wave)
+        half_h = half_w = radius = spec.size * (1.0 + 0.45 * wave)
         r_max = radius.max()
         if cy - r_max < 0 or cy + r_max > spec.height or \
                 cx - r_max < 0 or cx + r_max > spec.width:
             raise InvalidSpec("pulsing blob does not fit in the frame")
-        centers_y = np.full_like(t, cy)
-        centers_x = np.full_like(t, cx)
-        half_h = radius
-        half_w = radius
-    return centers_y, centers_x, half_h, half_w
+        centers_y, centers_x = cy, cx
+    return np.broadcast_arrays(centers_y, centers_x, half_h, half_w)
 
 
-def _render_frame(spec, cy, cx, half_h, half_w):
-    ys = np.arange(spec.height, dtype=float)
+def render_action(spec: SynthSpec) -> np.ndarray:
+    """Rasterize the spec into u8 frames (noise clipped, then rounded)."""
+    # every frame at once: (T, 1, 1) parameters, (H, 1) rows, (W,) columns
+    cy, cx, half_h, half_w = (a[:, None, None] for a in _trajectory(spec))
+    ys = np.arange(spec.height, dtype=float)[:, None]
     xs = np.arange(spec.width, dtype=float)
     if spec.kind in ("h_bar_oscillate", "v_bar_oscillate"):
         # per-axis coverage of the pixel cell by the bar interval
@@ -150,19 +149,14 @@ def _render_frame(spec, cy, cx, half_h, half_w):
                         - np.maximum(ys, cy - half_h), 0.0, 1.0)
         cov_x = np.clip(np.minimum(xs + 1.0, cx + half_w)
                         - np.maximum(xs, cx - half_w), 0.0, 1.0)
-        return np.outer(cov_y, cov_x)
-    # disks: linear edge rolloff one pixel wide
-    dist = np.hypot(ys[:, None] + 0.5 - cy, xs[None, :] + 0.5 - cx)
-    return np.clip(half_h + 0.5 - dist, 0.0, 1.0)
-
-
-def render_action(spec: SynthSpec) -> np.ndarray:
-    """Rasterize the spec into u8 frames (noise clipped, then rounded)."""
-    cys, cxs, hhs, hws = _trajectory(spec)
-    frames = np.empty((spec.frames, spec.height, spec.width))
-    for i in range(spec.frames):
-        frames[i] = _BACKGROUND + _FOREGROUND * _render_frame(
-            spec, cys[i], cxs[i], hhs[i], hws[i])
+        frames = cov_y * cov_x
+    else:
+        # disks: linear edge rolloff one pixel wide
+        frames = np.hypot(ys + 0.5 - cy, xs + 0.5 - cx)
+        np.subtract(half_h + 0.5, frames, out=frames)
+        np.clip(frames, 0.0, 1.0, out=frames)
+    frames *= _FOREGROUND
+    frames += _BACKGROUND
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
         frames += spec.noise_sigma * rng.standard_normal(frames.shape)
@@ -176,3 +170,33 @@ def generate_action(spec: SynthSpec):
     Returns (sequence, class_label); the label is the kind's index.
     """
     return FrameSequence(render_action(spec)), KINDS.index(spec.kind)
+
+
+def class_spec(class_index, seq_index, rng, height, width, frames,
+               noise_sigma) -> SynthSpec:
+    """Sequence ``seq_index`` of class ``KINDS[class_index]``: ``rng``
+    draws its noise seed, then the kind's own parameters, in that order."""
+    kind = KINDS[class_index]
+    h, w = height, width
+    common = dict(height=h, width=w, frames=frames, noise_sigma=noise_sigma,
+                  seed=int(rng.integers(2 ** 31 - 1)))
+    if kind in ("h_bar_oscillate", "v_bar_oscillate"):
+        offset, extent = ("offset_y", h) if kind[0] == "h" else ("offset_x", w)
+        return SynthSpec(
+            kind, **common, size=0.12 * extent, amplitude=0.18 * extent,
+            period=16.0, phase=rng.uniform(0, 2 * np.pi),
+            **{offset: rng.uniform(-0.05, 0.05) * extent})
+    radius = 0.1 * min(h, w)
+    # blob positions cycle over a coarse grid so that every part of the
+    # frame sees every blob class across a handful of sequences
+    base_y = (-0.12 + 0.24 * (seq_index % 3) / 2.0) * h
+    base_x = (-0.18 + 0.36 * (seq_index % 4) / 3.0) * w
+    offset_y = base_y + rng.uniform(-0.03, 0.03) * h
+    if kind == "blob_translate":
+        speed = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.4)
+        return SynthSpec(kind, **common, size=radius, speed=speed,
+                         offset_y=offset_y,
+                         offset_x=rng.uniform(-0.2, 0.2) * w)
+    return SynthSpec(kind, **common, size=radius, period=9.0,
+                     phase=rng.uniform(0, 2 * np.pi), offset_y=offset_y,
+                     offset_x=base_x + rng.uniform(-0.03, 0.03) * w)

@@ -23,6 +23,10 @@ moments: from one centered copy of all the rows.
 it before it solved the whitened matrix with ``np.linalg.eigh``
 directly: through the public ``linalg.sym_eig``, which checks,
 symmetrizes and sign-fixes that matrix again.
+``pipeline_spec_for`` is each synthetic class's parameter draws as the
+pipeline made them before ``synth`` owned its classes, and
+``frame_loop_render`` renders a spec one frame at a time, as ``synth``
+did before it drew every frame at once.
 Tests compare package output against these.
 """
 
@@ -30,7 +34,7 @@ import math
 
 import numpy as np
 
-from slowfeat import classify, cuboid, linalg, sfa
+from slowfeat import classify, cuboid, linalg, pipeline, sfa, synth
 
 
 def jacobi_eig(m, tol=1e-12, max_sweeps=100):
@@ -391,3 +395,59 @@ def hinge_objective(clf, features, labels, reg=classify.DEFAULT_REG):
     margins = signs * (x @ clf.weights.T + clf.biases)
     hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0)
     return float((0.5 * reg * (clf.weights ** 2).sum(axis=1) + hinge).sum())
+
+
+def pipeline_spec_for(config, class_index, seq_index):
+    """Deterministic per-sequence motion parameters for one class."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [config.seed, pipeline.TAG_SYNTH, class_index, seq_index]))
+    kind = synth.KINDS[class_index]
+    h, w = config.height, config.width
+    common = dict(height=h, width=w, frames=config.frames,
+                  noise_sigma=config.noise_sigma,
+                  seed=int(rng.integers(2 ** 31 - 1)))
+    if kind in ("h_bar_oscillate", "v_bar_oscillate"):
+        offset, extent = ("offset_y", h) if kind[0] == "h" else ("offset_x", w)
+        return synth.SynthSpec(
+            kind, **common, size=0.12 * extent, amplitude=0.18 * extent,
+            period=16.0, phase=rng.uniform(0, 2 * np.pi),
+            **{offset: rng.uniform(-0.05, 0.05) * extent})
+    radius = 0.1 * min(h, w)
+    base_y = (-0.12 + 0.24 * (seq_index % 3) / 2.0) * h
+    base_x = (-0.18 + 0.36 * (seq_index % 4) / 3.0) * w
+    offset_y = base_y + rng.uniform(-0.03, 0.03) * h
+    if kind == "blob_translate":
+        speed = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.4)
+        return synth.SynthSpec(kind, **common, size=radius, speed=speed,
+                               offset_y=offset_y,
+                               offset_x=rng.uniform(-0.2, 0.2) * w)
+    return synth.SynthSpec(kind, **common, size=radius, period=9.0,
+                           phase=rng.uniform(0, 2 * np.pi),
+                           offset_y=offset_y,
+                           offset_x=base_x + rng.uniform(-0.03, 0.03) * w)
+
+
+def _render_frame(spec, cy, cx, half_h, half_w):
+    ys = np.arange(spec.height, dtype=float)
+    xs = np.arange(spec.width, dtype=float)
+    if spec.kind in ("h_bar_oscillate", "v_bar_oscillate"):
+        cov_y = np.clip(np.minimum(ys + 1.0, cy + half_h)
+                        - np.maximum(ys, cy - half_h), 0.0, 1.0)
+        cov_x = np.clip(np.minimum(xs + 1.0, cx + half_w)
+                        - np.maximum(xs, cx - half_w), 0.0, 1.0)
+        return np.outer(cov_y, cov_x)
+    dist = np.hypot(ys[:, None] + 0.5 - cy, xs[None, :] + 0.5 - cx)
+    return np.clip(half_h + 0.5 - dist, 0.0, 1.0)
+
+
+def frame_loop_render(spec):
+    """``synth.render_action`` with one ``_render_frame`` call per frame."""
+    cys, cxs, hhs, hws = synth._trajectory(spec)
+    frames = np.empty((spec.frames, spec.height, spec.width))
+    for i in range(spec.frames):
+        frames[i] = 20.0 + 180.0 * _render_frame(
+            spec, cys[i], cxs[i], hhs[i], hws[i])
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
+        frames += spec.noise_sigma * rng.standard_normal(frames.shape)
+    return np.clip(np.rint(frames), 0, 255).astype(np.uint8)

@@ -351,14 +351,24 @@ def test_sample_rejects_bad_fraction():
         cuboid.sample_cuboids(seq, masks, 0.0, (3, 3, 1), rng_seed=0)
 
 
+# truncated, a fractional size such as (2.9, 2, 3) was sampled as 2x2x3
 @pytest.mark.parametrize("size,mask_shape", [
-    ((0, 3, 1), (20, 20)), ((3, 3, 0), (20, 20)), ((3, 3, 1), (20, 19))])
+    ((0, 3, 1), (20, 20)), ((3, 3, 0), (20, 20)), ((3, 3, 1), (20, 19)),
+    ((2.9, 2, 3), (20, 20)), ((3, 3, 1.5), (20, 20)),
+    ((3, np.nan, 1), (20, 20))])
 def test_sample_rejects_a_bad_size_or_a_mask_of_another_shape(size,
                                                               mask_shape):
     seq, _ = interior_mask_sequence()
     with pytest.raises(InvalidDimension):
         cuboid.sample_cuboids(seq, [np.ones(mask_shape, bool)], 1.0, size,
                               rng_seed=0)
+
+
+def test_sample_takes_a_whole_float_size():
+    seq, masks = interior_mask_sequence(depth=4)
+    a = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 2), rng_seed=0)
+    b = cuboid.sample_cuboids(seq, masks, 1.0, (3.0, 3.0, 2.0), rng_seed=0)
+    assert len(a) and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("fraction", [1.5, 0.0, -1.0, float("nan")])

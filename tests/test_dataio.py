@@ -690,6 +690,35 @@ def test_run_config_int_fields_are_counts_but_the_seed(field):
         RunConfig(**{field: low - 1})
 
 
+# the float and str rules are read off the annotations too
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                if f.type == "float"]
+STR_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+              if f.type == "str"]
+
+
+@pytest.mark.parametrize("value", [True, False, "2", "1e-3", None, [0.5]])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_run_config_float_fields_take_only_real_numbers(field, value):
+    with pytest.raises(InvalidInput, match=f"{field} must be a real number"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [3, 2.5, True, None, b"data"])
+@pytest.mark.parametrize("field", STR_FIELDS)
+def test_run_config_str_fields_take_only_strings_or_paths(field, value):
+    with pytest.raises(InvalidInput, match=f"{field} must be a string"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_float_fields_keep_ints_and_str_fields_paths(tmp_path):
+    assert len(FLOAT_FIELDS) == 4 and len(STR_FIELDS) == 7
+    cfg = RunConfig(gamma=1, fraction=1, reg=np.float32(0.5),
+                    noise_sigma=np.int64(0), data_dir=tmp_path / "data")
+    assert (cfg.gamma, cfg.fraction, cfg.noise_sigma) == (1, 1, 0)
+    assert type(cfg.gamma) is int and cfg.data_dir == tmp_path / "data"
+
+
 def test_run_config_takes_numpy_integers():
     # 16 counts, the seed and max_cuboids: an empty list would check none
     assert len(INT_FIELDS) == 18

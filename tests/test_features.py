@@ -540,6 +540,13 @@ def test_mirror_rejects_dim_mismatch():
         features.mirror_features(np.zeros(12), (2, 3))
 
 
+@pytest.mark.parametrize("grid", [(2.7, 3), (2, 3.5), (2, np.nan), (0, 3)])
+def test_mirror_rejects_a_grid_that_is_not_whole_counts(grid):
+    # truncated, (2.7, 3) mirrored as 2x3; a 0 count divided by zero
+    with pytest.raises(InvalidDimension, match="integers"):
+        features.mirror_features(np.zeros((2, 12)), grid)
+
+
 @pytest.mark.parametrize("width", [10, 13, 3])
 def test_mirror_rejects_a_width_the_grid_does_not_divide(width):
     with pytest.raises(InvalidDimension):
@@ -590,6 +597,29 @@ def test_featurize_stride():
     out = features.featurize_sequence(diff_seq, bank, (4, 4, 4),
                                       fraction=0.5, seed=3, stride=3)
     assert [f.snippet_span[1] for f in out] == [0, 3, 6]
+
+
+@pytest.mark.parametrize("size,stride", [((2.9, 2, 3), 1), ((4, 4, 4.5), 1),
+                                         ((4, 4, 4), 1.5), ((4, 4, 4), np.nan)])
+def test_featurize_rejects_a_fractional_size_or_stride(size, stride):
+    # truncated, (2.9, 2, 3) failed with a TooShort about the window,
+    # and stride 1.5 escaped as a TypeError
+    diff_seq = diff_of(moving_square_sequence())
+    bank = featurize_bank(diff_seq)
+    with pytest.raises(InvalidInput, match="integers"):
+        features.featurize_sequence(diff_seq, bank, size, 0.5, seed=3,
+                                    stride=stride)
+
+
+def test_featurize_takes_whole_float_sizes_and_strides():
+    diff_seq = diff_of(moving_square_sequence())
+    bank = featurize_bank(diff_seq)
+    a = features.featurize_sequence(diff_seq, bank, (4, 4, 4), 0.5, seed=3,
+                                    stride=3)
+    b = features.featurize_sequence(diff_seq, bank, (4.0, 4.0, 4.0), 0.5,
+                                    seed=3, stride=np.float64(3.0))
+    assert [(f.snippet_span, f.values.tobytes()) for f in a] == \
+        [(f.snippet_span, f.values.tobytes()) for f in b]
 
 
 def test_featurize_deterministic():

@@ -387,6 +387,22 @@ def test_sdsfa_rejects_a_region_outside_its_grid(grid, region):
                       k_per_class=1)
 
 
+@pytest.mark.parametrize("grid", [(2.5, 3), (2, 1.5), (2, np.inf)])
+def test_sdsfa_rejects_a_fractional_grid(grid):
+    # truncated, (2.5, 3) fitted a bank with grid (2, 3)
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    with pytest.raises(InvalidDimension, match="integers"):
+        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
+                      k_per_class=1)
+
+
+def test_sdsfa_takes_a_whole_float_grid_as_ints():
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    bank = sfa.fit_sdsfa(seqs, labels, regions, grid=(2.0, np.int64(2)),
+                         pca_dim=3, k_per_class=1)
+    assert bank.grid == (2, 2) and all(type(g) is int for g in bank.grid)
+
+
 @pytest.mark.parametrize("strategy", ["ssfa", "dsfa"])
 def test_fits_reject_fractional_labels(strategy):
     # truncated, 0.2 and 0.7 would both be class 0

@@ -3,8 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slowfeat import cuboid, sfa, synth
+from slowfeat import cuboid, pipeline, sfa, synth
+from slowfeat.config import RunConfig
 from slowfeat.errors import InvalidInput, InvalidSpec
+
+import oracles
 
 
 def noise_free(kind, **kw):
@@ -137,6 +140,14 @@ def test_invalid_specs_name_the_reason(kind, fields, what):
         synth.SynthSpec(kind, **fields)
 
 
+@pytest.mark.parametrize("fields", [{"frames": 20.5}, {"height": 40.5},
+                                    {"width": 56.25}, {"frames": np.nan}])
+def test_fractional_frame_counts_and_sizes_rejected(fields):
+    # drawn as one array, 20.5 frames would render as 21
+    with pytest.raises(InvalidSpec, match="height, width and frames"):
+        synth.SynthSpec("blob_pulse", **fields)
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_non_finite_noise_rejected(sigma):
     with pytest.raises(InvalidSpec, match="noise_sigma"):
@@ -166,3 +177,46 @@ def test_generated_sequence_supports_the_pipeline():
     masks = cuboid.motion_masks(diff)
     cs = cuboid.sample_cuboids(diff, masks, 0.25, (8, 8, 6), rng_seed=1)
     assert len(cs) > 50
+
+
+# ---------------------------------------------------------------------------
+# the class specs and the renderer against the code they replaced
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+@pytest.mark.parametrize("geometry", [(48, 64, 60, 2.0), (40, 56, 20, 0.5)])
+def test_class_spec_matches_the_pipeline_draws(seed, geometry):
+    height, width, frames, noise_sigma = geometry
+    config = RunConfig(seed=seed, height=height, width=width, frames=frames,
+                       noise_sigma=noise_sigma)
+    for c in range(len(synth.KINDS)):
+        for i in range(13):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [seed, pipeline.TAG_SYNTH, c, i]))
+            got = synth.class_spec(c, i, rng, height, width, frames,
+                                   noise_sigma)
+            assert got == oracles.pipeline_spec_for(config, c, i)
+
+
+@pytest.mark.parametrize("kind", synth.KINDS)
+@pytest.mark.parametrize("noise_sigma", [0.0, 3.0])
+@pytest.mark.parametrize("motion", [
+    {},
+    {"phase": 1.3, "offset_y": 2.5, "offset_x": -3.25, "speed": -1.2},
+    {"phase": 4.0, "offset_y": -1.75, "offset_x": 4.5, "size": 4.5,
+     "period": 7.0, "amplitude": 6.0}])
+def test_render_matches_the_frame_loop(kind, noise_sigma, motion):
+    spec = synth.SynthSpec(kind, frames=30, noise_sigma=noise_sigma, seed=5,
+                           **motion)
+    got = synth.render_action(spec)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == oracles.frame_loop_render(spec).tobytes()
+
+
+def test_render_matches_the_frame_loop_on_dataset_specs():
+    config = RunConfig(seed=3)
+    for c in range(len(synth.KINDS)):
+        for i in range(4):
+            spec = oracles.pipeline_spec_for(config, c, i)
+            assert synth.render_action(spec).tobytes() == \
+                oracles.frame_loop_render(spec).tobytes()
