@@ -9,22 +9,11 @@ file or command-line flags.
 
 from __future__ import annotations
 
-import math
-import numbers
-import os
 from dataclasses import dataclass, fields
 
 from .classify import DEFAULT_EPOCHS, DEFAULT_REG
-from .errors import InvalidInput
+from .errors import FIELD_TYPES, InvalidInput, typed_fields
 from .sfa import DEFAULT_GAMMA, STRATEGIES
-
-
-# each annotation: the values a field takes, how an error names them,
-# and how config text converts to one
-_TYPES = {"float": (numbers.Real, "a real number", float),
-          "int": (numbers.Integral, "an integer", int),
-          "int | None": ((numbers.Integral, type(None)), "an integer", int),
-          "str": ((str, os.PathLike), "a string or path", str)}
 
 
 @dataclass(frozen=True)
@@ -66,15 +55,9 @@ class RunConfig:
     results_path: str = "results.txt"
 
     def __post_init__(self):
-        # never a bool; a float is finite, an int a count (the seed >= 0)
-        for f in fields(self):
+        typed_fields(self, InvalidInput)
+        for f in fields(self):  # an int is a count (the seed >= 0)
             value = getattr(self, f.name)
-            allowed, name, _ = _TYPES[f.type]
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise InvalidInput(f"{f.name} must be {name}, got {value!r}")
-            if f.type == "float" and not isinstance(
-                    value, numbers.Integral) and not math.isfinite(value):
-                raise InvalidInput(f"{f.name} must be finite, got {value}")
             low = 0 if f.name == "seed" else 1
             if f.type.startswith("int") and value is not None and value < low:
                 raise InvalidInput(f"{f.name} must be >= {low}, got {value}")
@@ -115,4 +98,4 @@ def parse_value(name: str, text: str):
     kind = {f.name: f.type for f in fields(RunConfig)}[name]
     if kind == "int | None" and text.lower() in ("auto", "none"):
         return None
-    return _TYPES[kind][2](text)
+    return FIELD_TYPES[kind][2](text)

@@ -208,7 +208,7 @@ def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
     one row per cuboid, for ``crop_cuboids`` to cut.
     """
     h, w, d = whole_numbers(size, InvalidDimension, f"cuboid size {size}",
-                            low=1).tolist()
+                            low=1, shape=(3,)).tolist()
     shape = seq.frames.shape
     rng = np.random.default_rng(rng_seed)
     picks = [np.zeros((0, 3), dtype=np.intp)]

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules that
+raise them: whole numbers and the field types of its dataclasses.
 
 Every error raised by the library derives from :class:`SlowFeatError`,
 so callers (and the CLI) can catch one base class.
 """
+
+import math
+import numbers
+import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -66,12 +72,6 @@ class OutsideBoundingBox(SlowFeatError):
     """A position falls outside the given bounding box."""
 
 
-# features
-
-class EmptySnippet(SlowFeatError):
-    """A snippet holds no cuboids."""
-
-
 # classification and evaluation
 
 class SingleClass(SlowFeatError):
@@ -119,12 +119,40 @@ class InvalidSpec(SlowFeatError):
     """A synthetic sequence specification is geometrically impossible."""
 
 
-def whole_numbers(values, error, what, low=-np.inf) -> np.ndarray:
-    """``values`` as int64; ``error`` if one is not a whole number >= low."""
+def whole_numbers(values, error, what, low=-np.inf,
+                  shape=None) -> np.ndarray:
+    """``values`` as int64; ``error`` if one is not a whole number >= low,
+    or, given ``shape``, if they do not have that shape."""
     values = np.asarray(values)
-    if values.dtype.kind not in "iuf" or not (
+    if values.dtype.kind not in "iuf" or (
+            shape is not None and values.shape != shape) or not (
             np.isfinite(values) & (values == np.round(values))
             & (values >= low)).all():
-        raise error(f"{what} must be integers"
-                    + (f" >= {low}" if low > -np.inf else ""))
+        raise error(f"{what} must be " + (f"{shape[0]} " if shape else "")
+                    + "integers" + (f" >= {low}" if low > -np.inf else ""))
     return values.astype(np.int64)
+
+
+# each field annotation: the values it takes, how an error names them,
+# and how config text converts to one
+FIELD_TYPES = {"float": (numbers.Real, "a real number", float),
+               "int": (numbers.Integral, "an integer", int),
+               "int | None": ((numbers.Integral, type(None)), "an integer",
+                              int),
+               "str": ((str, os.PathLike), "a string or path", str)}
+
+
+def typed_fields(obj, error, skip=()) -> None:
+    """``error`` unless every field of dataclass ``obj``, but those in
+    ``skip``, holds what its annotation takes: never a bool, and a
+    float finite."""
+    for f in fields(obj):
+        if f.name in skip:
+            continue
+        value = getattr(obj, f.name)
+        allowed, name, _ = FIELD_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise error(f"{f.name} must be {name}, got {value!r}")
+        if f.type == "float" and not isinstance(
+                value, numbers.Integral) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")

@@ -9,14 +9,14 @@ cuboids, then L1-normalized.  A function that stays flat on a cuboid
 contributes nearly zero, so small ASD entries mark the class (and
 region) whose functions the motion obeys.
 
-A sequence is featurized in batches of whole snippets: each snippet's
+``featurize_sequence`` is the one route from cuboids to ASD features.
+It takes a sequence in batches of whole snippets: each snippet's
 cuboids are put in canonical (y, x) order and snippets are gathered
 until a batch holds ``linalg.CHUNK`` cuboids or more.  A batch is one
 (n, d, h, w) array, windowed and taken through ``sfa.project_and_expand``
 with the bank's one PCA, as training's chunks were, then through one
 matrix product against the bank's stacked readouts; each snippet's rows
 are then summed in order.
-``asd_feature`` is the same evaluation on one snippet.
 
 For a region-gridded (``sdsfa``) bank each cuboid contributes only to
 the block of its own region: the product is taken once per region,
@@ -40,30 +40,8 @@ from .cuboid import (
     region_label,
     window_rows,
 )
-from .errors import (
-    EmptySnippet,
-    InvalidDimension,
-    InvalidInput,
-    TooShort,
-    whole_numbers,
-)
+from .errors import InvalidDimension, InvalidInput, TooShort, whole_numbers
 from .sfa import ModelBank, project_and_expand
-
-
-@dataclass(frozen=True)
-class Snippet:
-    """Cuboids sampled from frames [start_frame, start_frame + d).
-
-    ``cuboids`` is the (n, d, h, w) cuboid data, ``positions`` the
-    (n, 2) centres as (y, x) rows, and ``regions`` each cuboid's grid
-    cell, which ``sdsfa`` banks need (None when unlabeled).
-    """
-
-    sequence_id: str
-    start_frame: int
-    cuboids: np.ndarray
-    positions: np.ndarray
-    regions: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -92,20 +70,6 @@ def _window_length(input_dim: int, cuboid_shape) -> int:
     return delta_t
 
 
-def _region_labels(regions, n: int, bank: ModelBank) -> np.ndarray:
-    """Each cuboid's grid cell, checked against an ``sdsfa`` bank's grid."""
-    if regions is None:
-        raise InvalidInput("sdsfa features need region-labeled cuboids")
-    labels = whole_numbers(regions, InvalidInput, "region labels", low=0)
-    n_regions = bank.grid[0] * bank.grid[1]
-    if labels.shape != (n,):
-        raise InvalidInput(
-            f"{n} cuboids need {n} region labels, got shape {labels.shape}")
-    if (labels >= n_regions).any():
-        raise InvalidInput(f"region labels must be below {n_regions}")
-    return labels
-
-
 def bank_squared_derivatives(block, bank: ModelBank,
                              regions=None) -> np.ndarray:
     """Mean squared derivative of every bank output on every cuboid.
@@ -128,8 +92,13 @@ def bank_squared_derivatives(block, bank: ModelBank,
     delta_t = _window_length(bank.pca.in_dim, block.shape[1:])
     groups = [(slice(None), slice(None))]
     if bank.strategy == "sdsfa":
-        labels = _region_labels(regions, n, bank)
+        # None, as any other non-array, is rejected here
+        labels = whole_numbers(regions, InvalidInput,
+                               f"the region labels of {n} cuboids", low=0,
+                               shape=(n,))
         n_regions = bank.grid[0] * bank.grid[1]
+        if (labels >= n_regions).any():
+            raise InvalidInput(f"region labels must be below {n_regions}")
         width = bank.k_total // n_regions
         groups = [(labels == r, slice(r * width, (r + 1) * width))
                   for r in range(n_regions)]
@@ -148,53 +117,6 @@ def bank_squared_derivatives(block, bank: ModelBank,
     return out
 
 
-def _features(block, regions, bank: ModelBank, spans,
-              sizes) -> list[ASDFeature]:
-    """ASD features of snippets whose cuboids lie one after another in
-    ``block``, ``sizes[i]`` cuboids for ``spans[i]``.
-
-    Each snippet's rows are summed in block order: ``sum`` along the
-    first axis adds row after row, as one snippet alone would be summed
-    (``np.add.reduceat`` groups its adds differently).  The vector is
-    L1-normalized unless its sum is zero, in which case it is returned
-    as-is and flagged.
-    """
-    values = bank_squared_derivatives(block, bank, regions)
-    out = []
-    for span, part in zip(spans, np.split(values, np.cumsum(sizes)[:-1])):
-        v = part.sum(axis=0)
-        total_mass = float(v.sum())
-        normalized = total_mass > 0.0
-        out.append(ASDFeature(v / total_mass if normalized else v, span,
-                              normalized))
-    return out
-
-
-def asd_feature(snippet: Snippet, bank: ModelBank) -> ASDFeature:
-    """Sum per-cuboid squared derivatives into one normalized vector.
-
-    Cuboids are summed in canonical (y, x) order, so any input ordering
-    produces a bit-identical result.  For an ``sdsfa`` bank a cuboid
-    contributes only to the models of its own region and every cuboid
-    must be region-labeled.  The vector is L1-normalized unless its sum
-    is zero, in which case it is returned as-is and flagged.
-    """
-    n = len(snippet.cuboids)
-    if n == 0:
-        raise EmptySnippet(
-            f"snippet at frame {snippet.start_frame} of "
-            f"{snippet.sequence_id!r} has no cuboids")
-    if len(snippet.positions) != n:
-        raise InvalidInput(
-            f"{n} cuboids need {n} positions, got {len(snippet.positions)}")
-    order = np.lexsort((snippet.positions[:, 1], snippet.positions[:, 0]))
-    regions = None
-    if bank.strategy == "sdsfa":
-        regions = _region_labels(snippet.regions, n, bank)[order]
-    span = (snippet.sequence_id, snippet.start_frame)
-    return _features(snippet.cuboids[order], regions, bank, [span], [n])[0]
-
-
 def mirror_features(values, grid) -> np.ndarray:
     """Permute the region blocks of every row as a horizontal flip of
     the grid would.
@@ -206,7 +128,7 @@ def mirror_features(values, grid) -> np.ndarray:
     """
     values = np.asarray(values)
     nx, ny = whole_numbers(grid, InvalidDimension, f"grid {grid}",
-                           low=1).tolist()
+                           low=1, shape=(2,)).tolist()
     if values.ndim != 2 or values.shape[1] % (nx * ny):
         raise InvalidDimension(
             f"features of shape {values.shape} are not rows of "
@@ -225,18 +147,21 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     from.  Snippet starts run from 0 to num_frames - d in steps of
     ``stride``; each start samples cuboids from the motion boundaries of
     its own first frame (``motion_masks``), seeded per snippet so results
-    do not depend on processing order.  A snippet with no cuboids yields
-    an all-zero, unnormalized feature.  An ``sdsfa`` bank reads each
-    cuboid's region off its first frame's box.  A batch of snippets ends
-    at the first snippet that brings it to ``linalg.CHUNK`` cuboids; each
-    cuboid is projected and expanded on its own, so the batch a snippet
-    shares can change only the last bits of the readout product and
-    hence of its feature.
+    do not depend on processing order.  A snippet's cuboids are summed
+    in canonical (y, x) order, so the order of the picks changes no bit.
+    Each feature is L1-normalized unless its sum is zero (no cuboids, or
+    none whose rows change), in which case it is returned as-is and
+    flagged.  An ``sdsfa`` bank reads each cuboid's region off its first
+    frame's box, and the cuboid contributes to that region's models
+    only.  A batch of snippets ends at the first snippet that brings it
+    to ``linalg.CHUNK`` cuboids; each cuboid is projected and expanded
+    on its own, so the batch a snippet shares can change only the last
+    bits of the readout product and hence of its feature.
     """
     h, w, d = whole_numbers(size, InvalidInput, f"cuboid size {size}",
-                            low=1).tolist()
+                            low=1, shape=(3,)).tolist()
     stride = int(whole_numbers(stride, InvalidInput, f"stride {stride}",
-                               low=1))
+                               low=1, shape=()))
     n, height, width = seq.frames.shape
     if n < d:
         raise TooShort(f"sequence has {n} frames, snippets need {d}")
@@ -267,8 +192,17 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
         if bank.strategy == "sdsfa":
             regions = region_label((xs, ys), seq.boxes[ts].T, bank.grid)
         block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
-        spans = [(sequence_id, start) for start in first]
-        out.extend(_features(block, regions, bank, spans, sizes))
+        values = bank_squared_derivatives(block, bank, regions)
+        # ``sum`` along the first axis adds row after row, so a snippet's
+        # sum is the same in any batch (``np.add.reduceat`` groups its
+        # adds differently)
+        for start, part in zip(first,
+                               np.split(values, np.cumsum(sizes)[:-1])):
+            v = part.sum(axis=0)
+            total_mass = float(v.sum())
+            normalized = total_mass > 0.0
+            out.append(ASDFeature(v / total_mass if normalized else v,
+                                  (sequence_id, start), normalized))
     return out
 
 

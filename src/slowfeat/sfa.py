@@ -424,6 +424,6 @@ def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
     exactly ``fit_dsfa``.
     """
     gx, gy = whole_numbers(grid, InvalidDimension, f"grid {grid}",
-                           low=1).tolist()
+                           low=1, shape=(2,)).tolist()
     return _fit("sdsfa", minisequences, labels, regions, (gx, gy), pca_dim,
                 k_per_class, gamma)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuboid import FrameSequence
-from .errors import InvalidInput, InvalidSpec, whole_numbers
+from .errors import InvalidInput, InvalidSpec, typed_fields, whole_numbers
 
 KINDS = ("h_bar_oscillate", "v_bar_oscillate", "blob_translate",
          "blob_pulse")
@@ -78,12 +78,15 @@ class SynthSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         whole_numbers((self.height, self.width, self.frames), InvalidSpec,
                       "height, width and frames")
+        # the seed an integer, every float field a finite real number
+        typed_fields(self, InvalidSpec, skip=("kind", "height", "width",
+                                              "frames"))
         if self.frames < MIN_FRAMES:
             raise InvalidSpec(f"need at least {MIN_FRAMES} frames")
         if self.height < 8 or self.width < 8:
             raise InvalidSpec("frame must be at least 8x8")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise InvalidSpec("noise_sigma must be finite and >= 0")
+        if self.noise_sigma < 0:
+            raise InvalidSpec("noise_sigma must be >= 0")
         if self.size <= 0:
             raise InvalidSpec("size must be positive")
         if self.period <= 0:

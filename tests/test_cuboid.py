@@ -364,6 +364,14 @@ def test_sample_rejects_a_bad_size_or_a_mask_of_another_shape(size,
                               rng_seed=0)
 
 
+@pytest.mark.parametrize("size", [3, (3, 3)])
+def test_sample_rejects_a_size_of_another_length(size):
+    # unpacked, these escaped as a TypeError and a ValueError
+    seq, masks = interior_mask_sequence()
+    with pytest.raises(InvalidDimension, match="3 integers"):
+        cuboid.sample_cuboids(seq, masks, 1.0, size, rng_seed=0)
+
+
 def test_sample_takes_a_whole_float_size():
     seq, masks = interior_mask_sequence(depth=4)
     a = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 2), rng_seed=0)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from slowfeat import cuboid, features, linalg, sfa
-from slowfeat.errors import (
-    EmptySnippet,
-    InvalidDimension,
-    InvalidInput,
-    TooShort,
-)
+from slowfeat.errors import InvalidDimension, InvalidInput, TooShort
 
 import oracles
 
@@ -92,52 +87,7 @@ def test_squared_derivative_wrong_patch_size():
 
 
 # ---------------------------------------------------------------------------
-# asd_feature
-
-
-def snippet_of(block, positions=None, regions=None, start=0):
-    """A snippet of (n, d, h, w) cuboids; positions default to (2, 2)."""
-    if positions is None:
-        positions = np.full((len(block), 2), 2)
-    return features.Snippet("seq", start, block, np.asarray(positions),
-                            regions)
-
-
-def test_asd_l1_normalized_and_sized():
-    block, labels = toy_cuboids(seed=5)
-    bank = fit_bank(block, labels, "dsfa")
-    f = features.asd_feature(snippet_of(block[:10]), bank)
-    assert f.values.shape == (bank.k_total,)
-    assert f.normalized
-    assert abs(f.values.sum() - 1.0) < L1_TOL
-    assert (f.values >= 0).all()
-
-
-def test_asd_order_invariance_is_bit_exact():
-    block, labels = toy_cuboids(seed=6)
-    # give cuboids distinct positions so the canonical sort is total
-    positions = np.array([(i // 5, i % 5) for i in range(len(block))])
-    bank = fit_bank(block, labels, "dsfa")
-    rng = np.random.default_rng(0)
-    shuffled = rng.permutation(12)
-    f1 = features.asd_feature(snippet_of(block[:12], positions[:12]), bank)
-    f2 = features.asd_feature(
-        snippet_of(block[shuffled], positions[shuffled]), bank)
-    assert f1.values.tobytes() == f2.values.tobytes()
-
-
-def test_asd_zero_snippet_stays_unnormalized():
-    bank = fit_bank(*toy_cuboids(seed=7), "usfa")
-    flat = np.zeros((1, 7, 4, 4))
-    f = features.asd_feature(snippet_of(flat), bank)
-    assert not f.normalized
-    assert np.abs(f.values).max() == 0.0
-
-
-def test_asd_empty_snippet_rejected():
-    bank = fit_bank(*toy_cuboids(seed=8), "usfa")
-    with pytest.raises(EmptySnippet):
-        features.asd_feature(snippet_of(np.zeros((0, 7, 4, 4))), bank)
+# class blocks and selectivity
 
 
 def test_asd_own_class_block_is_smallest():
@@ -147,8 +97,8 @@ def test_asd_own_class_block_is_smallest():
     bank = fit_bank(block, labels, "dsfa", k=2)
     for label in (0, 1):
         own = block[labels == label][:15]
-        f = features.asd_feature(snippet_of(own), bank)
-        sums = {m.class_label: f.values[i * 2:(i + 1) * 2].sum()
+        v = features.bank_squared_derivatives(own, bank).sum(axis=0)
+        sums = {m.class_label: v[i * 2:(i + 1) * 2].sum()
                 for i, m in enumerate(bank.models)}
         other = 1 - label
         assert sums[label] < sums[other]
@@ -239,11 +189,11 @@ def test_sdsfa_feature_confined_to_own_region_block():
     bank = fit_region_bank(block, labels, regions, k=2)
     assert bank.k_total == 8  # 2 regions x 2 classes x k=2
     one = regions == 1
-    f = features.asd_feature(
-        snippet_of(block[one][:6], regions=regions[one][:6]), bank)
+    v = features.bank_squared_derivatives(block[one][:6], bank,
+                                          regions[one][:6]).sum(axis=0)
     # region 0 occupies the first two blocks, region 1 the last two
-    assert np.abs(f.values[:4]).max() == 0.0
-    assert f.values[4:].sum() > 0
+    assert np.abs(v[:4]).max() == 0.0
+    assert v[4:].sum() > 0
 
 
 def test_sdsfa_matching_cell_block_smallest():
@@ -254,12 +204,12 @@ def test_sdsfa_matching_cell_block_smallest():
     for region in (0, 1):
         for label in (0, 1):
             own = (labels == label) & (regions == region)
-            f = features.asd_feature(
-                snippet_of(block[own][:10], regions=regions[own][:10]), bank)
+            v = features.bank_squared_derivatives(
+                block[own][:10], bank, regions[own][:10]).sum(axis=0)
             sums = {}
             for offset, m in blocks:
                 if m.region_label == region:
-                    sums[m.class_label] = f.values[offset:offset + m.k].sum()
+                    sums[m.class_label] = v[offset:offset + m.k].sum()
             assert sums[label] < sums[1 - label]
 
 
@@ -267,7 +217,7 @@ def test_sdsfa_requires_region_labels():
     block, labels, regions = region_cuboids()
     bank = fit_region_bank(block, labels, regions, k=1)
     with pytest.raises(InvalidInput):
-        features.asd_feature(snippet_of(block[:3]), bank)
+        features.bank_squared_derivatives(block[:3], bank, regions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +250,6 @@ def test_bank_evaluation_matches_per_model_oracle(strategy):
     assert (np.abs(got - expected)
             <= ORACLE_TOL * np.maximum(1.0, np.abs(expected))).all()
 
-    positions = np.zeros((len(mixed), 3), dtype=int)
-    positions[:, 1:] = 2
-    f = features.asd_feature(snippet_of(mixed, regions=mixed_regions), bank)
-    values, normalized = oracles.per_model_asd(mixed, positions, bank,
-                                               mixed_regions)
-    assert f.normalized == normalized
-    assert np.abs(f.values - values).max() <= ORACLE_TOL
-
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
 def test_bit_equal_frames_contribute_exactly_zero(strategy):
@@ -317,9 +259,17 @@ def test_bit_equal_frames_contribute_exactly_zero(strategy):
     regions = np.array([1]) if strategy == "sdsfa" else None
     values = features.bank_squared_derivatives(still, bank, regions)
     assert (values == 0.0).all()
-    f = features.asd_feature(snippet_of(still, regions=regions), bank)
-    assert not f.normalized
-    assert (f.values == 0.0).all()
+    # in featurize, still snippets share their batch with moving ones:
+    # starts 0-2 hold the repeated frame alone, later starts the square
+    moving = diff_of(moving_square_sequence()).frames[:6]
+    seq = cuboid.FrameSequence(np.concatenate([still_sequence(8).frames,
+                                               moving]))
+    out = features.featurize_sequence(seq, bank, (4, 4, 6), fraction=0.5,
+                                      seed=3)
+    assert all(fixture_picks(seq, start)[0].size for start in (0, 1, 2))
+    for f in out[:3]:
+        assert not f.normalized and (f.values == 0.0).all()
+    assert sum(f.normalized for f in out[3:]) >= 2
 
 
 def test_sdsfa_cuboid_scores_exactly_zero_outside_own_region():
@@ -381,29 +331,59 @@ def fixture_picks(diff_seq, start):
     return cuboid.pick_positions(mask, 0.5, (4, 4), rng)
 
 
-@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
-def test_batched_snippets_match_asd_feature(strategy):
-    bank, diff_seq, out = featurize_fixture(strategy)
-    scored = 0
-    for f in out:
-        start = f.snippet_span[1]
-        ys, xs = fixture_picks(diff_seq, start)
-        if not ys.size:
-            assert not f.normalized and (f.values == 0.0).all()
-            continue
-        regions = None
-        if strategy == "sdsfa":
-            regions = cuboid.region_label((xs, ys), diff_seq.boxes[start],
-                                          bank.grid)
-        block = cuboid.crop_cuboids(diff_seq.frames, np.full(ys.size, start),
-                                    ys, xs, (4, 4, 6))
-        single = features.asd_feature(
-            snippet_of(block, np.column_stack([ys, xs]), regions, start),
-            bank)
-        assert f.normalized == single.normalized
-        assert np.abs(f.values - single.values).max() <= ORACLE_TOL
-        scored += 1
-    assert scored >= 2
+def still_sequence(frames=12, side=16):
+    """A difference sequence of one random frame repeated: the frame has
+    edges, so cuboids are cut, but no cuboid changes in time."""
+    frame = np.random.default_rng(13).uniform(-200.0, 200.0, (side, side))
+    return cuboid.FrameSequence(np.tile(frame, (frames, 1, 1)))
+
+
+def test_asd_l1_normalized_and_sized():
+    for strategy in sfa.STRATEGIES:
+        bank, _, out = featurize_fixture(strategy)
+        assert sum(f.normalized for f in out) >= 2
+        for f in out:
+            assert f.values.shape == (bank.k_total,)
+            if f.normalized:
+                assert (f.values >= 0).all()
+                assert abs(f.values.sum() - 1.0) < L1_TOL
+
+
+def test_asd_order_invariance_is_bit_exact(monkeypatch):
+    # the same picks in another order: the canonical (y, x) order of a
+    # snippet's cuboids makes its sum, and so its bytes, the same
+    shuffled = []
+
+    def pick_shuffled(mask, fraction, patch, rng):
+        ys, xs = cuboid.pick_positions(mask, fraction, patch, rng)
+        order = np.random.default_rng(ys.size).permutation(ys.size)
+        shuffled.append((order != np.arange(ys.size)).any())
+        return ys[order], xs[order]
+
+    for strategy in sfa.STRATEGIES:
+        _, _, out = featurize_fixture(strategy)
+        with monkeypatch.context() as m:
+            m.setattr(features, "pick_positions", pick_shuffled)
+            _, _, shuffled_out = featurize_fixture(strategy)
+        assert [(f.snippet_span, f.normalized, f.values.tobytes())
+                for f in shuffled_out] == [
+            (f.snippet_span, f.normalized, f.values.tobytes()) for f in out]
+    assert sum(shuffled) >= 8
+
+
+def test_asd_zero_snippet_stays_unnormalized():
+    # every cuboid's rows are bit-equal, so each sum is exactly zero
+    seq = still_sequence()
+    assert all(fixture_picks(seq, start)[0].size for start in range(7))
+    for strategy in sfa.STRATEGIES:
+        bank, _, _ = bank_and_cuboids(strategy)
+        out = features.featurize_sequence(seq, bank, (4, 4, 6),
+                                          fraction=0.5, seed=3)
+        assert len(out) == 7
+        for f in out:
+            assert not f.normalized
+            assert f.values.shape == (bank.k_total,)
+            assert (f.values == 0.0).all()
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
@@ -481,8 +461,6 @@ def test_sdsfa_rejects_bad_region_labels(regions):
     bank, block, _ = bank_and_cuboids("sdsfa")
     with pytest.raises(InvalidInput):
         features.bank_squared_derivatives(block[:3], bank, regions)
-    with pytest.raises(InvalidInput):
-        features.asd_feature(snippet_of(block[:3], regions=regions), bank)
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
@@ -498,12 +476,6 @@ def test_block_that_is_not_4d_is_rejected(shape):
     bank, _, _ = bank_and_cuboids("dsfa")
     with pytest.raises(InvalidDimension):
         features.bank_squared_derivatives(np.zeros(shape), bank)
-
-
-def test_asd_rejects_positions_of_another_length():
-    bank, block, _ = bank_and_cuboids("dsfa")
-    with pytest.raises(InvalidInput):
-        features.asd_feature(snippet_of(block[:3], np.zeros((2, 2))), bank)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +516,13 @@ def test_mirror_rejects_dim_mismatch():
 def test_mirror_rejects_a_grid_that_is_not_whole_counts(grid):
     # truncated, (2.7, 3) mirrored as 2x3; a 0 count divided by zero
     with pytest.raises(InvalidDimension, match="integers"):
+        features.mirror_features(np.zeros((2, 12)), grid)
+
+
+@pytest.mark.parametrize("grid", [2, (2, 3, 1)])
+def test_mirror_rejects_a_grid_of_another_length(grid):
+    # unpacked, these escaped as a TypeError and a ValueError
+    with pytest.raises(InvalidDimension, match="2 integers"):
         features.mirror_features(np.zeros((2, 12)), grid)
 
 
@@ -604,6 +583,18 @@ def test_featurize_stride():
 def test_featurize_rejects_a_fractional_size_or_stride(size, stride):
     # truncated, (2.9, 2, 3) failed with a TooShort about the window,
     # and stride 1.5 escaped as a TypeError
+    diff_seq = diff_of(moving_square_sequence())
+    bank = featurize_bank(diff_seq)
+    with pytest.raises(InvalidInput, match="integers"):
+        features.featurize_sequence(diff_seq, bank, size, 0.5, seed=3,
+                                    stride=stride)
+
+
+@pytest.mark.parametrize("size,stride", [(2, 1), ((2, 2), 1),
+                                         ((4, 4, 4), [2]),
+                                         ((4, 4, 4), (2, 3))])
+def test_featurize_rejects_a_size_or_stride_of_another_shape(size, stride):
+    # unpacked or cast, these escaped as a TypeError or a ValueError
     diff_seq = diff_of(moving_square_sequence())
     bank = featurize_bank(diff_seq)
     with pytest.raises(InvalidInput, match="integers"):

@@ -396,6 +396,15 @@ def test_sdsfa_rejects_a_fractional_grid(grid):
                       k_per_class=1)
 
 
+@pytest.mark.parametrize("grid", [2, (1, 1, 1)])
+def test_sdsfa_rejects_a_grid_of_another_length(grid):
+    # unpacked, these escaped as a TypeError and a ValueError
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    with pytest.raises(InvalidDimension, match="2 integers"):
+        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
+                      k_per_class=1)
+
+
 def test_sdsfa_takes_a_whole_float_grid_as_ints():
     seqs, labels, regions = region_spread_data(per_cell=3)
     bank = sfa.fit_sdsfa(seqs, labels, regions, grid=(2.0, np.int64(2)),
@@ -813,21 +822,14 @@ def test_training_keeps_the_names_the_benchmark_reads():
 
 
 def test_features_keep_the_names_the_benchmark_reads():
-    # the benchmark's featurize hooks bind the arguments of
-    # featurize_sequence and asd_feature by name, count len() of
-    # args["snippet"].cuboids and read .normalized of each feature
+    # the benchmark's featurize hook binds the arguments of
+    # featurize_sequence by name and reads .normalized of each feature
     assert list(inspect.signature(features.featurize_sequence).parameters) \
         == ["seq", "bank", "size", "fraction", "seed", "stride",
             "sequence_id"]
-    assert list(inspect.signature(features.asd_feature).parameters) \
-        == ["snippet", "bank"]
     rng = np.random.default_rng(22)
     minis = rng.normal(size=(12, 3, 4))
     bank = sfa.fit_usfa(minis, pca_dim=2, k=2)
-    snippet = features.Snippet("s", 0, rng.normal(size=(3, 4, 2, 2)),
-                               np.zeros((3, 2)))
-    assert len(snippet.cuboids) == 3
-    assert features.asd_feature(snippet, bank).normalized is True
     seq = cuboid.FrameSequence(np.zeros((5, 6, 6)))
     out = features.featurize_sequence(seq, bank, (2, 2, 4), 1.0, seed=0)
     assert [f.normalized for f in out] == [False, False]

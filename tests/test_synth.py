@@ -154,6 +154,41 @@ def test_non_finite_noise_rejected(sigma):
         synth.SynthSpec("blob_translate", noise_sigma=sigma)
 
 
+# the type rule is read off the annotations, as RunConfig's is
+SPEC_FLOATS = [f.name for f in dataclasses.fields(synth.SynthSpec)
+               if f.type == "float"]
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, "3", None])
+def test_spec_seed_must_be_an_integer(seed):
+    # 2.5 constructed, then escaped render_action as a TypeError
+    with pytest.raises(InvalidSpec, match="seed must be an integer"):
+        synth.render_action(synth.SynthSpec("blob_pulse", seed=seed))
+
+
+@pytest.mark.parametrize("value", ["3", True, None, [2.0]])
+@pytest.mark.parametrize("field", SPEC_FLOATS)
+def test_spec_float_fields_take_only_real_numbers(field, value):
+    with pytest.raises(InvalidSpec, match=f"{field} must be a real number"):
+        synth.SynthSpec("blob_pulse", **{field: value})
+
+
+# noise_sigma's own case is test_non_finite_noise_rejected
+@pytest.mark.parametrize("field", [f for f in SPEC_FLOATS
+                                   if f != "noise_sigma"])
+def test_spec_float_fields_must_be_finite(field):
+    with pytest.raises(InvalidSpec, match=f"{field} must be finite"):
+        synth.SynthSpec("blob_pulse", **{field: float("nan")})
+
+
+def test_spec_takes_numpy_numbers():
+    assert len(SPEC_FLOATS) == 8
+    spec = synth.SynthSpec("blob_pulse", seed=np.int64(4), size=np.int32(5),
+                           noise_sigma=np.float32(1.5))
+    assert spec.seed == 4 and spec.size == 5
+    assert synth.render_action(spec).shape == (60, 48, 64)
+
+
 # ---------------------------------------------------------------------------
 # sequence assembly
 
