@@ -71,11 +71,14 @@ class FrameSequence:
             raise InvalidDimension(
                 f"frames must be (T, H, W) with T >= 1, got {self.frames.shape}")
         t, h, w = self.frames.shape
-        boxes = np.asarray(np.tile([0, 0, w, h], (t, 1))
-                           if self.boxes is None else self.boxes)
-        if boxes.shape != (t, 4):
-            raise InvalidDimension(
-                f"boxes must be ({t}, 4), got {boxes.shape}")
+        boxes = np.tile([0, 0, w, h], (t, 1)) if self.boxes is None \
+            else self.boxes
+        try:
+            shape = np.shape(boxes)
+        except ValueError:  # ragged rows
+            shape = "ragged rows"
+        if shape != (t, 4):
+            raise InvalidDimension(f"boxes must be ({t}, 4), got {shape}")
         object.__setattr__(self, "boxes",
                            whole_numbers(boxes, InvalidInput, "box values"))
         bx, by, bw, bh = self.boxes.T

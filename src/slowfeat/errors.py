@@ -123,8 +123,11 @@ def whole_numbers(values, error, what, low=-np.inf,
                   shape=None) -> np.ndarray:
     """``values`` as int64; ``error`` if one is not a whole number >= low,
     or, given ``shape``, if they do not have that shape."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf" or (
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting: no array shape
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or (
             shape is not None and values.shape != shape) or not (
             np.isfinite(values) & (values == np.round(values))
             & (values >= low)).all():

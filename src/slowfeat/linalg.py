@@ -36,6 +36,7 @@ from .errors import (
     InvalidDimension,
     InvalidMatrix,
     NotPSD,
+    whole_numbers,
 )
 
 # Constraint-matrix directions below this fraction of the largest
@@ -222,7 +223,9 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     n = math.prod(data.shape[:-1])
     if n < 2:
         raise EmptyTrainingSet(f"pca_fit needs at least 2 samples, got {n}")
-    if not 1 <= out_dim <= in_dim:
+    out_dim = int(whole_numbers(out_dim, InvalidDimension,
+                                f"out_dim {out_dim!r}", low=1, shape=()))
+    if out_dim > in_dim:
         raise InvalidDimension(
             f"out_dim must be in [1, {in_dim}], got {out_dim}")
     mean, b, _, n, _ = merge_moments(

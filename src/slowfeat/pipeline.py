@@ -163,26 +163,14 @@ def _training_cuboids(config, entries, train) -> TrainingCuboids:
                            np.concatenate(regions) if regions else None)
 
 
-def fit_bank_from_cuboids(config, cuboids: TrainingCuboids) -> sfa.ModelBank:
-    minis = cuboids.data.windows(config.delta_t)
-    if config.strategy == "usfa":
-        return sfa.fit_usfa(minis, config.pca_dim, config.k_per_class)
-    if config.strategy == "ssfa":
-        return sfa.fit_ssfa(minis, cuboids.labels, config.pca_dim,
-                            config.k_per_class)
-    if config.strategy == "dsfa":
-        return sfa.fit_dsfa(minis, cuboids.labels, config.pca_dim,
-                            config.k_per_class, gamma=config.gamma)
-    return sfa.fit_sdsfa(minis, cuboids.labels, cuboids.regions,
-                         config.grid, config.pca_dim, config.k_per_class,
-                         gamma=config.gamma)
-
-
 def cmd_train(config):
     entries = load_entries(config)
     train, _ = split_entries(entries, config)
     cuboids = _training_cuboids(config, entries, train)
-    bank = fit_bank_from_cuboids(config, cuboids)
+    bank = sfa.fit_bank(
+        config.strategy, cuboids.data.windows(config.delta_t),
+        config.pca_dim, config.k_per_class, labels=cuboids.labels,
+        regions=cuboids.regions, grid=config.grid, gamma=config.gamma)
     dataio.save_bank(config.model_path, bank)
     print(f"fitted {config.strategy} bank on {len(cuboids.data)} cuboids "
           f"from {len(train)} sequences -> {config.model_path}")
@@ -357,7 +345,7 @@ TOY_LENGTH = 2000
 def cmd_toy_sfa(config):
     """Demix the slow latent of the ``TOY_LENGTH``-sample toy signal."""
     observed, latent = synth.toy_slow_signal(TOY_LENGTH, config.seed)
-    bank = sfa.fit_usfa([observed], pca_dim=2, k=2)
+    bank = sfa.fit_bank("usfa", [observed], pca_dim=2, k=2)
     y = sfa.apply(bank.models[0], observed)
     corr = abs(float(np.corrcoef(y[:, 0], latent)[0, 1]))
     results = {

@@ -7,17 +7,18 @@ readout W whose columns solve a generalized eigenproblem:
     minimize   <(dy/dt)^2>        (temporal variation of each output)
     subject to zero mean, unit variance, decorrelation on training data.
 
-Four fitting strategies share that machinery and differ in which data
-enters the objective and the constraints:
+Four strategies (``STRATEGIES``), all fit by ``fit_bank``, share that
+machinery and differ in which data enters the objective and the
+constraints:
 
-* ``fit_usfa``  - one model over all training minisequences.
-* ``fit_ssfa``  - one model per class, objective and constraints both
+* ``usfa``  - one model over all training minisequences.
+* ``ssfa``  - one model per class, objective and constraints both
   restricted to that class.
-* ``fit_dsfa``  - one model per class; the objective trades the class's
+* ``dsfa``  - one model per class; the objective trades the class's
   own temporal variation against the pooled variation of the other
   classes (weight ``gamma``), constraints taken over the union.
-* ``fit_sdsfa`` - ``fit_dsfa`` run independently inside each cell of a
-  spatial grid over the bounding box, one model per (class, region).
+* ``sdsfa`` - dsfa run independently inside each cell of a spatial
+  grid over the bounding box, one model per (class, region).
 
 All four are one fit over cells: the whole set (usfa), one class (ssfa,
 dsfa) or one (region, class) pair (sdsfa).  A fit takes two passes over
@@ -54,6 +55,7 @@ most negative.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,25 +299,46 @@ def _check_cells(counts, classes, by_region):
                 "need at least 2")
 
 
-def _fit(strategy, minisequences, labels, regions, grid, pca_dim, k,
-         gamma) -> ModelBank:
-    """The four strategies as one fit over cells.
+def fit_bank(strategy, minisequences, pca_dim: int, k: int, labels=None,
+             regions=None, grid=(1, 1), gamma=DEFAULT_GAMMA) -> ModelBank:
+    """Fit the ``k`` slowest functions per cell of ``strategy``.
 
     A cell is the whole set for usfa, one class for ssfa and dsfa, and
-    one (region, class) pair for sdsfa; its mean, covariance B and
-    derivative covariance A are merged from its chunks' moments.
-    usfa and ssfa solve each cell's A against its own B.  In each
-    region, the discriminative fits give class c the objective A_c
-    minus ``gamma`` times the mean of the other classes' A (each
-    normalized by its own difference count, so classes pool with equal
-    weight), against the B and the mean of the region's union, merged
-    from its cells' moments.
+    one (region, class) pair for sdsfa.  PCA to ``pca_dim`` is fit once
+    on the union of all vectors; each cell's expanded mean, covariance
+    B and derivative covariance A are merged from its chunks' moments.
+    usfa and ssfa solve each cell's A against its own B, so ssfa's
+    constraints hold on each class's own data, and with one class ssfa
+    is usfa on that class.  In each region, the discriminative fits
+    give class c the objective A_c minus ``gamma`` times the mean of
+    the other classes' A (each normalized by its own difference count,
+    so classes pool with equal weight), against the B and the mean of
+    the region's union, merged from its cells' moments; ``gamma = 0``
+    gives per-class slowness with union constraints.  The objective may
+    be indefinite: negative eigenvalues are valid and sort first.
+
+    ``labels`` give each minisequence's class (not read by usfa).
+    ``regions`` give each one's cell index in ``[0, grid_x * grid_y)``
+    of the whole-number ``grid``; only sdsfa reads them, ordering its
+    models region-major then class-minor, and with a (1, 1) grid it is
+    exactly dsfa.  Only dsfa and sdsfa read ``gamma``, a finite real
+    >= 0.  ``k`` is a whole number >= 1.
     """
-    if k < 1:
-        raise InvalidDimension(f"k must be >= 1, got {k}")
+    if strategy not in STRATEGIES:
+        raise InvalidInput(f"unknown strategy {strategy!r}")
+    if strategy == "usfa":
+        labels = None
+    if strategy == "sdsfa":
+        grid = tuple(whole_numbers(grid, InvalidDimension, f"grid {grid}",
+                                   low=1, shape=(2,)).tolist())
+    else:
+        regions, grid = None, (1, 1)
+    k = int(whole_numbers(k, InvalidDimension, f"k {k!r}", low=1, shape=()))
     discriminative = strategy in ("dsfa", "sdsfa")
-    if discriminative and not 0 <= gamma < np.inf:
-        raise InvalidInput(f"gamma must be finite and >= 0, got {gamma}")
+    if discriminative and (isinstance(gamma, bool) or not isinstance(
+            gamma, numbers.Real) or not 0 <= gamma < np.inf):
+        raise InvalidInput(
+            f"gamma must be a finite real >= 0, got {gamma!r}")
     x = linalg.as_minisequences(minisequences)
     if x.shape[1] < 2:
         raise TooShort(f"minisequences have {x.shape[1]} vectors, "
@@ -369,61 +392,3 @@ def _fit(strategy, minisequences, labels, regions, grid, pca_dim, k,
         strategy, pca, h0s, w, eigenvalues,
         () if strategy == "usfa" else tuple(int(c) for c in classes),
         grid, gamma if discriminative else None)
-
-
-def fit_usfa(minisequences, pca_dim: int, k: int) -> ModelBank:
-    """Fit one unsupervised slow feature model on all minisequences.
-
-    Pipeline: PCA to ``pca_dim`` on the union of all vectors, expand,
-    center by the global expanded mean, then solve the generalized
-    eigenproblem of the derivative covariance against the covariance.
-    The ``k`` smallest eigenvalues and their B-normalized eigenvectors
-    become the model; each eigenvalue equals the mean squared derivative
-    of its output on the training data.
-    """
-    return _fit("usfa", minisequences, None, None, (1, 1), pca_dim, k, None)
-
-
-def fit_ssfa(minisequences, labels, pca_dim: int,
-             k_per_class: int) -> ModelBank:
-    """Fit one slow feature model per class on that class's data alone.
-
-    PCA is shared (fit on the union of all classes); the expanded mean,
-    covariance and derivative covariance are all per-class, so the
-    zero-mean / unit-variance / decorrelation constraints hold on each
-    class's own training data.  With a single class this reduces to
-    ``fit_usfa`` on that class.
-    """
-    return _fit("ssfa", minisequences, labels, None, (1, 1), pca_dim,
-                k_per_class, None)
-
-
-def fit_dsfa(minisequences, labels, pca_dim: int, k_per_class: int,
-             gamma: float = DEFAULT_GAMMA) -> ModelBank:
-    """Fit one discriminative slow feature model per class.
-
-    Class c minimizes its own mean squared derivative while maximizing
-    (weight ``gamma``) the pooled mean squared derivative of all other
-    classes, under constraints taken over the union of classes.  The
-    objective matrix may be indefinite; negative eigenvalues are valid
-    and sort first.  ``gamma = 0`` reduces to per-class slowness with
-    union constraints.
-    """
-    return _fit("dsfa", minisequences, labels, None, (1, 1), pca_dim,
-                k_per_class, gamma)
-
-
-def fit_sdsfa(minisequences, labels, regions, grid, pca_dim: int,
-              k_per_class: int, gamma: float = DEFAULT_GAMMA) -> ModelBank:
-    """Fit discriminative models independently inside each spatial region.
-
-    ``regions`` assigns each minisequence a region index in
-    ``[0, grid_x * grid_y)``; the bank holds one model per
-    (region, class) pair, ordered region-major then class-minor.  PCA is
-    fit once on the union of everything.  With a (1, 1) grid this is
-    exactly ``fit_dsfa``.
-    """
-    gx, gy = whole_numbers(grid, InvalidDimension, f"grid {grid}",
-                           low=1, shape=(2,)).tolist()
-    return _fit("sdsfa", minisequences, labels, regions, (gx, gy), pca_dim,
-                k_per_class, gamma)

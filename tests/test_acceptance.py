@@ -74,14 +74,10 @@ def constraint_data(tmp_path_factory):
     lazy = cuboids.data.windows(cfg.delta_t)
     minis = lazy[:]
     labels, regions = cuboids.labels, cuboids.regions
-    banks = {
-        "usfa": sfa.fit_usfa(lazy, cfg.pca_dim, cfg.k_per_class),
-        "ssfa": sfa.fit_ssfa(lazy, labels, cfg.pca_dim, cfg.k_per_class),
-        "dsfa": sfa.fit_dsfa(lazy, labels, cfg.pca_dim, cfg.k_per_class,
-                             gamma=cfg.gamma),
-        "sdsfa": sfa.fit_sdsfa(lazy, labels, regions, cfg.grid, cfg.pca_dim,
-                               cfg.k_per_class, gamma=cfg.gamma),
-    }
+    banks = {s: sfa.fit_bank(s, lazy, cfg.pca_dim, cfg.k_per_class,
+                             labels=labels, regions=regions, grid=cfg.grid,
+                             gamma=cfg.gamma)
+             for s in sfa.STRATEGIES}
     return {"cuboids": cuboids, "minis": minis, "banks": banks,
             "fit_seconds": time.perf_counter() - start}
 
@@ -185,7 +181,7 @@ def test_criterion_2_eigensolver_oracle(capsys):
 def test_criterion_3_toy_latent_recovery(capsys):
     start = time.perf_counter()
     observed, latent = synth.toy_slow_signal(2000, seed=0)
-    bank = sfa.fit_usfa([observed], pca_dim=2, k=2)
+    bank = sfa.fit_bank("usfa", [observed], pca_dim=2, k=2)
     y = sfa.apply(bank.models[0], observed)
     corr = abs(float(np.corrcoef(y[:, 0], latent)[0, 1]))
     slow = sfa.delta_value(y[:, 0])

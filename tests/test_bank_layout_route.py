@@ -45,7 +45,7 @@ def test_the_check_finds_each_kind_of_read():
     source = """
 from . import sfa
 
-count = len(sfa.fit_usfa(x, 2, 1).models)
+count = len(sfa.fit_bank("usfa", x, 2, 1).models)
 
 def edges(bank):
     def inner():

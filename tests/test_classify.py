@@ -403,8 +403,8 @@ def class_bank(classes):
     function of class j, so one feature row per class is the table."""
     rng = np.random.default_rng(5)
     labels = np.repeat(np.arange(classes), 10)
-    return sfa.fit_ssfa(rng.normal(size=(len(labels), 4, 3)), labels,
-                        pca_dim=2, k_per_class=1)
+    return sfa.fit_bank("ssfa", rng.normal(size=(len(labels), 4, 3)),
+                        pca_dim=2, k=1, labels=labels)
 
 
 def table_selectivity(table):

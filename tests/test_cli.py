@@ -232,7 +232,10 @@ def test_constraint_suite_on_trained_bank(tmp_path):
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, _ = pipeline.split_entries(entries, cfg)
     cuboids = pipeline._training_cuboids(cfg, entries, train)
-    bank = pipeline.fit_bank_from_cuboids(cfg, cuboids)
+    bank = sfa.fit_bank(cfg.strategy, cuboids.data.windows(cfg.delta_t),
+                        cfg.pca_dim, cfg.k_per_class, labels=cuboids.labels,
+                        regions=cuboids.regions, grid=cfg.grid,
+                        gamma=cfg.gamma)
     assert_bank_constraints(bank, cuboids, cfg.delta_t)
 
 

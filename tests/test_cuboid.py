@@ -84,9 +84,11 @@ def test_a_sequence_without_boxes_has_the_whole_frame_as_every_box():
     (np.zeros((5, 5)), None), (np.zeros((2, 1, 5, 5)), None),
     (np.zeros((0, 5, 5)), None), (np.zeros((2, 5, 5)), np.zeros((3, 4))),
     (np.zeros((2, 5, 5)), np.zeros((2, 5))), (np.zeros((2, 5, 5)),
-                                              np.zeros(4))])
+                                              np.zeros(4)),
+    (np.zeros((2, 5, 5)), [[0, 0, 5, 5], [0, 0, 5]])])
 def test_frame_sequence_rejects_frames_or_boxes_of_another_shape(frames,
                                                                  boxes):
+    # np.asarray of the ragged box rows escaped as numpy's ValueError
     with pytest.raises(InvalidDimension):
         cuboid.FrameSequence(frames, boxes)
 
@@ -364,9 +366,10 @@ def test_sample_rejects_a_bad_size_or_a_mask_of_another_shape(size,
                               rng_seed=0)
 
 
-@pytest.mark.parametrize("size", [3, (3, 3)])
+@pytest.mark.parametrize("size", [3, (3, 3), ((3, 3), 1)])
 def test_sample_rejects_a_size_of_another_length(size):
-    # unpacked, these escaped as a TypeError and a ValueError
+    # unpacked, these escaped as a TypeError and a ValueError, and
+    # np.asarray of the ragged ((3, 3), 1) as numpy's ValueError
     seq, masks = interior_mask_sequence()
     with pytest.raises(InvalidDimension, match="3 integers"):
         cuboid.sample_cuboids(seq, masks, 1.0, size, rng_seed=0)

@@ -37,11 +37,7 @@ def fitted_bank(strategy="dsfa", seed=0):
                 + 0.05 * rng.normal(size=(8, 6))
             minis.append(block)
             labels.append(label)
-    if strategy == "usfa":
-        return sfa.fit_usfa(minis, pca_dim=4, k=2)
-    if strategy == "ssfa":
-        return sfa.fit_ssfa(minis, labels, pca_dim=4, k_per_class=2)
-    return sfa.fit_dsfa(minis, labels, pca_dim=4, k_per_class=2)
+    return sfa.fit_bank(strategy, minis, pca_dim=4, k=2, labels=labels)
 
 
 def banks_equal(a, b):
@@ -207,9 +203,9 @@ def region_fitted_banks(seed=0):
             minis.append(base[:, None] * rng.normal(size=6)
                          + 0.05 * rng.normal(size=(8, 6)))
             labels.append(label)
-    dsfa = sfa.fit_dsfa(minis, labels, pca_dim=4, k_per_class=2)
-    sdsfa = sfa.fit_sdsfa(minis, labels, [0] * len(minis), (1, 1),
-                          pca_dim=4, k_per_class=2)
+    dsfa = sfa.fit_bank("dsfa", minis, pca_dim=4, k=2, labels=labels)
+    sdsfa = sfa.fit_bank("sdsfa", minis, pca_dim=4, k=2, labels=labels,
+                         regions=[0] * len(minis), grid=(1, 1))
     return dsfa, sdsfa
 
 
@@ -820,9 +816,9 @@ def reader_cases(root):
             fitted_bank(strategy))
     minis = [rng.normal(size=(5, 4)) for _ in range(16)]
     add("bank-sdsfa", dataio.load_bank, dataio.save_bank,
-        sfa.fit_sdsfa(minis, [i % 2 for i in range(16)],
-                      [i // 2 % 2 for i in range(16)], (2, 1), pca_dim=3,
-                      k_per_class=1))
+        sfa.fit_bank("sdsfa", minis, pca_dim=3, k=1,
+                     labels=[i % 2 for i in range(16)],
+                     regions=[i // 2 % 2 for i in range(16)], grid=(2, 1)))
     add("features", dataio.load_features, dataio.save_features, "seq-1",
         [ASDFeature(rng.random(4), ("seq-1", t), True) for t in range(3)],
         1)

@@ -30,15 +30,8 @@ def toy_cuboids(seed=0, per_class=30, d=7, h=4, w=4, omegas=(0.3, 2.2)):
 
 def fit_bank(block, labels, strategy="dsfa", delta_t=3, pca_dim=6, k=2,
              regions=None, **kw):
-    minis = cuboid.window_rows(block, delta_t)
-    if strategy == "usfa":
-        return sfa.fit_usfa(minis, pca_dim, k, **kw)
-    if strategy == "ssfa":
-        return sfa.fit_ssfa(minis, labels, pca_dim, k, **kw)
-    if strategy == "dsfa":
-        return sfa.fit_dsfa(minis, labels, pca_dim, k, **kw)
-    return sfa.fit_sdsfa(minis, labels, regions, pca_dim=pca_dim,
-                         k_per_class=k, **kw)
+    return sfa.fit_bank(strategy, cuboid.window_rows(block, delta_t),
+                        pca_dim, k, labels=labels, regions=regions, **kw)
 
 
 def squared_derivatives(block, model):
@@ -519,9 +512,10 @@ def test_mirror_rejects_a_grid_that_is_not_whole_counts(grid):
         features.mirror_features(np.zeros((2, 12)), grid)
 
 
-@pytest.mark.parametrize("grid", [2, (2, 3, 1)])
+@pytest.mark.parametrize("grid", [2, (2, 3, 1), ((2, 1), 3)])
 def test_mirror_rejects_a_grid_of_another_length(grid):
-    # unpacked, these escaped as a TypeError and a ValueError
+    # unpacked, these escaped as a TypeError and a ValueError, and
+    # np.asarray of the ragged ((2, 1), 3) as numpy's ValueError
     with pytest.raises(InvalidDimension, match="2 integers"):
         features.mirror_features(np.zeros((2, 12)), grid)
 
@@ -554,7 +548,8 @@ def featurize_bank(diff_seq, size=(4, 4, 4), delta_t=2):
     masks = cuboid.motion_masks(diff_seq)
     picks = cuboid.sample_cuboids(diff_seq, masks, 0.5, size, rng_seed=0)
     block = cuboid.crop_cuboids(diff_seq.frames, *picks.T, size)
-    return sfa.fit_usfa(cuboid.window_rows(block, delta_t), pca_dim=6, k=2)
+    return sfa.fit_bank("usfa", cuboid.window_rows(block, delta_t), pca_dim=6,
+                        k=2)
 
 
 def test_featurize_one_feature_per_snippet():

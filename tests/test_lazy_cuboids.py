@@ -77,16 +77,10 @@ def test_indexing_reads_like_the_materialized_array(training_sets):
         data.windows(config.cuboid_d + 1)
 
 
-FITS = {
-    "usfa": lambda x, c, cfg: sfa.fit_usfa(x, cfg.pca_dim, cfg.k_per_class),
-    "ssfa": lambda x, c, cfg: sfa.fit_ssfa(x, c.labels, cfg.pca_dim,
-                                           cfg.k_per_class),
-    "dsfa": lambda x, c, cfg: sfa.fit_dsfa(x, c.labels, cfg.pca_dim,
-                                           cfg.k_per_class, gamma=cfg.gamma),
-    "sdsfa": lambda x, c, cfg: sfa.fit_sdsfa(
-        x, c.labels, c.regions, cfg.grid, cfg.pca_dim, cfg.k_per_class,
-        gamma=cfg.gamma),
-}
+def fit(strategy, x, c, cfg):
+    return sfa.fit_bank(strategy, x, cfg.pca_dim, cfg.k_per_class,
+                        labels=c.labels, regions=c.regions, grid=cfg.grid,
+                        gamma=cfg.gamma)
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
@@ -96,7 +90,7 @@ def test_fits_on_the_lazy_and_the_materialized_set_are_byte_identical(
     lazy = cuboids.data.windows(config.delta_t)
     paths = [tmp_path / "lazy.sfam", tmp_path / "array.sfam"]
     for path, minis in zip(paths, (lazy, lazy[:])):
-        dataio.save_bank(path, FITS[strategy](minis, cuboids, config))
+        dataio.save_bank(path, fit(strategy, minis, cuboids, config))
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -265,6 +265,16 @@ def test_pca_rejects_bad_out_dim():
         linalg.pca_fit(data, 0)
 
 
+@pytest.mark.parametrize("out_dim", [2.5, True, "2", None])
+def test_pca_takes_only_a_whole_out_dim(out_dim):
+    # 2.5 escaped as an IndexError, and True kept one direction
+    data = np.random.default_rng(0).normal(size=(10, 3))
+    with pytest.raises(InvalidDimension, match="integers"):
+        linalg.pca_fit(data, out_dim)
+    a, b = linalg.pca_fit(data, 2), linalg.pca_fit(data, 2.0)
+    assert a.projection.tobytes() == b.projection.tobytes()
+
+
 def test_pca_rejects_too_few_samples():
     with pytest.raises(EmptyTrainingSet):
         linalg.pca_fit(np.zeros((1, 3)), 1)
@@ -377,7 +387,8 @@ def test_accumulate_rejects_empty():
 
 def test_accumulate_rejects_mixed_dims():
     with pytest.raises(InvalidDimension):
-        sfa.fit_usfa([np.zeros((3, 2)), np.zeros((3, 4))], pca_dim=1, k=1)
+        sfa.fit_bank("usfa", [np.zeros((3, 2)), np.zeros((3, 4))], pca_dim=1,
+                     k=1)
     with pytest.raises(InvalidDimension):
         linalg.sequence_moments([np.zeros((3, 2)), np.zeros((3, 4))])
 
@@ -387,11 +398,14 @@ def test_moments_reject_ragged_minisequences():
     ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
     with pytest.raises(InvalidDimension):
         linalg.sequence_moments(ragged)
-    for fit in (lambda m: sfa.fit_usfa(m, pca_dim=1, k=1),
-                lambda m: sfa.fit_ssfa(m, [0, 0], pca_dim=1, k_per_class=1),
-                lambda m: sfa.fit_dsfa(m, [0, 1], pca_dim=1, k_per_class=1),
-                lambda m: sfa.fit_sdsfa(m, [0, 1], [0, 0], (1, 1), pca_dim=1,
-                                        k_per_class=1)):
+    for fit in (lambda m: sfa.fit_bank("usfa", m, pca_dim=1, k=1),
+                lambda m: sfa.fit_bank("ssfa", m, pca_dim=1, k=1,
+                                       labels=[0, 0]),
+                lambda m: sfa.fit_bank("dsfa", m, pca_dim=1, k=1,
+                                       labels=[0, 1]),
+                lambda m: sfa.fit_bank("sdsfa", m, pca_dim=1, k=1,
+                                       labels=[0, 1], regions=[0, 0],
+                                       grid=(1, 1))):
         with pytest.raises(InvalidDimension):
             fit(ragged)
     # nor does a flat (n, dim) stack of rows

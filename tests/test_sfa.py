@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import weakref
 
@@ -144,7 +145,7 @@ def test_delta_too_short():
 def test_usfa_constraints_and_lambda_delta_identity():
     rng = np.random.default_rng(4)
     seqs = smooth_minisequences(rng, 40, 7, 5)
-    bank = sfa.fit_usfa(seqs, pca_dim=4, k=3)
+    bank = sfa.fit_bank("usfa", seqs, pca_dim=4, k=3)
     model = bank.models[0]
     assert_constraints(model, seqs)
     # each eigenvalue equals the measured mean squared derivative
@@ -163,7 +164,7 @@ def test_usfa_recovers_slow_latent_from_quadratic_mixture():
     s = np.sin(2 * np.pi * t / frames)
     carrier = np.sin(2 * np.pi * 60 * t / frames + 0.7)
     x = np.stack([s + carrier ** 2, carrier], axis=1)
-    bank = sfa.fit_usfa([x], pca_dim=2, k=2)
+    bank = sfa.fit_bank("usfa", [x], pca_dim=2, k=2)
     y1 = sfa.apply(bank.models[0], x)[:, 0]
     corr = np.corrcoef(y1, s)[0, 1]
     assert abs(corr) > 0.95
@@ -175,7 +176,8 @@ def test_usfa_recovers_slow_latent_from_quadratic_mixture():
 
 def test_usfa_sign_convention():
     rng = np.random.default_rng(8)
-    bank = sfa.fit_usfa(smooth_minisequences(rng, 30, 6, 4), pca_dim=3, k=2)
+    bank = sfa.fit_bank("usfa", smooth_minisequences(rng, 30, 6, 4), pca_dim=3,
+                        k=2)
     w = bank.models[0].w
     for j in range(w.shape[1]):
         assert w[np.abs(w[:, j]).argmax(), j] > 0
@@ -184,8 +186,8 @@ def test_usfa_sign_convention():
 def test_usfa_deterministic():
     rng = np.random.default_rng(2)
     seqs = smooth_minisequences(rng, 25, 6, 4)
-    b1 = sfa.fit_usfa(seqs, pca_dim=3, k=2)
-    b2 = sfa.fit_usfa(seqs, pca_dim=3, k=2)
+    b1 = sfa.fit_bank("usfa", seqs, pca_dim=3, k=2)
+    b2 = sfa.fit_bank("usfa", seqs, pca_dim=3, k=2)
     assert b1.models[0].w.tobytes() == b2.models[0].w.tobytes()
     assert b1.models[0].eigenvalues.tobytes() == b2.models[0].eigenvalues.tobytes()
     assert b1.models[0].h0.tobytes() == b2.models[0].h0.tobytes()
@@ -193,17 +195,17 @@ def test_usfa_deterministic():
 
 def test_usfa_errors():
     with pytest.raises(EmptyTrainingSet):
-        sfa.fit_usfa([], pca_dim=2, k=1)
+        sfa.fit_bank("usfa", [], pca_dim=2, k=1)
     rng = np.random.default_rng(0)
     seqs = smooth_minisequences(rng, 10, 5, 3)
     with pytest.raises(InsufficientRank):
-        sfa.fit_usfa(seqs, pca_dim=3, k=10)
+        sfa.fit_bank("usfa", seqs, pca_dim=3, k=10)
     with pytest.raises(InvalidDimension):
-        sfa.fit_usfa(seqs, pca_dim=3, k=0)
+        sfa.fit_bank("usfa", seqs, pca_dim=3, k=0)
     # constant-in-time data has a zero derivative covariance
     const = [np.tile(rng.normal(size=3), (5, 1)) for _ in range(8)]
     with pytest.raises(InsufficientRank):
-        sfa.fit_usfa(const, pca_dim=2, k=1)
+        sfa.fit_bank("usfa", const, pca_dim=2, k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ def test_usfa_errors():
 
 def test_ssfa_per_class_constraints():
     seqs, labels = labeled_three_class_data()
-    bank = sfa.fit_ssfa(seqs, labels, pca_dim=4, k_per_class=2)
+    bank = sfa.fit_bank("ssfa", seqs, pca_dim=4, k=2, labels=labels)
     assert bank.strategy == "ssfa"
     assert bank.class_labels == (0, 1, 2)
     for model in bank.models:
@@ -223,8 +225,9 @@ def test_ssfa_per_class_constraints():
 def test_ssfa_single_class_reduces_to_usfa():
     rng = np.random.default_rng(6)
     seqs = smooth_minisequences(rng, 20, 6, 4)
-    ref = sfa.fit_usfa(seqs, pca_dim=3, k=2).models[0]
-    got = sfa.fit_ssfa(seqs, [1] * len(seqs), pca_dim=3, k_per_class=2).models[0]
+    ref = sfa.fit_bank("usfa", seqs, pca_dim=3, k=2).models[0]
+    got = sfa.fit_bank("ssfa", seqs, pca_dim=3, k=2,
+                       labels=[1] * len(seqs)).models[0]
     assert np.allclose(got.w, ref.w, atol=1e-12)
     assert np.allclose(got.eigenvalues, ref.eigenvalues, atol=1e-12)
 
@@ -232,9 +235,10 @@ def test_ssfa_single_class_reduces_to_usfa():
 def test_ssfa_errors():
     seqs, labels = labeled_three_class_data(per_class=3)
     with pytest.raises(InsufficientClassData):
-        sfa.fit_ssfa(seqs + [seqs[0]], labels + [7], pca_dim=3, k_per_class=1)
+        sfa.fit_bank("ssfa", seqs + [seqs[0]], pca_dim=3, k=1,
+                     labels=labels + [7])
     with pytest.raises(InvalidDimension, match="labels"):
-        sfa.fit_ssfa(seqs, labels[:-1], pca_dim=3, k_per_class=1)
+        sfa.fit_bank("ssfa", seqs, pca_dim=3, k=1, labels=labels[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def test_ssfa_errors():
 
 def test_dsfa_union_constraints():
     seqs, labels = labeled_three_class_data(seed=3)
-    bank = sfa.fit_dsfa(seqs, labels, pca_dim=4, k_per_class=2, gamma=0.2)
+    bank = sfa.fit_bank("dsfa", seqs, pca_dim=4, k=2, labels=labels, gamma=0.2)
     for model in bank.models:
         # constraints are taken over the union of all classes
         assert_constraints(model, seqs)
@@ -255,7 +259,7 @@ def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
     # covariance, so solving it against the union covariance by hand
     # must reproduce the fit
     seqs, labels = labeled_three_class_data(seed=12)
-    bank = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=0.0)
+    bank = sfa.fit_bank("dsfa", seqs, pca_dim=3, k=2, labels=labels, gamma=0.0)
     pca = bank.models[0].pca
     h_all = [sfa.quadratic_expand(pca.transform(s)) for s in seqs]
     _, b_union, _, _, _ = linalg.sequence_moments(h_all)
@@ -274,7 +278,7 @@ def test_dsfa_negative_eigenvalues_sort_first():
     # with a large gamma the interclass term dominates and the smallest
     # eigenvalues go negative; ascending order must hold regardless
     seqs, labels = labeled_three_class_data(seed=5)
-    bank = sfa.fit_dsfa(seqs, labels, pca_dim=4, k_per_class=3, gamma=5.0)
+    bank = sfa.fit_bank("dsfa", seqs, pca_dim=4, k=3, labels=labels, gamma=5.0)
     for model in bank.models:
         assert np.all(np.diff(model.eigenvalues) >= 0)
     assert any(m.eigenvalues[0] < 0 for m in bank.models)
@@ -285,8 +289,10 @@ def test_dsfa_gamma_objective_monotonicity():
     # B-orthonormal sets, so it cannot lose to the gamma1 solution
     seqs, labels = labeled_three_class_data(seed=9)
     gamma1, gamma2 = 0.1, 0.8
-    bank1 = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=gamma1)
-    bank2 = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2, gamma=gamma2)
+    bank1 = sfa.fit_bank("dsfa", seqs, pca_dim=3, k=2, labels=labels,
+                         gamma=gamma1)
+    bank2 = sfa.fit_bank("dsfa", seqs, pca_dim=3, k=2, labels=labels,
+                         gamma=gamma2)
     pca = bank1.models[0].pca
     h_all = {l: [] for l in set(labels)}
     for s, l in zip(seqs, labels):
@@ -309,16 +315,16 @@ def test_dsfa_gamma_objective_monotonicity():
 def test_dsfa_errors():
     seqs, labels = labeled_three_class_data(per_class=4)
     with pytest.raises(InsufficientClassData):
-        sfa.fit_dsfa(seqs[:4], [0] * 4, pca_dim=3, k_per_class=1)
+        sfa.fit_bank("dsfa", seqs[:4], pca_dim=3, k=1, labels=[0] * 4)
     with pytest.raises(InvalidInput):
-        sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=-0.5)
+        sfa.fit_bank("dsfa", seqs, pca_dim=3, k=1, labels=labels, gamma=-0.5)
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
 def test_dsfa_rejects_a_non_finite_gamma(gamma):
     seqs, labels = labeled_three_class_data(per_class=4)
     with pytest.raises(InvalidInput, match="gamma"):
-        sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=1, gamma=gamma)
+        sfa.fit_bank("dsfa", seqs, pca_dim=3, k=1, labels=labels, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +350,8 @@ def region_spread_data(seed=0, per_cell=6):
 
 def test_sdsfa_bank_layout_and_constraints():
     seqs, labels, regions = region_spread_data()
-    bank = sfa.fit_sdsfa(seqs, labels, regions, grid=(2, 2),
-                         pca_dim=3, k_per_class=2)
+    bank = sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=2, labels=labels,
+                        regions=regions, grid=(2, 2))
     assert bank.grid == (2, 2)
     got = [(m.region_label, m.class_label) for m in bank.models]
     assert got == [(r, c) for r in range(4) for c in (0, 1)]
@@ -359,9 +365,9 @@ def test_sdsfa_bank_layout_and_constraints():
 
 def test_sdsfa_trivial_grid_equals_dsfa():
     seqs, labels = labeled_three_class_data(seed=21, per_class=6)
-    ref = sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2)
-    got = sfa.fit_sdsfa(seqs, labels, [0] * len(seqs), grid=(1, 1),
-                        pca_dim=3, k_per_class=2)
+    ref = sfa.fit_bank("dsfa", seqs, pca_dim=3, k=2, labels=labels)
+    got = sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=2, labels=labels,
+                       regions=[0] * len(seqs), grid=(1, 1))
     for m_ref, m_got in zip(ref.models, got.models):
         assert np.allclose(m_got.w, m_ref.w, atol=1e-12)
         assert np.allclose(m_got.eigenvalues, m_ref.eigenvalues, atol=1e-12)
@@ -374,7 +380,8 @@ def test_sdsfa_empty_cell_error_names_the_cell():
             if not (l == 1 and r == 2)]
     s2, l2, r2 = map(list, zip(*kept))
     with pytest.raises(InsufficientClassData, match=r"class 1.*region 2"):
-        sfa.fit_sdsfa(s2, l2, r2, grid=(2, 2), pca_dim=3, k_per_class=1)
+        sfa.fit_bank("sdsfa", s2, pca_dim=3, k=1, labels=l2, regions=r2,
+                     grid=(2, 2))
 
 
 @pytest.mark.parametrize("grid,region", [((2, 2), 4), ((2, 2), -1),
@@ -383,8 +390,8 @@ def test_sdsfa_rejects_a_region_outside_its_grid(grid, region):
     seqs, labels, regions = region_spread_data(per_cell=3)
     regions[0] = region
     with pytest.raises(InvalidDimension):
-        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
-                      k_per_class=1)
+        sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=1, labels=labels,
+                     regions=regions, grid=grid)
 
 
 @pytest.mark.parametrize("grid", [(2.5, 3), (2, 1.5), (2, np.inf)])
@@ -392,23 +399,24 @@ def test_sdsfa_rejects_a_fractional_grid(grid):
     # truncated, (2.5, 3) fitted a bank with grid (2, 3)
     seqs, labels, regions = region_spread_data(per_cell=3)
     with pytest.raises(InvalidDimension, match="integers"):
-        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
-                      k_per_class=1)
+        sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=1, labels=labels,
+                     regions=regions, grid=grid)
 
 
-@pytest.mark.parametrize("grid", [2, (1, 1, 1)])
+@pytest.mark.parametrize("grid", [2, (1, 1, 1), ((1, 1), 1)])
 def test_sdsfa_rejects_a_grid_of_another_length(grid):
-    # unpacked, these escaped as a TypeError and a ValueError
+    # unpacked, these escaped as a TypeError and a ValueError, and
+    # np.asarray of the ragged ((1, 1), 1) as numpy's ValueError
     seqs, labels, regions = region_spread_data(per_cell=3)
     with pytest.raises(InvalidDimension, match="2 integers"):
-        sfa.fit_sdsfa(seqs, labels, regions, grid=grid, pca_dim=3,
-                      k_per_class=1)
+        sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=1, labels=labels,
+                     regions=regions, grid=grid)
 
 
 def test_sdsfa_takes_a_whole_float_grid_as_ints():
     seqs, labels, regions = region_spread_data(per_cell=3)
-    bank = sfa.fit_sdsfa(seqs, labels, regions, grid=(2.0, np.int64(2)),
-                         pca_dim=3, k_per_class=1)
+    bank = sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=1, labels=labels,
+                        regions=regions, grid=(2.0, np.int64(2)))
     assert bank.grid == (2, 2) and all(type(g) is int for g in bank.grid)
 
 
@@ -416,12 +424,12 @@ def test_sdsfa_takes_a_whole_float_grid_as_ints():
 def test_fits_reject_fractional_labels(strategy):
     # truncated, 0.2 and 0.7 would both be class 0
     seqs, labels = labeled_three_class_data(per_class=4)
-    fit = getattr(sfa, f"fit_{strategy}")
+    fit = functools.partial(sfa.fit_bank, strategy, seqs, 3, 1)
     with pytest.raises(InvalidInput, match="labels"):
-        fit(seqs, [0.2, 0.7] * (len(seqs) // 2), pca_dim=3, k_per_class=1)
-    bank = fit(seqs, labels, pca_dim=3, k_per_class=1)
+        fit(labels=[0.2, 0.7] * (len(seqs) // 2))
+    bank = fit(labels=labels)
     for same in (np.array(labels, dtype=np.int32), np.array(labels, float)):
-        again = fit(seqs, same, pca_dim=3, k_per_class=1)
+        again = fit(labels=same)
         assert again.class_labels == bank.class_labels == (0, 1, 2)
         assert again.w.tobytes() == bank.w.tobytes()
 
@@ -430,8 +438,86 @@ def test_sdsfa_rejects_fractional_regions():
     # truncated, 0.5 and 1.5 would be regions 0 and 1
     seqs, labels, regions = region_spread_data(per_cell=3)
     with pytest.raises(InvalidInput, match="regions"):
-        sfa.fit_sdsfa(seqs, labels, [r % 2 + 0.5 for r in regions],
-                      grid=(2, 1), pca_dim=3, k_per_class=1)
+        sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=1, labels=labels,
+                     regions=[r % 2 + 0.5 for r in regions], grid=(2, 1))
+
+
+@pytest.mark.parametrize("strategy", ["ssfa", "dsfa", "sdsfa"])
+def test_fits_reject_ragged_labels(strategy):
+    # np.asarray of [[0], 1, 0, 1] escaped as numpy's ValueError
+    seqs, _, _ = region_spread_data(per_cell=1)
+    with pytest.raises(InvalidInput, match="labels"):
+        sfa.fit_bank(strategy, seqs[:4], pca_dim=3, k=1,
+                     labels=[[0], 1, 0, 1], regions=[0] * 4)
+
+
+# ---------------------------------------------------------------------------
+# one fit: what each strategy reads
+
+
+def spread_fit(strategy, **changes):
+    """``fit_bank`` of ``region_spread_data`` with every argument given."""
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    args = dict(pca_dim=3, k=1, labels=labels, regions=regions, grid=(2, 2))
+    return sfa.fit_bank(strategy, seqs, **{**args, **changes})
+
+
+def bank_bytes(bank):
+    arrays = (bank.pca.mean, bank.pca.projection,
+              bank.pca.explained_eigenvalues, bank.h0, bank.w,
+              bank.eigenvalues)
+    return ([a.tobytes() for a in arrays], bank.class_labels, bank.grid,
+            bank.gamma)
+
+
+@pytest.mark.parametrize("strategy,unread", [
+    ("usfa", ("labels",)), ("usfa", ("regions", "grid")),
+    ("ssfa", ("regions", "grid")), ("dsfa", ("regions", "grid")),
+    ("usfa", ("gamma",)), ("ssfa", ("gamma",))])
+def test_fit_ignores_what_its_strategy_does_not_read(strategy, unread):
+    seqs, labels, regions = region_spread_data(per_cell=3)
+    given = {"labels": labels, "regions": [r % 2 for r in regions],
+             "grid": (2, 1), "gamma": 5.0}
+    read = {} if strategy == "usfa" else {"labels": labels}
+    bank = sfa.fit_bank(strategy, seqs, 3, 1, **read)
+    again = sfa.fit_bank(strategy, seqs, 3, 1, **read,
+                         **{name: given[name] for name in unread})
+    assert bank_bytes(again) == bank_bytes(bank)
+
+
+def test_fit_rejects_an_unknown_strategy_before_any_work():
+    with pytest.raises(InvalidInput, match="xsfa"):
+        sfa.fit_bank("xsfa", [], pca_dim=3, k=1)
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+@pytest.mark.parametrize("k", [1.5, True, "1", None, 0])
+def test_fit_takes_only_a_whole_k(strategy, k):
+    # k = 1.5 escaped as a TypeError
+    with pytest.raises(InvalidDimension, match="integers >= 1"):
+        spread_fit(strategy, k=k)
+
+
+@pytest.mark.parametrize("strategy", sfa.STRATEGIES)
+@pytest.mark.parametrize("pca_dim", [2.5, True, "3", 0])
+def test_fit_takes_only_a_whole_pca_dim(strategy, pca_dim):
+    # pca_dim = 2.5 escaped as an IndexError from linalg.pca_fit
+    with pytest.raises(InvalidDimension):
+        spread_fit(strategy, pca_dim=pca_dim)
+
+
+def test_fit_takes_whole_float_counts():
+    bank = spread_fit("sdsfa")
+    again = spread_fit("sdsfa", pca_dim=3.0, k=np.float64(1))
+    assert bank_bytes(again) == bank_bytes(bank)
+
+
+@pytest.mark.parametrize("strategy", ["dsfa", "sdsfa"])
+@pytest.mark.parametrize("gamma", ["0.2", None, True, np.array([0.2])])
+def test_discriminative_fits_take_only_a_real_gamma(strategy, gamma):
+    # "0.2" and None escaped as a TypeError
+    with pytest.raises(InvalidInput, match="gamma"):
+        spread_fit(strategy, gamma=gamma)
 
 
 def test_the_fit_holds_one_region_at_a_time(monkeypatch):
@@ -465,8 +551,8 @@ def test_the_fit_holds_one_region_at_a_time(monkeypatch):
 
     monkeypatch.setattr(sfa, "_cell_moments", spy_cell_moments)
     monkeypatch.setattr(sfa, "_solve_model", spy_solve_model)
-    sfa.fit_sdsfa(seqs, labels, regions, grid=(2, 2), pca_dim=3,
-                  k_per_class=2)
+    sfa.fit_bank("sdsfa", seqs, pca_dim=3, k=2, labels=labels, regions=regions,
+                 grid=(2, 2))
     assert reads == [0, 0, 1, 1, 2, 2, 3, 3]
     assert len(tracked) == 4 * (2 * 3 + 2 * 4)
 
@@ -509,15 +595,8 @@ def pools_of(strategy, model, seqs, labels, regions):
 
 
 def fit(strategy, seqs, labels, regions, gamma):
-    if strategy == "usfa":
-        return sfa.fit_usfa(seqs, pca_dim=3, k=2)
-    if strategy == "ssfa":
-        return sfa.fit_ssfa(seqs, labels, pca_dim=3, k_per_class=2)
-    if strategy == "dsfa":
-        return sfa.fit_dsfa(seqs, labels, pca_dim=3, k_per_class=2,
-                            gamma=gamma)
-    return sfa.fit_sdsfa(seqs, labels, regions, grid=(2, 2), pca_dim=3,
-                         k_per_class=2, gamma=gamma)
+    return sfa.fit_bank(strategy, seqs, pca_dim=3, k=2, labels=labels,
+                        regions=regions, grid=(2, 2), gamma=gamma)
 
 
 @pytest.mark.parametrize("strategy", sfa.STRATEGIES)
@@ -585,7 +664,7 @@ def test_minisequences_keep_their_boundaries():
     # the next one's start: differences must stay inside each
     rng = np.random.default_rng(8)
     seqs = np.cumsum(rng.normal(size=(30, 5, 4)), axis=1)
-    model = sfa.fit_usfa(seqs, pca_dim=4, k=3).models[0]
+    model = sfa.fit_bank("usfa", seqs, pca_dim=4, k=3).models[0]
     mean, b, a, _, _ = oracles.loop_moments(expanded(model, seqs))
     assert relative_gap(model.h0, mean) <= POOL_RTOL
     assert_solves(model, a, b)
@@ -613,7 +692,7 @@ def test_minisequences_of_one_vector_are_too_short(strategy):
 def test_apply_is_instantaneous():
     rng = np.random.default_rng(13)
     seqs = smooth_minisequences(rng, 20, 6, 4)
-    model = sfa.fit_usfa(seqs, pca_dim=3, k=2).models[0]
+    model = sfa.fit_bank("usfa", seqs, pca_dim=3, k=2).models[0]
     x = rng.normal(size=(9, 4))
     batch = sfa.apply(model, x)
     for i in range(9):
@@ -623,7 +702,7 @@ def test_apply_is_instantaneous():
 
 def test_apply_rejects_wrong_dim():
     rng = np.random.default_rng(14)
-    model = sfa.fit_usfa(smooth_minisequences(rng, 15, 5, 4),
+    model = sfa.fit_bank("usfa", smooth_minisequences(rng, 15, 5, 4),
                          pca_dim=3, k=1).models[0]
     with pytest.raises(InvalidDimension):
         sfa.apply(model, np.zeros(7))
@@ -806,7 +885,8 @@ def test_training_keeps_the_names_the_benchmark_reads():
     # the benchmark's per-layer counters find these by name: cuboids
     # cut and kept are len() of sample_cuboids' result, re-sampled
     # with max_count=None; moment time is linalg.sequence_moments;
-    # fit time and expanded dim come from the ModelBank of sfa.fit_*
+    # fit time and expanded dim come from the ModelBank of sfa.fit_*,
+    # and fit_bank is the one sfa.fit_*
     params = inspect.signature(cuboid.sample_cuboids).parameters
     assert params["max_count"].default is None
     mask = np.zeros((9, 9), bool)
@@ -816,9 +896,10 @@ def test_training_keeps_the_names_the_benchmark_reads():
     assert len(cuboid.sample_cuboids(**args, max_count=None)) == 27
     assert len(cuboid.sample_cuboids(**args, max_count=5)) == 5
     assert callable(linalg.sequence_moments)
-    for name in ("fit_usfa", "fit_ssfa", "fit_dsfa", "fit_sdsfa"):
-        assert inspect.signature(getattr(sfa, name)).return_annotation \
-            == "ModelBank"
+    fits = tuple(name for name, fn in vars(sfa).items()
+                 if name.startswith("fit_") and inspect.isfunction(fn))
+    assert fits == ("fit_bank",)
+    assert inspect.signature(sfa.fit_bank).return_annotation == "ModelBank"
 
 
 def test_features_keep_the_names_the_benchmark_reads():
@@ -829,7 +910,7 @@ def test_features_keep_the_names_the_benchmark_reads():
             "sequence_id"]
     rng = np.random.default_rng(22)
     minis = rng.normal(size=(12, 3, 4))
-    bank = sfa.fit_usfa(minis, pca_dim=2, k=2)
+    bank = sfa.fit_bank("usfa", minis, pca_dim=2, k=2)
     seq = cuboid.FrameSequence(np.zeros((5, 6, 6)))
     out = features.featurize_sequence(seq, bank, (2, 2, 4), 1.0, seed=0)
     assert [f.normalized for f in out] == [False, False]
@@ -843,9 +924,9 @@ def test_loaded_banks_keep_the_names_the_benchmark_reads(tmp_path):
         == ["input_dim"]
     rng = np.random.default_rng(21)
     minis = [rng.normal(size=(5, 6)) for _ in range(16)]
-    bank = sfa.fit_sdsfa(minis, [i % 2 for i in range(16)],
-                         [i // 2 % 2 for i in range(16)], (2, 1),
-                         pca_dim=3, k_per_class=2)
+    bank = sfa.fit_bank("sdsfa", minis, pca_dim=3, k=2,
+                        labels=[i % 2 for i in range(16)],
+                        regions=[i // 2 % 2 for i in range(16)], grid=(2, 1))
     path = tmp_path / "bank.sfam"
     dataio.save_bank(path, bank)
     loaded = dataio.load_bank(path)

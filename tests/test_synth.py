@@ -43,7 +43,7 @@ def test_toy_too_short():
 
 def test_toy_quadratic_model_recovers_latent():
     obs, latent = synth.toy_slow_signal(600, seed=1)
-    bank = sfa.fit_usfa([obs], pca_dim=2, k=2)
+    bank = sfa.fit_bank("usfa", [obs], pca_dim=2, k=2)
     y = sfa.apply(bank.models[0], obs)
     corr = np.corrcoef(y[:, 0], latent)[0, 1]
     assert abs(corr) > 0.95
