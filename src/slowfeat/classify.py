@@ -15,6 +15,7 @@ features is ``features.selectivity``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     InvalidDimension,
     InvalidInput,
     SingleClass,
+    whole_numbers,
 )
 
 DEFAULT_REG = 1.0
@@ -126,10 +128,13 @@ def train_linear(features, labels, reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS,
     plus a few vectors of length T.  Bit-deterministic given seed.
     """
     x, y, classes = _check_training_data(features, labels)
-    if not (np.isfinite(reg) and reg > 0):
-        raise InvalidInput("reg must be positive and finite")
-    if epochs < 1:
-        raise InvalidInput("epochs must be >= 1")
+    if isinstance(reg, bool) or not isinstance(reg, numbers.Real) or not (
+            0 < reg < np.inf):
+        raise InvalidInput(f"reg must be a finite real > 0, got {reg!r}")
+    epochs = int(whole_numbers(epochs, InvalidInput, f"epochs {epochs!r}",
+                               low=1, shape=()))
+    seed = int(whole_numbers(seed, InvalidInput, f"seed {seed!r}", low=0,
+                             shape=()))
     n, dim = x.shape
     c = classes.size
     signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)

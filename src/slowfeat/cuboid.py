@@ -67,6 +67,11 @@ class FrameSequence:
     boxes: np.ndarray | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "frames", np.asarray(self.frames))
+        except ValueError:  # ragged nesting
+            raise InvalidDimension(
+                "frames must be (T, H, W), got a ragged nesting") from None
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise InvalidDimension(
                 f"frames must be (T, H, W) with T >= 1, got {self.frames.shape}")

@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra under the slow-feature pipeline.
 
 All routines operate on float64 numpy arrays.  Matrices passed to the
-eigensolvers must be square, finite and symmetric.  ``sequence_moments``
+eigensolver must be square, finite and symmetric.  ``sequence_moments``
 is the one moment routine: it takes one ``(n, length, dim)`` array of
 minisequences and gives their mean, covariance and derivative
 covariance as the Gram products ``z.T @ z / count`` that numpy
@@ -14,13 +14,16 @@ pairwise update of Chan, Golub and LeVeque (1979), in place on
 unnormalized sums, so a large set is taken in chunks with one chunk in
 memory at a time, and the cells of a region pool the same way.
 ``pca_fit``, the one PCA fit for rows and minisequences alike, merges
-its rows' moments in chunks of ``CHUNK`` by the same two routines.
+its rows' moments in chunks of ``CHUNK`` by the same two routines and
+eigendecomposes the merged covariance, exactly symmetric as it is, with
+``np.linalg.eigh`` directly.
 
-The generalized solver follows the whitening route: eigendecompose the
-constraint matrix, drop near-null directions relative to its largest
-eigenvalue, and solve an ordinary symmetric problem in the whitened
-coordinates.  Eigenvalues always come back in ascending order, so the
-slowest directions sit first.
+``gen_eig_sym``, the one eigensolver, follows the whitening route:
+eigendecompose the constraint matrix, drop near-null directions
+relative to its largest eigenvalue, and solve an ordinary symmetric
+problem in the whitened coordinates.  It returns ``(values, vectors)``
+as ``np.linalg.eigh`` does, values in ascending order, so the slowest
+directions sit first.
 """
 
 from __future__ import annotations
@@ -51,19 +54,6 @@ CHUNK = 1024
 _SYMMETRY_RTOL = 1e-10
 _PSD_RTOL = 1e-8
 _PSD_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues in ascending order with eigenvectors as matching columns.
-
-    ``eigenvectors[:, j]`` belongs to ``eigenvalues[j]``.  For the
-    generalized problem the columns are normalized against the
-    constraint matrix rather than the identity.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,48 +112,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def sym_eig(m) -> EigenResult:
-    """Eigendecompose a symmetric matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Square symmetric matrix (relative asymmetry up to 1e-10 is
-        tolerated and symmetrized away).
-
-    Returns
-    -------
-    EigenResult
-        Eigenvalues ascending, orthonormal eigenvector columns, each
-        column's largest-magnitude entry positive.
-
-    Raises
-    ------
-    InvalidMatrix
-        If ``m`` is not square, finite and symmetric.
-    """
-    m = _symmetrize(_check_square_sym(m))
-    values, vectors = np.linalg.eigh(m)
-    return EigenResult(values, _fix_signs(vectors))
-
-
-def gen_eig_sym(a, b) -> EigenResult:
+def gen_eig_sym(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Solve the generalized symmetric problem ``a W = b W diag(lam)``.
 
     Works by whitening: eigendecompose ``b = U D U^T``, discard
     directions with ``d_i < REL_CUTOFF * max(d)``, form
     ``S = U_kept D_kept^{-1/2}``, solve the symmetrized ``S^T a S =
     V L V^T`` with ``np.linalg.eigh`` and map the vectors back as
-    ``W = S V``, each column signed like ``sym_eig``'s (flipping a
-    column of V flips that column of W exactly).  ``a`` may be
-    indefinite; ``b`` must be positive semidefinite.
+    ``W = S V``, each column flipped so its largest-magnitude entry is
+    positive (flipping a column of V flips that column of W exactly).
+    ``a`` may be indefinite; ``b`` must be positive semidefinite.
 
     Returns
     -------
-    EigenResult
-        Eigenvalues ascending.  Each returned column ``w`` satisfies
-        ``w^T b w = 1``; the number of pairs equals the retained rank
-        of ``b``.
+    (values, vectors) : tuple of ndarray
+        As ``np.linalg.eigh`` returns them: ``values`` ascending, and
+        ``vectors[:, j]`` belongs to ``values[j]``.  Each column ``w``
+        satisfies ``w^T b w = 1``; the number of pairs equals the
+        retained rank of ``b``.
 
     Raises
     ------
@@ -191,7 +157,7 @@ def gen_eig_sym(a, b) -> EigenResult:
     s = u[:, kept] / np.sqrt(d[kept])
 
     values, vectors = np.linalg.eigh(_symmetrize(s.T @ a @ s))
-    return EigenResult(values, _fix_signs(s @ vectors))
+    return values, _fix_signs(s @ vectors)
 
 
 def pca_fit(data, out_dim: int) -> PcaModel:
@@ -231,13 +197,16 @@ def pca_fit(data, out_dim: int) -> PcaModel:
     mean, b, _, n, _ = merge_moments(
         sequence_moments(data[i:i + CHUNK].reshape(-1, 1, in_dim))
         for i in range(0, len(data), CHUNK))
-    res = sym_eig(b * (n / (n - 1)))
-    # sym_eig sorts ascending; take the top out_dim, largest first.
+    # the merged covariance is exactly symmetric; the check still turns
+    # one that overflowed into InvalidMatrix
+    values, vectors = np.linalg.eigh(
+        _check_square_sym(b * (n / (n - 1)), "covariance"))
+    # eigh sorts ascending; take the top out_dim, largest first.
     idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
     return PcaModel(
         mean=mean,
-        projection=res.eigenvectors[:, idx].T.copy(),
-        explained_eigenvalues=res.eigenvalues[idx].copy(),
+        projection=_fix_signs(vectors)[:, idx].T.copy(),
+        explained_eigenvalues=values[idx],
     )
 
 

@@ -279,13 +279,12 @@ def _solve_model(objective, constraint, k, what):
         raise InsufficientRank(
             f"{what}: derivative covariance is identically zero "
             "(data constant in time)")
-    eig = linalg.gen_eig_sym(objective, constraint)
-    available = eig.eigenvalues.shape[0]
-    if available < k:
+    values, vectors = linalg.gen_eig_sym(objective, constraint)
+    if len(values) < k:
         raise InsufficientRank(
-            f"{what}: {k} slow features requested but only {available} "
+            f"{what}: {k} slow features requested but only {len(values)} "
             "directions survive the rank cutoff")
-    return eig.eigenvectors[:, :k], eig.eigenvalues[:k]
+    return vectors[:, :k], values[:k]
 
 
 def _check_cells(counts, classes, by_region):

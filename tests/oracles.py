@@ -21,8 +21,12 @@ PCA as the package fitted it before covariances came from merged
 moments: from one centered copy of all the rows.
 ``sym_eig_route_gen_eig`` is the generalized solve as the package took
 it before it solved the whitened matrix with ``np.linalg.eigh``
-directly: through the public ``linalg.sym_eig``, which checks,
-symmetrizes and sign-fixes that matrix again.
+directly: through a symmetric solver that symmetrized and sign-fixed
+that matrix again, written out here with ``np.linalg.eigh`` and
+``signed``.  ``sym_eig_route_pca`` is PCA as the package took it before
+``pca_fit`` eigendecomposed its merged covariance directly: through
+the same solver, which symmetrized the covariance first.  Neither
+calls the package's eigensolver.
 ``pipeline_spec_for`` is each synthetic class's parameter draws as the
 pipeline made them before ``synth`` owned its classes, and
 ``frame_loop_render`` renders a spec one frame at a time, as ``synth``
@@ -115,33 +119,63 @@ def loop_moments(minisequences):
     return mean, b, a, n, count_a
 
 
+def signed(vectors):
+    """Each column flipped so its largest-magnitude entry (the first
+    such row on a tie) is positive."""
+    picked = vectors[np.abs(vectors).argmax(axis=0),
+                     np.arange(vectors.shape[1])]
+    return vectors * np.where(picked < 0.0, -1.0, 1.0)
+
+
+def sym_eig(m):
+    """(eigenvalues ascending, signed eigenvector columns) of the
+    symmetrized ``m``."""
+    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    return values, signed(vectors)
+
+
 def sym_eig_route_gen_eig(a, b):
     """(eigenvalues, eigenvectors) of ``a W = b W diag(lam)`` by
-    whitening, with the whitened matrix solved by ``linalg.sym_eig``
-    and the signs fixed again on ``S V``."""
+    whitening, with the symmetrized whitened matrix solved by
+    ``sym_eig`` and the signs fixed again on ``S V``."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     d, u = np.linalg.eigh((b + b.T) / 2.0)
     kept = d >= linalg.REL_CUTOFF * d.max()
     s = u[:, kept] / np.sqrt(d[kept])
     m = s.T @ a @ s
-    inner = linalg.sym_eig((m + m.T) / 2.0)
-    vectors = s @ inner.eigenvectors
-    picked = vectors[np.abs(vectors).argmax(axis=0),
-                     np.arange(vectors.shape[1])]
-    return inner.eigenvalues, vectors * np.where(picked < 0.0, -1.0, 1.0)
+    values, vectors = sym_eig((m + m.T) / 2.0)
+    return values, signed(s @ vectors)
+
+
+def _top(cov, out_dim):
+    """Leading ``out_dim`` (directions as rows, eigenvalues) of a
+    covariance, largest first."""
+    values, vectors = sym_eig(cov)
+    idx = np.arange(len(cov) - 1, len(cov) - 1 - out_dim, -1)
+    return vectors[:, idx].T, values[idx]
 
 
 def centered_pca(data, out_dim):
     """(mean, projection, explained eigenvalues) of PCA on the rows of
     ``data``, from the sample covariance of one centered copy."""
     data = np.asarray(data, dtype=float)
-    n, in_dim = data.shape
+    n = len(data)
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = centered.T @ centered / (n - 1)
-    res = linalg.sym_eig((cov + cov.T) / 2.0)
-    idx = np.arange(in_dim - 1, in_dim - 1 - out_dim, -1)
-    return mean, res.eigenvectors[:, idx].T, res.eigenvalues[idx]
+    return (mean, *_top(centered.T @ centered / (n - 1), out_dim))
+
+
+def sym_eig_route_pca(data, out_dim):
+    """(mean, projection, explained eigenvalues) of PCA on every row of
+    ``data``, rows or minisequences, from its moments merged over
+    chunks of ``linalg.CHUNK`` entries, the covariance symmetrized and
+    solved by ``sym_eig``."""
+    data = np.asarray(data, dtype=float)
+    in_dim = data.shape[-1]
+    mean, b, _, n, _ = linalg.merge_moments(
+        linalg.sequence_moments(data[i:i + linalg.CHUNK].reshape(-1, 1, in_dim))
+        for i in range(0, len(data), linalg.CHUNK))
+    return (mean, *_top(b * (n / (n - 1)), out_dim))
 
 
 def loop_sobel_magnitude(frame):

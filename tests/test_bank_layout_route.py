@@ -11,12 +11,10 @@ one model of a usfa bank.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
-MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+from source_rules import MODULES, findings, source
 
 OWNER = "sfa"
 # (module, function)
@@ -26,19 +24,9 @@ ALLOWED = {("pipeline", "cmd_toy_sfa")}
 def models_reads(source):
     """``(line, function)`` of each read of an attribute ``models``;
     ``function`` is the innermost enclosing one, or None."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif (isinstance(node, ast.Attribute) and node.attr == "models"
-              and isinstance(node.ctx, ast.Load)):
-            found.append((node.lineno, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return sorted(found)
+    return findings(source, lambda node: () if (
+        isinstance(node, ast.Attribute) and node.attr == "models"
+        and isinstance(node.ctx, ast.Load)) else None)
 
 
 def test_the_check_finds_each_kind_of_read():
@@ -63,13 +51,12 @@ def build(bank, models):
 def test_only_sfa_reads_the_models_of_a_bank(module):
     if module == OWNER:
         return
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert [(line, function) for line, function in models_reads(source)
+    assert [(line, function)
+            for line, function in models_reads(source(module))
             if (module, function) not in ALLOWED] == []
 
 
 def test_every_allowed_read_is_still_there():
     # an entry that no longer matches a read would allow a new one
     for module, function in ALLOWED:
-        source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-        assert function in {f for _, f in models_reads(source)}
+        assert function in {f for _, f in models_reads(source(module))}

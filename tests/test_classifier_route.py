@@ -11,12 +11,10 @@ definitions and imports are not uses.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
-MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+from source_rules import MODULES, findings, source
 
 # name -> (module, function) of the one route that uses it
 ROUTES = {
@@ -29,20 +27,13 @@ ROUTES = {
 def route_uses(source):
     """``(line, name, function)`` of each use of a name in ``ROUTES``;
     ``function`` is the innermost enclosing one, or None."""
-    found = []
+    def match(node):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return (name,) if name in ROUTES else None
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif isinstance(node, ast.Name) and node.id in ROUTES:
-            found.append((node.lineno, node.id, function))
-        elif isinstance(node, ast.Attribute) and node.attr in ROUTES:
-            found.append((node.lineno, node.attr, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return sorted(found)
+    return sorted((line, name, function)
+                  for line, function, name in findings(source, match))
 
 
 def test_the_check_finds_each_kind_of_use():
@@ -70,9 +61,8 @@ def score(clf, matrices, labels):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_the_pipeline_routes_train_and_vote(module):
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert [(line, name, function)
-            for line, name, function in route_uses(source)
+            for line, name, function in route_uses(source(module))
             if (module, function) != ROUTES[name]] == []
 
 
@@ -81,5 +71,5 @@ def test_each_route_still_uses_its_name(name):
     # a route that no longer calls its name would leave the check
     # guarding nothing
     module, function = ROUTES[name]
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert (name, function) in {(n, f) for _, n, f in route_uses(source)}
+    assert (name, function) in {
+        (n, f) for _, n, f in route_uses(source(module))}

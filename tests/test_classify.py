@@ -112,6 +112,23 @@ def test_training_input_errors():
         classify.train_linear(bad, y)
 
 
+@pytest.mark.parametrize("argument", [
+    {"epochs": 1.5}, {"epochs": "2"}, {"epochs": True}, {"epochs": None},
+    {"seed": 1.5}, {"seed": -1}, {"seed": "0"}, {"reg": "1"},
+    {"reg": True}, {"reg": np.inf}, {"reg": None}])
+def test_train_linear_takes_only_whole_epochs_and_seeds_and_a_real_reg(
+        argument):
+    # 1.5 and the strings escaped as TypeError, seed -1 as numpy's
+    # ValueError, and True trained as 1
+    x, y = separable_clouds()
+    with pytest.raises(InvalidInput):
+        classify.train_linear(x, y, **argument)
+    a = classify.train_linear(x, y, reg=2, epochs=3, seed=4)
+    b = classify.train_linear(x, y, reg=2.0, epochs=3.0, seed=np.int64(4))
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.biases.tobytes() == b.biases.tobytes()
+
+
 def test_train_linear_keeps_its_parameter_names():
     # the benchmark's step counter reads features and epochs by name
     params = list(inspect.signature(classify.train_linear).parameters)

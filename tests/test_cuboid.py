@@ -85,12 +85,23 @@ def test_a_sequence_without_boxes_has_the_whole_frame_as_every_box():
     (np.zeros((0, 5, 5)), None), (np.zeros((2, 5, 5)), np.zeros((3, 4))),
     (np.zeros((2, 5, 5)), np.zeros((2, 5))), (np.zeros((2, 5, 5)),
                                               np.zeros(4)),
-    (np.zeros((2, 5, 5)), [[0, 0, 5, 5], [0, 0, 5]])])
+    (np.zeros((2, 5, 5)), [[0, 0, 5, 5], [0, 0, 5]]),
+    ([[[0, 1]], [[1]]], None)])
 def test_frame_sequence_rejects_frames_or_boxes_of_another_shape(frames,
                                                                  boxes):
-    # np.asarray of the ragged box rows escaped as numpy's ValueError
+    # np.asarray of the ragged box rows escaped as numpy's ValueError,
+    # and ragged frames as the builtin AttributeError
     with pytest.raises(InvalidDimension):
         cuboid.FrameSequence(frames, boxes)
+
+
+def test_frame_sequence_takes_nested_lists_of_frames():
+    # .ndim of the list escaped as the builtin AttributeError
+    seq = cuboid.FrameSequence([[[0, 1]], [[1, 0]]])
+    assert seq.frames.tolist() == [[[0, 1]], [[1, 0]]]
+    assert seq.boxes.tolist() == [[0, 0, 2, 1], [0, 0, 2, 1]]
+    frames = np.zeros((2, 1, 2), dtype=np.uint8)
+    assert cuboid.FrameSequence(frames).frames is frames
 
 
 @pytest.mark.parametrize("box", [(2.5, 0, 4.9, 9), (2, 0, 4, np.nan),

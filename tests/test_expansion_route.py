@@ -9,12 +9,10 @@ are not uses.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
-MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+from source_rules import MODULES, findings, source
 
 ROUTE = ("sfa", "project_and_expand")
 
@@ -22,20 +20,10 @@ ROUTE = ("sfa", "project_and_expand")
 def expansion_uses(source):
     """``(line, function)`` of each use of ``quadratic_expand``;
     ``function`` is the innermost enclosing one, or None."""
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif (isinstance(node, ast.Name) and node.id == "quadratic_expand"
-              or isinstance(node, ast.Attribute)
-              and node.attr == "quadratic_expand"):
-            found.append((node.lineno, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return sorted(found)
+    return findings(source, lambda node: () if (
+        isinstance(node, ast.Name) and node.id == "quadratic_expand"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "quadratic_expand") else None)
 
 
 def test_the_check_finds_each_kind_of_use():
@@ -63,12 +51,11 @@ def project_and_expand(pca, x):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_the_one_route_expands(module):
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert [(line, function) for line, function in expansion_uses(source)
+    assert [(line, function)
+            for line, function in expansion_uses(source(module))
             if (module, function) != ROUTE] == []
 
 
 def test_the_route_still_expands():
     # a route that no longer expands would leave the check guarding nothing
-    source = (SRC / f"{ROUTE[0]}.py").read_text(encoding="utf-8")
-    assert [f for _, f in expansion_uses(source)] == [ROUTE[1]]
+    assert [f for _, f in expansion_uses(source(ROUTE[0]))] == [ROUTE[1]]

@@ -7,22 +7,18 @@ to a name in ``synth.KINDS`` outside ``synth.py`` is a finding.
 """
 
 import ast
-import pathlib
 
 import pytest
 
 from slowfeat import synth
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
-MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+from source_rules import MODULES, findings, source
 
 
 def kind_names(source, kinds=synth.KINDS):
     """``(line, name)`` of each string constant of ``source`` in ``kinds``."""
-    return sorted((node.lineno, node.value)
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Constant)
-                  and isinstance(node.value, str) and node.value in kinds)
+    return sorted((line, name) for line, _, name in findings(
+        source, lambda node: (node.value,) if isinstance(node, ast.Constant)
+        and isinstance(node.value, str) and node.value in kinds else None))
 
 
 def test_the_check_finds_each_kind_of_use():
@@ -41,12 +37,11 @@ def spec(kind):
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "synth"])
 def test_no_other_module_names_a_kind(module):
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert kind_names(source) == []
+    assert kind_names(source(module)) == []
 
 
 def test_synth_names_every_kind():
     # a synth that no longer names the kinds would leave the check
     # guarding nothing
-    source = (SRC / "synth.py").read_text(encoding="utf-8")
-    assert {name for _, name in kind_names(source)} == set(synth.KINDS)
+    assert {name for _, name in kind_names(source("synth"))} \
+        == set(synth.KINDS)

@@ -57,30 +57,29 @@ def test_oracle_jacobi_analytic_general_2x2():
 
 
 # ---------------------------------------------------------------------------
-# sym_eig
+# gen_eig_sym with an identity constraint: the ordinary symmetric problem
 
 
-def test_sym_eig_diagonal():
-    res = linalg.sym_eig(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(res.eigenvalues, [-1.0, 2.0, 3.0], atol=0)
+def test_eig_diagonal():
+    values, _ = linalg.gen_eig_sym(np.diag([3.0, -1.0, 2.0]), np.eye(3))
+    assert np.allclose(values, [-1.0, 2.0, 3.0], atol=0)
 
 
-def test_sym_eig_matches_jacobi_oracle_on_random_8x8():
+def test_eig_matches_jacobi_oracle_on_random_8x8():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = random_symmetric(rng, 8, scale=3.0)
-        res = linalg.sym_eig(m)
+        values, _ = linalg.gen_eig_sym(m, np.eye(8))
         ref_vals, _ = oracles.jacobi_eig(m)
-        assert np.max(np.abs(res.eigenvalues - ref_vals)) < EIG_ATOL
+        assert np.max(np.abs(values - ref_vals)) < EIG_ATOL
 
 
 @settings(max_examples=60, deadline=None)
 @given(DIM, SEED)
-def test_sym_eig_invariants(n, seed):
+def test_eig_invariants(n, seed):
     rng = np.random.default_rng(seed)
     m = random_symmetric(rng, n, scale=2.0)
-    res = linalg.sym_eig(m)
-    lam, v = res.eigenvalues, res.eigenvectors
+    lam, v = linalg.gen_eig_sym(m, np.eye(n))
     # ascending order
     assert np.all(np.diff(lam) >= 0)
     # residual against the original matrix
@@ -93,18 +92,18 @@ def test_sym_eig_invariants(n, seed):
         assert v[np.abs(v[:, j]).argmax(), j] > 0
 
 
-def test_sym_eig_rejects_asymmetric():
+def test_eig_rejects_asymmetric():
     with pytest.raises(InvalidMatrix):
-        linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        linalg.gen_eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
 
 
-def test_sym_eig_rejects_nonsquare_and_nonfinite():
+def test_eig_rejects_nonsquare_and_nonfinite():
     with pytest.raises(InvalidMatrix):
-        linalg.sym_eig(np.zeros((2, 3)))
+        linalg.gen_eig_sym(np.zeros((2, 3)), np.eye(2))
     with pytest.raises(InvalidMatrix, match="empty"):
-        linalg.sym_eig(np.zeros((0, 0)))
+        linalg.gen_eig_sym(np.zeros((0, 0)), np.eye(1))
     with pytest.raises(InvalidMatrix):
-        linalg.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        linalg.gen_eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +114,19 @@ def test_gen_eig_diagonal_hand_case():
     # a = diag(2, 1), b = diag(1, 4): eigenvalues of b^-1 a are 2 and 0.25
     a = np.diag([2.0, 1.0])
     b = np.diag([1.0, 4.0])
-    res = linalg.gen_eig_sym(a, b)
-    assert np.allclose(res.eigenvalues, [0.25, 2.0], atol=1e-12)
+    values, vectors = linalg.gen_eig_sym(a, b)
+    assert np.allclose(values, [0.25, 2.0], atol=1e-12)
     # generalized normalization w^T b w = 1: vectors (0, 1/2) and (1, 0)
-    assert np.allclose(np.abs(res.eigenvectors[:, 0]), [0.0, 0.5], atol=1e-12)
-    assert np.allclose(np.abs(res.eigenvectors[:, 1]), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(np.abs(vectors[:, 0]), [0.0, 0.5], atol=1e-12)
+    assert np.allclose(np.abs(vectors[:, 1]), [1.0, 0.0], atol=1e-12)
 
 
 def test_gen_eig_identity_constraint_reduces_to_sym_eig():
     rng = np.random.default_rng(3)
     m = random_symmetric(rng, 5)
-    res = linalg.gen_eig_sym(m, np.eye(5))
-    ref = linalg.sym_eig(m)
-    assert np.allclose(res.eigenvalues, ref.eigenvalues, atol=1e-10)
+    values, _ = linalg.gen_eig_sym(m, np.eye(5))
+    ref, _ = np.linalg.eigh(m)
+    assert np.allclose(values, ref, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,8 +135,7 @@ def test_gen_eig_invariants_on_spd_pairs(n, seed):
     rng = np.random.default_rng(seed)
     a = random_symmetric(rng, n)
     b = random_spd(rng, n)
-    res = linalg.gen_eig_sym(a, b)
-    lam, w = res.eigenvalues, res.eigenvectors
+    lam, w = linalg.gen_eig_sym(a, b)
     assert np.all(np.diff(lam) >= 0)
     # residual of the pencil
     bound = RESIDUAL_RTOL * (np.abs(a).max() + np.abs(b).max())
@@ -153,9 +151,9 @@ def test_gen_eig_matches_brute_force_inverse(n, seed):
     rng = np.random.default_rng(seed)
     a = random_symmetric(rng, n)
     b = random_spd(rng, n)
-    res = linalg.gen_eig_sym(a, b)
+    values, _ = linalg.gen_eig_sym(a, b)
     ref = oracles.brute_force_gen_eig_values(a, b)
-    assert np.max(np.abs(res.eigenvalues - ref)) < EIG_ATOL
+    assert np.max(np.abs(values - ref)) < EIG_ATOL
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -166,19 +164,19 @@ def test_gen_eig_matches_the_sym_eig_route_byte_for_byte(seed):
     a = random_symmetric(rng, n)
     factor = rng.normal(size=(n, n if seed % 2 else n // 2 + 1))
     b = factor @ factor.T
-    res = linalg.gen_eig_sym(a, b)
-    values, vectors = oracles.sym_eig_route_gen_eig(a, b)
-    assert res.eigenvalues.tobytes() == values.tobytes()
-    assert res.eigenvectors.tobytes() == vectors.tobytes()
+    values, vectors = linalg.gen_eig_sym(a, b)
+    ref_values, ref_vectors = oracles.sym_eig_route_gen_eig(a, b)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
 
 
 def test_gen_eig_rank_truncation():
     # b has rank 1, so only one eigenpair survives
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     a = np.diag([3.0, 7.0])
-    res = linalg.gen_eig_sym(a, b)
-    assert res.eigenvalues.shape == (1,)
-    assert np.allclose(res.eigenvalues, [3.0], atol=1e-12)
+    values, _ = linalg.gen_eig_sym(a, b)
+    assert values.shape == (1,)
+    assert np.allclose(values, [3.0], atol=1e-12)
 
 
 def test_gen_eig_rejects_not_psd():
@@ -255,6 +253,21 @@ def test_pca_matches_the_centered_copy_oracle(seed):
     assert np.abs(model.explained_eigenvalues - explained).max() \
         <= 1e-12 * explained.max()
     assert np.abs(model.projection - projection).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape, out_dim", [
+    ((2_500, 4, 300), 20),                  # desk windows, three chunks
+    ((2 * linalg.CHUNK + 5, 12), 5),        # baseline rows, three chunks
+])
+def test_pca_matches_the_sym_eig_route_byte_for_byte(shape, out_dim):
+    # eigendecomposing the merged covariance as it is gives the bytes of
+    # symmetrizing it first, since it is exactly symmetric
+    data = np.random.default_rng(len(shape)).normal(size=shape) + 3.0
+    model = linalg.pca_fit(data, out_dim)
+    mean, projection, explained = oracles.sym_eig_route_pca(data, out_dim)
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.projection.tobytes() == projection.tobytes()
+    assert model.explained_eigenvalues.tobytes() == explained.tobytes()
 
 
 def test_pca_rejects_bad_out_dim():

@@ -7,12 +7,10 @@ where ``x`` names a slowfeat module (under any alias), is a finding.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slowfeat"
-MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+from source_rules import MODULES, findings, source
 
 
 def is_private(name):
@@ -38,26 +36,26 @@ def module_aliases(tree):
 
 
 def private_reads(source):
-    """``(line, what)`` for each private name read from another module."""
-    tree = ast.parse(source)
-    aliases = module_aliases(tree)
-    found = []
-    for node in ast.walk(tree):
+    """``(line, what)`` for each private name read from another module;
+    the private names of one import are one finding."""
+    aliases = module_aliases(ast.parse(source))
+
+    def match(node):
         if isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").startswith("slowfeat")):
-            found.extend((node.lineno, f"import {a.name}")
-                         for a in node.names if is_private(a.name))
-        elif isinstance(node, ast.Attribute) and is_private(node.attr):
+            names = [a.name for a in node.names if is_private(a.name)]
+            return (f"import {', '.join(names)}",) if names else None
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
             owner = node.value
             if isinstance(owner, ast.Name) and owner.id in aliases:
-                found.append((node.lineno, f"{owner.id}.{node.attr}"))
-            elif (isinstance(owner, ast.Attribute)
-                  and isinstance(owner.value, ast.Name)
-                  and owner.value.id == "slowfeat"
-                  and owner.attr in MODULES):
-                found.append((node.lineno,
-                              f"slowfeat.{owner.attr}.{node.attr}"))
-    return sorted(found)
+                return (f"{owner.id}.{node.attr}",)
+            if (isinstance(owner, ast.Attribute)
+                    and isinstance(owner.value, ast.Name)
+                    and owner.value.id == "slowfeat"
+                    and owner.attr in MODULES):
+                return (f"slowfeat.{owner.attr}.{node.attr}",)
+
+    return [(line, what) for line, _, what in findings(source, match)]
 
 
 def test_the_check_finds_each_kind_of_private_read():
@@ -85,5 +83,4 @@ dataio.load_bank
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_reads_another_modules_private_names(module):
-    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
-    assert private_reads(source) == []
+    assert private_reads(source(module)) == []

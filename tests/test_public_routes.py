@@ -9,10 +9,10 @@ tests reach is a second route that no stage takes, and a finding.
 """
 
 import ast
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "slowfeat"
+from source_rules import MODULES, SRC, source
+
+ROOT = SRC.parents[1]
 OTHERS = sorted([*(ROOT / "scripts").glob("*.py"),
                  *(ROOT / "perfbench").glob("*.py")])
 
@@ -103,8 +103,7 @@ def run(x):
 
 
 def test_every_public_definition_has_a_caller():
-    package = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
+    package = {module: source(module) for module in MODULES}
     others = [path.read_text(encoding="utf-8") for path in OTHERS]
     assert len(package) > 10 and len(others) >= 3
     assert unused_definitions(package, others) == []

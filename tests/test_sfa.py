@@ -267,10 +267,10 @@ def test_dsfa_gamma_zero_equals_union_constraint_ssfa():
         h_own = [h for h, l in zip(h_all, labels) if l == model.class_label]
         diffs = np.vstack([h[1:] - h[:-1] for h in h_own])
         a_own = (diffs.T @ diffs + (diffs.T @ diffs).T) / (2 * len(diffs))
-        ref = linalg.gen_eig_sym(a_own, b_union)
+        values, vectors = linalg.gen_eig_sym(a_own, b_union)
         k = model.k
-        assert np.allclose(model.eigenvalues, ref.eigenvalues[:k], atol=1e-8)
-        assert np.allclose(np.abs(model.w), np.abs(ref.eigenvectors[:, :k]),
+        assert np.allclose(model.eigenvalues, values[:k], atol=1e-8)
+        assert np.allclose(np.abs(model.w), np.abs(vectors[:, :k]),
                            atol=1e-8)
 
 
@@ -573,10 +573,11 @@ def expanded(model, seqs):
 
 def assert_solves(model, objective, constraint):
     """The model is the k slowest pairs of (objective, constraint)."""
-    ref = linalg.gen_eig_sym(linalg._symmetrize(objective), constraint)
+    values, vectors = linalg.gen_eig_sym(linalg._symmetrize(objective),
+                                         constraint)
     k = model.k
-    assert np.abs(model.eigenvalues - ref.eigenvalues[:k]).max() <= 1e-8
-    assert np.allclose(np.abs(model.w), np.abs(ref.eigenvectors[:, :k]))
+    assert np.abs(model.eigenvalues - values[:k]).max() <= 1e-8
+    assert np.allclose(np.abs(model.w), np.abs(vectors[:, :k]))
 
 
 def pools_of(strategy, model, seqs, labels, regions):
