@@ -7,7 +7,7 @@ classifier, so representation quality is the only difference between
 the two accuracy numbers.  The stages are the ``pipeline`` functions
 behind the CLI subcommands, and the baseline trains and votes through
 the same ``pipeline.train_classifier`` and ``pipeline.score``, so its
-classifier settings, seed and voting are the run's by construction.
+classifier settings and voting are the run's by construction.
 Used by the experiment scripts, the acceptance tests and the
 performance benchmark.
 """
@@ -50,9 +50,6 @@ def bench_config(seed, workdir, **overrides) -> RunConfig:
         max_cuboids=120,
         stride=2,
         epochs=100,
-        # ASD features are unit L1 norm, so hinge margins need far
-        # larger weights than the generic default regularizer allows
-        reg=1e-3,
         seed=seed,
         data_dir=os.path.join(workdir, "data"),
     )

@@ -75,6 +75,9 @@ class FrameSequence:
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise InvalidDimension(
                 f"frames must be (T, H, W) with T >= 1, got {self.frames.shape}")
+        if self.frames.dtype.kind not in "biuf":
+            raise InvalidInput(
+                f"frames must be real numbers, got dtype {self.frames.dtype}")
         t, h, w = self.frames.shape
         boxes = np.tile([0, 0, w, h], (t, 1)) if self.boxes is None \
             else self.boxes

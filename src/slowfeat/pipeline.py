@@ -31,7 +31,6 @@ from .errors import EmptyTrainingSet, InvalidInput
 TAG_SYNTH = 0
 TAG_SPLIT = 1
 TAG_SAMPLE = 2
-TAG_CLASSIFIER = 3
 TAG_FEATURIZE = 4
 
 
@@ -242,10 +241,9 @@ def _load_entry_features(config, entry, bank) -> np.ndarray:
 
 
 def train_classifier(config, rows, labels) -> classify.LinearClassifier:
-    """``config``'s linear classifier on ``rows``: its reg, epochs and seed."""
-    return classify.train_linear(
-        rows, labels, reg=config.reg, epochs=config.epochs,
-        seed=derive_seed(config.seed, TAG_CLASSIFIER))
+    """``config``'s linear classifier on ``rows``: its reg and epochs."""
+    return classify.train_linear(rows, labels, reg=config.reg,
+                                 epochs=config.epochs)
 
 
 def cmd_fit_classifier(config):

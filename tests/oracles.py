@@ -10,13 +10,12 @@ the evaluation the package used before banks were evaluated in one
 pass: every model reformats, projects and expands the cuboids itself,
 one cuboid at a time.  ``scores``/``predict`` are the per-row dot
 products the package's classifier once exposed for single features.
-The Pegasos oracle is the classifier loop the package used before steps
-were taken in blocks: one shrink and one update of the (C, D) iterate
-per step, and the iterate added to a running sum at every step;
-``stepwise_blocked_pegasos`` is the blocked loop the package used
-before a block's steps were solved as a fixed point: the same blocks,
-state and sums, with one vector-matrix product per step.
-``hinge_objective`` is the objective both minimize.  ``centered_pca`` is
+``dense_newton_svm`` minimizes ``classify.train_linear``'s
+squared-hinge objective one class at a time by dense Newton steps: the
+whole (D+1)^2 generalized Hessian solved by ``np.linalg.solve``, and
+each step's length found by bisecting the objective's slope along it.
+``squared_hinge_objective`` and ``squared_hinge_gradient`` are that
+objective and its gradient, one entry or row per class.  ``centered_pca`` is
 PCA as the package fitted it before covariances came from merged
 moments: from one centered copy of all the rows.
 ``sym_eig_route_gen_eig`` is the generalized solve as the package took
@@ -336,99 +335,72 @@ def predict(clf, feature):
     return clf.class_labels[int(np.argmax(scores(clf, feature)))]
 
 
-def per_step_pegasos(features, labels, reg, epochs, seed):
-    """Averaged one-vs-rest Pegasos, one step at a time."""
+def _one_vs_rest(clf_labels, features, labels):
+    """Rows with a bias column of ones, and the (n, C) sign matrix."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
-    classes = np.unique(y)
-    n, dim = x.shape
-    c = classes.size
-    signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)
-
-    rng = np.random.default_rng(seed)
-    w = np.zeros((c, dim))
-    b = np.zeros(c)
-    w_sum = np.zeros_like(w)
-    b_sum = np.zeros_like(b)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (reg * t)
-            xi = x[i]
-            viol = signs[i] * (w @ xi + b) < 1.0
-            w *= 1.0 - eta * reg
-            if viol.any():
-                w[viol] += (eta * signs[i, viol])[:, None] * xi
-                b[viol] += eta * signs[i, viol]
-            w_sum += w
-            b_sum += b
-    return classify.LinearClassifier(w_sum / t, b_sum / t,
-                                     tuple(classes.tolist()))
+    signs = np.where(y[:, None] == np.asarray(clf_labels)[None, :], 1.0, -1.0)
+    return np.hstack([x, np.ones((len(x), 1))]), signs
 
 
-def stepwise_blocked_pegasos(features, labels, reg, epochs, seed):
-    """``classify.train_linear``'s blocks with their steps made one at a
-    time: each step's margin is one vector-matrix product over the
-    block's Gram row and its block-start margin."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels)
-    classes = np.unique(y)
-    n, dim = x.shape
-    c = classes.size
-    signs = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, C)
-    total = n * epochs
-    tails = np.cumsum(1.0 / np.arange(total, 0.0, -1.0))[::-1]
-
-    rng = np.random.default_rng(seed)
-    state = np.zeros((c, dim + 1))
-    w_sum = np.zeros((c, dim + 1))
-    b_sum = np.zeros(c)
-    for epoch in range(epochs):
-        t = np.arange(epoch * n + 1.0, (epoch + 1) * n + 1.0)
-        limits = (reg * np.maximum(t - 1.0, 1.0)).tolist()
-        bias_weights = (total + 1.0 - t) / t
-        epoch_tails = tails[epoch * n:(epoch + 1) * n]
-        order = rng.permutation(n)
-        for lo in range(0, n, classify._BLOCK):
-            rows = order[lo:lo + classify._BLOCK]
-            m = rows.size
-            steps = slice(lo, lo + m)
-            probe = np.empty((m, dim + 1))          # [x | t - 1]
-            probe[:, :dim] = x[rows]
-            probe[:, dim] = t[steps] - 1.0
-            update = probe.copy()                   # [x | 1 / t]
-            update[:, dim] = 1.0 / t[steps]
-            # row j of mixed @ z is step j's margin: the Gram row
-            # picks up the block's earlier steps, which z holds in its
-            # first m rows, and the identity its margin at block start
-            mixed = np.empty((m, 2 * m))
-            np.matmul(probe, update.T, out=mixed[:, :m])
-            mixed[:, m:] = np.eye(m)
-            z = np.empty((2 * m, c))
-            z[:m] = 0.0
-            np.matmul(probe, state.T, out=z[m:])
-            g = z[:m]
-            for row, s, limit, gj in zip(mixed, signs[rows], limits[steps],
-                                         g):
-                np.multiply(s, s * (row @ z) < limit, out=gj)
-            state += g.T @ update
-            w_sum += (g * epoch_tails[steps, None]).T @ update
-            b_sum += g.T @ bias_weights[steps]
-    scale = reg * total
-    return classify.LinearClassifier(w_sum[:, :dim] / scale, b_sum / scale,
-                                     tuple(classes.tolist()))
+def squared_hinge_objective(clf, features, labels, reg):
+    """reg/2 (|w|^2 + b^2) + mean squared hinge, one entry per class."""
+    xa, signs = _one_vs_rest(clf.class_labels, features, labels)
+    z = np.hstack([clf.weights, clf.biases[:, None]])
+    out = []
+    for c, zc in enumerate(z):
+        hinge = np.maximum(0.0, 1.0 - signs[:, c] * (xa @ zc))
+        out.append(0.5 * reg * zc @ zc + np.mean(hinge ** 2))
+    return np.array(out)
 
 
-def hinge_objective(clf, features, labels, reg=classify.DEFAULT_REG):
-    """One-vs-rest objective: sum over classes of reg/2 ||w||^2 + mean hinge."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels)
-    signs = np.where(
-        y[:, None] == np.asarray(clf.class_labels)[None, :], 1.0, -1.0)
-    margins = signs * (x @ clf.weights.T + clf.biases)
-    hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0)
-    return float((0.5 * reg * (clf.weights ** 2).sum(axis=1) + hinge).sum())
+def squared_hinge_gradient(clf, features, labels, reg):
+    """Gradient of ``squared_hinge_objective`` in (w, b), one row per class."""
+    xa, signs = _one_vs_rest(clf.class_labels, features, labels)
+    z = np.hstack([clf.weights, clf.biases[:, None]])
+    out = []
+    for c, zc in enumerate(z):
+        hinge = np.maximum(0.0, 1.0 - signs[:, c] * (xa @ zc))
+        out.append(reg * zc - 2.0 / len(xa) * xa.T @ (signs[:, c] * hinge))
+    return np.array(out)
+
+
+def dense_newton_svm(features, labels, reg, steps=100):
+    """``classify.train_linear``'s objective minimized class by class:
+    Newton steps on the dense generalized Hessian, each of the length
+    that bisection puts at the minimum of the objective along it, until
+    the gradient is 1e-12 of its norm at zero."""
+    classes = tuple(np.unique(labels).tolist())
+    xa, signs = _one_vs_rest(classes, features, labels)
+    n, width = xa.shape
+    z = np.zeros((len(classes), width))
+    for c, s in enumerate(signs.T):
+        start = None
+        for _ in range(steps):
+            margins = s * (xa @ z[c])
+            grad = reg * z[c] - 2.0 / n * xa.T @ (s * np.maximum(
+                0.0, 1.0 - margins))
+            start = np.linalg.norm(grad) if start is None else start
+            if np.linalg.norm(grad) <= 1e-12 * start:
+                break
+            active = xa[margins < 1.0]
+            hessian = reg * np.eye(width) + 2.0 / n * active.T @ active
+            d = np.linalg.solve(hessian, -grad)
+            moved = s * (xa @ d)
+
+            def slope(t):
+                hinge = np.maximum(0.0, 1.0 - margins - t * moved)
+                return reg * (z[c] + t * d) @ d - 2.0 / n * hinge @ moved
+
+            low, high = 0.0, 1.0
+            while slope(high) < 0.0:
+                low, high = high, 2.0 * high
+            for _ in range(100):
+                mid = 0.5 * (low + high)
+                low, high = (mid, high) if slope(mid) < 0.0 else (low, mid)
+            z[c] += 0.5 * (low + high) * d
+    return classify.LinearClassifier(z[:, :-1].copy(), z[:, -1].copy(),
+                                     classes)
 
 
 def pipeline_spec_for(config, class_index, seq_index):

@@ -2,7 +2,7 @@
 
 The pipeline's stages and the raw-pixel baseline train through
 ``pipeline.train_classifier`` and vote through ``pipeline.score``, so
-the baseline's classifier settings, seed and voting are the run's by
+the baseline's classifier settings and voting are the run's by
 construction.  Every ``src/slowfeat/*.py`` is parsed with ``ast``; a use
 of ``train_linear``, a call or any other read of the name, outside
 ``pipeline.train_classifier``, or of ``majority_vote`` or

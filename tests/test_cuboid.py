@@ -95,6 +95,16 @@ def test_frame_sequence_rejects_frames_or_boxes_of_another_shape(frames,
         cuboid.FrameSequence(frames, boxes)
 
 
+@pytest.mark.parametrize("frames", [
+    np.full((3, 4, 4), "a"), np.ones((3, 4, 4), dtype=object),
+    [[[None, None]], [[None, None]]], np.ones((3, 4, 4), dtype=complex)])
+def test_frame_sequence_rejects_frames_that_are_not_real_numbers(frames):
+    # string frames escaped difference_sequence as the builtin
+    # ValueError, and object frames as the builtin TypeError
+    with pytest.raises(InvalidInput, match="dtype"):
+        cuboid.FrameSequence(frames)
+
+
 def test_frame_sequence_takes_nested_lists_of_frames():
     # .ndim of the list escaped as the builtin AttributeError
     seq = cuboid.FrameSequence([[[0, 1]], [[1, 0]]])
