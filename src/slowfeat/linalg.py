@@ -48,7 +48,9 @@ REL_CUTOFF = 1e-8
 
 # Rows or minisequences per chunk wherever a large set is reduced to
 # moments (here and in sfa training), and cuboids per featurize batch.
-CHUNK = 1024
+# 512 is the smallest chunk whose paper-tier pass-2 moments cost no
+# more per minisequence than at 1,024; smaller chunks pay more merges.
+CHUNK = 512
 
 # Allowed relative asymmetry / negativity before an input is rejected.
 _SYMMETRY_RTOL = 1e-10

@@ -249,15 +249,21 @@ def train_classifier(config, rows, labels) -> classify.LinearClassifier:
 def cmd_fit_classifier(config):
     train, _ = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
-    matrices = [_load_entry_features(config, entry, bank) for entry in train]
-    rows = np.vstack(matrices)
-    labels = np.repeat([e.label for e in train], [len(m) for m in matrices])
-    if bank.strategy == "sdsfa":
-        # an sdsfa classifier also learns each feature, right after it,
-        # with its region blocks mirrored, to absorb left/right motion
-        mirrored = features.mirror_features(rows, bank.grid)
-        rows = np.stack([rows, mirrored], axis=1).reshape(-1, bank.k_total)
-        labels = np.repeat(labels, 2)
+    # an sdsfa classifier also learns each feature, right after it,
+    # with its region blocks mirrored, to absorb left/right motion.
+    # The rows are counted first and each is written once into one
+    # array, so no list, stack or mirror of all rows is held beside it.
+    copies = 2 if bank.strategy == "sdsfa" else 1
+    counts = [len(_load_entry_features(config, e, bank)) for e in train]
+    rows = np.empty((copies * sum(counts), bank.k_total))
+    slots = rows.reshape(-1, copies, bank.k_total)
+    for entry, start, count in zip(train, np.cumsum([0] + counts), counts):
+        values = _load_entry_features(config, entry, bank)
+        slots[start:start + count, 0] = values
+        if copies == 2:
+            slots[start:start + count, 1] = features.mirror_features(
+                values, bank.grid)
+    labels = np.repeat([e.label for e in train], counts).repeat(copies)
     clf = train_classifier(config, rows, labels)
     dataio.save_classifier(config.classifier_path, clf)
     print(f"trained classifier on {len(rows)} features "

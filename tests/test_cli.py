@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from slowfeat import benchmark, cli, dataio, pipeline, sfa
+from slowfeat import benchmark, cli, dataio, features, pipeline, sfa
 from slowfeat import config as config_module
 from slowfeat.config import RunConfig
 from slowfeat.errors import InvalidInput, ParseError, SlowFeatError
@@ -443,6 +443,32 @@ def two_runs(tmp_path_factory):
         dataio.save_config(run / "run.cfg", cfg)
         configs[strategy] = cfg
     return configs
+
+
+@pytest.mark.parametrize("strategy", ["dsfa", "sdsfa"])
+def test_classifier_rows_are_the_training_features_in_order(two_runs,
+                                                           strategy):
+    # fit-classifier's rows are the training sequences' features in
+    # split order; an sdsfa row's mirror comes right after it
+    cfg = two_runs[strategy]
+    bank = dataio.load_bank(cfg.model_path)
+    train, _ = pipeline.split_entries(pipeline.load_entries(cfg), cfg)
+    matrices, labels = [], []
+    for entry in train:
+        _, feats, label = dataio.load_features(
+            os.path.join(cfg.features_dir, entry.sequence_id + ".sfaf"))
+        matrices.append(np.vstack([f.values for f in feats]))
+        labels.extend([label] * len(feats))
+    rows, labels = np.vstack(matrices), np.array(labels)
+    if strategy == "sdsfa":
+        rows = np.stack([rows, features.mirror_features(rows, bank.grid)],
+                        axis=1).reshape(-1, bank.k_total)
+        labels = np.repeat(labels, 2)
+    expected = pipeline.train_classifier(cfg, rows, labels)
+    clf = dataio.load_classifier(cfg.classifier_path)
+    assert clf.class_labels == expected.class_labels
+    assert clf.weights.tobytes() == expected.weights.tobytes()
+    assert clf.biases.tobytes() == expected.biases.tobytes()
 
 
 OUTPUTS = {"train": ["model_path"],

@@ -256,7 +256,7 @@ def test_pca_matches_the_centered_copy_oracle(seed):
 
 
 @pytest.mark.parametrize("shape, out_dim", [
-    ((2_500, 4, 300), 20),                  # desk windows, three chunks
+    ((2_500, 4, 300), 20),                  # desk windows, five chunks
     ((2 * linalg.CHUNK + 5, 12), 5),        # baseline rows, three chunks
 ])
 def test_pca_matches_the_sym_eig_route_byte_for_byte(shape, out_dim):
@@ -473,7 +473,28 @@ def test_merge_does_not_change_its_parts():
     copies = [tuple(np.copy(v) for v in p) for p in parts]
     linalg.merge_moments(parts)
     for p, c in zip(parts, copies):
-        assert all(np.array_equal(u, v) for u, v in zip(p, c))
+        assert all(np.asarray(u).tobytes() == np.asarray(v).tobytes()
+                   for u, v in zip(p, c))
+
+
+def pca_of_two(data):
+    return linalg.pca_fit(data, 2)
+
+
+@pytest.mark.parametrize("fit, shape", [
+    (linalg.sequence_moments, (7, 4, 5)),
+    (linalg.sequence_moments, (7, 1, 5)),
+    (pca_of_two, (7, 4, 5)),
+    (pca_of_two, (11, 5)),
+])
+def test_moments_and_pca_leave_their_input_unchanged(fit, shape,
+                                                     monkeypatch):
+    # a caller's array keeps its bytes, over several chunks too
+    monkeypatch.setattr(linalg, "CHUNK", 3)
+    data = np.random.default_rng(2).normal(size=shape) + 4.0
+    before = data.tobytes()
+    fit(data)
+    assert data.tobytes() == before
 
 
 def test_merge_of_nothing_is_empty():
