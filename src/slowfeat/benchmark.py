@@ -49,7 +49,6 @@ def bench_config(seed, workdir, **overrides) -> RunConfig:
         fraction=0.15,
         max_cuboids=120,
         stride=2,
-        epochs=100,
         seed=seed,
         data_dir=os.path.join(workdir, "data"),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .classify import DEFAULT_EPOCHS, DEFAULT_REG
+from .classify import DEFAULT_REG
 from .errors import FIELD_TYPES, InvalidInput, typed_fields
 from .sfa import DEFAULT_GAMMA, STRATEGIES
 
@@ -36,7 +36,6 @@ class RunConfig:
     stride: int = 1                 # snippet step during featurize
     # classifier
     reg: float = DEFAULT_REG
-    epochs: int = DEFAULT_EPOCHS
     # experiment
     seed: int = 0
     classes: int = 4

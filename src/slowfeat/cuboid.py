@@ -206,30 +206,32 @@ def motion_masks(diff_seq: FrameSequence) -> np.ndarray:
     return mask
 
 
-def sample_cuboids(seq: FrameSequence, masks, fraction: float, size,
-                   rng_seed: int, max_count: int | None = None) -> np.ndarray:
+def sample_cuboids(masks, fraction: float, size, rng_seed: int,
+                   max_count: int | None = None) -> np.ndarray:
     """Sample cuboids at motion boundary pixels, seeded and deterministic.
 
-    For every start frame t over which a depth-d cuboid fits, pick
-    ``ceil(fraction * count)`` of that frame's masked pixels uniformly
+    ``masks`` is one (T, H, W) bool stack, as ``motion_masks`` gives.
+    For every start frame t in ``range(T - d + 1)``, pick
+    ``ceil(fraction * count)`` of ``masks[t]``'s pixels uniformly
     without replacement, then keep the picks whose full h x w x d block
-    lies inside the sequence.  ``masks[t]`` gates start frame t.  With
-    ``max_count`` set, the pooled picks are cut down by a seeded
-    shuffle.  Returns the (n, 3) int array of ``(t, y, x)`` origins,
-    one row per cuboid, for ``crop_cuboids`` to cut.
+    lies inside the stack.  With ``max_count`` set, the pooled picks are
+    cut down by a seeded shuffle.  Returns the (n, 3) int array of
+    ``(t, y, x)`` origins for ``crop_cuboids`` to cut.
     """
     h, w, d = whole_numbers(size, InvalidDimension, f"cuboid size {size}",
                             low=1, shape=(3,)).tolist()
-    shape = seq.frames.shape
+    try:
+        masks = np.asarray(masks, dtype=bool)
+    except ValueError:  # ragged nesting
+        raise InvalidDimension("masks must be one (T, H, W) stack, "
+                               "got a ragged nesting") from None
+    if masks.ndim != 3:
+        raise InvalidDimension(
+            f"masks must be one (T, H, W) stack, got shape {masks.shape}")
     rng = np.random.default_rng(rng_seed)
     picks = [np.zeros((0, 3), dtype=np.intp)]
-    last_start = min(len(masks), shape[0] - d + 1)
-    for t in range(max(last_start, 0)):
-        mask = np.asarray(masks[t], dtype=bool)
-        if mask.shape != shape[1:]:
-            raise InvalidDimension(
-                f"mask {t} has shape {mask.shape}, frames are {shape[1:]}")
-        y, x = pick_positions(mask, fraction, (h, w), rng)
+    for t in range(len(masks) - d + 1):
+        y, x = pick_positions(masks[t], fraction, (h, w), rng)
         picks.append(np.column_stack([np.full(y.size, t), y, x]))
     picks = np.concatenate(picks)
     if max_count is not None and len(picks) > max_count:

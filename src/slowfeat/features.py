@@ -18,11 +18,11 @@ with the bank's one PCA, as training's chunks were, then through one
 matrix product against the bank's stacked readouts; each snippet's rows
 are then summed in order.
 
-For a region-gridded (``sdsfa``) bank each cuboid contributes only to
-the block of its own region: the product is taken once per region,
-that region's cuboids against its own readout columns.  Mirroring
-features permutes those region blocks.  ``selectivity`` reads the
-paper's class selectivity off labeled feature rows.
+On a grid of more than one cell each cuboid contributes only to the
+block of its own region: the product is taken once per region, that
+region's cuboids against its own readout columns.  Mirroring features
+permutes those region blocks.  ``selectivity`` reads the paper's class
+selectivity off labeled feature rows.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def bank_squared_derivatives(block, bank: ModelBank,
     ``w[:, j] . (h(x) - h0)``, so its forward difference is
     ``w[:, j] . (h(x_{t+1}) - h(x_t))`` and ``h0`` drops out: rows from
     ``sfa.project_and_expand`` are differenced, then multiplied by the
-    bank's stacked readouts.  For an ``sdsfa`` bank, ``regions`` gives
-    each cuboid's grid cell; a region's cuboids meet only the contiguous
+    bank's stacked readouts.  On a grid of more than one cell, ``regions``
+    gives each cuboid's cell; a region's cuboids meet only the contiguous
     columns of that region's models (banks are region-major), and every
     other column of theirs is exactly zero.
     """
@@ -91,12 +91,12 @@ def bank_squared_derivatives(block, bank: ModelBank,
     n = len(block)
     delta_t = _window_length(bank.pca.in_dim, block.shape[1:])
     groups = [(slice(None), slice(None))]
-    if bank.strategy == "sdsfa":
+    n_regions = bank.grid[0] * bank.grid[1]
+    if n_regions > 1:
         # None, as any other non-array, is rejected here
         labels = whole_numbers(regions, InvalidInput,
                                f"the region labels of {n} cuboids", low=0,
                                shape=(n,))
-        n_regions = bank.grid[0] * bank.grid[1]
         if (labels >= n_regions).any():
             raise InvalidInput(f"region labels must be below {n_regions}")
         width = bank.k_total // n_regions
@@ -151,10 +151,10 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     in canonical (y, x) order, so the order of the picks changes no bit.
     Each feature is L1-normalized unless its sum is zero (no cuboids, or
     none whose rows change), in which case it is returned as-is and
-    flagged.  An ``sdsfa`` bank reads each cuboid's region off its first
-    frame's box, and the cuboid contributes to that region's models
-    only.  A batch of snippets ends at the first snippet that brings it
-    to ``linalg.CHUNK`` cuboids; each cuboid is projected and expanded
+    flagged.  Each cuboid's region is its cell of ``bank.grid`` in its
+    first frame's box, and it contributes to that region's models only.
+    A batch of snippets ends at the first snippet that brings it to
+    ``linalg.CHUNK`` cuboids; each cuboid is projected and expanded
     on its own, so the batch a snippet shares can change only the last
     bits of the readout product and hence of its feature.
     """
@@ -188,9 +188,7 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
         sizes = [v.size for v in ys]
         ts, ys, xs = (np.repeat(first, sizes), np.concatenate(ys),
                       np.concatenate(xs))
-        regions = None
-        if bank.strategy == "sdsfa":
-            regions = region_label((xs, ys), seq.boxes[ts].T, bank.grid)
+        regions = region_label((xs, ys), seq.boxes[ts].T, bank.grid)
         block = crop_cuboids(frames, ts, ys, xs, (h, w, d))
         values = bank_squared_derivatives(block, bank, regions)
         # ``sum`` along the first axis adds row after row, so a snippet's

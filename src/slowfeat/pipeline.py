@@ -128,7 +128,7 @@ TrainingCuboids = namedtuple("TrainingCuboids", ["data", "labels", "regions"])
 
 def _training_cuboids(config, entries, train) -> TrainingCuboids:
     """The sampled training cuboids as one ``cuboid.LazyCuboids``, with
-    each cuboid's class and, for ``sdsfa``, its grid cell (else None).
+    each cuboid's class and its cell of ``config.grid``.
 
     Each sequence is read once: its motion masks place the picks, and
     only its raw pixels and normalization are kept.  A cuboid is cut
@@ -142,7 +142,7 @@ def _training_cuboids(config, entries, train) -> TrainingCuboids:
         diff = cuboid.difference_sequence(seq)
         masks = cuboid.motion_masks(diff)
         origins = cuboid.sample_cuboids(
-            diff, masks, config.fraction, config.cuboid_size,
+            masks, config.fraction, config.cuboid_size,
             rng_seed=derive_seed(config.seed, TAG_SAMPLE,
                                  index[entry.sequence_id]),
             max_count=config.max_cuboids)
@@ -150,16 +150,15 @@ def _training_cuboids(config, entries, train) -> TrainingCuboids:
         norms.append(cuboid.normalization(seq.frames))
         picks.append(np.column_stack([np.full(len(origins), s), origins]))
         labels.append(np.full(len(origins), entry.label))
-        if config.strategy == "sdsfa":
-            ts, ys, xs = origins.T
-            regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
-                                               config.grid))
+        ts, ys, xs = origins.T
+        regions.append(cuboid.region_label((xs, ys), diff.boxes[ts].T,
+                                           config.grid))
     if sum(len(p) for p in picks) == 0:
         raise EmptyTrainingSet("no training cuboids")
     data = cuboid.LazyCuboids(tuple(pixels), np.array(norms),
                               np.concatenate(picks), config.cuboid_size)
     return TrainingCuboids(data, np.concatenate(labels),
-                           np.concatenate(regions) if regions else None)
+                           np.concatenate(regions))
 
 
 def cmd_train(config):
@@ -241,19 +240,18 @@ def _load_entry_features(config, entry, bank) -> np.ndarray:
 
 
 def train_classifier(config, rows, labels) -> classify.LinearClassifier:
-    """``config``'s linear classifier on ``rows``: its reg and epochs."""
-    return classify.train_linear(rows, labels, reg=config.reg,
-                                 epochs=config.epochs)
+    """``config``'s linear classifier on ``rows``: its reg."""
+    return classify.train_linear(rows, labels, reg=config.reg)
 
 
 def cmd_fit_classifier(config):
     train, _ = split_entries(load_entries(config), config)
     bank = dataio.load_bank(config.model_path)
-    # an sdsfa classifier also learns each feature, right after it,
-    # with its region blocks mirrored, to absorb left/right motion.
-    # The rows are counted first and each is written once into one
-    # array, so no list, stack or mirror of all rows is held beside it.
-    copies = 2 if bank.strategy == "sdsfa" else 1
+    # with more than one grid column the classifier also learns each
+    # feature right after it with its region blocks mirrored, to absorb
+    # left/right motion.  The rows are counted first and each is written
+    # once into one array; no list, stack or mirror of all rows is held.
+    copies = 2 if bank.grid[0] > 1 else 1
     counts = [len(_load_entry_features(config, e, bank)) for e in train]
     rows = np.empty((copies * sum(counts), bank.k_total))
     slots = rows.reshape(-1, copies, bank.k_total)

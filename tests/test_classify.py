@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ def test_train_linear_takes_only_whole_epochs_and_seeds_and_a_real_reg(
     b = classify.train_linear(x, y, reg=2.0, epochs=3.0)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.biases.tobytes() == b.biases.tobytes()
+
+
+def test_training_holds_no_array_of_the_features_size():
+    # numpy reports its allocations to tracemalloc; the input check
+    # once held a one-byte-per-value finiteness mask of the features
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(2000, 1000)), np.arange(2000) % 2
+    classify.train_linear(x[:10], y[:10], epochs=1)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        classify.train_linear(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size / 2
 
 
 def test_train_linear_keeps_its_parameter_names():

@@ -23,7 +23,7 @@ def desk_config(tmp_path, **overrides):
         frames=30, height=32, width=40,
         cuboid_h=8, cuboid_w=8, cuboid_d=6, delta_t=3,
         pca_dim=20, k_per_class=8, fraction=0.2, max_cuboids=120,
-        epochs=20, strategy="dsfa", seed=1,
+        strategy="dsfa", seed=1,
         data_dir=str(tmp_path / "data"),
         model_path=str(tmp_path / "model.sfam"),
         features_dir=str(tmp_path / "features"),
@@ -188,6 +188,26 @@ def test_pipeline_usfa_has_no_selectivity(tmp_path):
                       train_per_class=2, classes=2)
     results = run_pipeline(cfg)
     assert "average_selectivity" not in results
+
+
+def test_one_cell_sdsfa_is_dsfa(tmp_path):
+    # SD-SFA is D-SFA plus regions, so on a one-cell grid every feature
+    # file and the classifier are dsfa's, byte for byte
+    written = {}
+    for strategy in ("dsfa", "sdsfa"):
+        cfg = benchmark.bench_config(7, str(tmp_path), strategy=strategy,
+                                     sequences_per_class=6,
+                                     train_per_class=4, grid_nx=1, grid_ny=1)
+        if not written:
+            cli.cmd_synth(cfg)
+        benchmark.run_strategy(cfg)
+        files = {name: os.path.join(cfg.features_dir, name)
+                 for name in os.listdir(cfg.features_dir)}
+        files["classifier"] = cfg.classifier_path
+        written[strategy] = {name: open(path, "rb").read()
+                             for name, path in files.items()}
+    assert len(written["dsfa"]) == 6 * 4 + 1
+    assert written["sdsfa"] == written["dsfa"]
 
 
 def test_pipeline_sdsfa_with_mirror(tmp_path):
@@ -424,33 +444,37 @@ def test_run_strategy_returns_what_evaluate_wrote(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def two_runs(tmp_path_factory):
-    """Configs of a dsfa and a 2x1-grid sdsfa run on one dataset, each
-    taken through evaluate and saved as ``run.cfg`` next to its bank; a
-    dsfa feature row is 8 wide, an sdsfa row 16."""
+def runs(tmp_path_factory):
+    """Configs of a dsfa, a 2x1-grid sdsfa and a 1x3-grid sdsfa run
+    (``sdsfa-1x3``) on one dataset, each taken through evaluate and
+    saved as ``run.cfg`` next to its bank; a dsfa feature row is 8
+    wide, a 2x1 sdsfa row 16."""
     root = tmp_path_factory.mktemp("runs")
     configs = {}
-    for strategy in ("dsfa", "sdsfa"):
-        run = root / strategy
+    for name, strategy, grid in (("dsfa", "dsfa", (2, 1)),
+                                 ("sdsfa", "sdsfa", (2, 1)),
+                                 ("sdsfa-1x3", "sdsfa", (1, 3))):
+        run = root / name
         run.mkdir()
-        cfg = desk_config(run, strategy=strategy, grid_nx=2, grid_ny=1,
-                          classes=2, sequences_per_class=4, train_per_class=2,
-                          k_per_class=4, max_cuboids=60,
+        cfg = desk_config(run, strategy=strategy, grid_nx=grid[0],
+                          grid_ny=grid[1], classes=2, sequences_per_class=4,
+                          train_per_class=2, k_per_class=4, max_cuboids=60,
                           data_dir=str(root / "data"))
-        if strategy == "dsfa":
+        if not configs:
             cli.cmd_synth(cfg)
         benchmark.run_strategy(cfg)
         dataio.save_config(run / "run.cfg", cfg)
-        configs[strategy] = cfg
+        configs[name] = cfg
     return configs
 
 
-@pytest.mark.parametrize("strategy", ["dsfa", "sdsfa"])
-def test_classifier_rows_are_the_training_features_in_order(two_runs,
+@pytest.mark.parametrize("strategy", ["dsfa", "sdsfa", "sdsfa-1x3"])
+def test_classifier_rows_are_the_training_features_in_order(runs,
                                                            strategy):
     # fit-classifier's rows are the training sequences' features in
-    # split order; an sdsfa row's mirror comes right after it
-    cfg = two_runs[strategy]
+    # split order; on a grid of more than one column a row's mirror
+    # comes right after it, and a one-column grid has none
+    cfg = runs[strategy]
     bank = dataio.load_bank(cfg.model_path)
     train, _ = pipeline.split_entries(pipeline.load_entries(cfg), cfg)
     matrices, labels = [], []
@@ -460,7 +484,7 @@ def test_classifier_rows_are_the_training_features_in_order(two_runs,
         matrices.append(np.vstack([f.values for f in feats]))
         labels.extend([label] * len(feats))
     rows, labels = np.vstack(matrices), np.array(labels)
-    if strategy == "sdsfa":
+    if bank.grid[0] > 1:
         rows = np.stack([rows, features.mirror_features(rows, bank.grid)],
                         axis=1).reshape(-1, bank.k_total)
         labels = np.repeat(labels, 2)
@@ -504,9 +528,9 @@ def fails_with_one_line(capsys, command, config, tmp_path, **flags):
     ("evaluate", "model_path"), ("evaluate", "features_dir"),
     ("evaluate", "classifier_path")])
 def test_files_from_another_strategys_run_fail_cleanly(
-        two_runs, tmp_path, capsys, command, swapped, own, other):
-    err = fails_with_one_line(capsys, command, two_runs[own], tmp_path,
-                              **{swapped: getattr(two_runs[other], swapped)})
+        runs, tmp_path, capsys, command, swapped, own, other):
+    err = fails_with_one_line(capsys, command, runs[own], tmp_path,
+                              **{swapped: getattr(runs[other], swapped)})
     if swapped != "classifier_path":
         # e.g. an sdsfa bank's class columns would run past a dsfa row
         widths = {"dsfa": 8, "sdsfa": 16}
@@ -515,23 +539,23 @@ def test_files_from_another_strategys_run_fail_cleanly(
         assert f"{widths[bank]} outputs" in err
 
 
-def test_cuboids_windowed_to_one_row_fail_cleanly(two_runs, tmp_path,
+def test_cuboids_windowed_to_one_row_fail_cleanly(runs, tmp_path,
                                                   capsys):
     # delta_t == cuboid_d leaves one row per minisequence: no derivative
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     err = fails_with_one_line(capsys, "train", cfg, tmp_path,
                               delta_t=cfg.cuboid_d)
     assert "at least 2" in err
 
 
 @pytest.mark.parametrize("flags", [{"cuboid_h": 12}, {"delta_t": 2}])
-def test_cuboid_geometry_unlike_the_banks_fails_cleanly(two_runs, tmp_path,
+def test_cuboid_geometry_unlike_the_banks_fails_cleanly(runs, tmp_path,
                                                         capsys, flags):
     # the bank takes 8x8 patches over 3 frames, 192-d rows; a 12x8
     # cuboid would be windowed to 2 frames, or delta_t 2 ignored, without
     # a word.  The dataset holds only its manifest: the check comes
     # before any sequence is read.
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     shutil.copy(os.path.join(cfg.data_dir, cli.MANIFEST_NAME), data_dir)
@@ -542,20 +566,20 @@ def test_cuboid_geometry_unlike_the_banks_fails_cleanly(two_runs, tmp_path,
 
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",
                                      "evaluate"])
-def test_missing_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
-    fails_with_one_line(capsys, command, two_runs["dsfa"], tmp_path,
+def test_missing_bank_fails_cleanly(runs, tmp_path, capsys, command):
+    fails_with_one_line(capsys, command, runs["dsfa"], tmp_path,
                         model_path=tmp_path / "none.sfam")
 
 
-def test_missing_classifier_fails_cleanly(two_runs, tmp_path, capsys):
-    fails_with_one_line(capsys, "evaluate", two_runs["dsfa"], tmp_path,
+def test_missing_classifier_fails_cleanly(runs, tmp_path, capsys):
+    fails_with_one_line(capsys, "evaluate", runs["dsfa"], tmp_path,
                         classifier_path=tmp_path / "none.sfac")
 
 
 @pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
-def test_missing_feature_file_fails_cleanly(two_runs, tmp_path, capsys,
+def test_missing_feature_file_fails_cleanly(runs, tmp_path, capsys,
                                             command):
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, test = pipeline.split_entries(entries, cfg)
     gone = (train if command == "fit-classifier" else test)[0]
@@ -568,9 +592,9 @@ def test_missing_feature_file_fails_cleanly(two_runs, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
-def test_feature_file_with_a_nan_fails_cleanly(two_runs, tmp_path, capsys,
+def test_feature_file_with_a_nan_fails_cleanly(runs, tmp_path, capsys,
                                                command):
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, test = pipeline.split_entries(entries, cfg)
     bad = (train if command == "fit-classifier" else test)[0]
@@ -594,8 +618,8 @@ def moved_outputs(config, command, tmp_path, **paths):
 
 @pytest.mark.parametrize("command", ["fit-classifier", "evaluate"])
 def test_feature_file_unlike_its_manifest_entry_fails_cleanly(
-        two_runs, tmp_path, command):
-    cfg = two_runs["dsfa"]
+        runs, tmp_path, command):
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, test = pipeline.split_entries(entries, cfg)
     bad = (train if command == "fit-classifier" else test)[0]
@@ -613,8 +637,8 @@ def test_feature_file_unlike_its_manifest_entry_fails_cleanly(
 
 
 def test_a_test_sequence_without_snippets_fails_evaluate_cleanly(
-        two_runs, tmp_path):
-    cfg = two_runs["dsfa"]
+        runs, tmp_path):
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     empty = pipeline.split_entries(entries, cfg)[1][0]
     features_dir = tmp_path / "features"
@@ -627,9 +651,9 @@ def test_a_test_sequence_without_snippets_fails_evaluate_cleanly(
                                             features_dir=str(features_dir)))
 
 
-def test_classifier_with_a_nan_weight_fails_cleanly(two_runs, tmp_path,
+def test_classifier_with_a_nan_weight_fails_cleanly(runs, tmp_path,
                                                     capsys):
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     clf = dataio.load_classifier(cfg.classifier_path)
     clf.weights[0, 0] = np.nan
     path = tmp_path / "nan.sfac"
@@ -641,8 +665,8 @@ def test_classifier_with_a_nan_weight_fails_cleanly(two_runs, tmp_path,
 
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",
                                      "evaluate"])
-def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
-    cfg = two_runs["dsfa"]
+def test_version_1_bank_fails_cleanly(runs, tmp_path, capsys, command):
+    cfg = runs["dsfa"]
     raw = bytearray(open(cfg.model_path, "rb").read())
     raw[4:8] = struct.pack("<I", 1)
     old = tmp_path / "old.sfam"
@@ -653,8 +677,8 @@ def test_version_1_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["featurize", "fit-classifier",
                                      "evaluate"])
-def test_version_2_bank_fails_cleanly(two_runs, tmp_path, capsys, command):
-    cfg = two_runs["dsfa"]
+def test_version_2_bank_fails_cleanly(runs, tmp_path, capsys, command):
+    cfg = runs["dsfa"]
     raw = bytearray(open(cfg.model_path, "rb").read())
     raw[4:8] = struct.pack("<I", 2)
     old = tmp_path / "old.sfam"
@@ -678,8 +702,8 @@ def with_static_videos(config, tmp_path, sequence_ids):
     return data_dir
 
 
-def test_static_video_gets_zero_features(two_runs, tmp_path, capsys):
-    cfg = two_runs["dsfa"]
+def test_static_video_gets_zero_features(runs, tmp_path, capsys):
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     static = entries[0].sequence_id
     data_dir = with_static_videos(cfg, tmp_path, {static})
@@ -699,9 +723,9 @@ def test_static_video_gets_zero_features(two_runs, tmp_path, capsys):
             assert any(f.normalized for f in feats)
 
 
-def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
+def test_training_split_without_motion_fails_cleanly(runs, tmp_path,
                                                      capsys):
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, _ = pipeline.split_entries(entries, cfg)
     data_dir = with_static_videos(cfg, tmp_path,
@@ -716,20 +740,20 @@ def test_training_split_without_motion_fails_cleanly(two_runs, tmp_path,
     ({"cuboid_d": 30}, "cuboid depth 30 needs 31 frames; {} has 30")],
     ids=["too-tall", "too-deep"])
 def test_cuboid_too_large_for_the_videos_names_its_cause(
-        two_runs, tmp_path, capsys, flags, what):
+        runs, tmp_path, capsys, flags, what):
     # the run's 30-frame 32x40 videos, where a depth of 29 would fit
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     entries = cli.load_manifest(os.path.join(cfg.data_dir, "manifest.txt"))
     train, _ = pipeline.split_entries(entries, cfg)
     err = fails_with_one_line(capsys, "train", cfg, tmp_path, **flags)
     assert err == f"error: {what.format(train[0].sequence_id)}\n"
 
 
-def test_featurize_on_videos_smaller_than_the_banks_cuboid(two_runs, tmp_path,
+def test_featurize_on_videos_smaller_than_the_banks_cuboid(runs, tmp_path,
                                                            capsys):
     # the bank's cuboids are 8x8; each video keeps its top 7 rows and a
     # box that fits them
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     shutil.copytree(cfg.data_dir, data_dir)
     entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
@@ -744,10 +768,10 @@ def test_featurize_on_videos_smaller_than_the_banks_cuboid(two_runs, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["train", "fit-classifier", "evaluate"])
-def test_negative_manifest_label_names_the_manifest(two_runs, tmp_path,
+def test_negative_manifest_label_names_the_manifest(runs, tmp_path,
                                                     capsys, command):
     # the dataset holds only its manifest: the stages read it first
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     manifest = data_dir / cli.MANIFEST_NAME
@@ -765,10 +789,10 @@ def test_negative_manifest_label_names_the_manifest(two_runs, tmp_path,
     ("0 0 0 0 10", "line 1: degenerate box '0 0 0 0 10'"),
     ("0 30 0 20 10", "the box of frame 0 falls outside the 32x40 frame")],
     ids=["degenerate", "outside-the-frame"])
-def test_bad_annotation_names_its_file(two_runs, tmp_path, capsys, line,
+def test_bad_annotation_names_its_file(runs, tmp_path, capsys, line,
                                        what):
     # a 32x40 video whose first training sequence has a bad box
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     shutil.copytree(cfg.data_dir, data_dir)
     entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
@@ -781,8 +805,8 @@ def test_bad_annotation_names_its_file(two_runs, tmp_path, capsys, line,
 
 
 def test_featurize_failing_on_the_first_sequence_writes_nothing(
-        two_runs, tmp_path, capsys):
-    cfg = two_runs["dsfa"]
+        runs, tmp_path, capsys):
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     shutil.copytree(cfg.data_dir, data_dir)
     entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)
@@ -793,10 +817,10 @@ def test_featurize_failing_on_the_first_sequence_writes_nothing(
 
 
 def test_featurize_failing_on_a_later_sequence_keeps_the_old_files(
-        two_runs, tmp_path, capsys):
+        runs, tmp_path, capsys):
     # the files of an earlier run stay as they were: none is replaced
     # by the failed run's features of the sequences before the bad one
-    cfg = two_runs["dsfa"]
+    cfg = runs["dsfa"]
     data_dir = tmp_path / "data"
     shutil.copytree(cfg.data_dir, data_dir)
     entries = cli.load_manifest(data_dir / cli.MANIFEST_NAME)

@@ -81,7 +81,6 @@ def run_flags(draw, edge=None):
         "seed": draw(st.integers(0, 2 ** 32)),
         "gamma": draw(st.sampled_from([0.0]) | EXTREMES),
         "reg": draw(EXTREMES),
-        "epochs": draw(st.integers(1, 3)),
     }
     if edge is not None:
         flags[edge] = draw(EDGES[edge](flags))

@@ -297,20 +297,20 @@ def interior_mask_sequence(n_pixels_side=10, frame=20, depth=1):
     mask = np.zeros((frame, frame), bool)
     lo = (frame - n_pixels_side) // 2
     mask[lo:lo + n_pixels_side, lo:lo + n_pixels_side] = True
-    return seq, [mask] * depth
+    return seq, np.stack([mask] * depth)
 
 
 def test_sample_quarter_fraction_exact_count():
     # fraction 0.25 on a mask of 100 pixels, all of which fit
-    seq, masks = interior_mask_sequence()
-    out = cuboid.sample_cuboids(seq, masks, fraction=0.25, size=(3, 3, 1),
+    _, masks = interior_mask_sequence()
+    out = cuboid.sample_cuboids(masks, fraction=0.25, size=(3, 3, 1),
                                 rng_seed=0)
     assert len(out) == 25
 
 
 def test_sample_full_fraction_takes_every_fitting_pixel():
-    seq, masks = interior_mask_sequence()
-    out = cuboid.sample_cuboids(seq, masks, fraction=1.0, size=(3, 3, 1),
+    _, masks = interior_mask_sequence()
+    out = cuboid.sample_cuboids(masks, fraction=1.0, size=(3, 3, 1),
                                 rng_seed=1)
     assert len(out) == 100
     positions = {tuple(p) for p in out.tolist()}
@@ -318,8 +318,8 @@ def test_sample_full_fraction_takes_every_fitting_pixel():
 
 
 def test_sample_skips_non_fitting_positions():
-    seq, masks = interior_mask_sequence(n_pixels_side=20)  # mask touches borders
-    out = cuboid.sample_cuboids(seq, masks, fraction=1.0, size=(5, 5, 1),
+    _, masks = interior_mask_sequence(n_pixels_side=20)  # mask touches borders
+    out = cuboid.sample_cuboids(masks, fraction=1.0, size=(5, 5, 1),
                                 rng_seed=2)
     # centers need 2 pixels of margin, so only the inner 16x16 survive
     assert len(out) == 256
@@ -327,7 +327,7 @@ def test_sample_skips_non_fitting_positions():
 
 def test_sample_cuboid_data_matches_source():
     seq, masks = interior_mask_sequence(depth=1)
-    out = cuboid.sample_cuboids(seq, masks, fraction=0.1, size=(3, 5, 1),
+    out = cuboid.sample_cuboids(masks, fraction=0.1, size=(3, 5, 1),
                                 rng_seed=3)
     frames = seq.frames
     data = cuboid.crop_cuboids(frames, *out.T, (3, 5, 1))
@@ -338,9 +338,9 @@ def test_sample_cuboid_data_matches_source():
 
 def test_sample_deterministic_and_seed_sensitive():
     seq, masks = interior_mask_sequence()
-    a = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=7)
-    b = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=7)
-    c = cuboid.sample_cuboids(seq, masks, 0.25, (3, 3, 1), rng_seed=8)
+    a = cuboid.sample_cuboids(masks, 0.25, (3, 3, 1), rng_seed=7)
+    b = cuboid.sample_cuboids(masks, 0.25, (3, 3, 1), rng_seed=7)
+    c = cuboid.sample_cuboids(masks, 0.25, (3, 3, 1), rng_seed=8)
     assert a.tolist() == b.tolist()
     assert np.array_equal(cuboid.crop_cuboids(seq.frames, *a.T, (3, 3, 1)),
                           cuboid.crop_cuboids(seq.frames, *b.T, (3, 3, 1)))
@@ -348,9 +348,9 @@ def test_sample_deterministic_and_seed_sensitive():
 
 
 def test_sample_max_count_truncates_by_seeded_shuffle():
-    seq, masks = interior_mask_sequence()
-    full = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 1), rng_seed=5)
-    cut = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 1), rng_seed=5,
+    _, masks = interior_mask_sequence()
+    full = cuboid.sample_cuboids(masks, 1.0, (3, 3, 1), rng_seed=5)
+    cut = cuboid.sample_cuboids(masks, 1.0, (3, 3, 1), rng_seed=5,
                                 max_count=10)
     assert len(cut) == 10
     full_positions = {tuple(p) for p in full.tolist()}
@@ -358,48 +358,52 @@ def test_sample_max_count_truncates_by_seeded_shuffle():
 
 
 def test_sample_multi_frame_start_times():
-    frames = np.zeros((6, 12, 12))
-    seq = cuboid.FrameSequence(frames)
     mask = np.zeros((12, 12), bool)
     mask[6, 6] = True
     masks = [mask] * 6
-    out = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 4), rng_seed=0)
+    out = cuboid.sample_cuboids(masks, 1.0, (3, 3, 4), rng_seed=0)
     # depth-4 cuboids fit at start frames 0..2 only
     assert sorted(out[:, 0]) == [0, 1, 2]
 
 
 def test_sample_rejects_bad_fraction():
-    seq, masks = interior_mask_sequence()
+    _, masks = interior_mask_sequence()
     with pytest.raises(InvalidInput):
-        cuboid.sample_cuboids(seq, masks, 0.0, (3, 3, 1), rng_seed=0)
+        cuboid.sample_cuboids(masks, 0.0, (3, 3, 1), rng_seed=0)
 
 
-# truncated, a fractional size such as (2.9, 2, 3) was sampled as 2x2x3
+# truncated, a fractional size such as (2.9, 2, 3) was sampled as 2x2x3;
+# the masks must be one (T, H, W) stack, not one (H, W) frame or a 4-D one
 @pytest.mark.parametrize("size,mask_shape", [
-    ((0, 3, 1), (20, 20)), ((3, 3, 0), (20, 20)), ((3, 3, 1), (20, 19)),
-    ((2.9, 2, 3), (20, 20)), ((3, 3, 1.5), (20, 20)),
-    ((3, np.nan, 1), (20, 20))])
+    ((0, 3, 1), (1, 20, 20)), ((3, 3, 0), (1, 20, 20)), ((3, 3, 1), (20, 20)),
+    ((2.9, 2, 3), (1, 20, 20)), ((3, 3, 1.5), (1, 20, 20)),
+    ((3, np.nan, 1), (1, 20, 20)), ((3, 3, 1), (1, 1, 20, 20))])
 def test_sample_rejects_a_bad_size_or_a_mask_of_another_shape(size,
                                                               mask_shape):
-    seq, _ = interior_mask_sequence()
     with pytest.raises(InvalidDimension):
-        cuboid.sample_cuboids(seq, [np.ones(mask_shape, bool)], 1.0, size,
+        cuboid.sample_cuboids(np.ones(mask_shape, bool), 1.0, size,
                               rng_seed=0)
+
+
+def test_sample_rejects_a_ragged_stack():
+    masks = [np.ones((20, 20), bool), np.ones((20, 19), bool)]
+    with pytest.raises(InvalidDimension, match="ragged"):
+        cuboid.sample_cuboids(masks, 1.0, (3, 3, 1), rng_seed=0)
 
 
 @pytest.mark.parametrize("size", [3, (3, 3), ((3, 3), 1)])
 def test_sample_rejects_a_size_of_another_length(size):
     # unpacked, these escaped as a TypeError and a ValueError, and
     # np.asarray of the ragged ((3, 3), 1) as numpy's ValueError
-    seq, masks = interior_mask_sequence()
+    _, masks = interior_mask_sequence()
     with pytest.raises(InvalidDimension, match="3 integers"):
-        cuboid.sample_cuboids(seq, masks, 1.0, size, rng_seed=0)
+        cuboid.sample_cuboids(masks, 1.0, size, rng_seed=0)
 
 
 def test_sample_takes_a_whole_float_size():
-    seq, masks = interior_mask_sequence(depth=4)
-    a = cuboid.sample_cuboids(seq, masks, 1.0, (3, 3, 2), rng_seed=0)
-    b = cuboid.sample_cuboids(seq, masks, 1.0, (3.0, 3.0, 2.0), rng_seed=0)
+    _, masks = interior_mask_sequence(depth=4)
+    a = cuboid.sample_cuboids(masks, 1.0, (3, 3, 2), rng_seed=0)
+    b = cuboid.sample_cuboids(masks, 1.0, (3.0, 3.0, 2.0), rng_seed=0)
     assert len(a) and a.tobytes() == b.tobytes()
 
 

@@ -716,8 +716,8 @@ def test_run_config_float_fields_keep_ints_and_str_fields_paths(tmp_path):
 
 
 def test_run_config_takes_numpy_integers():
-    # 16 counts, the seed and max_cuboids: an empty list would check none
-    assert len(INT_FIELDS) == 18
+    # 15 counts, the seed and max_cuboids: an empty list would check none
+    assert len(INT_FIELDS) == 17
     cfg = RunConfig(pca_dim=np.int64(12), seed=np.int32(0),
                     max_cuboids=np.uint16(7))
     assert (cfg.pca_dim, cfg.seed, cfg.max_cuboids) == (12, 0, 7)

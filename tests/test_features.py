@@ -546,7 +546,7 @@ def diff_of(seq):
 
 def featurize_bank(diff_seq, size=(4, 4, 4), delta_t=2):
     masks = cuboid.motion_masks(diff_seq)
-    picks = cuboid.sample_cuboids(diff_seq, masks, 0.5, size, rng_seed=0)
+    picks = cuboid.sample_cuboids(masks, 0.5, size, rng_seed=0)
     block = cuboid.crop_cuboids(diff_seq.frames, *picks.T, size)
     return sfa.fit_bank("usfa", cuboid.window_rows(block, delta_t), pca_dim=6,
                         k=2)

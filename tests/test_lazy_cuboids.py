@@ -135,7 +135,7 @@ def test_training_holds_the_pixels_and_picks_not_the_crops(desk,
     # the pixels, the picks, labels and regions, and one (mean, std)
     # per training sequence; one float array of the crops is far more
     bound = (pixels + data.picks.nbytes + cuboids.labels.nbytes
-             + (0 if cuboids.regions is None else cuboids.regions.nbytes)
+             + cuboids.regions.nbytes
              + 16 * len(train))
     assert _held_bytes(tuple(cuboids), set()) <= bound
     assert 8 * np.prod(data.shape) > bound

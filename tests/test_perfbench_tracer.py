@@ -27,7 +27,7 @@ def test_the_tracer_counts_every_layer_it_reads(strategy, tmp_path,
 
     config = benchmark.bench_config(
         3, str(tmp_path), strategy=strategy, classes=2,
-        sequences_per_class=4, train_per_class=2, frames=24, epochs=5)
+        sequences_per_class=4, train_per_class=2, frames=24)
     with contextlib.redirect_stdout(io.StringIO()):
         pipeline.cmd_synth(config)
         tracer = tracing.Tracer()

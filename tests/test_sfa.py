@@ -892,8 +892,7 @@ def test_training_keeps_the_names_the_benchmark_reads():
     assert params["max_count"].default is None
     mask = np.zeros((9, 9), bool)
     mask[3:6, 3:6] = True
-    args = dict(seq=cuboid.FrameSequence(np.zeros((4, 9, 9))),
-                masks=[mask] * 4, fraction=1.0, size=(3, 3, 2), rng_seed=0)
+    args = dict(masks=[mask] * 4, fraction=1.0, size=(3, 3, 2), rng_seed=0)
     assert len(cuboid.sample_cuboids(**args, max_count=None)) == 27
     assert len(cuboid.sample_cuboids(**args, max_count=5)) == 5
     assert callable(linalg.sequence_moments)

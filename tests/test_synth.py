@@ -210,7 +210,7 @@ def test_generated_sequence_supports_the_pipeline():
                                                    seed=8))
     diff = cuboid.difference_sequence(seq)
     masks = cuboid.motion_masks(diff)
-    cs = cuboid.sample_cuboids(diff, masks, 0.25, (8, 8, 6), rng_seed=1)
+    cs = cuboid.sample_cuboids(masks, 0.25, (8, 8, 6), rng_seed=1)
     assert len(cs) > 50
 
 

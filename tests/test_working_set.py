@@ -4,10 +4,10 @@ numpy reports every array allocation to ``tracemalloc``, so a stage's
 traced peak above its starting level is a deterministic count of the
 bytes it allocates.  On a small sdsfa desk run:
 
-- fit-classifier holds the bank, its training rows once (each sdsfa
-  row's mirror written in place right after it), the one-byte-per-value
-  finiteness mask of the classifier's input check and about one
-  sequence's matrix while reading; no list, stack or mirror of all rows;
+- fit-classifier holds the bank, its training rows once (on a grid of
+  more than one column, each row's mirror written in place right after
+  it) and about one sequence's matrix while reading; no list, stack or
+  mirror of all rows;
 - a fit and a sequence's featurize hold a few chunk-sized arrays above
   the pixels they are given, counted in units of one chunk's expanded
   minisequences (``linalg.CHUNK * length * D`` floats).
@@ -86,9 +86,11 @@ def test_fit_classifier_writes_its_rows_once(run):
     # each training sequence's feature matrix, in bytes
     matrices = [8 * bank.k_total * len(dataio.load_features(os.path.join(
         config.features_dir, e.sequence_id + ".sfaf"))[1]) for e in train]
-    rows = 2 * sum(matrices)  # each row and its mirror
+    rows = 2 * sum(matrices)  # each row and its mirror (a 2x3 grid)
     bank_bytes = sum(a.nbytes for a in (
         bank.pca.mean, bank.pca.projection, bank.pca.explained_eigenvalues,
         bank.h0, bank.w, bank.eigenvalues))
     _, peak = traced_peak(pipeline.cmd_fit_classifier, config)
+    # the peak is set while the rows are read; an eighth of the rows'
+    # bytes (one byte per value) stays allowed on top
     assert peak <= SLACK * (bank_bytes + rows + rows / 8 + max(matrices))
