@@ -2,15 +2,16 @@
 
 Binary formats hold videos, model banks, features and classifiers; text
 formats hold annotations, the dataset manifest, configs, results and
-reports.  A bank is stored as what it is: a header that fixes its
-cells, its one PCA and its three cell arrays, each whole.  Binary
-layouts are fixed little-endian so files work as portable test
-fixtures; all numeric payloads are f64 except raw video, which is u8.
-Every writer goes through write-to-temp-then-rename, so a failure never
-leaves a partial file behind, and every reader rejects malformed input
-instead of guessing: bad magic or layout contradictions raise
-FormatError, short files raise TruncatedFile, text problems raise
-ParseError naming the file and line.
+reports.  A bank is a header that fixes its cells, its one PCA and its
+three cell arrays; a feature set is a header, its snippets' start
+frames (u32) and their values; each array is stored whole.  Layouts are
+fixed little-endian so files work as portable test fixtures; other
+numeric payloads are f64 except raw video, which is u8.  Every writer
+goes through write-to-temp-then-rename, so a failure never leaves a
+partial file behind, and every reader rejects malformed input instead
+of guessing: bad magic or layout contradictions raise FormatError,
+short files raise TruncatedFile, text problems raise ParseError naming
+the file and line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ BANK_MAGIC = b"SFAM"
 FEATURES_MAGIC = b"SFAF"
 CLASSIFIER_MAGIC = b"SFAC"
 BANK_VERSION = 3
-FEATURES_VERSION = 1
+FEATURES_VERSION = 2
 CLASSIFIER_VERSION = 1
 
 
@@ -281,9 +282,10 @@ def load_bank(path) -> sfa.ModelBank:
 def save_features(path, sequence_id: str, features, label: int):
     """Persist the ASD features of one sequence plus its class label.
 
-    Layout: magic, version, feature width, the label (i64), the
-    sequence id (u32 length, UTF-8), then the snippet count and, per
-    snippet, its start frame (u32), normalized flag (u8) and values.
+    Version 2 layout: magic, version, feature width, the label (i64),
+    the sequence id (u32 length, UTF-8) and the snippet count, then
+    every snippet's start frame (u32) and the (count, width) values,
+    each whole.
     """
     feats = list(features)
     encoded_id = sequence_id.encode("utf-8")
@@ -295,11 +297,9 @@ def save_features(path, sequence_id: str, features, label: int):
              struct.pack("<II", FEATURES_VERSION, k_total),
              struct.pack("<q", int(label)),
              struct.pack("<I", len(encoded_id)), encoded_id,
-             struct.pack("<I", len(feats))]
-    for f in feats:
-        parts.append(struct.pack("<IB", int(f.snippet_span[1]),
-                                 1 if f.normalized else 0))
-        parts.append(_pack_array(f.values))
+             struct.pack(f"<I{len(feats)}I", len(feats),
+                         *(f.start for f in feats)),
+             _pack_array([f.values for f in feats])]
     _atomic_write_bytes(path, b"".join(parts))
 
 
@@ -315,18 +315,15 @@ def load_features(path):
     except UnicodeDecodeError:
         raise FormatError(f"{path}: sequence id is not UTF-8")
     count = reader.u32()
-    feats = []
-    for _ in range(count):
-        start, flag = struct.unpack("<IB", reader.take(5))
-        if flag > 1:
-            raise FormatError(f"{path}: bad normalization flag {flag}")
-        values = reader.f64_array(k_total)
-        if not np.isfinite(values).all():
-            raise FormatError(
-                f"{path}: snippet at frame {start} has a non-finite value")
-        feats.append(ASDFeature(values, (sequence_id, start), bool(flag)))
+    starts = np.frombuffer(reader.take(4 * count), dtype="<u4").tolist()
+    values = reader.f64_array(count * k_total).reshape(count, k_total)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: snippet at frame "
+                          f"{starts[finite.argmin()]} has a non-finite value")
     reader.expect_end()
-    return sequence_id, feats, label
+    return (sequence_id, [ASDFeature(v, t) for v, t in zip(values, starts)],
+            label)
 
 
 # ---------------------------------------------------------------------------

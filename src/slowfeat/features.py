@@ -5,9 +5,9 @@ one sequence.  For every cuboid, each slow feature function contributes
 the mean of its squared forward differences over the cuboid's window rows
 (``1/(d - delta_t) * sum_t (y(t+1) - y(t))^2``); per-cuboid vectors are
 laid out in the bank's model order and summed over the snippet's
-cuboids, then L1-normalized.  A function that stays flat on a cuboid
-contributes nearly zero, so small ASD entries mark the class (and
-region) whose functions the motion obeys.
+cuboids, then L1-normalized unless all zero (no motion).  A function
+that stays flat on a cuboid contributes nearly zero, so small ASD
+entries mark the class (and region) whose functions the motion obeys.
 
 ``featurize_sequence`` is the one route from cuboids to ASD features.
 It takes a sequence in batches of whole snippets: each snippet's
@@ -46,15 +46,17 @@ from .sfa import ModelBank, project_and_expand
 
 @dataclass(frozen=True)
 class ASDFeature:
-    """One snippet's feature vector.
-
-    ``normalized`` records whether L1 normalization was applied; an
-    all-zero vector (a snippet with no motion) stays unnormalized.
-    """
+    """One snippet's feature vector and the frame the snippet starts at."""
 
     values: np.ndarray
-    snippet_span: tuple[str, int]
-    normalized: bool
+    start: int
+
+    @property
+    def normalized(self) -> bool:
+        """Whether L1 normalization was applied.  Entries are
+        nonnegative, so only an all-zero vector (a snippet with no
+        motion) stays unnormalized."""
+        return bool(self.values.any())
 
 
 def _window_length(input_dim: int, cuboid_shape) -> int:
@@ -139,8 +141,8 @@ def mirror_features(values, grid) -> np.ndarray:
 
 
 def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
-                       fraction: float, seed: int, stride: int = 1,
-                       sequence_id: str = "seq") -> list[ASDFeature]:
+                       fraction: float, seed: int,
+                       stride: int = 1) -> list[ASDFeature]:
     """One ASD feature per snippet of ``d`` successive frames.
 
     ``seq`` is the (already differenced) sequence that cuboids are cut
@@ -150,13 +152,13 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
     do not depend on processing order.  A snippet's cuboids are summed
     in canonical (y, x) order, so the order of the picks changes no bit.
     Each feature is L1-normalized unless its sum is zero (no cuboids, or
-    none whose rows change), in which case it is returned as-is and
-    flagged.  Each cuboid's region is its cell of ``bank.grid`` in its
-    first frame's box, and it contributes to that region's models only.
-    A batch of snippets ends at the first snippet that brings it to
-    ``linalg.CHUNK`` cuboids; each cuboid is projected and expanded
-    on its own, so the batch a snippet shares can change only the last
-    bits of the readout product and hence of its feature.
+    none whose rows change), in which case it stays all zero.  Each
+    cuboid's region is its cell of ``bank.grid`` in its first frame's
+    box, and it contributes to that region's models only.  A batch of
+    snippets ends at the first snippet that brings it to ``linalg.CHUNK``
+    cuboids; each cuboid is projected and expanded on its own, so the
+    batch a snippet shares can change only the last bits of the readout
+    product and hence of its feature.
     """
     h, w, d = whole_numbers(size, InvalidInput, f"cuboid size {size}",
                             low=1, shape=(3,)).tolist()
@@ -198,9 +200,8 @@ def featurize_sequence(seq: FrameSequence, bank: ModelBank, size,
                                np.split(values, np.cumsum(sizes)[:-1])):
             v = part.sum(axis=0)
             total_mass = float(v.sum())
-            normalized = total_mass > 0.0
-            out.append(ASDFeature(v / total_mass if normalized else v,
-                                  (sequence_id, start), normalized))
+            out.append(ASDFeature(v / total_mass if total_mass > 0.0
+                                  else v, start))
     return out
 
 

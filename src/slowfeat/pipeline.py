@@ -195,25 +195,26 @@ def cmd_featurize(config):
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".featurize-", dir=parent)
     try:
-        total = 0
+        total = still = 0
         for idx, entry in enumerate(entries):
             feats = features.featurize_sequence(
                 cuboid.difference_sequence(_entry_sequence(config, entry)),
                 bank, config.cuboid_size, config.fraction,
                 seed=derive_seed(config.seed, TAG_FEATURIZE, idx),
-                stride=config.stride, sequence_id=entry.sequence_id)
+                stride=config.stride)
             dataio.save_features(
                 os.path.join(staging, entry.sequence_id + ".sfaf"),
                 entry.sequence_id, feats, label=entry.label)
             total += len(feats)
+            still += sum(not f.normalized for f in feats)
         os.makedirs(config.features_dir, exist_ok=True)
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name),
                        os.path.join(config.features_dir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    print(f"wrote {total} features for {len(entries)} sequences "
-          f"-> {config.features_dir}")
+    print(f"wrote {total} features ({still} without motion, unnormalized) "
+          f"for {len(entries)} sequences -> {config.features_dir}")
     return total
 
 

@@ -712,7 +712,9 @@ def test_static_video_gets_zero_features(runs, tmp_path, capsys):
             os.path.join(os.path.dirname(cfg.model_path), "run.cfg"),
             "--data-dir", str(data_dir), "--features-dir", str(features_dir)]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert err == ""
+    still = 0
     for entry in entries:
         _, feats, _ = dataio.load_features(
             features_dir / (entry.sequence_id + ".sfaf"))
@@ -721,6 +723,9 @@ def test_static_video_gets_zero_features(runs, tmp_path, capsys):
             assert not any(f.normalized or f.values.any() for f in feats)
         else:
             assert any(f.normalized for f in feats)
+        still += sum(not f.values.any() for f in feats)
+    # the summary counts the snippets that had no motion
+    assert f"({still} without motion, unnormalized)" in out
 
 
 def test_training_split_without_motion_fails_cleanly(runs, tmp_path,

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,19 +376,41 @@ def test_bank_with_nan_pca_projection_is_a_format_error(tmp_path):
 
 
 def test_features_round_trip(tmp_path):
+    # the odd snippets have no motion, so their rows stay all zero
     rng = np.random.default_rng(4)
-    feats = [ASDFeature(rng.random(6), ("clip07", i), i % 2 == 0)
+    feats = [ASDFeature(rng.random(6) * (i % 2 == 0), 3 * i + 1)
              for i in range(5)]
     path = tmp_path / "clip07.sfaf"
     dataio.save_features(path, "clip07", feats, label=3)
     seq_id, again, label = dataio.load_features(path)
     assert seq_id == "clip07"
     assert label == 3
-    assert len(again) == 5
-    for f, g in zip(feats, again):
+    assert [g.start for g in again] == [1, 4, 7, 10, 13]
+    assert [g.normalized for g in again] == [True, False, True, False, True]
+    for f, g in zip(feats, again, strict=True):
         assert f.values.tobytes() == g.values.tobytes()
-        assert f.snippet_span == g.snippet_span
-        assert f.normalized == g.normalized
+
+
+def test_features_are_a_header_and_two_whole_arrays(tmp_path):
+    values = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "f.sfaf"
+    dataio.save_features(path, "ab", [ASDFeature(values[0], 5),
+                                      ASDFeature(values[1], 9)], label=2)
+    assert path.read_bytes() == (
+        b"SFAF" + struct.pack("<IIqI", 2, 3, 2, 2) + b"ab"
+        + struct.pack("<III", 2, 5, 9) + values.astype("<f8").tobytes())
+
+
+def test_a_version_1_feature_file_is_unsupported(tmp_path):
+    # version 1 wrote one record per snippet: start (u32), a normalized
+    # flag (u8) and the values; every such file must be featurized again
+    path = tmp_path / "old.sfaf"
+    path.write_bytes(b"SFAF" + struct.pack("<IIqI", 1, 3, 1, 1) + b"x"
+                     + struct.pack("<IIB", 1, 0, 1)
+                     + np.full(3, 1 / 3).astype("<f8").tobytes())
+    with pytest.raises(UnsupportedVersion, match=re.escape(
+            f"{path}: feature version 1, supported 2")):
+        dataio.load_features(path)
 
 
 def test_features_empty_round_trip(tmp_path):
@@ -405,7 +428,7 @@ def test_features_need_a_label(tmp_path):
 def test_features_corrupt(tmp_path):
     path = tmp_path / "f.sfaf"
     dataio.save_features(
-        path, "x", [ASDFeature(np.ones(3), ("x", 0), True)], label=1)
+        path, "x", [ASDFeature(np.ones(3), 0)], label=1)
     raw = path.read_bytes()
     cut = tmp_path / "cut.sfaf"
     cut.write_bytes(raw[:-4])
@@ -420,7 +443,7 @@ def test_features_corrupt(tmp_path):
 def test_features_non_utf8_sequence_id_is_a_format_error(tmp_path):
     path = tmp_path / "f.sfaf"
     dataio.save_features(
-        path, "x", [ASDFeature(np.ones(3), ("x", 0), True)], label=1)
+        path, "x", [ASDFeature(np.ones(3), 0)], label=1)
     raw = bytearray(path.read_bytes())
     # magic, version, width, label, id length, then the id itself
     assert raw[24:25] == b"x"
@@ -435,8 +458,8 @@ def test_features_with_a_non_finite_value_are_a_format_error(tmp_path, bad):
     values = np.ones(3)
     values[1] = bad
     path = tmp_path / "f.sfaf"
-    dataio.save_features(path, "x", [ASDFeature(np.ones(3), ("x", 0), True),
-                                     ASDFeature(values, ("x", 1), True)],
+    dataio.save_features(path, "x", [ASDFeature(np.ones(3), 0),
+                                     ASDFeature(values, 1)],
                          label=1)
     with pytest.raises(FormatError, match=re.escape(f"{path}: snippet at "
                                                     "frame 1")):
@@ -444,8 +467,7 @@ def test_features_with_a_non_finite_value_are_a_format_error(tmp_path, bad):
 
 
 def test_features_mixed_widths_rejected(tmp_path):
-    feats = [ASDFeature(np.ones(3), ("x", 0), True),
-             ASDFeature(np.ones(4), ("x", 1), True)]
+    feats = [ASDFeature(np.ones(3), 0), ASDFeature(np.ones(4), 1)]
     with pytest.raises(InvalidInput):
         dataio.save_features(tmp_path / "f.sfaf", "x", feats, label=1)
 
@@ -523,7 +545,7 @@ def test_classifier_with_a_non_finite_parameter_is_a_format_error(
      lambda p: dataio.save_bank(p, fitted_bank("usfa")), dataio.load_bank),
     ("feature", dataio.FEATURES_MAGIC, dataio.FEATURES_VERSION,
      lambda p: dataio.save_features(
-         p, "x", [ASDFeature(np.ones(3), ("x", 0), True)], label=1),
+         p, "x", [ASDFeature(np.ones(3), 0)], label=1),
      dataio.load_features),
     ("classifier", dataio.CLASSIFIER_MAGIC, dataio.CLASSIFIER_VERSION,
      lambda p: dataio.save_classifier(p, classify.LinearClassifier(
@@ -542,6 +564,18 @@ def test_binary_headers_name_the_file_and_the_versions(
     path.write_bytes(b"XXXX" + bytes(raw[4:]))
     with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic")):
         load(path)
+
+
+def test_the_readme_states_every_binary_format_version():
+    # a format bump that forgets the docs fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md")
+    section = readme.read_text().split("\n## File formats\n", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    for magic, version in [(dataio.BANK_MAGIC, dataio.BANK_VERSION),
+                           (dataio.FEATURES_MAGIC, dataio.FEATURES_VERSION),
+                           (dataio.CLASSIFIER_MAGIC,
+                            dataio.CLASSIFIER_VERSION)]:
+        assert f"`{magic.decode()}` is at version {version}" in text
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +854,7 @@ def reader_cases(root):
                      labels=[i % 2 for i in range(16)],
                      regions=[i // 2 % 2 for i in range(16)], grid=(2, 1)))
     add("features", dataio.load_features, dataio.save_features, "seq-1",
-        [ASDFeature(rng.random(4), ("seq-1", t), True) for t in range(3)],
-        1)
+        [ASDFeature(rng.random(4), t) for t in range(3)], 1)
     add("classifier", dataio.load_classifier, dataio.save_classifier,
         classify.LinearClassifier(rng.normal(size=(3, 4)), rng.normal(size=3),
                                   (0, 1, 2)))

@@ -287,7 +287,7 @@ def test_featurize_matches_per_model_oracle(strategy):
     masks = cuboid.motion_masks(diff_seq)
     compared = 0
     for f in out:
-        start = f.snippet_span[1]
+        start = f.start
         positions, block = oracles.loop_snippet_cuboids(
             diff_seq.frames, masks[start], start, 0.5, size,
             np.random.SeedSequence([3, start]))
@@ -358,9 +358,9 @@ def test_asd_order_invariance_is_bit_exact(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(features, "pick_positions", pick_shuffled)
             _, _, shuffled_out = featurize_fixture(strategy)
-        assert [(f.snippet_span, f.normalized, f.values.tobytes())
+        assert [(f.start, f.normalized, f.values.tobytes())
                 for f in shuffled_out] == [
-            (f.snippet_span, f.normalized, f.values.tobytes()) for f in out]
+            (f.start, f.normalized, f.values.tobytes()) for f in out]
     assert sum(shuffled) >= 8
 
 
@@ -383,10 +383,10 @@ def test_asd_zero_snippet_stays_unnormalized():
 def test_featurize_strides_agree_on_shared_starts(strategy):
     _, _, every = featurize_fixture(strategy, stride=1)
     _, _, second = featurize_fixture(strategy, stride=2)
-    assert [f.snippet_span[1] for f in second] == [0, 2, 4]
+    assert [f.start for f in second] == [0, 2, 4]
     for f in second:
-        g = every[f.snippet_span[1]]
-        assert f.snippet_span == g.snippet_span
+        g = every[f.start]
+        assert f.start == g.start
         assert f.normalized == g.normalized
         assert np.abs(f.values - g.values).max() <= ORACLE_TOL
 
@@ -409,7 +409,7 @@ def test_small_batches_match_one_batch(strategy, monkeypatch):
     assert sum(size > 3 for size in sizes) >= 2
     assert sum(not f.normalized for f in whole) >= 2
     for f, g in zip(batched, whole):
-        assert f.snippet_span == g.snippet_span
+        assert f.start == g.start
         assert f.normalized == g.normalized
         if not g.normalized:
             assert (f.values == 0.0).all() and (g.values == 0.0).all()
@@ -441,8 +441,8 @@ def test_a_last_batch_of_empty_snippets_changes_no_byte(strategy,
     monkeypatch.setattr(features, "crop_cuboids", crop)
     split = featurize()
     assert cropped == [sum(sizes), 0]
-    assert [(f.snippet_span, f.normalized, f.values.tobytes())
-            for f in split] == [(f.snippet_span, f.normalized,
+    assert [(f.start, f.normalized, f.values.tobytes())
+            for f in split] == [(f.start, f.normalized,
                                  f.values.tobytes()) for f in whole]
 
 
@@ -559,7 +559,7 @@ def test_featurize_one_feature_per_snippet():
                                       fraction=0.5, seed=3)
     assert len(out) == diff_seq.num_frames - 4 + 1
     for i, f in enumerate(out):
-        assert f.snippet_span == ("seq", i)
+        assert f.start == i
         assert f.values.shape == (bank.k_total,)
         if f.normalized:
             assert abs(f.values.sum() - 1.0) < L1_TOL
@@ -570,7 +570,7 @@ def test_featurize_stride():
     bank = featurize_bank(diff_seq)
     out = features.featurize_sequence(diff_seq, bank, (4, 4, 4),
                                       fraction=0.5, seed=3, stride=3)
-    assert [f.snippet_span[1] for f in out] == [0, 3, 6]
+    assert [f.start for f in out] == [0, 3, 6]
 
 
 @pytest.mark.parametrize("size,stride", [((2.9, 2, 3), 1), ((4, 4, 4.5), 1),
@@ -604,8 +604,8 @@ def test_featurize_takes_whole_float_sizes_and_strides():
                                     stride=3)
     b = features.featurize_sequence(diff_seq, bank, (4.0, 4.0, 4.0), 0.5,
                                     seed=3, stride=np.float64(3.0))
-    assert [(f.snippet_span, f.values.tobytes()) for f in a] == \
-        [(f.snippet_span, f.values.tobytes()) for f in b]
+    assert [(f.start, f.values.tobytes()) for f in a] == \
+        [(f.start, f.values.tobytes()) for f in b]
 
 
 def test_featurize_deterministic():
@@ -622,7 +622,7 @@ def test_sdsfa_featurizes_a_sequence_without_boxes_over_the_whole_frame():
     assert np.array_equal(boxed.boxes, np.tile([0, 0, 16, 16], (11, 1)))
 
     def featurize(seq):
-        return [(f.snippet_span, f.normalized, f.values.tobytes())
+        return [(f.start, f.normalized, f.values.tobytes())
                 for f in features.featurize_sequence(seq, bank, (4, 4, 6),
                                                      fraction=0.5, seed=3)]
     out = featurize(cuboid.FrameSequence(boxed.frames))

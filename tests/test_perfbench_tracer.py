@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from slowfeat import benchmark, pipeline
+from slowfeat import benchmark, dataio, pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +44,9 @@ def test_the_tracer_counts_every_layer_it_reads(strategy, tmp_path,
                  "bytes_written"):
         assert counts[name] > 0, name
     assert counts["cuboids_cut"] >= counts["cuboids_kept"]
+    # the tracer counts rows and their `normalized`; both must be the
+    # files' own rows and all-zero rows
+    rows = [f.values for path in sorted(Path(config.features_dir).iterdir())
+            for f in dataio.load_features(path)[1]]
+    assert counts["snippets"] == len(rows)
+    assert counts["zero_snippets"] == sum(not v.any() for v in rows)

@@ -906,8 +906,7 @@ def test_features_keep_the_names_the_benchmark_reads():
     # the benchmark's featurize hook binds the arguments of
     # featurize_sequence by name and reads .normalized of each feature
     assert list(inspect.signature(features.featurize_sequence).parameters) \
-        == ["seq", "bank", "size", "fraction", "seed", "stride",
-            "sequence_id"]
+        == ["seq", "bank", "size", "fraction", "seed", "stride"]
     rng = np.random.default_rng(22)
     minis = rng.normal(size=(12, 3, 4))
     bank = sfa.fit_bank("usfa", minis, pca_dim=2, k=2)
